@@ -10,6 +10,7 @@ verified to tight tolerance at construction time.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -234,7 +235,11 @@ def cache_path(algebra: str, level: int, cache_dir: str | Path) -> Path:
 
 
 def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
-    """Write modular data as deterministic JSON; returns the file path."""
+    """Write modular data as deterministic JSON; returns the file path.
+
+    The JSON goes to a temporary file beside the entry, which then replaces
+    the entry in one step, so a failed write leaves the old entry intact.
+    """
     path = cache_path(md.algebra, md.level, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -246,7 +251,12 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
         "delta": [str(d) for d in md.delta],
         "central_charge": str(md.central_charge),
     }
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

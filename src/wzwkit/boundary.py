@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Mapping
 
 import numpy as np
 
@@ -30,11 +29,10 @@ from .errors import (
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
 from .simplecurrent import (
-    FixedPointData,
     SJCache,
     _untwisted_stabilizer,
     abelian_characters,
-    character_value,
+    sj_character_sum,
 )
 
 __all__ = [
@@ -138,7 +136,6 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup, sj: SJCache, tol: fl
 def classifying_labels(
     md: ModularData,
     group: SimpleCurrentGroup,
-    sj_override: Mapping[int, FixedPointData] | None = None,
     tol: float = 1e-8,
 ) -> tuple[tuple[HatLabel, ...], tuple[BoundaryLabel, ...]]:
     """Hat labels and boundary labels of the classifying algebra.
@@ -148,14 +145,13 @@ def classifying_labels(
     of all sectors (no spin restriction), one per character of the central
     stabilizer.  The counts always agree.
     """
-    hats, boundaries, _, _ = _label_data(md, group, SJCache(md, sj_override), tol)
+    hats, boundaries, _, _ = _label_data(md, group, SJCache(md), tol)
     return hats, boundaries
 
 
 def hat_smatrix(
     md: ModularData,
     group: SimpleCurrentGroup,
-    sj_override: Mapping[int, FixedPointData] | None = None,
     tol: float = 1e-8,
 ) -> np.ndarray:
     """The diagonalizing matrix of the classifying algebra.
@@ -164,28 +160,27 @@ def hat_smatrix(
     the intersection of the hat label's stabilizer with the boundary label's
     central stabilizer, normalized by the usual square-root prefactor.
     """
-    sj = SJCache(md, sj_override)
-    hats, boundaries, stab, ustab = _label_data(md, group, sj, tol)
-    n = len(hats)
-    gsize = group.order
-    out = np.zeros((n, n), dtype=complex)
+    sj = SJCache(md)
+    return _hat_matrix(group, sj, _label_data(md, group, sj, tol))
+
+
+def _hat_matrix(group: SimpleCurrentGroup, sj: SJCache, label_data) -> np.ndarray:
+    hats, boundaries, stab, ustab = label_data
+    out = np.zeros((len(hats), len(boundaries)), dtype=complex)
     for r, h in enumerate(hats):
-        hchar = dict(h.char)
         sh, uh = stab[h.sector], ustab[h.sector]
         for c, b in enumerate(boundaries):
-            bchar = dict(b.char)
             sb, ub = stab[b.rep], ustab[b.rep]
-            pref = gsize / np.sqrt(len(sh) * len(uh) * len(sb) * len(ub))
-            acc = 0.0 + 0.0j
-            for j in sh:
-                if j not in ub:
-                    continue
-                data = sj[j]
-                if h.sector not in data.fixed_set or b.rep not in data.fixed_set:
-                    continue
-                val = data.matrix[data.fixed.index(h.sector), data.fixed.index(b.rep)]
-                acc += character_value(hchar, j) * val * np.conj(character_value(bchar, j))
-            out[r, c] = pref * acc
+            out[r, c] = sj_character_sum(
+                sj,
+                group.order,
+                h.sector,
+                dict(h.char),
+                b.rep,
+                dict(b.char),
+                set(sh) & set(ub),
+                len(sh) * len(uh) * len(sb) * len(ub),
+            )
     return out
 
 
@@ -249,7 +244,6 @@ def structure_constants(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def classifying_algebra(
     md: ModularData,
     group: SimpleCurrentGroup,
-    sj_override: Mapping[int, FixedPointData] | None = None,
     tol: float = 1e-8,
 ) -> ClassifyingAlgebra:
     """Build the classifying algebra and verify its defining properties.
@@ -258,11 +252,12 @@ def classifying_algebra(
     row, the algebra is unital and associative, and every boundary column
     furnishes a one-dimensional representation.  Residuals are recorded.
     """
-    sj = SJCache(md, sj_override)
-    hats, boundaries, stab, ustab = _label_data(md, group, sj, tol)
+    sj = SJCache(md)
+    label_data = _label_data(md, group, sj, tol)
+    hats, boundaries = label_data[:2]
     if hats[0].sector != md.vacuum or any(v != 0 for _, v in hats[0].char):
         raise InternalConsistencyError("hat unit is not the vacuum with trivial character")
-    shat = hat_smatrix(md, group, sj_override, tol)
+    shat = _hat_matrix(group, sj, label_data)
     nhat = structure_constants(shat, tol)
 
     refl = reflection_coefficients(shat, tol)

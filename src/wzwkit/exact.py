@@ -13,8 +13,6 @@ from typing import Sequence
 
 __all__ = [
     "QMatrix",
-    "identity_matrix",
-    "mat_mul",
     "mat_vec",
     "invert_rational",
     "smith_normal_form",
@@ -22,19 +20,6 @@ __all__ = [
 ]
 
 QMatrix = list[list[Q]]
-
-
-def identity_matrix(n: int) -> QMatrix:
-    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[Q]], b: Sequence[Sequence[Q]]) -> QMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Q(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def mat_vec(a: Sequence[Sequence[Q]], v: Sequence[Q]) -> list[Q]:

@@ -17,7 +17,6 @@ from .errors import IntegralityError, InternalConsistencyError
 
 __all__ = [
     "verlinde_tensor",
-    "fusion_matrices",
     "SimpleCurrentGroup",
     "simple_currents",
     "tensor_product",
@@ -47,12 +46,6 @@ def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
             tuple(md.labels[i] for i in neg),
         )
     return rounded.astype(np.int64)
-
-
-def fusion_matrices(md: ModularData, tol: float = 1e-6) -> list[np.ndarray]:
-    """The matrices (N_a)_{bc}, one per primary."""
-    n = verlinde_tensor(md, tol)
-    return [n[a] for a in range(md.dim)]
 
 
 @dataclass(eq=False)

@@ -160,10 +160,6 @@ class SimpleLieAlgebra:
             Q(0),
         )
 
-    def coroot_pairing(self, x: Sequence, i: int) -> Q:
-        """Pairing (x, alpha_i^vee); just the i-th Dynkin label."""
-        return Q(x[i])
-
     def level_of(self, x: Sequence) -> Q:
         """Pairing (x, theta^vee) = sum of Dynkin labels weighted by comarks."""
         return sum((Q(x[i]) * self.comarks[i] for i in range(self.rank)), Q(0))
@@ -304,7 +300,7 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
     if alg.pairing(theta_omega, theta_omega) != 2:
         raise InternalConsistencyError("highest root squared length is not 2")
     for i in range(rank):
-        if alg.coroot_pairing(alg.weyl_vector, i) != 1:
+        if alg.weyl_vector[i] != 1:
             raise InternalConsistencyError("Weyl vector pairing check failed")
     return alg
 

@@ -3,11 +3,13 @@
 A simple current J acting on a theory comes with a unitary matrix S^J indexed
 by the J-fixed primaries.  The currents supported here are those whose folded
 theory has rank zero (the identity current, and the cyclic rotations of the
-level-k su(2) and su(3) theories), for which S^J is at most one by one; its
-single entry is a root-of-unity phase pinned either by requiring the
-simple-current extension to be consistent modular data (integer-spin
-currents) or by a positivity convention (fractional-spin currents, where the
-phase never enters downstream results).
+level-k su(2) and su(3) theories), for which S^J is at most one by one.  Its
+single entry is the phase of the orbit-Lie-algebra S^J of Fuchs,
+Schellekens and Schweigert ("A matrix S for all simple current extensions",
+hep-th/9601078), in closed form: exp(-3 pi i k / 8) for su(2) at k = 0 mod 4,
+and 1 for su(3) at k = 0 mod 3.  The fractional-spin su(2) currents
+(k = 2 mod 4) take the phase 1 by convention; it never enters downstream
+results.  ``extend_by_group`` verifies the extensions built from these phases.
 
 The relative phases F_mu(J, J') extracted from these matrices control which
 characters of the stabilizer survive in extensions, boundary data, and trace
@@ -19,7 +21,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,8 +35,7 @@ from .errors import (
     UnsupportedFolding,
 )
 from .exact import phase_to_complex
-from .fusion import SimpleCurrentGroup, simple_currents, verlinde_tensor
-from .liealg import build_algebra
+from .fusion import SimpleCurrentGroup, verlinde_tensor
 
 __all__ = [
     "FixedPointData",
@@ -45,14 +45,12 @@ __all__ = [
     "cocycle",
     "snap_phase",
     "abelian_characters",
+    "sj_character_sum",
     "OrbitRecord",
     "orbit_data",
     "ExtendedTheory",
     "extend_by_group",
 ]
-
-_PHASE_CACHE: dict[tuple[str, int, tuple], complex] = {}
-
 
 @dataclass(eq=False)
 class FixedPointData:
@@ -83,51 +81,22 @@ class FixedPointData:
         return cached
 
 
-def _cyclic_group_through(md: ModularData, j_index: int) -> SimpleCurrentGroup:
-    return simple_currents(md).subgroup((j_index,))
-
-
-def _pin_phase(md: ModularData, j_index: int, fixed_index: int) -> complex:
-    """Choose the phase of a one-dimensional S^J.
-
-    Integer-spin currents: first root of unity (denominator lcm(24, 4 kappa))
-    for which the cyclic extension through J passes every modular-data check.
-    Fractional-spin currents: the entry is set to 1; no consistency condition
-    constrains it and nothing downstream depends on it.
-    """
-    key = (md.algebra, md.level, md.labels[j_index])
-    if key in _PHASE_CACHE:
-        return _PHASE_CACHE[key]
-    if md.delta[j_index].denominator != 1:
-        _PHASE_CACHE[key] = 1.0 + 0.0j
-        return _PHASE_CACHE[key]
-    alg = build_algebra(md.algebra)
-    denom = lcm(24, 4 * (md.level + alg.dual_coxeter))
-    group = _cyclic_group_through(md, j_index)
-    for m in range(denom):
-        xi = phase_to_complex(Q(m, denom))
-        override = {
-            j: FixedPointData(j, (fixed_index,), np.array([[xi]]), md.dim)
-            for j in group.indices
-            if j != md.vacuum
-        }
-        try:
-            extend_by_group(md, group, sj_override=override)
-        except (InvariantViolation, IntegralityError, InternalConsistencyError):
-            continue
-        _PHASE_CACHE[key] = xi
-        return xi
-    raise InternalConsistencyError(
-        f"no root-of-unity phase makes the extension by {md.labels[j_index]} consistent"
-    )
-
-
 def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
     """S^J for one simple current of an affine theory.
 
     Supported beyond the identity current: the su(2) current (level even or
     odd) and the two su(3) rotation currents.  Their folded theories have
-    rank zero, so the matrix is empty or a single pinned phase.
+    rank zero, so the matrix is empty or the single phase xi of the
+    orbit-Lie-algebra S^J (hep-th/9601078):
+
+    * su(2) at level k = 0 mod 4: xi = exp(-3 pi i k / 8);
+    * su(2) at level k = 2 mod 4: xi = 1.  The current has spin k/4, so no
+      extension constrains xi and nothing downstream depends on it;
+    * su(3) at level k = 0 mod 3: xi = 1.
+
+    For the integer-spin currents xi is the only root of unity of order
+    lcm(24, 4(k + h^vee)) for which the extension by the current passes the
+    checks of ``extend_by_group``.
     """
     j_index = current if isinstance(current, int) else md.index(tuple(current))
     if j_index == md.vacuum:
@@ -138,15 +107,17 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
         if k % 2:
             return FixedPointData(j_index, (), np.zeros((0, 0), dtype=complex), md.dim)
         fixed_index = md.index((k // 2,))
+        phase = Q(-3 * k, 16) % 1 if k % 4 == 0 else Q(0)
     elif md.algebra == "A2" and label in {(k, 0), (0, k)}:
         if k % 3:
             return FixedPointData(j_index, (), np.zeros((0, 0), dtype=complex), md.dim)
         fixed_index = md.index((k // 3, k // 3))
+        phase = Q(0)
     else:
         raise UnsupportedFolding(
             f"no fixed-point S matrix available for current {label} of {md.algebra} level {k}"
         )
-    xi = _pin_phase(md, j_index, fixed_index)
+    xi = phase_to_complex(phase)
     return FixedPointData(j_index, (fixed_index,), np.array([[xi]]), md.dim)
 
 
@@ -164,16 +135,13 @@ def tensor_fixed_point_data(
 
 
 class SJCache:
-    """Memoized access to the S^J matrices of one theory, with overrides."""
+    """Memoized access to the S^J matrices of one theory."""
 
-    def __init__(self, md: ModularData, override: Mapping[int, FixedPointData] | None = None):
+    def __init__(self, md: ModularData):
         self.md = md
-        self.override = dict(override or {})
         self._cache: dict[int, FixedPointData] = {}
 
     def __getitem__(self, j_index: int) -> FixedPointData:
-        if j_index in self.override:
-            return self.override[j_index]
         if j_index not in self._cache:
             if j_index == self.md.vacuum:
                 data = FixedPointData.identity_current(self.md)
@@ -317,6 +285,33 @@ def character_value(char: Mapping[int, Q], element: int) -> complex:
     return phase_to_complex(char[element])
 
 
+def sj_character_sum(
+    sj: SJCache,
+    group_order: int,
+    mu: int,
+    psi: Mapping[int, Q],
+    nu: int,
+    phi: Mapping[int, Q],
+    currents: Iterable[int],
+    stabilizer_product: int,
+) -> complex:
+    """|G| / sqrt(stabilizer_product) * sum_J psi(J) S^J_{mu, nu} phi(J)*.
+
+    ``stabilizer_product`` is |S_mu| |U_mu| |S_nu| |U_nu|, the orders of the
+    stabilizers and untwisted stabilizers of both sectors.  J runs over
+    ``currents`` in ascending order; currents that do not fix both sectors
+    contribute nothing.  This is one entry of the extended S matrix and of
+    the classifying algebra's hat matrix.
+    """
+    acc = 0.0 + 0.0j
+    for j in sorted(currents):
+        data = sj[j]
+        if mu in data.fixed_set and nu in data.fixed_set:
+            val = data.matrix[data.fixed.index(mu), data.fixed.index(nu)]
+            acc += character_value(psi, j) * val * np.conj(character_value(phi, j))
+    return group_order / np.sqrt(stabilizer_product) * acc
+
+
 @dataclass(eq=False)
 class OrbitRecord:
     """One orbit of the current group on primaries, with stabilizer data.
@@ -362,11 +357,10 @@ def _untwisted_stabilizer(
 def orbit_data(
     md: ModularData,
     group: SimpleCurrentGroup,
-    sj_override: Mapping[int, FixedPointData] | None = None,
     tol: float = 1e-8,
 ) -> list[OrbitRecord]:
     """Orbits, stabilizers and cocycle phases of a current group on primaries."""
-    sj = SJCache(md, sj_override)
+    sj = SJCache(md)
     integer_spins = all(md.delta[j].denominator == 1 for j in group.indices)
     seen: set[int] = set()
     records: list[OrbitRecord] = []
@@ -431,7 +425,6 @@ def extend_by_group(
     group: SimpleCurrentGroup,
     tol: float = 1e-8,
     fusion_tol: float = 1e-6,
-    sj_override: Mapping[int, FixedPointData] | None = None,
 ) -> ExtendedTheory:
     """Extend a theory by a group of integer-spin simple currents.
 
@@ -447,7 +440,7 @@ def extend_by_group(
                 f"current {md.labels[j]} has non-integer conformal weight {md.delta[j]}; "
                 "the extension only exists for integer-spin currents"
             )
-    sj = SJCache(md, sj_override)
+    sj = SJCache(md)
 
     surviving: list[int] = []
     for i in range(md.dim):
@@ -484,30 +477,20 @@ def extend_by_group(
         )
 
     n = len(classes)
-    gsize = group.order
     s_ext = np.zeros((n, n), dtype=complex)
     for a, ca in enumerate(classes):
         for b, cb in enumerate(classes):
             ua, ub = u_of[ca.rep], u_of[cb.rep]
-            pref = gsize / np.sqrt(
-                len(stab_of[ca.rep]) * len(ua) * len(stab_of[cb.rep]) * len(ub)
+            s_ext[a, b] = sj_character_sum(
+                sj,
+                group.order,
+                ca.rep,
+                ca.char,
+                cb.rep,
+                cb.char,
+                set(ua) & set(ub),
+                len(stab_of[ca.rep]) * len(ua) * len(stab_of[cb.rep]) * len(ub),
             )
-            acc = 0.0 + 0.0j
-            common = set(ua) & set(ub)
-            for j in sorted(common):
-                data = sj[j]
-                if ca.rep in data.fixed_set and cb.rep in data.fixed_set:
-                    pa = data.fixed.index(ca.rep)
-                    pb = data.fixed.index(cb.rep)
-                    val = data.matrix[pa, pb]
-                else:
-                    val = 0.0
-                acc += (
-                    character_value(ca.char, j)
-                    * val
-                    * np.conj(character_value(cb.char, j))
-                )
-            s_ext[a, b] = pref * acc
 
     ext_md = ModularData(
         algebra=f"{md.algebra}/ext",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,26 @@ class TestCache:
         assert load_modular_data("A1", 1, tmp_path) is None
         md = modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
         assert md.dim == 2
+
+    def test_failed_write_keeps_previous_entry(self, tmp_path, monkeypatch):
+        md = modular_data("A1", 2, attach_sj=False)
+        path = save_modular_data(md, tmp_path)
+        before = path.read_bytes()
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_modular_data(md, tmp_path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded = load_modular_data("A1", 2, tmp_path)
+        assert loaded is not None
+        assert np.array_equal(loaded.smatrix, md.smatrix)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_missing_cache_dir_returns_none(self, tmp_path):
         assert load_modular_data("A1", 1, tmp_path / "absent") is None

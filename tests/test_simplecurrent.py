@@ -7,9 +7,19 @@ import numpy as np
 import pytest
 
 from wzwkit.affine import modular_data
-from wzwkit.errors import ExtensionRejected, UnderdeterminedCocycle, UnsupportedFolding
+from wzwkit.errors import (
+    ExtensionRejected,
+    IntegralityError,
+    InternalConsistencyError,
+    InvariantViolation,
+    UnderdeterminedCocycle,
+    UnsupportedFolding,
+)
+from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
+from wzwkit.liealg import build_algebra
 from wzwkit.simplecurrent import (
+    FixedPointData,
     SJCache,
     abelian_characters,
     cocycle,
@@ -77,6 +87,50 @@ class TestFixedPointMatrices:
         data = fixed_point_smatrix(md, (3, 0))
         assert data.fixed == (md.index((1, 1)),)
         assert abs(data.matrix[0, 0] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "algebra, level, exponent",
+        [
+            ("A1", 4, Q(1, 4)),
+            ("A1", 8, Q(1, 2)),
+            ("A1", 12, Q(3, 4)),
+            ("A1", 16, Q(0)),
+            ("A2", 3, Q(0)),
+            ("A2", 6, Q(0)),
+        ],
+    )
+    def test_closed_form_phase(self, algebra, level, exponent):
+        md = modular_data(algebra, level)
+        for j in simple_currents(md).indices[1:]:
+            assert fixed_point_smatrix(md, j).matrix[0, 0] == phase_to_complex(exponent)
+
+    @pytest.mark.parametrize(
+        "algebra, level", [("A1", 4), ("A1", 8), ("A1", 12), ("A2", 3), ("A2", 6)]
+    )
+    def test_closed_form_is_the_only_consistent_root_of_unity(self, algebra, level):
+        md = modular_data(algebra, level)
+        group = simple_currents(md)
+        closed = {j: fixed_point_smatrix(md, j) for j in group.indices[1:]}
+        (xi_closed,) = {data.matrix[0, 0] for data in closed.values()}
+        order = math.lcm(24, 4 * (level + build_algebra(algebra).dual_coxeter))
+        passed = 0
+        for m in range(order):
+            xi = phase_to_complex(Q(m, order))
+
+            def provider(label, xi=xi):
+                data = closed[md.index(label)]
+                return FixedPointData(data.current_index, data.fixed, np.array([[xi]]), md.dim)
+
+            md.sj_provider = provider
+            if xi == xi_closed:
+                extend_by_group(md, group)
+                passed += 1
+            else:
+                with pytest.raises(
+                    (InvariantViolation, IntegralityError, InternalConsistencyError)
+                ):
+                    extend_by_group(md, group)
+        assert passed == 1
 
     def test_unsupported_current_raises(self):
         md = modular_data("B2", 2)
