@@ -38,10 +38,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Incremented every time a Weyl traversal actually runs; cache hits leave it
-# untouched, which the cache tests rely on.
-WEYL_TRAVERSALS = 0
-
 
 def integrable_weights(alg: SimpleLieAlgebra, level: int) -> tuple[tuple[int, ...], ...]:
     """Dominant weights integrable at the given level, in lexicographic order.
@@ -87,6 +83,9 @@ class ModularData:
     with a positive real vacuum row; ``delta`` and ``central_charge`` are
     exact.  ``sj_provider``, when set, maps a simple-current label to its
     fixed-point S matrix (used by the trace and extension machinery).
+
+    Quantities derived from S are computed once per S array: assigning a new
+    ``smatrix`` recomputes them, and the array they came from is made read-only.
     """
 
     algebra: str
@@ -97,6 +96,7 @@ class ModularData:
     central_charge: Q
     sj_provider: Callable | None = None
     _index: dict = field(default=None, repr=False)
+    _memo: tuple = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -105,6 +105,17 @@ class ModularData:
     @property
     def vacuum(self) -> int:
         return 0
+
+    def _derived(self, name: str, compute: Callable[["ModularData"], object]):
+        """``compute(self)``, memoized for the current S matrix and T data."""
+        key = (self.smatrix, self.delta, self.central_charge)
+        if self._memo is None or any(a is not b for a, b in zip(self._memo[0], key)):
+            self.smatrix.flags.writeable = False
+            self._memo = (key, {})
+        values = self._memo[1]
+        if name not in values:
+            values[name] = compute(self)
+        return values[name]
 
     def index(self, label) -> int:
         if self._index is None:
@@ -121,12 +132,8 @@ class ModularData:
 
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Permutation i -> conj(i) read off from S squared."""
-        c = self.smatrix @ self.smatrix
-        perm = []
-        for row in np.abs(c):
-            j = int(np.argmax(row))
-            perm.append(j)
-        return tuple(perm)
+        s = self.smatrix
+        return tuple(int(j) for j in np.argmax(np.abs(s @ s), axis=1))
 
 
 def kac_peterson_smatrix(
@@ -136,7 +143,6 @@ def kac_peterson_smatrix(
     weyl_cap: int = 200000,
 ) -> np.ndarray:
     """S matrix from the Weyl sum over shifted weights, vacuum row positive."""
-    global WEYL_TRAVERSALS
     if labels is None:
         labels = integrable_weights(alg, level)
     n = len(labels)
@@ -144,7 +150,6 @@ def kac_peterson_smatrix(
     shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
     gram = np.array([[float(v) for v in row] for row in alg.metric])
     raw = np.zeros((n, n), dtype=complex)
-    WEYL_TRAVERSALS += 1
     for el in weyl_traverse(alg, weyl_cap):
         w = np.array(el.matrix, dtype=np.int64)
         moved = shifted @ w.T
@@ -155,38 +160,51 @@ def kac_peterson_smatrix(
     return phase * scale * raw
 
 
+def _invariant_residuals(md: ModularData) -> dict:
+    s = md.smatrix
+    eye = np.eye(md.dim)
+    s2 = s @ s
+    perm = np.round(s2.real)
+    st = s * md.t_diagonal()[np.newaxis, :]
+    return {
+        "unitarity": float(np.abs(s @ s.conj().T - eye).max()),
+        "symmetry": float(np.abs(s - s.T).max()),
+        "vacuum_row_imag": float(np.abs(s[0].imag).max()),
+        "vacuum_row_min": float(s[0].real.min()),
+        "conjugation_permutation": float(np.abs(s2.real - perm).max() + np.abs(s2.imag).max()),
+        "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
+        "st_cubed": float(np.abs(st @ st @ st - s2).max()),
+    }
+
+
 def verify_modular_invariants(md: ModularData, tol: float = 1e-9) -> dict[str, float]:
     """Check the defining relations of the modular data; raise on violation.
 
-    Returns the residual of each relation so callers can report them.
+    Returns the residual of each relation so callers can report them.  The
+    residuals are computed once per S matrix; each call compares them with
+    its own ``tol`` and raises on the first relation that fails.
     """
-    s = md.smatrix
-    n = md.dim
-    eye = np.eye(n)
+    table = md._derived("invariants", _invariant_residuals)
     residuals: dict[str, float] = {}
 
-    def check(name: str, residual: float, detail: str = "") -> None:
-        residuals[name] = float(residual)
-        if not residual <= tol:
-            raise InvariantViolation(name, float(residual), tol, detail)
+    def check(name: str) -> None:
+        residuals[name] = table[name]
+        if not table[name] <= tol:
+            raise InvariantViolation(name, table[name], tol, "")
 
-    check("unitarity", np.abs(s @ s.conj().T - eye).max())
-    check("symmetry", np.abs(s - s.T).max())
-    check("vacuum_row_imag", np.abs(s[0].imag).max())
-    if n and s[0].real.min() <= 0:
+    check("unitarity")
+    check("symmetry")
+    check("vacuum_row_imag")
+    if table["vacuum_row_min"] <= 0:
         raise InvariantViolation(
-            "vacuum_row_positive", float(-s[0].real.min()), 0.0, "vacuum row must be positive"
+            "vacuum_row_positive", -table["vacuum_row_min"], 0.0, "vacuum row must be positive"
         )
     residuals["vacuum_row_positive"] = 0.0
-    c = (s @ s).real
-    perm = np.round(c)
-    check("conjugation_permutation", np.abs(c - perm).max() + np.abs((s @ s).imag).max())
-    if not np.array_equal(perm @ perm, eye):
+    check("conjugation_permutation")
+    if not table["conjugation_involution"]:
         raise InvariantViolation("conjugation_involution", 1.0, tol, "S^2 is not an involution")
     residuals["conjugation_involution"] = 0.0
-    t = md.t_diagonal()
-    st = s * t[np.newaxis, :]
-    check("st_cubed", np.abs(st @ st @ st - s @ s).max())
+    check("st_cubed")
     return residuals
 
 

@@ -170,10 +170,6 @@ class TraceSpectrum:
     traces: dict[tuple[int, ...], complex]
     dims: dict[tuple, int]
 
-    @property
-    def dim_values(self) -> tuple[int, ...]:
-        return tuple(self.dims[k] for k in sorted(self.dims))
-
 
 def fourier_eigendims(
     md: ModularData,

@@ -184,7 +184,7 @@ def _hat_matrix(group: SimpleCurrentGroup, sj: SJCache, label_data) -> np.ndarra
     return out
 
 
-def _check_square_invertible(shat: np.ndarray, tol: float) -> float:
+def _check_square_invertible(shat: np.ndarray, tol: float) -> None:
     if shat.ndim != 2 or shat.shape[0] != shat.shape[1]:
         raise PreconditionError("the hat matrix must be square")
     svals = np.linalg.svd(shat, compute_uv=False)
@@ -192,7 +192,6 @@ def _check_square_invertible(shat: np.ndarray, tol: float) -> float:
         raise InvariantViolation(
             "hat_matrix_invertible", float(svals[-1]), tol, "singular hat matrix"
         )
-    return float(svals[-1])
 
 
 def reflection_coefficients(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -215,30 +214,43 @@ def structure_constants(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Raised structure constants of the classifying algebra.
 
     The all-lower tensor is the Verlinde-like sum over boundary labels; the
-    last index is raised with the inverse of C = N_{..unit}, which equals
-    S-hat times its transpose.  Commutativity is manifest; unit and
-    associativity are verified before returning.
+    last index is raised with the inverse of C = N_{..unit} = S-hat S-hat^T.
+    Checked: S-hat is square and invertible with a nonvanishing vacuum row;
+    hat index 0 is the unit; every boundary column a is a representation,
+    chi_a(l) chi_a(m) = sum_n N_lm^n chi_a(n), chi_a(l) = S-hat[l,a] / S-hat[0,a].
+    Associativity and commutativity follow: R[n, a] = chi_a(n) is S-hat with
+    rescaled columns, so invertible, and the representation check reads
+    L_l R = R diag(chi(l)) for (L_l)_mn = N_lm^n.  So L_l = R diag(chi(l)) R^-1,
+    and l -> chi(l) maps the algebra onto C^n with the pointwise product.
     """
+    return _structure_constants(shat, tol)[0]
+
+
+def _structure_constants(shat: np.ndarray, tol: float) -> tuple[np.ndarray, dict[str, float]]:
     _check_square_invertible(shat, tol)
     vac = shat[0]
     if np.abs(vac).min() < tol:
-        raise InvariantViolation(
-            "vacuum_row_nonvanishing", float(np.abs(vac).min()), tol, ""
-        )
-    lower = np.einsum("la,ma,na->lmn", shat, shat, shat / vac)
-    cmat = shat @ shat.T
-    raised = np.einsum("lmr,rn->lmn", lower, np.linalg.inv(cmat))
+        raise InvariantViolation("vacuum_row_nonvanishing", float(np.abs(vac).min()), tol, "")
+    refl = shat / vac
+    lower = np.einsum("la,ma,na->lmn", shat, shat, refl)
+    raised = np.einsum("lmr,rn->lmn", lower, np.linalg.inv(shat @ shat.T))
 
     n = shat.shape[0]
     unit_res = float(np.abs(raised[0] - np.eye(n)).max())
     if unit_res > tol:
         raise InvariantViolation("classifying_unit", unit_res, tol, "")
-    left = np.einsum("lmr,rkn->lmkn", raised, raised)
-    right = np.einsum("mkr,lrn->lmkn", raised, raised)
-    assoc_res = float(np.abs(left - right).max())
-    if assoc_res > tol:
-        raise InvariantViolation("classifying_associativity", assoc_res, tol, "")
-    return raised
+    rep_res = 0.0
+    for a in range(n):
+        col = refl[:, a]
+        res = np.abs(np.outer(col, col) - np.einsum("lmn,n->lm", raised, col)).max()
+        rep_res = max(rep_res, float(res))
+    if rep_res > tol:
+        raise InvariantViolation("classifying_representation", rep_res, tol, "")
+    return raised, {
+        "unit": unit_res,
+        "representation_property": rep_res,
+        "commutativity": float(np.abs(raised - raised.transpose(1, 0, 2)).max()),
+    }
 
 
 def classifying_algebra(
@@ -248,9 +260,10 @@ def classifying_algebra(
 ) -> ClassifyingAlgebra:
     """Build the classifying algebra and verify its defining properties.
 
-    Checks performed: the hat matrix is invertible with nonvanishing vacuum
-    row, the algebra is unital and associative, and every boundary column
-    furnishes a one-dimensional representation.  Residuals are recorded.
+    The hat unit must be the vacuum with the trivial character; then the
+    checks of ``structure_constants`` run once (invertible hat matrix, unit,
+    every boundary column a one-dimensional representation; together they
+    imply associativity and commutativity) and their residuals are recorded.
     """
     sj = SJCache(md)
     label_data = _label_data(md, group, sj, tol)
@@ -258,21 +271,7 @@ def classifying_algebra(
     if hats[0].sector != md.vacuum or any(v != 0 for _, v in hats[0].char):
         raise InternalConsistencyError("hat unit is not the vacuum with trivial character")
     shat = _hat_matrix(group, sj, label_data)
-    nhat = structure_constants(shat, tol)
-
-    refl = reflection_coefficients(shat, tol)
-    rep_res = 0.0
-    for a in range(shat.shape[0]):
-        col = refl[:, a]
-        res = np.abs(np.outer(col, col) - np.einsum("lmn,n->lm", nhat, col)).max()
-        rep_res = max(rep_res, float(res))
-    residuals = {
-        "unit": float(np.abs(nhat[0] - np.eye(shat.shape[0])).max()),
-        "representation_property": rep_res,
-        "commutativity": float(np.abs(nhat - nhat.transpose(1, 0, 2)).max()),
-    }
-    if rep_res > tol:
-        raise InvariantViolation("classifying_representation", rep_res, tol, "")
+    nhat, residuals = _structure_constants(shat, tol)
     return ClassifyingAlgebra(
         md=md,
         group=group,

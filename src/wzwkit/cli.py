@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedFolding,
     WeylCapExceeded,
 )
-from .fusion import SimpleCurrentGroup, simple_currents, verlinde_tensor
+from .fusion import SimpleCurrentGroup, simple_currents, verlinde_residual, verlinde_tensor
 from .liealg import build_algebra, center_group
 from .orbifold import assemble_orbifold, conjecture2_trace, inner_orbifold_input
 from .simplecurrent import extend_by_group
@@ -326,12 +326,6 @@ def _group_from_spec(md: ModularData, spec: str) -> SimpleCurrentGroup:
     return full.subgroup(generators)
 
 
-def _fusion_residual(md: ModularData) -> float:
-    s = md.smatrix
-    raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
-    return float(np.abs(raw - np.round(raw.real)).max())
-
-
 def _run_modular_data(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
@@ -351,7 +345,7 @@ def _run_fusion(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
     tensor = verlinde_tensor(md)
-    residuals["fusion_integrality"] = _fusion_residual(md)
+    residuals["fusion_integrality"] = verlinde_residual(md)
     group = simple_currents(md)
     nonzero = [
         [a, b, c, int(tensor[a, b, c])]
@@ -492,10 +486,11 @@ def _run_check(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
     verlinde_tensor(md)
-    residuals["fusion_integrality"] = _fusion_residual(md)
+    residuals["fusion_integrality"] = verlinde_residual(md)
     group = simple_currents(md)
     detected = sorted(group.element_order(j) for j in group.indices)
-    expected = _center_order_multiset(center_group(build_algebra(config.algebra)).factors)
+    factors = center_group(build_algebra(config.algebra)).factors
+    expected = _center_order_multiset(factors)
     match = detected == expected
     residuals["simple_current_center"] = 0.0 if match else 1.0
     if not match:
@@ -508,9 +503,7 @@ def _run_check(config: JobConfig):
     result = {
         "dim": md.dim,
         "simple_current_order": group.order,
-        "center_invariant_factors": list(
-            center_group(build_algebra(config.algebra)).factors
-        ),
+        "center_invariant_factors": list(factors),
         "center_match": match,
     }
     return result, residuals
@@ -550,14 +543,7 @@ def _run_sweep(config: JobConfig) -> tuple[str, int]:
                 raise
             code, status = classified
             worst = max(worst, EXIT_INVARIANT if status != EXIT_OK else EXIT_OK)
-            row.update(
-                status=code,
-                dim="",
-                max_residual="",
-                fusion_residual="",
-                simple_current_order="",
-                center_match="",
-            )
+            row.update(dict.fromkeys(SWEEP_COLUMNS[3:], ""), status=code)
         else:
             fusion_residual = residuals.pop("fusion_integrality")
             residuals.pop("simple_current_center", None)

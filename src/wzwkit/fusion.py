@@ -17,35 +17,45 @@ from .errors import IntegralityError, InternalConsistencyError
 
 __all__ = [
     "verlinde_tensor",
+    "verlinde_residual",
     "SimpleCurrentGroup",
     "simple_currents",
     "tensor_product",
 ]
 
 
-def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
-    """All fusion multiplicities N[a, b, c] = N_{ab}^c as an integer array."""
+def _verlinde(md: ModularData):
     s = md.smatrix
     raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
     rounded = np.round(raw.real)
     residual = np.abs(raw - rounded)
     worst = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    if residual[worst] > tol:
+    neg = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+    tensor = rounded.astype(np.int64)
+    tensor.flags.writeable = False
+    return tensor, float(residual[worst]), worst, complex(raw[worst]), neg, float(rounded[neg])
+
+
+def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
+    """All fusion multiplicities N[a, b, c] = N_{ab}^c as a read-only integer array.
+
+    The Verlinde sum runs once per S matrix; each call applies its own ``tol``.
+    """
+    tensor, residual, worst, value, neg, lowest = md._derived("verlinde", _verlinde)
+    if residual > tol:
         raise IntegralityError(
-            "fusion coefficient",
-            complex(raw[worst]),
-            float(residual[worst]),
-            tuple(md.labels[i] for i in worst),
+            "fusion coefficient", value, residual, tuple(md.labels[i] for i in worst)
         )
-    if rounded.min() < 0:
-        neg = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+    if lowest < 0:
         raise IntegralityError(
-            "fusion coefficient (negative)",
-            float(rounded[neg]),
-            float(-rounded[neg]),
-            tuple(md.labels[i] for i in neg),
+            "fusion coefficient (negative)", lowest, -lowest, tuple(md.labels[i] for i in neg)
         )
-    return rounded.astype(np.int64)
+    return tensor
+
+
+def verlinde_residual(md: ModularData) -> float:
+    """Largest distance of a Verlinde sum from the nearest integer."""
+    return md._derived("verlinde", _verlinde)[1]
 
 
 @dataclass(eq=False)

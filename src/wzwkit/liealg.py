@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import CartanDataError, InternalConsistencyError, WeylCapExceeded
-from .exact import invert_rational, mat_vec, smith_normal_form
+from .exact import invert_rational, smith_normal_form
 
 __all__ = [
     "SimpleLieAlgebra",
@@ -145,10 +145,6 @@ class SimpleLieAlgebra:
         return f"{self.series}{self.rank}"
 
     @property
-    def weyl_vector(self) -> tuple[int, ...]:
-        return (1,) * self.rank
-
-    @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots_alpha)
 
@@ -174,10 +170,6 @@ class SimpleLieAlgebra:
             tuple(int(k == j) - (self.cartan[i][k] if j == i else 0) for j in range(n))
             for k in range(n)
         )
-
-    def reflect(self, i: int, x: Sequence[int]) -> tuple[int, ...]:
-        xi = x[i]
-        return tuple(x[k] - xi * self.cartan[i][k] for k in range(self.rank))
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -299,9 +291,6 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
     )
     if alg.pairing(theta_omega, theta_omega) != 2:
         raise InternalConsistencyError("highest root squared length is not 2")
-    for i in range(rank):
-        if alg.weyl_vector[i] != 1:
-            raise InternalConsistencyError("Weyl vector pairing check failed")
     return alg
 
 

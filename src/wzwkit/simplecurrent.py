@@ -19,6 +19,7 @@ formulas.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Mapping
@@ -260,16 +261,16 @@ def abelian_characters(
                     nxt.append(e2)
         frontier = nxt
 
+    # The generators generate the group, so a map that is additive on every
+    # pair (element, generator) is additive on every pair.
     chars = []
-    import itertools
-
     for assignment in itertools.product(*[range(order[g]) for g in gens]):
         char = {
             e: sum((Q(assignment[gi], order[gens[gi]]) * w for gi, w in enumerate(word)), Q(0)) % 1
             for e, word in words.items()
         }
         ok = all(
-            (char[a] + char[b] - char[compose(a, b)]) % 1 == 0 for a in elems for b in elems
+            (char[e] + char[g] - char[compose(e, g)]) % 1 == 0 for e in elems for g in gens
         )
         if ok:
             chars.append(char)

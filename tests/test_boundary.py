@@ -173,6 +173,14 @@ class TestGuards:
         with pytest.raises(PreconditionError):
             structure_constants(np.ones((2, 3)))
 
+    def test_checked_structure_constants_are_associative(self):
+        rng = np.random.default_rng(7)
+        shat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        n = structure_constants(shat)
+        left = np.einsum("lmr,rkn->lmkn", n, n)
+        right = np.einsum("mkr,lrn->lmkn", n, n)
+        assert np.abs(left - right).max() < 1e-8
+
     def test_sign_match_failure_is_reported(self):
         a = np.eye(2)
         b = np.array([[1.0, 0.5], [0.0, 0.5]])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wzwkit.affine as affine
+import wzwkit.fusion
 from wzwkit.affine import cache_path, modular_data
 from wzwkit.cli import (
     EXIT_CAP,
@@ -227,6 +228,20 @@ class TestSingleConstructions:
         assert result["rank"] == 1
         assert result["dim_plus"] + result["dim_minus"] == result["rank"]
 
+    @pytest.mark.parametrize("construction", ["check", "fusion"])
+    def test_verlinde_sum_runs_once_per_job(self, construction, monkeypatch):
+        einsum = np.einsum
+        subscripts = []
+
+        def counted(spec, *operands, **kwargs):
+            subscripts.append(spec)
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(wzwkit.fusion.np, "einsum", counted)
+        _, status = run_json([construction, "A1", "--level", "4"])
+        assert status == EXIT_OK
+        assert subscripts == ["ak,bk,ck->abc"]
+
     def test_reports_are_byte_deterministic(self):
         config = JobConfig(construction="check", algebra="A2", level=2)
         first, status_a = run(config)
@@ -294,16 +309,14 @@ class TestCache:
         assert loaded.delta == md.delta
         assert np.array_equal(loaded.smatrix, md.smatrix)
 
-    def test_hit_skips_weyl_traversal(self, tmp_path):
+    def test_hit_skips_weyl_traversal(self, tmp_path, weyl_traversals):
         argv = ["modular-data", "A2", "--level", "2", "--cache-dir", str(tmp_path)]
-        before = affine.WEYL_TRAVERSALS
         _, status = run_json(argv)
         assert status == EXIT_OK
-        after_first = affine.WEYL_TRAVERSALS
-        assert after_first == before + 1
+        assert len(weyl_traversals) == 1
         _, status = run_json(argv)
         assert status == EXIT_OK
-        assert affine.WEYL_TRAVERSALS == after_first
+        assert len(weyl_traversals) == 1
 
     def test_corrupt_entry_recomputes_with_warning(self, tmp_path):
         md = modular_data("A1", 2)
@@ -313,15 +326,15 @@ class TestCache:
             again = modular_data("A1", 2, cache_dir=tmp_path)
         assert np.allclose(again.smatrix, md.smatrix)
 
-    def test_stale_schema_is_invalidated(self, tmp_path):
+    def test_stale_schema_is_invalidated(self, tmp_path, weyl_traversals):
         md = modular_data("A1", 2)
         path = cache_roundtrip(md, tmp_path) and cache_path("A1", 2, tmp_path)
         payload = json.loads(path.read_text())
         payload["schema"] = 999
         path.write_text(json.dumps(payload))
-        before = affine.WEYL_TRAVERSALS
+        before = len(weyl_traversals)
         again = modular_data("A1", 2, cache_dir=tmp_path)
-        assert affine.WEYL_TRAVERSALS == before + 1
+        assert len(weyl_traversals) == before + 1
         assert np.allclose(again.smatrix, md.smatrix)
 
     def test_mismatched_payload_is_rejected(self, tmp_path):

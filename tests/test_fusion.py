@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzwkit.affine import modular_data
-from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
+from wzwkit.affine import modular_data, verify_modular_invariants
+from wzwkit.errors import IntegralityError, InvariantViolation
+from wzwkit.fusion import simple_currents, tensor_product, verlinde_residual, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
 
 
@@ -82,6 +83,41 @@ class TestVerlinde:
         n = verlinde_tensor(md)
         expect = [su2_fusion_oracle(k, a, b, c) for c in range(k + 1)]
         assert n[a, b].tolist() == expect
+
+
+class TestDerivedOncePerSMatrix:
+    def test_each_call_applies_its_own_tolerance(self):
+        md = modular_data("A1", 4, attach_sj=False)
+        verlinde_tensor(md)
+        residuals = verify_modular_invariants(md)
+        fusion_residual = verlinde_residual(md)
+        assert 0 < fusion_residual <= 1e-6
+        with pytest.raises(IntegralityError) as exc:
+            verlinde_tensor(md, tol=fusion_residual / 2)
+        assert exc.value.residual == fusion_residual
+        with pytest.raises(InvariantViolation) as exc:
+            verify_modular_invariants(md, tol=residuals["unitarity"] / 2)
+        assert exc.value.relation == "unitarity"
+
+    def test_replaced_smatrix_is_recomputed(self):
+        md = modular_data("A1", 4, attach_sj=False)
+        verlinde_tensor(md)
+        verify_modular_invariants(md)
+        tampered = md.smatrix.copy()
+        tampered[1, 2] += 1e-3
+        md.smatrix = tampered
+        with pytest.raises(IntegralityError):
+            verlinde_tensor(md)
+        with pytest.raises(InvariantViolation):
+            verify_modular_invariants(md)
+
+    def test_memoized_arrays_are_read_only(self):
+        md = modular_data("A1", 4, attach_sj=False)
+        tensor = verlinde_tensor(md)
+        with pytest.raises(ValueError):
+            md.smatrix[1, 2] += 1e-3
+        with pytest.raises(ValueError):
+            tensor[0, 0, 0] = 2
 
 
 class TestSimpleCurrents:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -230,6 +231,24 @@ class TestCharacters:
         assert len(chars) == 4
         for ch in chars:
             assert all(v in (Q(0), Q(1, 2)) for v in ch.values())
+
+
+    def test_non_basis_generators_match_the_all_pairs_check(self):
+        # Z4 x Z2 with (a, b) encoded as 2a + b.  The generator search takes
+        # 2 = (1, 0) and then 3 = (1, 1), both of order 4: not a basis, so
+        # half of the 16 exponent assignments are not characters.
+        def compose(x, y):
+            return 2 * ((x // 2 + y // 2) % 4) + (x + y) % 2
+
+        elems = range(8)
+        expected = []
+        for x, y in itertools.product([Q(i, 4) for i in range(4)], repeat=2):
+            char = {e: ((e // 2) * x + (e % 2) * y) % 1 for e in elems}
+            if all((char[a] + char[b] - char[compose(a, b)]) % 1 == 0 for a in elems for b in elems):
+                expected.append(char)
+        expected.sort(key=lambda ch: tuple(ch[e] for e in elems))
+        assert len(expected) == 8
+        assert abelian_characters(elems, compose, 0) == expected
 
 
 class TestOrbitData:
