@@ -36,7 +36,7 @@ __all__ = [
     "load_modular_data",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def integrable_weights(alg: SimpleLieAlgebra, level: int) -> tuple[tuple[int, ...], ...]:
@@ -150,11 +150,9 @@ def kac_peterson_smatrix(
     shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
     gram = np.array([[float(v) for v in row] for row in alg.metric])
     raw = np.zeros((n, n), dtype=complex)
-    for el in weyl_traverse(alg, weyl_cap):
-        w = np.array(el.matrix, dtype=np.int64)
-        moved = shifted @ w.T
-        pairing = moved @ gram @ shifted.T
-        raw += el.sign * np.exp((-2j * np.pi / kappa) * pairing)
+    for length, ws in weyl_traverse(alg, weyl_cap):
+        pairing = shifted @ ws.transpose(0, 2, 1) @ gram @ shifted.T
+        raw += (-1) ** length * np.exp((-2j * np.pi / kappa) * pairing).sum(axis=0)
     scale = 1.0 / np.linalg.norm(raw[0])
     phase = np.conj(raw[0, 0]) / abs(raw[0, 0])
     return phase * scale * raw
@@ -279,7 +277,11 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
 
 
 def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> ModularData | None:
-    """Read cached modular data; None if absent, stale-schema, or unreadable."""
+    """Read cached modular data; None if absent, stale-schema, or unreadable.
+
+    An entry whose labels are not the theory's integrable weights in order
+    counts as unreadable.
+    """
     path = cache_path(algebra, level, cache_dir)
     if not path.exists():
         return None
@@ -290,6 +292,8 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
         if payload["algebra"] != algebra or payload["level"] != level:
             raise ValueError("cache file does not match requested theory")
         labels = tuple(tuple(lab) for lab in payload["labels"])
+        if labels != integrable_weights(build_algebra(algebra), level):
+            raise ValueError("cache labels are not the integrable weights in order")
         s = np.array(
             [[complex(re, im) for re, im in row] for row in payload["smatrix"]], dtype=complex
         )

@@ -76,8 +76,9 @@ class ClassifyingAlgebra:
     """The boundary classifying algebra of one theory and current group.
 
     ``smatrix`` is indexed by (hat label, boundary label); ``nhat`` holds the
-    raised structure constants.  The unit is always hat index 0, the vacuum
-    with the trivial character.
+    raised structure constants and ``reflection`` the reflection coefficients,
+    both computed with the checks of ``structure_constants``.  The unit is
+    always hat index 0, the vacuum with the trivial character.
     """
 
     md: ModularData
@@ -86,6 +87,7 @@ class ClassifyingAlgebra:
     boundary_labels: tuple[BoundaryLabel, ...]
     smatrix: np.ndarray
     nhat: np.ndarray
+    reflection: np.ndarray
     residuals: dict[str, float]
 
     @property
@@ -97,7 +99,7 @@ class ClassifyingAlgebra:
         return 0
 
     def reflection_coefficients(self) -> np.ndarray:
-        return reflection_coefficients(self.smatrix)
+        return self.reflection
 
 
 def _label_data(md: ModularData, group: SimpleCurrentGroup, sj: SJCache, tol: float):
@@ -184,7 +186,13 @@ def _hat_matrix(group: SimpleCurrentGroup, sj: SJCache, label_data) -> np.ndarra
     return out
 
 
-def _check_square_invertible(shat: np.ndarray, tol: float) -> None:
+def reflection_coefficients(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Columns of the hat matrix normalized by the vacuum row.
+
+    Each column is a one-dimensional representation of the classifying
+    algebra (an eigenvalue assignment for every hat generator).  Checked:
+    the hat matrix is square and invertible with a nonvanishing vacuum row.
+    """
     if shat.ndim != 2 or shat.shape[0] != shat.shape[1]:
         raise PreconditionError("the hat matrix must be square")
     svals = np.linalg.svd(shat, compute_uv=False)
@@ -192,15 +200,6 @@ def _check_square_invertible(shat: np.ndarray, tol: float) -> None:
         raise InvariantViolation(
             "hat_matrix_invertible", float(svals[-1]), tol, "singular hat matrix"
         )
-
-
-def reflection_coefficients(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Columns of the hat matrix normalized by the vacuum row.
-
-    Each column is a one-dimensional representation of the classifying
-    algebra (an eigenvalue assignment for every hat generator).
-    """
-    _check_square_invertible(shat, tol)
     vac = shat[0]
     small = np.abs(vac).min()
     if small < tol:
@@ -226,12 +225,11 @@ def structure_constants(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return _structure_constants(shat, tol)[0]
 
 
-def _structure_constants(shat: np.ndarray, tol: float) -> tuple[np.ndarray, dict[str, float]]:
-    _check_square_invertible(shat, tol)
-    vac = shat[0]
-    if np.abs(vac).min() < tol:
-        raise InvariantViolation("vacuum_row_nonvanishing", float(np.abs(vac).min()), tol, "")
-    refl = shat / vac
+def _structure_constants(
+    shat: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Raised structure constants, reflection coefficients and check residuals."""
+    refl = reflection_coefficients(shat, tol)
     lower = np.einsum("la,ma,na->lmn", shat, shat, refl)
     raised = np.einsum("lmr,rn->lmn", lower, np.linalg.inv(shat @ shat.T))
 
@@ -246,7 +244,7 @@ def _structure_constants(shat: np.ndarray, tol: float) -> tuple[np.ndarray, dict
         rep_res = max(rep_res, float(res))
     if rep_res > tol:
         raise InvariantViolation("classifying_representation", rep_res, tol, "")
-    return raised, {
+    return raised, refl, {
         "unit": unit_res,
         "representation_property": rep_res,
         "commutativity": float(np.abs(raised - raised.transpose(1, 0, 2)).max()),
@@ -271,7 +269,7 @@ def classifying_algebra(
     if hats[0].sector != md.vacuum or any(v != 0 for _, v in hats[0].char):
         raise InternalConsistencyError("hat unit is not the vacuum with trivial character")
     shat = _hat_matrix(group, sj, label_data)
-    nhat, residuals = _structure_constants(shat, tol)
+    nhat, refl, residuals = _structure_constants(shat, tol)
     return ClassifyingAlgebra(
         md=md,
         group=group,
@@ -279,6 +277,7 @@ def classifying_algebra(
         boundary_labels=boundaries,
         smatrix=shat,
         nhat=nhat,
+        reflection=refl,
         residuals=residuals,
     )
 

@@ -30,7 +30,8 @@ class WeylCapExceeded(RuntimeError):
 
     Attributes:
         cap: the configured limit.
-        partial: number of distinct elements found before giving up.
+        partial: number of distinct elements counted through the length
+            layer that took the count past ``cap``.
     """
 
     def __init__(self, cap: int, partial: int):

@@ -28,12 +28,16 @@ def _verlinde(md: ModularData):
     s = md.smatrix
     raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
     rounded = np.round(raw.real)
-    residual = np.abs(raw - rounded)
+    raw -= rounded  # in place: one complex n^3 array, not two
+    residual = np.abs(raw)
     worst = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    # x - round(x) is exact, so adding round(x) back recovers the sum bit for bit
+    value = complex(raw.real[worst] + rounded[worst], raw.imag[worst])
+    del raw
     neg = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
     tensor = rounded.astype(np.int64)
     tensor.flags.writeable = False
-    return tensor, float(residual[worst]), worst, complex(raw[worst]), neg, float(rounded[neg])
+    return tensor, float(residual[worst]), worst, value, neg, float(rounded[neg])
 
 
 def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:

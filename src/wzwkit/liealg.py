@@ -23,12 +23,13 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import CartanDataError, InternalConsistencyError, WeylCapExceeded
 from .exact import invert_rational, smith_normal_form
 
 __all__ = [
     "SimpleLieAlgebra",
-    "WeylElement",
     "CenterGroup",
     "NodePermutation",
     "parse_algebra_label",
@@ -163,14 +164,6 @@ class SimpleLieAlgebra:
     def simple_root_omega(self, i: int) -> tuple[int, ...]:
         return self.cartan[i]
 
-    def reflection_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Matrix of the simple reflection r_i on Dynkin-label columns."""
-        n = self.rank
-        return tuple(
-            tuple(int(k == j) - (self.cartan[i][k] if j == i else 0) for j in range(n))
-            for k in range(n)
-        )
-
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Positive integers d with d_i A_ij = d_j A_ji, minimal and connected."""
@@ -294,49 +287,39 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
     return alg
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple[tuple[int, ...], ...]
-    sign: int
-    word: tuple[int, ...]
+def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[int, np.ndarray]]:
+    """The Weyl group one length at a time: ``(length, matrices)`` per layer.
 
-
-def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[WeylElement]:
-    """Breadth-first enumeration of the Weyl group, each element exactly once.
-
-    Elements appear in order of increasing reduced-word length with a
-    deterministic tie-break (generator index).  Raises WeylCapExceeded,
-    carrying the partial count, as soon as more than ``cap`` elements have
-    been produced.
+    ``matrices`` is an ``(m, rank, rank)`` integer array holding every element
+    of that length once, each acting on Dynkin-label columns; its sign is
+    ``(-1) ** length``.  Layer l+1 comes from layer l: r_i w is longer than w
+    exactly when (w rho)_i > 0, and it is kept only from the parent w for which
+    i is the lowest index where r_i w rho has a negative label, so no element
+    is reached twice.  Raises WeylCapExceeded, carrying the count through the
+    layer that crosses ``cap``, before yielding that layer.
     """
-    n = alg.rank
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gens = [alg.reflection_matrix(i) for i in range(n)]
-
-    def apply(g, m):
-        # matrix product g @ m over the integers
-        return tuple(
-            tuple(sum(g[r][k] * m[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-        )
-
-    seen = {ident}
-    queue = deque([WeylElement(ident, 1, ())])
-    count = 0
-    while queue:
-        el = queue.popleft()
-        count += 1
+    cartan = np.array(alg.cartan, dtype=np.int64)
+    layer = np.eye(alg.rank, dtype=np.int64)[np.newaxis]
+    length = count = 0
+    while len(layer):
+        count += len(layer)
         if count > cap:
-            raise WeylCapExceeded(cap, len(seen))
-        yield el
-        for i in range(n):
-            m2 = apply(gens[i], el.matrix)
-            if m2 not in seen:
-                seen.add(m2)
-                queue.append(WeylElement(m2, -el.sign, el.word + (i,)))
+            raise WeylCapExceeded(cap, count)
+        yield length, layer
+        rho = layer.sum(axis=2)  # w rho, as rho has all labels 1
+        children = []
+        for i in range(alg.rank):
+            up = rho[:, i] > 0
+            ws, child_rho = layer[up], rho[up] - np.outer(rho[up, i], cartan[i])
+            keep = np.argmax(child_rho < 0, axis=1) == i
+            ws = ws[keep]
+            children.append(ws - cartan[i][:, np.newaxis] * ws[:, np.newaxis, i, :])
+        layer = np.concatenate(children)
+        length += 1
 
 
 def weyl_order(alg: SimpleLieAlgebra, cap: int = 200000) -> int:
-    return sum(1 for _ in weyl_traverse(alg, cap))
+    return sum(len(ws) for _, ws in weyl_traverse(alg, cap))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -31,6 +32,45 @@ def su2_smatrix(k: int) -> np.ndarray:
             for a in range(k + 1)
         ]
     )
+
+
+def per_element_smatrix(alg, level: int) -> np.ndarray:
+    """The Weyl sum one element at a time, as computed before the layered sum.
+
+    Breadth-first over words, Python integer matrix products and a set of
+    every matrix seen; each element adds its own signed exponential.
+    """
+    n = alg.rank
+    labels = integrable_weights(alg, level)
+    gens = [
+        tuple(
+            tuple(int(k == j) - (alg.cartan[i][k] if j == i else 0) for j in range(n))
+            for k in range(n)
+        )
+        for i in range(n)
+    ]
+
+    def apply(g, m):
+        return tuple(
+            tuple(sum(g[r][k] * m[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+        )
+
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen, queue = {ident}, deque([(ident, 1)])
+    shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
+    gram = np.array([[float(v) for v in row] for row in alg.metric])
+    kappa = level + alg.dual_coxeter
+    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    while queue:
+        m, sign = queue.popleft()
+        pairing = shifted @ np.array(m, dtype=np.int64).T @ gram @ shifted.T
+        raw += sign * np.exp((-2j * np.pi / kappa) * pairing)
+        for g in gens:
+            m2 = apply(g, m)
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append((m2, -sign))
+    return np.conj(raw[0, 0]) / abs(raw[0, 0]) / np.linalg.norm(raw[0]) * raw
 
 
 class TestIntegrableWeights:
@@ -137,6 +177,24 @@ class TestSmatrix:
         assert set(residuals) >= {"unitarity", "symmetry", "st_cubed"}
         assert max(residuals.values()) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2"]
+    )
+    def test_layered_sum_matches_per_element_sum(self, label):
+        alg = build_algebra(label)
+        for k in range(1, 7):
+            s = kac_peterson_smatrix(alg, k)
+            assert np.abs(s - per_element_smatrix(alg, k)).max() <= 1e-12, k
+
+    def test_e6_level_one_is_the_z3_theory(self):
+        # Z3 simple currents of weight 2/3: S_JJ = S_0J exp(2 pi i Q_J(J)), Q_J(J) = 2/3
+        md = modular_data("E6", 1, attach_sj=False)
+        assert md.labels == ((0,) * 6, (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0))
+        assert md.delta == (0, Q(2, 3), Q(2, 3))
+        w = np.exp(-2j * np.pi / 3)
+        expect = np.array([[1, 1, 1], [1, w, w.conjugate()], [1, w.conjugate(), w]]) / math.sqrt(3)
+        assert np.abs(md.smatrix - expect).max() < 1e-12
+
     def test_invariant_violation_raised_on_tampered_matrix(self):
         md = modular_data("A1", 2, attach_sj=False)
         md.smatrix = md.smatrix.copy()
@@ -199,6 +257,23 @@ class TestCache:
         assert load_modular_data("A1", 1, tmp_path) is None
         md = modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
         assert md.dim == 2
+
+    def test_permuted_labels_are_recomputed(self, tmp_path, weyl_traversals):
+        import json
+
+        md = modular_data("A2", 2, cache_dir=tmp_path, attach_sj=False)
+        p = cache_path("A2", 2, tmp_path)
+        payload = json.loads(p.read_text())
+        payload["labels"] = payload["labels"][:1] + payload["labels"][:0:-1]
+        p.write_text(json.dumps(payload))
+        with pytest.warns(UserWarning, match="integrable weights"):
+            assert load_modular_data("A2", 2, tmp_path) is None
+        before = len(weyl_traversals)
+        with pytest.warns(UserWarning, match="integrable weights"):
+            again = modular_data("A2", 2, cache_dir=tmp_path, attach_sj=False)
+        assert len(weyl_traversals) == before + 1
+        assert again.labels == md.labels
+        assert np.array_equal(again.smatrix, md.smatrix)
 
     def test_failed_write_keeps_previous_entry(self, tmp_path, monkeypatch):
         md = modular_data("A1", 2, attach_sj=False)

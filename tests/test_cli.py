@@ -242,6 +242,19 @@ class TestSingleConstructions:
         assert status == EXIT_OK
         assert subscripts == ["ak,bk,ck->abc"]
 
+    def test_one_svd_per_classifying_algebra(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        _, status = run_json(["boundary", "A1", "--level", "4", "--group", "center"])
+        assert status == EXIT_OK
+        assert calls == [(4, 4)]
+
     def test_reports_are_byte_deterministic(self):
         config = JobConfig(construction="check", algebra="A2", level=2)
         first, status_a = run(config)

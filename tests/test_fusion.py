@@ -111,6 +111,20 @@ class TestDerivedOncePerSMatrix:
         with pytest.raises(InvariantViolation):
             verify_modular_invariants(md)
 
+    @pytest.mark.parametrize("label,k", [("A1", 60), ("A2", 8), ("B3", 3), ("G2", 6)])
+    def test_in_place_residual_matches_the_direct_expression(self, label, k):
+        md = modular_data(label, k, attach_sj=False)
+        s = md.smatrix
+        raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
+        residual = np.abs(raw - np.round(raw.real))
+        worst = np.unravel_index(int(np.argmax(residual)), residual.shape)
+        assert np.array_equal(verlinde_tensor(md), np.round(raw.real))
+        assert verlinde_residual(md) == residual[worst]
+        with pytest.raises(IntegralityError) as exc:
+            verlinde_tensor(md, tol=0.0)
+        assert repr(exc.value.value) == repr(complex(raw[worst]))
+        assert exc.value.where == tuple(md.labels[i] for i in worst)
+
     def test_memoized_arrays_are_read_only(self):
         md = modular_data("A1", 4, attach_sj=False)
         tensor = verlinde_tensor(md)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from wzwkit.errors import CartanDataError, WeylCapExceeded
@@ -207,30 +208,46 @@ class TestWeyl:
 
     def test_signs_sum_to_zero(self):
         for label in ["A2", "B2", "G2"]:
-            assert sum(el.sign for el in weyl_traverse(build_algebra(label))) == 0
+            layers = weyl_traverse(build_algebra(label))
+            assert sum((-1) ** length * len(ws) for length, ws in layers) == 0
 
     def test_sign_matches_determinant(self):
         alg = build_algebra("B2")
-        for el in weyl_traverse(alg):
-            m = [[Q(x) for x in row] for row in el.matrix]
-            assert _det(m) == el.sign
+        for length, ws in weyl_traverse(alg):
+            for w in ws:
+                m = [[Q(int(x)) for x in row] for row in w]
+                assert _det(m) == (-1) ** length
 
-    def test_words_are_reduced_prefix_order(self):
-        lengths = [len(el.word) for el in weyl_traverse(build_algebra("A2"))]
-        assert lengths == sorted(lengths)
-        assert lengths[0] == 0
+    def test_layer_lengths_run_from_zero(self):
+        lengths = [length for length, _ in weyl_traverse(build_algebra("A2"))]
+        assert lengths == [0, 1, 2, 3]
 
     def test_elements_permute_roots(self):
         alg = build_algebra("G2")
         roots = set(alg.positive_roots_omega) | {
             tuple(-x for x in w) for w in alg.positive_roots_omega
         }
-        for el in weyl_traverse(alg):
-            image = {
-                tuple(sum(el.matrix[r][c] * w[c] for c in range(2)) for r in range(2))
-                for w in roots
-            }
-            assert image == roots
+        for _, ws in weyl_traverse(alg):
+            for w in ws:
+                image = {
+                    tuple(sum(int(w[r][c]) * v[c] for c in range(2)) for r in range(2))
+                    for v in roots
+                }
+                assert image == roots
+
+    @pytest.mark.parametrize(
+        "label,sizes",
+        [("A2", [1, 2, 2, 1]), ("B2", [1, 2, 2, 2, 1]), ("G2", [1, 2, 2, 2, 2, 2, 1])],
+    )
+    def test_layer_sizes_are_poincare_coefficients(self, label, sizes):
+        assert [len(ws) for _, ws in weyl_traverse(build_algebra(label))] == sizes
+
+    @pytest.mark.parametrize("label,order", [("F4", 1152), ("D6", 23040), ("E6", 51840)])
+    def test_large_groups_are_enumerated_once(self, label, order):
+        alg = build_algebra(label)
+        flat = np.concatenate([ws.reshape(len(ws), -1) for _, ws in weyl_traverse(alg)])
+        assert len(flat) == order
+        assert len(np.unique(flat, axis=0)) == order
 
     def test_cap_exceeded_carries_partial_count(self):
         with pytest.raises(WeylCapExceeded) as exc:
