@@ -288,6 +288,11 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
     try:
         payload = json.loads(path.read_text())
         if payload.get("schema") != SCHEMA_VERSION:
+            warnings.warn(
+                f"ignoring stale cache file {path}: schema {payload.get('schema')!r},"
+                f" expected {SCHEMA_VERSION}",
+                stacklevel=2,
+            )
             return None
         if payload["algebra"] != algebra or payload["level"] != level:
             raise ValueError("cache file does not match requested theory")

@@ -237,11 +237,8 @@ def _structure_constants(
     unit_res = float(np.abs(raised[0] - np.eye(n)).max())
     if unit_res > tol:
         raise InvariantViolation("classifying_unit", unit_res, tol, "")
-    rep_res = 0.0
-    for a in range(n):
-        col = refl[:, a]
-        res = np.abs(np.outer(col, col) - np.einsum("lmn,n->lm", raised, col)).max()
-        rep_res = max(rep_res, float(res))
+    chi_pairs = (refl[:, None, :] * refl[None, :, :]).reshape(n * n, n)
+    rep_res = float(np.abs(raised.reshape(n * n, n) @ refl - chi_pairs).max())
     if rep_res > tol:
         raise InvariantViolation("classifying_representation", rep_res, tol, "")
     return raised, refl, {

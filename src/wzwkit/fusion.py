@@ -26,24 +26,33 @@ __all__ = [
 
 def _verlinde(md: ModularData):
     s = md.smatrix
-    raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
-    rounded = np.round(raw.real)
-    raw -= rounded  # in place: one complex n^3 array, not two
-    residual = np.abs(raw)
-    worst = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    # x - round(x) is exact, so adding round(x) back recovers the sum bit for bit
-    value = complex(raw.real[worst] + rounded[worst], raw.imag[worst])
-    del raw
-    neg = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
-    tensor = rounded.astype(np.int64)
+    n = len(s)
+    dual = (s.conj() / s[0]).T
+    tensor = np.empty((n, n, n), dtype=np.int64)
+    # per row a: first largest residual, its flat index in the row and its raw value
+    residual, where, value = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
+    for a in range(n):
+        raw = (s * s[a]) @ dual  # raw[b, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
+        rounded = np.round(raw.real)
+        tensor[a] = rounded
+        off = np.abs(raw - rounded)
+        where[a] = np.argmax(off)
+        residual[a], value[a] = off.flat[where[a]], raw.flat[where[a]]
+    a = int(np.argmax(residual))
+    worst = (a, *divmod(int(where[a]), n))
+    neg = np.unravel_index(int(np.argmin(tensor)), tensor.shape)
     tensor.flags.writeable = False
-    return tensor, float(residual[worst]), worst, value, neg, float(rounded[neg])
+    return tensor, float(residual[a]), worst, complex(value[a]), neg, float(tensor[neg])
 
 
 def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     """All fusion multiplicities N[a, b, c] = N_{ab}^c as a read-only integer array.
 
-    The Verlinde sum runs once per S matrix; each call applies its own ``tol``.
+    The Verlinde sum runs once per S matrix, as one BLAS product per row a:
+    N[a] = (S diag(S_a)) (conj(S) / S_0)^T.  Rows are rounded as they are
+    made, so the memory held is the int64 tensor plus O(n^2) per row.  Each
+    call applies its own ``tol`` to the residual |x - round(x)| and raises
+    ``IntegralityError`` at the first worst entry, or at the first negative one.
     """
     tensor, residual, worst, value, neg, lowest = md._derived("verlinde", _verlinde)
     if residual > tol:

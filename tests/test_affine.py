@@ -254,8 +254,10 @@ class TestCache:
         payload = json.loads(p.read_text())
         payload["schema"] = 0
         p.write_text(json.dumps(payload))
-        assert load_modular_data("A1", 1, tmp_path) is None
-        md = modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
+        with pytest.warns(UserWarning, match=r"schema 0, expected \d"):
+            assert load_modular_data("A1", 1, tmp_path) is None
+        with pytest.warns(UserWarning, match="stale cache"):
+            md = modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
         assert md.dim == 2
 
     def test_permuted_labels_are_recomputed(self, tmp_path, weyl_traversals):

@@ -10,6 +10,7 @@ import pytest
 from wzwkit.affine import modular_data
 from wzwkit.boundary import (
     HatLabel,
+    _structure_constants,
     automorphism_type_decomposition,
     classifying_algebra,
     classifying_labels,
@@ -180,6 +181,20 @@ class TestGuards:
         left = np.einsum("lmr,rkn->lmkn", n, n)
         right = np.einsum("mkr,lrn->lmkn", n, n)
         assert np.abs(left - right).max() < 1e-8
+
+    def test_representation_residual_matches_the_per_column_loop(self):
+        # condition number 1e5 puts the residual far above rounding in the last product
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        v, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        shat = u @ np.diag(np.geomspace(1, 1e-5, 8)) @ v
+        nhat, refl, residuals = _structure_constants(shat, 1e-6)
+        loop = max(
+            np.abs(np.outer(col, col) - np.einsum("lmn,n->lm", nhat, col)).max() for col in refl.T
+        )
+        # a-priori bound on the difference of two summation orders (Higham, ch. 4)
+        bound = 2 * len(refl) * np.finfo(float).eps * (np.abs(nhat) @ np.abs(refl)).max()
+        assert abs(residuals["representation_property"] - loop) <= bound
 
     def test_sign_match_failure_is_reported(self):
         a = np.eye(2)

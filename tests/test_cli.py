@@ -230,17 +230,17 @@ class TestSingleConstructions:
 
     @pytest.mark.parametrize("construction", ["check", "fusion"])
     def test_verlinde_sum_runs_once_per_job(self, construction, monkeypatch):
-        einsum = np.einsum
-        subscripts = []
+        verlinde = wzwkit.fusion._verlinde
+        theories = []
 
-        def counted(spec, *operands, **kwargs):
-            subscripts.append(spec)
-            return einsum(spec, *operands, **kwargs)
+        def counted(md):
+            theories.append((md.algebra, md.level))
+            return verlinde(md)
 
-        monkeypatch.setattr(wzwkit.fusion.np, "einsum", counted)
+        monkeypatch.setattr(wzwkit.fusion, "_verlinde", counted)
         _, status = run_json([construction, "A1", "--level", "4"])
         assert status == EXIT_OK
-        assert subscripts == ["ak,bk,ck->abc"]
+        assert theories == [("A1", 4)]
 
     def test_one_svd_per_classifying_algebra(self, monkeypatch):
         svd = np.linalg.svd
