@@ -30,6 +30,7 @@ from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
 from .simplecurrent import (
     SJCache,
+    _cocycle_table,
     _untwisted_stabilizer,
     abelian_characters,
     sj_character_sum,
@@ -108,7 +109,7 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup, sj: SJCache, tol: fl
     for i in range(md.dim):
         s = group.stabilizer(i)
         stab[i] = s
-        ustab[i] = _untwisted_stabilizer(md, group, i, s, sj, tol)
+        ustab[i] = _untwisted_stabilizer(s, _cocycle_table(md, group, i, s, sj, tol), tol)
 
     hats: list[HatLabel] = []
     for i in range(md.dim):

@@ -19,10 +19,9 @@ formulas.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -220,64 +219,40 @@ def abelian_characters(
     """All characters of a finite abelian group, as exact phase exponents.
 
     Each character maps every element to the exponent a/b of its value
-    exp(2 pi i a/b).  The list is sorted by the exponent tuple over the
-    sorted elements, so the trivial character always comes first.
+    exp(2 pi i a/b).  The characters are built by extension along the sorted
+    elements: each element g outside the span H of the earlier ones has a
+    least n with g^n in H, the span grows to the n cosets H g^i, and each
+    character chi of H extends in exactly the n ways
+    chi(g) = (chi(g^n) + r) / n, r = 0..n-1.  Every map produced is a
+    character, so nothing is searched or tested; the work is O(|G|^2)
+    exponents.  The list is sorted by the exponent tuple over the sorted
+    elements, so the trivial character always comes first.
     """
     elems = sorted(set(elements))
-    order = {}
-    for e in elems:
-        n, cur = 1, e
-        while cur != identity:
-            cur = compose(cur, e)
-            n += 1
-        order[e] = n
-
-    gens: list[int] = []
     span = {identity}
-    for e in sorted(elems, key=lambda x: (-order[x], x)):
-        if e not in span:
-            gens.append(e)
-            powers = [identity]
-            cur = e
-            while cur != identity:
-                powers.append(cur)
-                cur = compose(cur, e)
-            span = {compose(a, p) for a in span for p in powers}
-    if len(span) != len(elems):
+    chars: list[dict[int, Q]] = [{identity: Q(0)}]
+    for g in elems:
+        if g in span:
+            continue
+        powers, top = [identity], g
+        while top not in span:
+            powers.append(top)
+            top = compose(top, g)
+        n = len(powers)
+        cosets = [(s, i, compose(s, p)) for s in span for i, p in enumerate(powers)]
+        span = {e for _, _, e in cosets}
+        chars = [
+            {e: (chi[s] + i * x) % 1 for s, i, e in cosets}
+            for chi in chars
+            for x in ((chi[top] + r) / n for r in range(n))
+        ]
+    if span != set(elems):
         raise InternalConsistencyError("generator search did not span the group")
-
-    # words: element -> exponent vector over gens, found by BFS
-    words = {identity: tuple(0 for _ in gens)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gi, g in enumerate(gens):
-                e2 = compose(e, g)
-                if e2 not in words:
-                    w = list(words[e])
-                    w[gi] += 1
-                    words[e2] = tuple(w)
-                    nxt.append(e2)
-        frontier = nxt
-
-    # The generators generate the group, so a map that is additive on every
-    # pair (element, generator) is additive on every pair.
-    chars = []
-    for assignment in itertools.product(*[range(order[g]) for g in gens]):
-        char = {
-            e: sum((Q(assignment[gi], order[gens[gi]]) * w for gi, w in enumerate(word)), Q(0)) % 1
-            for e, word in words.items()
-        }
-        ok = all(
-            (char[e] + char[g] - char[compose(e, g)]) % 1 == 0 for e in elems for g in gens
-        )
-        if ok:
-            chars.append(char)
     if len(chars) != len(elems):
         raise InternalConsistencyError(
             f"found {len(chars)} characters for a group of order {len(elems)}"
         )
+    chars = [{e: ch[e] for e in elems} for ch in chars]
     chars.sort(key=lambda ch: tuple(ch[e] for e in elems))
     return chars
 
@@ -332,27 +307,49 @@ class OrbitRecord:
     degeneracy: int | None = None
 
 
-def _untwisted_stabilizer(
+def _cocycle_table(
     md: ModularData,
     group: SimpleCurrentGroup,
     mu: int,
     stab: tuple[int, ...],
     sj: SJCache,
     tol: float = 1e-8,
+) -> np.ndarray:
+    """F_mu(J, J') for J, J' in the stabilizer of mu, indexed by position in ``stab``."""
+    return np.array(
+        [[cocycle(md, group, t, tp, mu, sj, tol) for tp in stab] for t in stab],
+        dtype=complex,
+    )
+
+
+def _untwisted_rows(
+    tables: Sequence[np.ndarray], rows: np.ndarray, tol: float = 1e-8
+) -> list[int]:
+    """Indices of the rows with trivial cocycle against every row, both ways.
+
+    ``rows`` holds one stabilizer position per slot (shape rows x slots) and
+    ``tables[s]`` the cocycle table of slot s; the cocycle of two rows is
+    the slotwise product of table entries.  The rows are compared one at a
+    time, so memory stays O(slots x rows).
+    """
+    keep = []
+    for i, row in enumerate(rows):
+        ahead = np.ones(len(rows), dtype=complex)
+        behind = np.ones(len(rows), dtype=complex)
+        for table, pos, column in zip(tables, row, rows.T):
+            ahead *= table[pos, column]
+            behind *= table[column, pos]
+        if (np.abs(ahead - 1) <= tol).all() and (np.abs(behind - 1) <= tol).all():
+            keep.append(i)
+    return keep
+
+
+def _untwisted_stabilizer(
+    stab: tuple[int, ...], table: np.ndarray, tol: float = 1e-8
 ) -> tuple[int, ...]:
     """Currents in the stabilizer whose cocycle against it is trivial both ways."""
-    out = []
-    for t in stab:
-        good = True
-        for tp in stab:
-            f1 = cocycle(md, group, t, tp, mu, sj, tol)
-            f2 = cocycle(md, group, tp, t, mu, sj, tol)
-            if abs(f1 - 1) > tol or abs(f2 - 1) > tol:
-                good = False
-                break
-        if good:
-            out.append(t)
-    return tuple(out)
+    rows = np.arange(len(stab)).reshape(-1, 1)
+    return tuple(stab[i] for i in _untwisted_rows([table], rows, tol))
 
 
 def orbit_data(
@@ -372,10 +369,12 @@ def orbit_data(
         seen.update(orbit)
         rep = orbit[0]
         stab = group.stabilizer(rep)
-        cvals: dict[tuple[int, int], Q] = {}
-        for t in stab:
-            for tp in stab:
-                cvals[(t, tp)] = snap_phase(cocycle(md, group, t, tp, rep, sj, tol))
+        table = _cocycle_table(md, group, rep, stab, sj, tol)
+        cvals = {
+            (t, tp): snap_phase(table[a, b])
+            for a, t in enumerate(stab)
+            for b, tp in enumerate(stab)
+        }
         rec = OrbitRecord(
             representative=rep,
             orbit=orbit,
@@ -384,7 +383,7 @@ def orbit_data(
             cocycle_values=cvals,
         )
         if integer_spins:
-            u = _untwisted_stabilizer(md, group, rep, stab, sj, tol)
+            u = _untwisted_stabilizer(stab, table, tol)
             ratio = len(stab) // len(u)
             if len(stab) % len(u) or int(ratio**0.5 + 0.5) ** 2 != ratio:
                 raise IntegralityError(
@@ -457,7 +456,7 @@ def extend_by_group(
         seen.update(orbit)
         rep = orbit[0]
         stab = group.stabilizer(rep)
-        u = _untwisted_stabilizer(md, group, rep, stab, sj, tol)
+        u = _untwisted_stabilizer(stab, _cocycle_table(md, group, rep, stab, sj, tol), tol)
         orbit_reps.append((rep, orbit, stab, u))
 
     # one class per character of U, pinned to the lex-minimal representative

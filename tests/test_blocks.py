@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wzwkit.blocks as blocks
+import wzwkit.simplecurrent as simplecurrent
 from wzwkit.affine import modular_data
 from wzwkit.blocks import (
     TruncatedLaurent,
@@ -24,12 +26,70 @@ from wzwkit.blocks import (
     untwisted_tuples,
 )
 from wzwkit.errors import PreconditionError, UnsupportedFolding
-from wzwkit.fusion import simple_currents, verlinde_tensor
+from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
+from wzwkit.simplecurrent import (
+    SJCache,
+    _cocycle_table,
+    _untwisted_stabilizer,
+    cocycle,
+    orbit_data,
+)
 
 
 def setup_theory(k):
     md = modular_data("A1", k)
     return md, simple_currents(md)
+
+
+def tuple_cocycle(md, group, t, tprime, insertions, sj, tol=1e-8):
+    """Slotwise product of the relative phases F_mu(t_s, t'_s)."""
+    out = 1.0 + 0.0j
+    for ts, tps, mu in zip(t, tprime, insertions):
+        out *= cocycle(md, group, ts, tps, mu, sj, tol)
+    return out
+
+
+def pairwise_untwisted(md, group, rows, insertions, sj, tol=1e-8):
+    """Reference: the rows whose cocycle against every row is trivial both
+    ways, one cocycle evaluation per slot and ordered pair."""
+    return [
+        t
+        for t in rows
+        if all(
+            abs(tuple_cocycle(md, group, t, tp, insertions, sj, tol) - 1) <= tol
+            and abs(tuple_cocycle(md, group, tp, t, insertions, sj, tol) - 1) <= tol
+            for tp in rows
+        )
+    ]
+
+
+def klein_four_cube():
+    """su(2)^3 at level 2 with the Klein four group of even current triples,
+    and the label index of the common fixed point (1, 1, 1)."""
+    one = modular_data("A1", 2)
+    md = tensor_product(tensor_product(one, one), one)
+    g = simple_currents(md)
+    sub = g.subgroup(
+        (md.index((((0,), (2,)), (2,))), md.index((((2,), (0,)), (2,))))
+    )
+    return md, sub, md.index((((1,), (1,)), (1,)))
+
+
+def oracle_cases():
+    for k in range(2, 9):
+        md, g = setup_theory(k)
+        for m in range(1, 7):
+            yield f"A1-{k}-m{m}", md, g, (md.index((k // 2,)),) * m
+    for k in (3, 6):
+        md = modular_data("A2", k)
+        g = simple_currents(md)
+        f = md.index((k // 3, k // 3))
+        for m in range(1, 5):
+            yield f"A2-{k}-m{m}", md, g, (f,) * m
+        yield f"A2-{k}-mixed", md, g, (f, md.vacuum, f, f)
+    md, sub, f = klein_four_cube()
+    for m in range(1, 4):
+        yield f"cube-klein-m{m}", md, sub, (f,) * m
 
 
 class TestBlockRank:
@@ -95,6 +155,84 @@ class TestTupleSets:
         md, g = setup_theory(4)
         unt = untwisted_tuples(md, g, (2, 2, 2, 2))
         assert len(unt) == 8
+
+
+class TestUntwistedOracle:
+    """The untwisted tuples and stabilizers against the pairwise reference."""
+
+    @pytest.mark.parametrize(
+        "md,group,insertions", [pytest.param(*c[1:], id=c[0]) for c in oracle_cases()]
+    )
+    def test_untwisted_tuples_match_the_pairwise_loop(self, md, group, insertions):
+        sj = SJCache(md)
+        adm = admissible_tuples(md, group, insertions)
+        expected = pairwise_untwisted(md, group, adm, insertions, sj)
+        assert untwisted_tuples(md, group, insertions, sj) == expected
+
+    @pytest.mark.parametrize(
+        "md,group",
+        [pytest.param(c[1], c[2], id=c[0][:-3]) for c in oracle_cases() if c[0].endswith("-m1")],
+    )
+    def test_untwisted_stabilizers_match_the_pairwise_loop(self, md, group):
+        # Fractional-spin currents (A1 at k = 2 mod 4) have F_mu(1, J) = -1
+        # but F_mu(J, 1) = 1, so a check in one direction only keeps J.
+        sj = SJCache(md)
+        for rec in orbit_data(md, group):
+            mu, stab = rec.representative, rec.stabilizer
+            rows = [(t,) for t in stab]
+            expected = tuple(t for (t,) in pairwise_untwisted(md, group, rows, (mu,), sj))
+            table = _cocycle_table(md, group, mu, stab, sj)
+            assert _untwisted_stabilizer(stab, table) == expected
+            assert rec.untwisted_stabilizer == (expected if rec.integer_spins else None)
+
+    def test_klein_four_untwisted_set_is_smaller_than_admissible(self):
+        md, sub, f = klein_four_cube()
+        assert len(admissible_tuples(md, sub, (f,) * 3)) == 16
+        assert len(untwisted_tuples(md, sub, (f,) * 3)) == 1
+
+
+class TestCocycleCost:
+    """Each cocycle value is evaluated once, from one table per label."""
+
+    @pytest.fixture
+    def cocycle_calls(self, monkeypatch):
+        calls = []
+        original = simplecurrent.cocycle
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:5])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simplecurrent, "cocycle", counted)
+        monkeypatch.setattr(blocks, "cocycle", counted, raising=False)
+        return calls
+
+    def test_untwisted_tuples_tabulate_each_label_once(self, cocycle_calls):
+        md, g = setup_theory(4)
+        insertions = (2,) * 6
+        unt = untwisted_tuples(md, g, insertions)
+        assert len(unt) == 32
+        bound = sum(len(g.stabilizer(mu)) ** 2 for mu in set(insertions))
+        assert bound == 4
+        assert len(cocycle_calls) <= bound
+
+    @pytest.mark.parametrize("theory", ["A1-4", "A2-3", "cube-klein"])
+    def test_orbit_data_evaluates_each_pair_once(self, cocycle_calls, theory):
+        if theory == "cube-klein":
+            md, group, _ = klein_four_cube()
+        else:
+            algebra, level = theory.split("-")
+            md = modular_data(algebra, int(level))
+            group = simple_currents(md)
+        records = orbit_data(md, group)
+        assert all(rec.integer_spins for rec in records)
+        expected = sorted(
+            (t, tp, rec.representative)
+            for rec in records
+            for t in rec.stabilizer
+            for tp in rec.stabilizer
+        )
+        assert sorted(cocycle_calls) == expected
 
 
 class TestTraces:

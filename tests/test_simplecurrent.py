@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -233,22 +234,58 @@ class TestCharacters:
             assert all(v in (Q(0), Q(1, 2)) for v in ch.values())
 
 
-    def test_non_basis_generators_match_the_all_pairs_check(self):
-        # Z4 x Z2 with (a, b) encoded as 2a + b.  The generator search takes
-        # 2 = (1, 0) and then 3 = (1, 1), both of order 4: not a basis, so
-        # half of the 16 exponent assignments are not characters.
-        def compose(x, y):
-            return 2 * ((x // 2 + y // 2) % 4) + (x + y) % 2
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["radix", "shuffled"])
+    @pytest.mark.parametrize(
+        "factors",
+        [(n,) for n in range(1, 13)]
+        + [(2,) * k for k in range(2, 6)]
+        + [(4, 2), (2, 6), (3, 3), (4, 4), (2, 2, 4)],
+        ids=lambda f: "x".join(f"Z{d}" for d in f),
+    )
+    def test_non_basis_generators_match_the_all_pairs_check(self, factors, shuffled):
+        # Group elements are coordinate lists; their labels are mixed-radix
+        # integers (first factor most significant) or a seeded shuffle of
+        # them.  Shuffled labels put the identity anywhere, and in several of
+        # these groups they make the extension meet an element g whose power
+        # g^n falls into the span before g^n is the identity, so the
+        # generators met are not a basis.
+        order = math.prod(factors)
 
-        elems = range(8)
+        def coords(e):
+            out = []
+            for d in reversed(factors):
+                e, c = divmod(e, d)
+                out.append(c)
+            return out[::-1]
+
+        def radix(cs):
+            e = 0
+            for c, d in zip(cs, factors):
+                e = e * d + c % d
+            return e
+
+        label = list(range(order))
+        if shuffled:
+            random.Random(order).shuffle(label)
+        unlabel = {lab: e for e, lab in enumerate(label)}
+
+        def compose(x, y):
+            cx, cy = coords(unlabel[x]), coords(unlabel[y])
+            return label[radix([a + b for a, b in zip(cx, cy)])]
+
+        elems = range(order)
+        exponent = math.lcm(*factors)
         expected = []
-        for x, y in itertools.product([Q(i, 4) for i in range(4)], repeat=2):
-            char = {e: ((e // 2) * x + (e % 2) * y) % 1 for e in elems}
+        for xs in itertools.product([Q(i, exponent) for i in range(exponent)], repeat=len(factors)):
+            char = {
+                e: sum((c * x for c, x in zip(coords(unlabel[e]), xs)), Q(0)) % 1
+                for e in elems
+            }
             if all((char[a] + char[b] - char[compose(a, b)]) % 1 == 0 for a in elems for b in elems):
                 expected.append(char)
         expected.sort(key=lambda ch: tuple(ch[e] for e in elems))
-        assert len(expected) == 8
-        assert abelian_characters(elems, compose, 0) == expected
+        assert len(expected) == order
+        assert abelian_characters(elems, compose, label[0]) == expected
 
 
 class TestOrbitData:
