@@ -9,6 +9,7 @@ verified to tight tolerance at construction time.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import warnings
@@ -36,7 +37,7 @@ __all__ = [
     "load_modular_data",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def integrable_weights(alg: SimpleLieAlgebra, level: int) -> tuple[tuple[int, ...], ...]:
@@ -253,17 +254,21 @@ def cache_path(algebra: str, level: int, cache_dir: str | Path) -> Path:
 def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
     """Write modular data as deterministic JSON; returns the file path.
 
-    The JSON goes to a temporary file beside the entry, which then replaces
+    S is stored as base64 of its little-endian complex128 bytes in C order,
+    one encode of 16 n^2 bytes with no per-entry work; the bytes round-trip
+    bit for bit.  Labels and the exact rationals stay readable JSON.  The
+    JSON goes to a temporary file beside the entry, which then replaces
     the entry in one step, so a failed write leaves the old entry intact.
     """
     path = cache_path(md.algebra, md.level, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
+    s_bytes = md.smatrix.astype("<c16", copy=False).tobytes()
     payload = {
         "schema": SCHEMA_VERSION,
         "algebra": md.algebra,
         "level": md.level,
         "labels": [list(lab) for lab in md.labels],
-        "smatrix": [[[z.real, z.imag] for z in row] for row in md.smatrix.tolist()],
+        "smatrix": base64.b64encode(s_bytes).decode("ascii"),
         "delta": [str(d) for d in md.delta],
         "central_charge": str(md.central_charge),
     }
@@ -279,8 +284,11 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
 def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> ModularData | None:
     """Read cached modular data; None if absent, stale-schema, or unreadable.
 
-    An entry whose labels are not the theory's integrable weights in order
-    counts as unreadable.
+    An entry whose labels are not the theory's integrable weights in order,
+    or whose S payload is not base64 of exactly 16 n^2 bytes, counts as
+    unreadable.  S is a read-only view of the decoded bytes (one base64
+    decode, no per-entry work and no copy); it is verified by the caller
+    like a freshly computed one.
     """
     path = cache_path(algebra, level, cache_dir)
     if not path.exists():
@@ -299,9 +307,11 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
         labels = tuple(tuple(lab) for lab in payload["labels"])
         if labels != integrable_weights(build_algebra(algebra), level):
             raise ValueError("cache labels are not the integrable weights in order")
-        s = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["smatrix"]], dtype=complex
-        )
+        raw = base64.b64decode(payload["smatrix"], validate=True)
+        n = len(labels)
+        if len(raw) != 16 * n * n:
+            raise ValueError(f"S payload has {len(raw)} bytes, expected {16 * n * n}")
+        s = np.frombuffer(raw, dtype="<c16").reshape(n, n)
         return ModularData(
             algebra=algebra,
             level=level,

@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     InvariantViolation,
     PreconditionError,
+    UnderdeterminedCocycle,
 )
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
@@ -125,6 +126,12 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup, sj: SJCache, tol: fl
             continue
         orbit = group.orbit(i)
         seen.update(orbit)
+        if md.vacuum not in ustab[i]:
+            raise UnderdeterminedCocycle(
+                f"label {md.labels[i]} (index {i}) is a fixed point of nonzero "
+                "monodromy charge: its cocycle is nontrivial on the vacuum, so its "
+                "stabilizer has no untwisted subgroup; not supported"
+            )
         for char in abelian_characters(ustab[i], group.compose, md.vacuum):
             boundaries.append(BoundaryLabel(i, tuple(sorted(char.items())), orbit))
 

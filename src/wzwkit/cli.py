@@ -201,6 +201,11 @@ def _encode(value):
     Rationals become exact strings, complex numbers become [re, im]
     pairs, and arrays become nested lists.  Floats rely on shortest
     round-trip repr, which stays within 17 significant digits.
+
+    A numeric array costs one ``tolist()`` at C speed; a complex one is
+    first stacked into a trailing (re, im) axis, so each entry still reads
+    [re, im].  Only object arrays (of rationals, say) are walked element by
+    element, like lists.
     """
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
@@ -215,7 +220,11 @@ def _encode(value):
     if isinstance(value, np.complexfloating):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
-        return _encode(value.tolist())
+        if value.dtype == object:
+            return _encode(value.tolist())
+        if np.iscomplexobj(value):
+            return np.stack((value.real, value.imag), -1).tolist()
+        return value.tolist()
     if isinstance(value, dict):
         return {str(key): _encode(item) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -341,21 +350,25 @@ def _run_modular_data(config: JobConfig):
     return result, residuals
 
 
+def _nonzero_table(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows [a, b, c, values[a, b, c]] where ``mask`` holds, in C order.
+
+    C order is the order of ``itertools.product`` over the three indices.
+    """
+    index = np.nonzero(mask)
+    return np.column_stack((*index, values[index].astype(np.int64)))
+
+
 def _run_fusion(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
     tensor = verlinde_tensor(md)
     residuals["fusion_integrality"] = verlinde_residual(md)
     group = simple_currents(md)
-    nonzero = [
-        [a, b, c, int(tensor[a, b, c])]
-        for a, b, c in itertools.product(range(md.dim), repeat=3)
-        if tensor[a, b, c]
-    ]
     result = {
         "dim": md.dim,
         "labels": [list(lab) for lab in md.labels],
-        "nonzero": nonzero,
+        "nonzero": _nonzero_table(tensor != 0, tensor),
         "simple_currents": [list(md.labels[j]) for j in group.indices],
     }
     return result, residuals
@@ -402,11 +415,7 @@ def _run_boundary(config: JobConfig):
     group = _group_from_spec(md, config.group)
     algebra = classifying_algebra(md, group, tol=config.tolerance)
     residuals = dict(algebra.residuals)
-    nonzero = [
-        [l, m, n, int(round(algebra.nhat[l, m, n].real))]
-        for l, m, n in itertools.product(range(algebra.dim), repeat=3)
-        if abs(algebra.nhat[l, m, n]) > 0.5
-    ]
+    nhat = algebra.nhat
     result = {
         "dim": algebra.dim,
         "hat_labels": [
@@ -418,7 +427,7 @@ def _run_boundary(config: JobConfig):
             for b in algebra.boundary_labels
         ],
         "smatrix": algebra.smatrix,
-        "nhat_nonzero": nonzero,
+        "nhat_nonzero": _nonzero_table(np.abs(nhat) > 0.5, np.round(nhat.real)),
         "reflection": algebra.reflection_coefficients(),
     }
     if group.order == 2:
@@ -596,8 +605,8 @@ def run(config: JobConfig) -> tuple[str, int]:
 def cache_roundtrip(md: ModularData, cache_dir: str | Path) -> ModularData:
     """Serialize modular data to disk and reload it, verifying equality.
 
-    Every field must survive bit for bit: floats are written with
-    shortest round-trip precision and rationals as exact strings.
+    Every field must survive bit for bit: S is written as its raw
+    complex128 bytes and rationals as exact strings.
     """
     save_modular_data(md, cache_dir)
     loaded = load_modular_data(md.algebra, md.level, cache_dir)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import math
 from collections import deque
 from fractions import Fraction as Q
@@ -296,6 +297,66 @@ class TestCache:
         assert loaded is not None
         assert np.array_equal(loaded.smatrix, md.smatrix)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_awkward_floats_roundtrip_bit_for_bit(self, tmp_path):
+        md = modular_data("A1", 2, attach_sj=False)
+        parts = [-0.0, 5e-324, 1.5e-310, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308, 1e300]
+        s = np.array([[complex(x, y) for y in parts[i : i + 3]] for i, x in enumerate(parts[:3])])
+        md.smatrix = s
+        save_modular_data(md, tmp_path)
+        loaded = load_modular_data("A1", 2, tmp_path)
+        assert loaded is not None
+        assert loaded.smatrix.tobytes() == s.tobytes()
+
+    def _tamper_smatrix(self, tmp_path, smatrix):
+        import json
+
+        modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+        p = cache_path("A1", 3, tmp_path)
+        payload = json.loads(p.read_text())
+        payload["smatrix"] = smatrix(payload["smatrix"])
+        p.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "smatrix,reason",
+        [
+            (lambda text: "!" + text[1:], ""),
+            (lambda text: text[:-1], ""),
+            (lambda text: base64.b64encode(base64.b64decode(text)[:-16]).decode(), "expected 256"),
+            (lambda text: base64.b64encode(base64.b64decode(text) + bytes(8)).decode(), "expected 256"),
+        ],
+        ids=["bad-base64", "cut-base64", "short-payload", "long-payload"],
+    )
+    def test_bad_smatrix_payload_recomputes(self, tmp_path, weyl_traversals, smatrix, reason):
+        self._tamper_smatrix(tmp_path, smatrix)
+        before = len(weyl_traversals)
+        with pytest.warns(UserWarning, match=f"unreadable cache .*{reason}"):
+            md = modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+        assert len(weyl_traversals) == before + 1
+        assert np.allclose(md.smatrix, su2_smatrix(3))
+
+    def test_schema_two_pair_list_entry_is_stale(self, tmp_path, weyl_traversals):
+        import json
+
+        md = modular_data("A1", 3, attach_sj=False)
+        p = cache_path("A1", 3, tmp_path)
+        p.parent.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "schema": 2,
+            "algebra": "A1",
+            "level": 3,
+            "labels": [list(lab) for lab in md.labels],
+            "smatrix": [[[z.real, z.imag] for z in row] for row in md.smatrix.tolist()],
+            "delta": [str(d) for d in md.delta],
+            "central_charge": str(md.central_charge),
+        }
+        p.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        before = len(weyl_traversals)
+        with pytest.warns(UserWarning, match=r"stale cache .*schema 2, expected 3"):
+            again = modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+        assert len(weyl_traversals) == before + 1
+        assert np.array_equal(again.smatrix, md.smatrix)
+        assert json.loads(p.read_text())["schema"] == 3
 
     def test_missing_cache_dir_returns_none(self, tmp_path):
         assert load_modular_data("A1", 1, tmp_path / "absent") is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction as Q
 
@@ -11,6 +12,7 @@ import pytest
 import wzwkit.affine as affine
 import wzwkit.fusion
 from wzwkit.affine import cache_path, modular_data
+from wzwkit.boundary import classifying_algebra
 from wzwkit.cli import (
     EXIT_CAP,
     EXIT_INVARIANT,
@@ -18,12 +20,16 @@ from wzwkit.cli import (
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
     JobConfig,
+    _render,
+    _run_boundary,
+    _run_fusion,
     cache_roundtrip,
     config_from_args,
     main,
     run,
 )
 from wzwkit.errors import InternalConsistencyError, PreconditionError
+from wzwkit.fusion import simple_currents, verlinde_tensor
 
 
 def run_json(argv):
@@ -35,6 +41,114 @@ def run_json(argv):
     with redirect_stdout(buffer):
         status = main(argv)
     return json.loads(buffer.getvalue()), status
+
+
+def encode_per_element(value):
+    """Reference report encoder that walks every array entry as a Python scalar."""
+    if value is None or isinstance(value, (bool, int, str, float)):
+        return value
+    if isinstance(value, Q):
+        return str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.complexfloating):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return encode_per_element(value.tolist())
+    if isinstance(value, dict):
+        return {str(key): encode_per_element(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [encode_per_element(item) for item in items]
+    raise PreconditionError(f"cannot serialize a {type(value).__name__} into a report")
+
+
+def render_per_element(document, fmt):
+    payload = encode_per_element(document)
+    if fmt == "pretty":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# -0.0, the smallest subnormal, a mid-range subnormal, 17-digit floats,
+# the extremes of the float range, and non-finite values.
+AWKWARD_FLOATS = np.array(
+    [-0.0, 5e-324, 1.5e-310, 0.1 + 0.2, 1 / 3, 2 / 3 * 1e-300, 1.7976931348623157e308,
+     -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+)
+
+ENCODE_FIXTURE = {
+    "fraction": Q(-7, 3),
+    "fractions": [Q(1, 2), Q(0), Q(10**30, 7)],
+    "np_ints": [np.int64(-5), np.int8(3), np.uint16(65535)],
+    "np_floats": [np.float64(0.1), np.float32(1 / 3), np.float64(-0.0)],
+    "np_complexes": [np.complex128(1 - 2j), np.complex64(0.5 + 0.25j), np.complex128(-0.0j)],
+    "python": [None, True, 3, "s", 0.1 + 0.2, complex(-0.0, 1e-310)],
+    "int_array": np.arange(-3, 9).reshape(3, 4),
+    "int8_array": np.array([-128, 127], dtype=np.int8),
+    "bool_array": np.array([[True, False], [False, True]]),
+    "float_array": AWKWARD_FLOATS,
+    "float32_array": np.array([-0.0, 1e-45, 1e-40, 1 / 3, 3.4028235e38, np.nan], dtype=np.float32),
+    "complex_array": np.array(
+        [[complex(x, y) for y in AWKWARD_FLOATS[::-1]] for x in AWKWARD_FLOATS]
+    ),
+    "complex64_array": np.array([[1 / 3 + 0.1j, -0.0 - 0.0j]], dtype=np.complex64),
+    "int_0d": np.array(7),
+    "bool_0d": np.array(False),
+    "float_0d": np.array(-0.0),
+    "complex_0d": np.array(1.5 - 0.0j),
+    "empty_int": np.zeros((0, 4), dtype=int),
+    "empty_float": np.zeros((2, 0)),
+    "empty_complex": np.zeros((0, 4), dtype=complex),
+    "object_array": np.array([[Q(1, 2), Q(3)], [Q(-1, 5), 1j]], dtype=object),
+    "set": {3, 1, 2},
+    "frozenset": frozenset({Q(1, 2), Q(1, 3)}),
+    "tuple_keys": {(1, 2): "a", (0, 5): [1.5, 2j], (10,): np.array([1j])},
+    "int_keys": {10: np.float64(1), 2: Q(2, 3)},
+    "nested": [np.array([1j, -0.0j]), (Q(1, 4), np.array([[0.5]]))],
+}
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_matches_the_per_element_encoder(self, fmt):
+        assert _render(ENCODE_FIXTURE, fmt) == render_per_element(ENCODE_FIXTURE, fmt)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), object(), [np.bool_(False)]])
+    def test_unencodable_values_are_refused_alike(self, value):
+        with pytest.raises(PreconditionError):
+            render_per_element({"x": value}, "json")
+        with pytest.raises(PreconditionError):
+            _render({"x": value}, "json")
+
+    @pytest.mark.parametrize("algebra,level", [("A1", 4), ("A2", 3), ("A1", 40)])
+    def test_fusion_table_matches_the_triple_loop(self, algebra, level):
+        md = modular_data(algebra, level)
+        tensor = verlinde_tensor(md)
+        expected = [
+            [a, b, c, int(tensor[a, b, c])]
+            for a, b, c in itertools.product(range(md.dim), repeat=3)
+            if tensor[a, b, c]
+        ]
+        result, _ = _run_fusion(JobConfig("fusion", algebra, level))
+        assert encode_per_element(result["nonzero"]) == expected
+
+    @pytest.mark.parametrize("algebra,level", [("A1", 4), ("A2", 3), ("A1", 40)])
+    def test_boundary_table_matches_the_triple_loop(self, algebra, level):
+        md = modular_data(algebra, level)
+        algebra_ = classifying_algebra(md, simple_currents(md))
+        expected = [
+            [l, m, n, int(round(algebra_.nhat[l, m, n].real))]
+            for l, m, n in itertools.product(range(algebra_.dim), repeat=3)
+            if abs(algebra_.nhat[l, m, n]) > 0.5
+        ]
+        config = JobConfig("boundary", algebra, level, group="center")
+        result, _ = _run_boundary(config)
+        assert encode_per_element(result["nhat_nonzero"]) == expected
 
 
 class TestJobConfigValidation:
@@ -277,6 +391,23 @@ class TestFailureReports:
         doc, status = run_json(["boundary", "A3", "--level", "2", "--group", "center"])
         assert status == EXIT_UNSUPPORTED
         assert doc["error"]["code"] == "unsupported"
+
+    @pytest.mark.parametrize("level", [2, 6, 10])
+    def test_charged_fixed_point_boundary_is_unsupported(self, level):
+        doc, status = run_json(
+            ["boundary", "A1", "--level", str(level), "--group", "center"]
+        )
+        assert status == EXIT_UNSUPPORTED
+        assert doc["error"]["code"] == "unsupported"
+        assert f"label ({level // 2},)" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("level", [4, 40])
+    def test_uncharged_fixed_point_boundary_still_runs(self, level):
+        doc, status = run_json(
+            ["boundary", "A1", "--level", str(level), "--group", "center"]
+        )
+        assert status == EXIT_OK
+        assert doc["result"]["dim"] == level // 2 + 2
 
     def test_rejected_extension_is_reported_not_raised(self):
         doc, status = run_json(["extend", "A1", "--level", "3", "--group", "center"])
