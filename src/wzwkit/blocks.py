@@ -8,7 +8,11 @@ relative cocycle yields candidate eigenspace dimensions, which must be
 non-negative integers.  That subgroup is found by comparing every pair of
 admissible tuples in both directions against one cocycle table per distinct
 insertion label: O(m |adm|^2) products in O(m |adm|) memory for m
-insertions.  Its characters are built by extension, O(|G|^2) exponents.
+insertions.  Its characters are built by extension, O(|G|^2) exponents, and
+the Fourier sum is one product of the |G| x |G| table of conjugated
+character values with the trace vector.  The trace factorization check
+glues its two factors by two matrix-vector products with the glue current's
+S^J and its conjugate.
 
 The module also carries an exact validator for the multi-shift automorphism
 of the affine sl(2) loop algebra, built on truncated Laurent series over the
@@ -31,7 +35,6 @@ from .errors import (
     PreconditionError,
     UnsupportedFolding,
 )
-from .exact import phase_to_complex
 from .fusion import SimpleCurrentGroup
 from .simplecurrent import SJCache, _cocycle_table, _untwisted_rows, abelian_characters
 
@@ -183,12 +186,12 @@ def fourier_eigendims(
     ident = (md.vacuum,) * len(insertions)
     traces = {t: symmetry_trace(md, group, insertions, t, genus, sj) for t in unt}
     chars = abelian_characters(unt, compose_tuples, ident)
+    order = sorted(unt)
+    keys = [tuple(char[t] for t in order) for char in chars]
+    conjugated = np.exp(-2j * np.pi * np.array(keys, dtype=float))
+    values = conjugated @ np.array([traces[t] for t in order]) / len(unt)
     dims: dict[tuple, int] = {}
-    for char in chars:
-        val = sum(
-            np.conj(phase_to_complex(char[t])) * traces[t] for t in unt
-        ) / len(unt)
-        key = tuple(char[t] for t in sorted(unt))
+    for char, key, val in zip(chars, keys, values):
         rounded = round(val.real)
         if abs(val - rounded) > tol or rounded < 0:
             raise ConjectureViolation(
@@ -276,26 +279,17 @@ def trace_factorization_check(
             "glue current does not fix the common fixed set of the tuple"
         )
     lhs = symmetry_trace(md, group, insertions, t, 0, sj)
-    s = md.smatrix
-    m = len(insertions)
-    mleft, mright = split + 1, m - split + 1
+    s0 = md.smatrix[0]
+
+    def factor(slots, currents, weight):
+        for mu, ts in zip(slots, currents):
+            weight = weight * sj[ts].full()[mu]
+        return weight
+
+    left = factor(insertions[:split], t[:split], s0 ** (1 - split))
+    right = factor(insertions[split:], t[split:], s0 ** (1 - len(insertions) + split))
     glue_full = sj[glue].full()
-
-    rhs = 0.0 + 0.0j
-    for nu in range(md.dim):
-        wl = s[0] ** (2 - mleft)
-        pl = np.ones(md.dim, dtype=complex)
-        for mu, ts in zip(insertions[:split], t[:split]):
-            pl = pl * sj[ts].full()[mu]
-        pl = pl * glue_full[nu]
-        left = (wl * pl).sum()
-
-        wr = s[0] ** (2 - mright)
-        pr = np.conj(glue_full[nu]).copy()
-        for mu, ts in zip(insertions[split:], t[split:]):
-            pr = pr * sj[ts].full()[mu]
-        right = (wr * pr).sum()
-        rhs += left * right
+    rhs = ((glue_full @ left) * (glue_full.conj() @ right)).sum()
     return complex(lhs), complex(rhs)
 
 

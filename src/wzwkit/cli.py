@@ -156,12 +156,20 @@ class JobConfig:
                 raise PreconditionError("trace requires --conjecture 1 or 2")
             if self.insertions is None:
                 raise PreconditionError("trace requires --insertions")
+            if self.conjecture == 1 and self.shift is not None:
+                raise PreconditionError("trace --conjecture 1 takes no --shift")
+            if self.current_tuple is not None and len(self.current_tuple) != len(self.insertions):
+                raise PreconditionError("--tuple must assign one current per insertion")
             if self.conjecture == 2:
                 if self.shift is None:
                     raise PreconditionError("trace --conjecture 2 requires --shift")
                 if len(self.insertions) != 3:
                     raise PreconditionError(
                         "trace --conjecture 2 takes exactly three insertions"
+                    )
+                if self.genus or self.current_tuple is not None:
+                    raise PreconditionError(
+                        "trace --conjecture 2 is a genus-0 trace and takes no --genus or --tuple"
                     )
 
     def echo(self) -> dict:
@@ -458,19 +466,12 @@ def _run_trace(config: JobConfig):
             },
         }
         if config.current_tuple is not None:
-            if len(config.current_tuple) != len(config.insertions):
-                raise PreconditionError(
-                    "--tuple must assign one current per insertion"
-                )
             result["tuple_trace"] = symmetry_trace(
                 md, group, config.insertions, config.current_tuple, config.genus
             )
         return result, {}
     oin = inner_orbifold_input(md, config.shift)
-    try:
-        outcome = conjecture2_trace(oin, config.insertions, orientation=1)
-    except ConjectureViolation:
-        outcome = conjecture2_trace(oin, config.insertions, orientation=-1)
+    outcome = conjecture2_trace(oin, config.insertions, orientation=1)
     result = {
         "trace": outcome.trace,
         "rank": outcome.rank,

@@ -5,8 +5,10 @@ together with phases on its fixed points and the twisted-sector transformation
 data (the matrix connecting untwisted twining characters to twisted ones, and
 the twisted T eigenvalues).  From these the orbifold label set splits into
 paired untwisted sectors, resolved fixed points carrying a sign, and twisted
-sectors carrying a sign; the orbifold S matrix is assembled blockwise and must
-pass the same invariant suite as any modular datum.
+sectors carrying a sign.  The orbifold S matrix is assembled from blocks of
+the base S, the twining matrix and the twisted-twisted matrix, each repeated
+over the sign pairs (O(n^2) for n orbifold labels, one phase per fixed point),
+and must pass the same invariant suite as any modular datum.
 
 For inner symmetries generated by a rational shift vector all the data derive
 exactly from the base theory.  Outer (diagram) symmetries get their label side
@@ -245,6 +247,51 @@ def dual_current_label(md: ModularData) -> tuple:
     return (md.labels[md.vacuum], -1, 0)
 
 
+def _orbifold_smatrix(oin: OrbifoldInput, p: np.ndarray) -> np.ndarray:
+    """Orbifold S in the label order of ``assemble_orbifold``, block by block.
+
+    Fixed points carry an interleaved sign pair (+, -), pairs one label, and
+    twisted sectors a sign pair again.  With F the fixed points, P the first
+    members of the pairs and eta the fixed-point phases:
+
+    * fixed x fixed: S_FF / 2 on every sign pair;
+    * fixed x pairs: S_FP on both signs, and pairs x fixed S_PF;
+    * pairs x pairs: S_PP + S_{P sigma(P)};
+    * fixed x twisted: eps / (2 eta_i) S^(0), the sign eps of the fixed row;
+      twisted x fixed is its transpose;
+    * twisted x twisted: eps eps' p / 2, with p from ``_pmatrix``;
+    * pairs x twisted and twisted x pairs: zero.
+    """
+    s = oin.md.smatrix
+    fixed = list(oin.fixed)
+    firsts = [a for a, _ in oin.pairs]
+    partners = [oin.sigma_star[a] for a in firsts]
+
+    def doubled(m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        for axis in axes:
+            m = np.repeat(m, 2, axis=axis)
+        return m
+
+    scale = np.array([0.5 * eps / oin.eta(i) for i in fixed for eps in (1, -1)])
+    fixed_twisted = scale[:, None] * doubled(oin.s0, (0, 1))
+    zero = np.zeros((len(firsts), 2 * len(fixed)))
+    return np.block(
+        [
+            [
+                doubled(0.5 * s[np.ix_(fixed, fixed)], (0, 1)),
+                doubled(s[np.ix_(fixed, firsts)], (0,)),
+                fixed_twisted,
+            ],
+            [
+                doubled(s[np.ix_(firsts, fixed)], (1,)),
+                s[np.ix_(firsts, firsts)] + s[np.ix_(firsts, partners)],
+                zero,
+            ],
+            [fixed_twisted.T, zero.T, np.kron(p, 0.5 * np.array([[1, -1], [-1, 1]]))],
+        ]
+    )
+
+
 def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularData:
     """Build the orbifold modular data and run every consistency check.
 
@@ -255,72 +302,25 @@ def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularD
     IntegralityError if the orbifold fusion ring is not integral.
     """
     md = oin.md
-    base = md.smatrix
-    fixed_pos = {lab: pos for pos, lab in enumerate(oin.fixed)}
     p = _pmatrix(oin)
-
-    labels: list[tuple] = []
-    for i in oin.fixed:
-        labels.append((md.labels[i], 1, 0))
-        labels.append((md.labels[i], -1, 0))
-    for a, _ in oin.pairs:
-        labels.append((md.labels[a], 0, 0))
-    for i in oin.fixed:
-        labels.append((md.labels[i], 1, 1))
-        labels.append((md.labels[i], -1, 1))
-
-    index_of = {lab: n for n, lab in enumerate(labels)}
-    parent = {lab: md.index(lab[0]) for lab in labels}
-    n = len(labels)
-    so = np.zeros((n, n), dtype=complex)
-    for a, la in enumerate(labels):
-        ia = parent[la]
-        for b, lb in enumerate(labels):
-            ib = parent[lb]
-            ka, kb = la[2], lb[2]
-            if ka == 0 and kb == 0:
-                if la[1] == 0 and lb[1] == 0:
-                    so[a, b] = base[ia, ib] + base[ia, oin.sigma_star[ib]]
-                elif la[1] == 0 or lb[1] == 0:
-                    so[a, b] = base[ia, ib]
-                else:
-                    so[a, b] = 0.5 * base[ia, ib]
-            elif ka == 0 and kb == 1:
-                if la[1] == 0:
-                    so[a, b] = 0.0
-                else:
-                    so[a, b] = (
-                        0.5 * la[1] / oin.eta(ia) * oin.s0[fixed_pos[ia], fixed_pos[ib]]
-                    )
-            elif ka == 1 and kb == 0:
-                if lb[1] == 0:
-                    so[a, b] = 0.0
-                else:
-                    so[a, b] = (
-                        0.5 * lb[1] / oin.eta(ib) * oin.s0[fixed_pos[ib], fixed_pos[ia]]
-                    )
-            else:
-                so[a, b] = 0.5 * la[1] * lb[1] * p[fixed_pos[ia], fixed_pos[ib]]
-
+    labels = [(md.labels[i], eps, 0) for i in oin.fixed for eps in (1, -1)]
+    labels += [(md.labels[a], 0, 0) for a, _ in oin.pairs]
+    labels += [(md.labels[i], eps, 1) for i in oin.fixed for eps in (1, -1)]
+    # twisted weights: c/24 + tau/2 with tau the twisted exponent, plus 1/2 for sign -1
     c24 = md.central_charge / 24
-    delta: list[Q] = []
-    for lab in labels:
-        if lab[2] == 0:
-            delta.append(md.delta[parent[lab]])
-        else:
-            tau = oin.t1_exponents[fixed_pos[parent[lab]]]
-            extra = Q(1, 2) if lab[1] < 0 else Q(0)
-            delta.append((c24 + tau / 2 + extra) % 1)
+    delta = [md.delta[i] for i in oin.fixed for _ in (1, -1)]
+    delta += [md.delta[a] for a, _ in oin.pairs]
+    delta += [(c24 + tau / 2 + extra) % 1 for tau in oin.t1_exponents for extra in (0, Q(1, 2))]
 
     omd = ModularData(
         algebra=f"{md.algebra}/orb",
         level=md.level,
         labels=tuple(labels),
-        smatrix=so,
+        smatrix=_orbifold_smatrix(oin, p),
         delta=tuple(delta),
         central_charge=md.central_charge,
     )
-    if index_of[(md.labels[md.vacuum], 1, 0)] != 0:
+    if labels.index((md.labels[md.vacuum], 1, 0)) != 0:
         raise InvariantViolation("orbifold_vacuum_position", 1.0, 0.0, "")
     residuals = dict(verify_modular_invariants(omd, tol))
 

@@ -13,7 +13,10 @@ results.  ``extend_by_group`` verifies the extensions built from these phases.
 
 The relative phases F_mu(J, J') extracted from these matrices control which
 characters of the stabilizer survive in extensions, boundary data, and trace
-formulas.
+formulas.  The extended S matrix and the classifying algebra's hat matrix are
+both |G| / sqrt(|S_a||U_a||S_b||U_b|) sum_J psi_a(J) S^J_{ab} psi_b(J)*, built
+whole by ``sj_character_matrix``: one (rows x columns) array step per current,
+O(|G| n^2) for n labels, and one phase per label and current.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
     "cocycle",
     "snap_phase",
     "abelian_characters",
-    "sj_character_sum",
+    "sj_character_matrix",
     "OrbitRecord",
     "orbit_data",
     "ExtendedTheory",
@@ -257,35 +260,46 @@ def abelian_characters(
     return chars
 
 
-def character_value(char: Mapping[int, Q], element: int) -> complex:
-    return phase_to_complex(char[element])
-
-
-def sj_character_sum(
+def sj_character_matrix(
     sj: SJCache,
     group_order: int,
-    mu: int,
-    psi: Mapping[int, Q],
-    nu: int,
-    phi: Mapping[int, Q],
-    currents: Iterable[int],
-    stabilizer_product: int,
-) -> complex:
-    """|G| / sqrt(stabilizer_product) * sum_J psi(J) S^J_{mu, nu} phi(J)*.
+    rows: Sequence[tuple[int, Mapping[int, Q], int]],
+    cols: Sequence[tuple[int, Mapping[int, Q], int]],
+) -> np.ndarray:
+    """|G| / sqrt(w_a w_b) * sum_J psi_a(J) S^J_{mu_a, nu_b} phi_b(J)*, for every a, b.
 
-    ``stabilizer_product`` is |S_mu| |U_mu| |S_nu| |U_nu|, the orders of the
-    stabilizers and untwisted stabilizers of both sectors.  J runs over
-    ``currents`` in ascending order; currents that do not fix both sectors
-    contribute nothing.  This is one entry of the extended S matrix and of
-    the classifying algebra's hat matrix.
+    Each row and column is a triple (sector, character, weight): the
+    character maps the currents of its domain to exact phase exponents, and
+    the weight is |S| |U|, the orders of the sector's stabilizer and
+    untwisted stabilizer.  This is the extended S matrix and the classifying
+    algebra's hat matrix.  The characters are tabulated as phases that are 0
+    off their domain, and S^J is zero off the J-fixed sectors, so each
+    current J adds psi_J phi_J^* times S^J[rows, cols], entrywise: one
+    (rows x cols) array operation per current.  J runs in ascending order
+    over the currents in some row's domain and some column's domain; only
+    those S^J are fetched, so a theory without a fixed-point provider works
+    as long as no such current is nontrivial.
     """
-    acc = 0.0 + 0.0j
-    for j in sorted(currents):
-        data = sj[j]
-        if mu in data.fixed_set and nu in data.fixed_set:
-            val = data.matrix[data.fixed.index(mu), data.fixed.index(nu)]
-            acc += character_value(psi, j) * val * np.conj(character_value(phi, j))
-    return group_order / np.sqrt(stabilizer_product) * acc
+    currents = sorted(
+        set().union(*(char for _, char, _ in rows))
+        & set().union(*(char for _, char, _ in cols))
+    )
+
+    def phases(labels):
+        out = np.zeros((len(labels), len(currents)), dtype=complex)
+        for r, (_, char, _) in enumerate(labels):
+            for c, j in enumerate(currents):
+                if j in char:
+                    out[r, c] = phase_to_complex(char[j])
+        return out
+
+    psi, phi = phases(rows), phases(cols).conj()
+    block = np.ix_([mu for mu, _, _ in rows], [nu for nu, _, _ in cols])
+    acc = np.zeros((len(rows), len(cols)), dtype=complex)
+    for c, j in enumerate(currents):
+        acc += psi[:, c, None] * sj[j].full()[block] * phi[None, :, c]
+    weight = np.outer([w for _, _, w in rows], [w for _, _, w in cols])
+    return group_order / np.sqrt(weight) * acc
 
 
 @dataclass(eq=False)
@@ -461,13 +475,10 @@ def extend_by_group(
 
     # one class per character of U, pinned to the lex-minimal representative
     classes: list[ExtClass] = []
-    u_of: dict[int, tuple[int, ...]] = {}
-    stab_of: dict[int, tuple[int, ...]] = {}
+    weight: dict[int, int] = {}
     for rep, orbit, stab, u in orbit_reps:
-        chars = abelian_characters(u, group.compose, md.vacuum)
-        u_of[rep] = u
-        stab_of[rep] = stab
-        for char in chars:
+        weight[rep] = len(stab) * len(u)
+        for char in abelian_characters(u, group.compose, md.vacuum):
             classes.append(ExtClass(rep, char))
     classes.sort(key=lambda c: c.signature())
     expected = sum(len(u) for _, _, _, u in orbit_reps)
@@ -476,21 +487,8 @@ def extend_by_group(
             f"extension produced {len(classes)} classes, expected {expected}"
         )
 
-    n = len(classes)
-    s_ext = np.zeros((n, n), dtype=complex)
-    for a, ca in enumerate(classes):
-        for b, cb in enumerate(classes):
-            ua, ub = u_of[ca.rep], u_of[cb.rep]
-            s_ext[a, b] = sj_character_sum(
-                sj,
-                group.order,
-                ca.rep,
-                ca.char,
-                cb.rep,
-                cb.char,
-                set(ua) & set(ub),
-                len(stab_of[ca.rep]) * len(ua) * len(stab_of[cb.rep]) * len(ub),
-            )
+    labels = [(c.rep, c.char, weight[c.rep]) for c in classes]
+    s_ext = sj_character_matrix(sj, group.order, labels, labels)
 
     ext_md = ModularData(
         algebra=f"{md.algebra}/ext",

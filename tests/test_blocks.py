@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,13 @@ from wzwkit.blocks import (
     untwisted_tuples,
 )
 from wzwkit.errors import PreconditionError, UnsupportedFolding
+from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.simplecurrent import (
     SJCache,
     _cocycle_table,
     _untwisted_stabilizer,
+    abelian_characters,
     cocycle,
     orbit_data,
 )
@@ -90,6 +94,41 @@ def oracle_cases():
     md, sub, f = klein_four_cube()
     for m in range(1, 4):
         yield f"cube-klein-m{m}", md, sub, (f,) * m
+
+
+def fourier_loop_dims(md, group, spectrum):
+    """Reference for the Fourier sum of ``fourier_eigendims``: one character
+    at a time, one phase per untwisted tuple."""
+    unt = spectrum.untwisted
+
+    def compose(a, b):
+        return tuple(group.compose(x, y) for x, y in zip(a, b))
+
+    dims = {}
+    for char in abelian_characters(unt, compose, (md.vacuum,) * len(spectrum.insertions)):
+        val = sum(np.conj(phase_to_complex(char[t])) * spectrum.traces[t] for t in unt) / len(unt)
+        dims[tuple(char[t] for t in sorted(unt))] = round(val.real)
+    return dims
+
+
+def glued_loop(md, insertions, split, t, glue, sj):
+    """Reference for the glued side of ``trace_factorization_check``: one
+    channel label nu at a time."""
+    s = md.smatrix
+    mleft, mright = split + 1, len(insertions) - split + 1
+    glue_full = sj[glue].full()
+    rhs = 0.0 + 0.0j
+    for nu in range(md.dim):
+        pl = np.ones(md.dim, dtype=complex)
+        for mu, ts in zip(insertions[:split], t[:split]):
+            pl = pl * sj[ts].full()[mu]
+        left = (s[0] ** (2 - mleft) * pl * glue_full[nu]).sum()
+        pr = np.conj(glue_full[nu]).copy()
+        for mu, ts in zip(insertions[split:], t[split:]):
+            pr = pr * sj[ts].full()[mu]
+        right = (s[0] ** (2 - mright) * pr).sum()
+        rhs += left * right
+    return complex(rhs)
 
 
 class TestBlockRank:
@@ -184,6 +223,13 @@ class TestUntwistedOracle:
             table = _cocycle_table(md, group, mu, stab, sj)
             assert _untwisted_stabilizer(stab, table) == expected
             assert rec.untwisted_stabilizer == (expected if rec.integer_spins else None)
+
+    @pytest.mark.parametrize(
+        "md,group,insertions", [pytest.param(*c[1:], id=c[0]) for c in oracle_cases()]
+    )
+    def test_eigendims_match_the_per_character_loop(self, md, group, insertions):
+        spectrum = fourier_eigendims(md, group, insertions)
+        assert spectrum.dims == fourier_loop_dims(md, group, spectrum)
 
     def test_klein_four_untwisted_set_is_smaller_than_admissible(self):
         md, sub, f = klein_four_cube()
@@ -336,6 +382,24 @@ class TestFactorization:
         jj = md.index((4,))
         lhs, rhs = trace_factorization_check(md, g, (2, 2, 2, 2), 2, (jj, jj, 0, 0), 0)
         assert abs(lhs - rhs) < 1e-8
+
+    @pytest.mark.parametrize("algebra,level", [("A1", k) for k in range(2, 9)] + [("A2", 3)])
+    def test_glued_side_matches_the_per_label_loop(self, algebra, level):
+        md = modular_data(algebra, level)
+        g = simple_currents(md)
+        sj = SJCache(md)
+        checked = 0
+        for m in (3, 4):
+            for insertions in itertools.combinations_with_replacement(range(md.dim), m):
+                for t in untwisted_tuples(md, g, insertions, sj):
+                    for glue in g.indices:
+                        if not fix_compatible(md, g, t, glue, sj):
+                            continue
+                        _, rhs = trace_factorization_check(md, g, insertions, m // 2, t, glue, sj)
+                        expected = glued_loop(md, insertions, m // 2, t, glue, sj)
+                        assert abs(rhs - expected) <= 1e-14 * max(1.0, abs(expected))
+                        checked += 1
+        assert checked > 0
 
     def test_incompatible_glue_rejected(self):
         md, g = setup_theory(4)

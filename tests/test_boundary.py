@@ -10,10 +10,12 @@ import pytest
 from wzwkit.affine import modular_data
 from wzwkit.boundary import (
     HatLabel,
+    _label_data,
     _structure_constants,
     automorphism_type_decomposition,
     classifying_algebra,
     classifying_labels,
+    hat_smatrix,
     match_up_to_column_signs,
     reflection_coefficients,
     structure_constants,
@@ -22,6 +24,10 @@ from wzwkit.boundary import (
 from wzwkit.errors import InvariantViolation, PreconditionError
 from wzwkit.fusion import simple_currents, verlinde_tensor
 from wzwkit.orbifold import assemble_orbifold, dual_current_label, inner_orbifold_input
+from wzwkit.simplecurrent import SJCache
+
+from test_blocks import klein_four_cube
+from test_simplecurrent import SJ_THEORIES, entrywise_sj_sum
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +217,37 @@ class TestGuards:
         b = a.copy()
         b[:, 1] *= -1
         assert match_up_to_column_signs(a, b) == (1, -1)
+
+
+class TestHatMatrixOracle:
+    @staticmethod
+    def entrywise_hat(md, group):
+        sj = SJCache(md)
+        hats, boundaries, stab, ustab = _label_data(md, group, sj, 1e-8)
+        rows = [(h.sector, dict(h.char), len(stab[h.sector]) * len(ustab[h.sector])) for h in hats]
+        cols = [(b.rep, dict(b.char), len(stab[b.rep]) * len(ustab[b.rep])) for b in boundaries]
+        return entrywise_sj_sum(sj, group.order, rows, cols)
+
+    @pytest.mark.parametrize("algebra,level", SJ_THEORIES)
+    def test_center_hat_matrix_matches_the_entrywise_sum(self, algebra, level):
+        md = modular_data(algebra, level)
+        group = simple_currents(md)
+        shat = hat_smatrix(md, group)
+        expected = self.entrywise_hat(md, group)
+        if algebra == "A1":
+            assert np.array_equal(shat, expected)
+        else:
+            assert np.abs(shat - expected).max() < 1e-14
+
+    def test_klein_four_hat_matrix_matches_the_entrywise_sum(self):
+        md, group, _ = klein_four_cube()
+        assert np.abs(hat_smatrix(md, group) - self.entrywise_hat(md, group)).max() < 1e-14
+
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_orbifold_dual_current_hat_matrix_matches_the_entrywise_sum(self, level):
+        # the orbifold theory has no fixed-point provider: only S^J of the
+        # identity may be fetched
+        _, orb, dual = orbifold_setup(level)
+        assert orb.md.sj_provider is None
+        shat = hat_smatrix(orb.md, dual)
+        assert np.array_equal(shat, self.entrywise_hat(orb.md, dual))

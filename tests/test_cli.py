@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wzwkit.affine as affine
+import wzwkit.cli as cli
 import wzwkit.fusion
 from wzwkit.affine import cache_path, modular_data
 from wzwkit.boundary import classifying_algebra
@@ -28,7 +29,7 @@ from wzwkit.cli import (
     main,
     run,
 )
-from wzwkit.errors import InternalConsistencyError, PreconditionError
+from wzwkit.errors import ConjectureViolation, InternalConsistencyError, PreconditionError
 from wzwkit.fusion import simple_currents, verlinde_tensor
 
 
@@ -186,6 +187,29 @@ class TestJobConfigValidation:
         with pytest.raises(PreconditionError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--conjecture", "2", "--shift", "1", "--insertions", "2,2,2", "--genus", "3"],
+            ["--conjecture", "2", "--shift", "1", "--insertions", "2,2,2", "--tuple", "0,0,0"],
+            [
+                "--conjecture", "2", "--shift", "1", "--insertions", "2,2,2",
+                "--genus", "3", "--tuple", "0,0,0",
+            ],
+            ["--conjecture", "1", "--shift", "1", "--insertions", "2,2"],
+            ["--conjecture", "1", "--insertions", "2,2", "--tuple", "4"],
+            ["--conjecture", "1", "--insertions", "2,2", "--tuple", "4,4,4"],
+        ],
+    )
+    def test_trace_options_a_run_would_ignore_are_rejected(self, options, monkeypatch):
+        def no_theory(*args, **kwargs):
+            raise AssertionError("a rejected job must not build its theory")
+
+        monkeypatch.setattr(cli, "modular_data", no_theory)
+        doc, status = run_json(["trace", "A1", "--level", "4", *options])
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+
     def test_sweep_needs_an_ordered_range(self):
         config = JobConfig(construction="sweep", algebra="A1", levels=(4, 2))
         with pytest.raises(PreconditionError):
@@ -341,6 +365,22 @@ class TestSingleConstructions:
         result = doc["result"]
         assert result["rank"] == 1
         assert result["dim_plus"] + result["dim_minus"] == result["rank"]
+
+    def test_conjecture_two_runs_once_in_orientation_one(self, monkeypatch):
+        orientations = []
+
+        def violated(oin, insertions, orientation=1, tol=1e-6):
+            orientations.append(orientation)
+            raise ConjectureViolation("stub", report={"orientation": orientation})
+
+        monkeypatch.setattr(cli, "conjecture2_trace", violated)
+        doc, status = run_json(
+            ["trace", "A1", "--level", "4", "--conjecture", "2", "--shift", "1", "--insertions", "2,2,2"]
+        )
+        assert orientations == [1]
+        assert status == EXIT_INVARIANT
+        assert doc["error"]["code"] == "conjecture-failure"
+        assert doc["error"]["report"]["orientation"] == 1
 
     @pytest.mark.parametrize("construction", ["check", "fusion"])
     def test_verlinde_sum_runs_once_per_job(self, construction, monkeypatch):

@@ -28,8 +28,11 @@ from wzwkit.simplecurrent import (
     extend_by_group,
     fixed_point_smatrix,
     orbit_data,
+    sj_character_matrix,
     snap_phase,
 )
+
+from test_blocks import klein_four_cube
 
 
 def md_su2(k):
@@ -39,6 +42,29 @@ def md_su2(k):
 def su2_cube(k=2):
     one = modular_data("A1", k)
     return tensor_product(tensor_product(one, one), one)
+
+
+# Extension and hat-matrix theories: A1 at the levels k = 0 mod 4 (at k = 2
+# mod 4 the current has spin k/4 and neither construction exists), A2 at
+# k = 0 mod 3, each with its full center.
+SJ_THEORIES = [("A1", k) for k in (4, 8, 12, 16)] + [("A2", k) for k in (3, 6, 9, 12)]
+
+
+def entrywise_sj_sum(sj, group_order, rows, cols):
+    """Reference for ``sj_character_matrix``: one entry at a time, one current
+    at a time, J ascending over the currents both characters are defined on
+    and skipped unless it fixes both sectors."""
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for a, (mu, psi, wa) in enumerate(rows):
+        for b, (nu, phi, wb) in enumerate(cols):
+            acc = 0.0 + 0.0j
+            for j in sorted(set(psi) & set(phi)):
+                data = sj[j]
+                if mu in data.fixed_set and nu in data.fixed_set:
+                    val = data.matrix[data.fixed.index(mu), data.fixed.index(nu)]
+                    acc += phase_to_complex(psi[j]) * val * np.conj(phase_to_complex(phi[j]))
+            out[a, b] = group_order / np.sqrt(wa * wb) * acc
+    return out
 
 
 def match_up_to_bijection(s, target, tol=1e-8):
@@ -404,3 +430,48 @@ class TestExtensions:
         md = md_su2(4)
         ext = extend_by_group(md, simple_currents(md))
         assert ext.md.central_charge == md.central_charge == Q(2)
+
+
+class TestSjCharacterMatrix:
+    @staticmethod
+    def entrywise_extension(ext):
+        group = ext.group
+        rows = [
+            (c.rep, c.char, len(group.stabilizer(c.rep)) * len(c.char)) for c in ext.classes
+        ]
+        return entrywise_sj_sum(SJCache(ext.parent), group.order, rows, rows)
+
+    @pytest.mark.parametrize("algebra,level", SJ_THEORIES)
+    def test_extension_matches_the_entrywise_sum(self, algebra, level):
+        md = modular_data(algebra, level)
+        ext = extend_by_group(md, simple_currents(md))
+        expected = self.entrywise_extension(ext)
+        if algebra == "A1":
+            assert np.array_equal(ext.md.smatrix, expected)
+        else:
+            assert np.abs(ext.md.smatrix - expected).max() < 1e-14
+
+    def test_klein_four_extension_matches_the_entrywise_sum(self):
+        md, group, _ = klein_four_cube()
+        ext = extend_by_group(md, group)
+        assert np.abs(ext.md.smatrix - self.entrywise_extension(ext)).max() < 1e-14
+
+    def test_fetches_only_currents_shared_by_rows_and_columns(self, monkeypatch):
+        md = modular_data("A1", 4)
+        j = md.index((4,))
+        fixed = md.index((2,))
+        fetched = []
+        provider = md.sj_provider
+
+        def counted(label):
+            fetched.append(label)
+            return provider(label)
+
+        monkeypatch.setattr(md, "sj_provider", counted)
+        rows = [(fixed, {md.vacuum: Q(0), j: Q(1, 2)}, 4)]
+        cols = [(fixed, {md.vacuum: Q(0)}, 4), (md.vacuum, {md.vacuum: Q(0)}, 1)]
+        out = sj_character_matrix(SJCache(md), 2, rows, cols)
+        assert fetched == []
+        assert np.array_equal(out, entrywise_sj_sum(SJCache(md), 2, rows, cols))
+        sj_character_matrix(SJCache(md), 2, rows, rows)
+        assert fetched == [(4,)]
