@@ -9,6 +9,14 @@ cap is exceeded, and 5 for constructions the library does not support.
 Reports embed the input echo, the library version, and the residual table
 of every invariant that was checked, and identical configurations produce
 byte-identical output.  Single constructions emit JSON; sweeps emit CSV.
+
+A report is the text ``json.dumps`` gives the document (sorted keys,
+compact or ``indent=2``), with every float in shortest round-trip repr.
+Numeric arrays, which make up most of a large report, are written at
+array speed: each distinct value is formatted once and the array's text
+is joined from those words and the list separators, then spliced in where
+``json.dumps`` wrote a placeholder.  An S matrix repeats most of its
+values, so this costs far fewer float reprs than it has entries.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -156,6 +165,8 @@ class JobConfig:
                 raise PreconditionError("trace requires --conjecture 1 or 2")
             if self.insertions is None:
                 raise PreconditionError("trace requires --insertions")
+            if self.genus < 0:
+                raise PreconditionError("--genus must be a non-negative integer")
             if self.conjecture == 1 and self.shift is not None:
                 raise PreconditionError("trace --conjecture 1 takes no --shift")
             if self.current_tuple is not None and len(self.current_tuple) != len(self.insertions):
@@ -203,17 +214,21 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 
-def _encode(value):
+def _encode(value, arrays: list, depth: int = 0):
     """Make a value JSON-ready with a fixed, reproducible convention.
 
     Rationals become exact strings, complex numbers become [re, im]
     pairs, and arrays become nested lists.  Floats rely on shortest
     round-trip repr, which stays within 17 significant digits.
 
-    A numeric array costs one ``tolist()`` at C speed; a complex one is
-    first stacked into a trailing (re, im) axis, so each entry still reads
-    [re, im].  Only object arrays (of rationals, say) are walked element by
-    element, like lists.
+    A non-empty numeric array of at least one dimension is not converted
+    here: it is appended to ``arrays`` with its nesting depth (the number
+    of enclosing lists and dicts), and a placeholder string holding its
+    position and a NUL character stands in for it; ``_render`` splices the
+    array's text in.  A complex array is first stacked into a trailing
+    (re, im) axis, so each entry still reads [re, im].  Empty and 0-d
+    arrays cost one ``tolist()``; object arrays (of rationals, say) are
+    walked element by element, like lists.
     """
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
@@ -229,23 +244,108 @@ def _encode(value):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
         if value.dtype == object:
-            return _encode(value.tolist())
+            return _encode(value.tolist(), arrays, depth)
         if np.iscomplexobj(value):
-            return np.stack((value.real, value.imag), -1).tolist()
-        return value.tolist()
+            value = np.stack((value.real, value.imag), -1)
+        # tolist() leaves a longdouble a numpy scalar, which json refuses.
+        numeric = value.dtype.kind in "biuf" and value.dtype.itemsize <= 8
+        if not numeric or value.size == 0 or value.ndim == 0:
+            return value.tolist()
+        arrays.append((value, depth))
+        return f"\x00{len(arrays) - 1}"
     if isinstance(value, dict):
-        return {str(key): _encode(item) for key, item in value.items()}
+        return {str(key): _encode(item, arrays, depth + 1) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_encode(item) for item in items]
+        return [_encode(item, arrays, depth + 1) for item in items]
     raise PreconditionError(f"cannot serialize a {type(value).__name__} into a report")
 
 
+def _words(flat: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """JSON text of each distinct entry of a flat array, and the index into it.
+
+    Entries are compared as json would print them after ``tolist()``:
+    floats as float64 by bit pattern (so -0.0 and 0.0, or NaNs with
+    different payloads, stay apart), integers and bools by value.
+    """
+    if flat.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # a signalling NaN, as tolist() allows
+            flat = flat.astype(np.float64)
+        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        words = list(map(float.__repr__, distinct.tolist()))
+        for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+            x = distinct[i]
+            words[i] = "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+        return words, inverse
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    if flat.dtype.kind == "b":
+        return ["true" if x else "false" for x in distinct.tolist()], inverse
+    return list(map(int.__repr__, distinct.tolist())), inverse
+
+
+def _array_text(array: np.ndarray, indent: int | None, depth: int) -> str:
+    """The text ``json.dumps`` gives ``array.tolist()`` at nesting ``depth``.
+
+    Each distinct entry is formatted once (``_words``).  Before every entry
+    but the first goes the separator for the number j of axis boundaries
+    it crosses, which closes j lists, writes a comma and opens j lists;
+    there are only ``ndim`` such separators.  ``indent`` None is the
+    compact ``separators=(",", ":")`` layout, else the pretty one.
+    """
+    ndim = array.ndim
+    inner = depth + ndim
+
+    def newline(level: int) -> str:
+        return "" if indent is None else "\n" + " " * (indent * level)
+
+    def opens(j: int) -> str:
+        return "".join(newline(level) + "[" for level in range(inner - j, inner)) + newline(inner)
+
+    def closes(j: int) -> str:
+        return "".join(newline(level) + "]" for level in range(inner - 1, inner - 1 - j, -1))
+
+    crossed = np.zeros(array.size, dtype=np.intp)
+    stride = 1
+    for length in array.shape[:0:-1]:
+        stride *= length
+        crossed[::stride] += 1
+    words, inverse = _words(array.reshape(-1))
+    pieces = np.empty(2 * array.size, dtype=object)
+    pieces[0::2] = np.array([closes(j) + "," + opens(j) for j in range(ndim)], dtype=object)[crossed]
+    pieces[1::2] = np.array(words, dtype=object)[inverse]
+    pieces[0] = "[" + opens(ndim - 1)
+    return "".join(pieces.tolist()) + closes(ndim)
+
+
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
 def _render(document: dict, fmt: str) -> str:
-    payload = _encode(document)
-    if fmt == "pretty":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Serialize a report: ``json.dumps`` with sorted keys, arrays spliced in.
+
+    ``json.dumps`` writes the document with a placeholder for each numeric
+    array (see ``_encode``); each placeholder is then replaced by
+    ``_array_text``, which gives the bytes ``json.dumps`` would give the
+    array's ``tolist()``.  An array of N entries with D distinct values
+    costs one sort of N keys, D float reprs and one join of 2N shared
+    strings, instead of N Python floats and N reprs; S matrices repeat
+    most of their values (A1 level 300: 181,202 floats, 17,084 distinct).
+    """
+    arrays: list = []
+    payload = _encode(document, arrays)
+    indent = 2 if fmt == "pretty" else None
+    separators = None if indent else (",", ":")
+    text = json.dumps(payload, sort_keys=True, indent=indent, separators=separators)
+
+    def splice(match: re.Match) -> str:
+        array, depth = arrays[int(match.group(1))]
+        return _array_text(array, indent, depth)
+
+    text, spliced = _PLACEHOLDER.subn(splice, text)
+    if spliced != len(arrays):
+        raise InternalConsistencyError("a report string imitates an array placeholder")
+    return text + "\n"
 
 
 def _document(config: JobConfig, result: dict, residuals: dict) -> dict:
@@ -448,10 +548,38 @@ def _run_boundary(config: JobConfig):
     return result, residuals
 
 
+def _check_current_tuple(group: SimpleCurrentGroup, insertions, current_tuple) -> None:
+    """Reject a --tuple whose trace is undefined: it must be admissible.
+
+    Each slot must be a simple current that fixes its insertion, and the
+    product of the slots must be the vacuum.
+    """
+    product = group.md.vacuum
+    for slot, (mu, j) in enumerate(zip(insertions, current_tuple)):
+        if j not in group.indices:
+            raise PreconditionError(f"--tuple slot {slot}: label {j} is not a simple current")
+        if j not in group.stabilizer(mu):
+            raise PreconditionError(
+                f"--tuple slot {slot}: current {j} does not fix insertion {mu}"
+            )
+        product = group.compose(j, product)
+    if product != group.md.vacuum:
+        raise PreconditionError(
+            f"--tuple: the product of the currents is label {product}, not the vacuum"
+        )
+
+
 def _run_trace(config: JobConfig):
     md = _load(config)
+    for slot, mu in enumerate(config.insertions):
+        if not 0 <= mu < md.dim:
+            raise PreconditionError(
+                f"--insertions slot {slot}: {mu} is not a label index below {md.dim}"
+            )
     if config.conjecture == 1:
         group = simple_currents(md)
+        if config.current_tuple is not None:
+            _check_current_tuple(group, config.insertions, config.current_tuple)
         spectrum = fourier_eigendims(
             md, group, config.insertions, genus=config.genus
         )

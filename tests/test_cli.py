@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from fractions import Fraction as Q
 
 import numpy as np
@@ -114,10 +115,84 @@ ENCODE_FIXTURE = {
 }
 
 
+def assert_same_text(actual, expected):
+    """Compare report texts, naming the first difference (no full diff)."""
+    if actual != expected:
+        at = len(os.path.commonprefix([actual, expected]))
+        pytest.fail(
+            f"texts differ at offset {at}: "
+            f"{actual[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}"
+        )
+
+
+def nan_with_payload(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# Arrays rendered from distinct values: each json text must equal the
+# per-element encoder's, whatever the dtype, shape, repetition or depth.
+ARRAY_FIXTURES = {
+    "repeated_signed_zeros": np.array(
+        [[0.0, -0.0, 0.5, 0.0], [-0.0, 0.5, -0.0, 0.0], [0.5, 0.5, 0.0, -0.0]]
+    ),
+    "nan_payloads_and_infinities": np.array(
+        [
+            np.nan, nan_with_payload(0x7FF8000000000001), nan_with_payload(0xFFF8000000000000),
+            nan_with_payload(0x7FF0000000000001), np.inf, -np.inf, np.inf, 1.0, -np.inf,
+        ]
+    ),
+    "float32_collisions": np.concatenate(
+        [
+            np.array([0.1, 1 / 3, 0.1, -0.0, 0.0, 1 / 3, 1e-45], dtype=np.float32),
+            # A signalling and a quiet NaN with one payload become one float64 NaN.
+            np.array([0x7F800001, 0x7FC00001], dtype=np.uint32).view(np.float32),
+        ]
+    ),
+    "complex_repeats": np.array([[1j, -1j, 1j], [0.5 - 0.0j, -0.0 + 0.5j, 1j]]),
+    "int8": np.array([[-128, 127, 0], [0, -128, 5]], dtype=np.int8),
+    "uint16": np.array([65535, 0, 65535, 7], dtype=np.uint16),
+    "bool": np.array([[[True, False], [False, False]], [[True, True], [False, True]]]),
+    "shape_1": np.array([2.5]),
+    "shape_3_1_2": np.arange(6, dtype=float).reshape(3, 1, 2) - 2.5,
+    "shape_1_1_1": np.array([[[7]]]),
+    "shape_2_0": np.zeros((2, 0)),
+    "deep_in_lists": [[[np.array([[1.5, -0.0], [1.5, 2.0]]), np.array([1, 2])]]],
+    "deep_in_dicts": {"a": {"b": {"c": np.array([[True], [False]]), "d": [np.array([1j])]}}},
+    "mixed_depths": [np.array([0.1, 0.1]), {"x": [[np.array([[[0.1]], [[0.2]]])]]}, np.array(3)],
+}
+
+
 class TestReportEncoding:
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_matches_the_per_element_encoder(self, fmt):
-        assert _render(ENCODE_FIXTURE, fmt) == render_per_element(ENCODE_FIXTURE, fmt)
+        assert_same_text(_render(ENCODE_FIXTURE, fmt), render_per_element(ENCODE_FIXTURE, fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("name", sorted(ARRAY_FIXTURES))
+    def test_array_text_matches_the_per_element_encoder(self, name, fmt):
+        document = {"x": ARRAY_FIXTURES[name]}
+        assert_same_text(_render(document, fmt), render_per_element(document, fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modular-data", "A1", "--level", "40"],
+            ["modular-data", "A2", "--level", "6"],
+            ["orbifold", "A1", "--level", "40", "--shift", "1"],
+            ["orbifold", "A2", "--level", "6", "--shift", "1/2,1/2"],
+            ["boundary", "A1", "--level", "40", "--group", "center"],
+            ["boundary", "A2", "--level", "6", "--group", "center"],
+            ["extend", "A1", "--level", "40", "--group", "center"],
+            ["extend", "A2", "--level", "6", "--group", "center"],
+        ],
+        ids=" ".join,
+    )
+    def test_reports_match_the_per_element_encoder(self, argv, fmt):
+        config = config_from_args([*argv, "--format", fmt])
+        result, residuals = cli._HANDLERS[config.construction](config)
+        document = cli._document(config, result, residuals)
+        assert_same_text(_render(document, fmt), render_per_element(document, fmt))
 
     @pytest.mark.parametrize("value", [np.bool_(True), object(), [np.bool_(False)]])
     def test_unencodable_values_are_refused_alike(self, value):
@@ -150,6 +225,10 @@ class TestReportEncoding:
         config = JobConfig("boundary", algebra, level, group="center")
         result, _ = _run_boundary(config)
         assert encode_per_element(result["nhat_nonzero"]) == expected
+
+
+CONJ1 = ["--conjecture", "1"]
+CONJ2 = ["--conjecture", "2", "--shift", "1"]
 
 
 class TestJobConfigValidation:
@@ -209,6 +288,48 @@ class TestJobConfigValidation:
         doc, status = run_json(["trace", "A1", "--level", "4", *options])
         assert status == EXIT_PARSE
         assert doc["error"]["code"] == "parse-error"
+
+    def test_negative_genus_is_rejected(self, monkeypatch):
+        config = JobConfig(
+            construction="trace", algebra="A1", level=4, conjecture=1, insertions=(2, 2), genus=-1
+        )
+        with pytest.raises(PreconditionError, match="genus"):
+            config.validate()
+
+        def no_theory(*args, **kwargs):
+            raise AssertionError("a rejected job must not build its theory")
+
+        monkeypatch.setattr(cli, "modular_data", no_theory)
+        doc, status = run_json(
+            ["trace", "A1", "--level", "4", "--conjecture", "1", "--insertions", "2,2", "--genus", "-1"]
+        )
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ([*CONJ1, "--insertions", "2,2", "--tuple", "4,0"], "product"),
+            ([*CONJ1, "--insertions", "2,2", "--tuple", "1,1"], "slot 0: label 1 is not a simple current"),
+            ([*CONJ1, "--insertions", "2,2", "--tuple", "0,1"], "slot 1: label 1 is not a simple current"),
+            ([*CONJ1, "--insertions", "1,1", "--tuple", "4,4"], "slot 0: current 4 does not fix insertion 1"),
+            ([*CONJ1, "--insertions", "2,1", "--tuple", "4,4"], "slot 1: current 4 does not fix insertion 1"),
+            ([*CONJ1, "--insertions", "2,9", "--tuple", "0,0"], "--insertions slot 1"),
+            ([*CONJ1, "--insertions=-1,2"], "--insertions slot 0"),
+            ([*CONJ2, "--insertions", "2,2,99"], "--insertions slot 2"),
+            ([*CONJ2, "--insertions=2,2,-1"], "--insertions slot 2"),
+        ],
+    )
+    def test_bad_trace_inputs_are_rejected_before_the_spectrum(self, options, message, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("a rejected input must not reach the spectrum")
+
+        monkeypatch.setattr(cli, "fourier_eigendims", no_spectrum)
+        monkeypatch.setattr(cli, "conjecture2_trace", no_spectrum)
+        doc, status = run_json(["trace", "A1", "--level", "4", *options])
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+        assert message in doc["error"]["message"]
 
     def test_sweep_needs_an_ordered_range(self):
         config = JobConfig(construction="sweep", algebra="A1", levels=(4, 2))
