@@ -1,18 +1,13 @@
 """Chiral block counts, current-symmetry traces on block spaces, and checks.
 
-The rank of a block space is the Verlinde-type sum over primaries; a tuple of
-simple currents multiplying to the identity acts on the space, and its trace
-replaces each S factor by the fixed-point matrix of the corresponding
-current.  Fourier transforming the traces over the subgroup with trivial
-relative cocycle yields candidate eigenspace dimensions, which must be
-non-negative integers.  That subgroup is found by comparing every pair of
-admissible tuples in both directions against one cocycle table per distinct
-insertion label: O(m |adm|^2) products in O(m |adm|) memory for m
-insertions.  Its characters are built by extension, O(|G|^2) exponents, and
-the Fourier sum is one product of the |G| x |G| table of conjugated
-character values with the trace vector.  The trace factorization check
-glues its two factors by two matrix-vector products with the glue current's
-S^J and its conjugate.
+A block-space rank is exact: (e_0 N_mu1 ... N_mum H^g)_0 over the verified
+integer fusion tensor N and its handle matrix H.  The trace of a current
+tuple is one float slot-product sum with each slot's S row replaced by its
+current's fixed-point row; the identity tuple's trace is the rank.  The
+untwisted tuples (found pairwise against one cocycle table per insertion
+label, O(m |adm|^2) products) form a group whose characters are built by
+extension; one product of its conjugated character table with the other
+traces gives integers X_chi and the dimensions (rank + X_chi) / |G|.
 
 The module also carries an exact validator for the multi-shift automorphism
 of the affine sl(2) loop algebra, built on truncated Laurent series over the
@@ -29,13 +24,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .affine import ModularData
-from .errors import (
-    ConjectureViolation,
-    IntegralityError,
-    PreconditionError,
-    UnsupportedFolding,
-)
-from .fusion import SimpleCurrentGroup
+from .errors import ConjectureViolation, PreconditionError, UnsupportedFolding
+from .fusion import SimpleCurrentGroup, verlinde_tensor
 from .simplecurrent import SJCache, _cocycle_table, _untwisted_rows, abelian_characters
 
 __all__ = [
@@ -55,24 +45,40 @@ __all__ = [
 ]
 
 
-def block_rank(
-    md: ModularData, genus: int, insertions: Sequence[int], tol: float = 1e-6
-) -> int:
-    """Dimension of the space of chiral blocks at the given genus."""
-    s = md.smatrix
-    m = len(insertions)
-    weight = np.abs(s[0]) ** (2 - 2 * genus) * s[0] ** (-m)
-    prod = np.ones(md.dim, dtype=complex)
-    for mu in insertions:
-        prod = prod * s[mu]
-    value = (weight * prod).sum()
-    rank = round(value.real)
-    residual = abs(value - rank)
-    if residual > tol or rank < 0:
-        raise IntegralityError(
-            "block rank", complex(value), float(residual), tuple(md.labels[i] for i in insertions)
-        )
-    return rank
+def _handle_matrix(tensor: np.ndarray) -> np.ndarray:
+    """H = sum_nu N_nu N_nu^T by one float64 BLAS product per nu: exact, as all
+    terms are non-negative integers, unless an entry reads >= 2**53 after
+    rounding; then H is summed again over Python ints."""
+    h = sum(f @ f.T for f in (row.astype(float) for row in tensor))
+    if h.max() < 2.0**53:
+        return h.astype(np.int64)
+    return sum(f @ f.T for f in (row.astype(object) for row in tensor))
+
+
+def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
+    """Dimension of the space of chiral blocks at the given genus, exactly.
+
+    It is (e_0 N_mu1 ... N_mum H^g)_0 with N_mu[b, c] = N_{mu b}^c and the
+    handle matrix H: a row vector from the vacuum, O(n^2) per factor.  No
+    factor has a zero row (quantum dimensions are positive), so the vector's
+    sum never falls and bounds every entry and partial sum; float64 is exact
+    while it stays below 2**53, and past that the product is redone over
+    Python ints.
+    """
+    if genus < 0:
+        raise PreconditionError(f"genus must be non-negative, not {genus}")
+    tensor = verlinde_tensor(md)
+    factors = [tensor[mu] for mu in insertions]
+    if genus:
+        factors += [md._derived("handle", lambda md: _handle_matrix(verlinde_tensor(md)))] * genus
+    for dtype in (float, object):
+        v = np.zeros(md.dim, dtype)
+        v[md.vacuum] = 1
+        for f in factors:
+            v = v @ (f if dtype is float else f.astype(object))
+        if v.sum() < 2.0**53:
+            break
+    return int(v[md.vacuum])
 
 
 def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
@@ -113,7 +119,13 @@ def untwisted_tuples(
     evaluations each).  Comparing every pair in both directions costs
     O(m |adm|^2) products in O(m |adm|) memory.
     """
-    sj = sj or SJCache(md)
+    return _tuple_sets(md, group, insertions, sj or SJCache(md), tol)[1]
+
+
+def _tuple_sets(
+    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int], sj: SJCache, tol=1e-8
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The admissible tuples and their untwisted subset, each found once."""
     adm = admissible_tuples(md, group, insertions)
     stabs = {mu: group.stabilizer(mu) for mu in insertions}
     tables = {mu: _cocycle_table(md, group, mu, stab, sj, tol) for mu, stab in stabs.items()}
@@ -121,7 +133,15 @@ def untwisted_tuples(
         [[stabs[mu].index(ts) for ts, mu in zip(t, insertions)] for t in adm], dtype=np.intp
     )
     keep = _untwisted_rows([tables[mu] for mu in insertions], rows, tol)
-    return [adm[i] for i in keep]
+    return adm, [adm[i] for i in keep]
+
+
+def _slot_sum(weight: np.ndarray, factors: Iterable[np.ndarray]):
+    """sum_k weight[..., k] prod_s factors[s][k]; a weight matrix gives one sum per row."""
+    prod = np.ones(weight.shape[-1], dtype=complex)
+    for x in factors:
+        prod = prod * x
+    return (weight * prod).sum(-1)
 
 
 def symmetry_trace(
@@ -132,19 +152,16 @@ def symmetry_trace(
     genus: int = 0,
     sj: SJCache | None = None,
 ) -> complex:
-    """Trace of one current tuple on the block space.
+    """Trace of one current tuple on the block space, as a float sum.
 
     Each slot contributes the zero-extended fixed-point S matrix of its
-    current; the all-identity tuple reproduces the rank sum.
+    current, weighted by |S_0k|^(2-2g) S_0k^(-m); the all-identity tuple
+    gives the rank, which ``block_rank`` reads exactly instead.
     """
     sj = sj or SJCache(md)
-    s = md.smatrix
-    m = len(insertions)
-    weight = np.abs(s[0]) ** (2 - 2 * genus) * s[0] ** (-m)
-    prod = np.ones(md.dim, dtype=complex)
-    for mu, ts in zip(insertions, t):
-        prod = prod * sj[ts].full()[mu]
-    return complex((weight * prod).sum())
+    s0 = md.smatrix[0]
+    weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
+    return complex(_slot_sum(weight, (sj[ts].full()[mu] for mu, ts in zip(insertions, t))))
 
 
 @dataclass(eq=False)
@@ -170,30 +187,32 @@ def fourier_eigendims(
 ) -> TraceSpectrum:
     """Eigenspace dimensions of the untwisted tuple action on a block space.
 
-    Characters of the untwisted tuple group pair with the traces; every
-    resulting dimension must round to a non-negative integer, otherwise a
-    ConjectureViolation carrying the full report is raised.
+    The identity tuple's trace is the exact rank.  For each character chi,
+    X_chi = sum over the other tuples of conj(chi(t)) T(t) must lie within
+    ``tol`` of an integer and (rank + X_chi) / |G| must be a non-negative
+    integer; otherwise a ConjectureViolation carrying the report is raised.
     """
     sj = sj or SJCache(md)
     insertions = tuple(insertions)
     rank = block_rank(md, genus, insertions)
-    adm = admissible_tuples(md, group, insertions)
-    unt = untwisted_tuples(md, group, insertions, sj)
+    adm, unt = _tuple_sets(md, group, insertions, sj)
 
     def compose_tuples(a, b):
         return tuple(group.compose(x, y) for x, y in zip(a, b))
 
     ident = (md.vacuum,) * len(insertions)
-    traces = {t: symmetry_trace(md, group, insertions, t, genus, sj) for t in unt}
+    traces = {t: symmetry_trace(md, group, insertions, t, genus, sj) for t in unt if t != ident}
+    traces = {ident: complex(rank), **traces}
     chars = abelian_characters(unt, compose_tuples, ident)
     order = sorted(unt)
     keys = [tuple(char[t] for t in order) for char in chars]
     conjugated = np.exp(-2j * np.pi * np.array(keys, dtype=float))
-    values = conjugated @ np.array([traces[t] for t in order]) / len(unt)
+    others = conjugated @ np.array([0j if t == ident else traces[t] for t in order])
     dims: dict[tuple, int] = {}
-    for char, key, val in zip(chars, keys, values):
-        rounded = round(val.real)
-        if abs(val - rounded) > tol or rounded < 0:
+    for char, key, x in zip(chars, keys, others):
+        rounded = round(x.real)
+        dim, rest = divmod(rank + rounded, len(unt))
+        if abs(x - rounded) > tol or rest or dim < 0:
             raise ConjectureViolation(
                 "eigenspace dimension is not a non-negative integer",
                 report={
@@ -202,25 +221,16 @@ def fourier_eigendims(
                     "rank": rank,
                     "traces": {str(t): traces[t] for t in unt},
                     "character": {str(k): str(v) for k, v in char.items()},
-                    "value": complex(val),
+                    "value": complex((rank + x) / len(unt)),
                 },
             )
-        dims[key] = rounded
-    spectrum = TraceSpectrum(
-        insertions=insertions,
-        genus=genus,
-        rank=rank,
-        admissible=tuple(adm),
-        untwisted=tuple(unt),
-        traces=traces,
-        dims=dims,
-    )
-    if sum(dims.values()) != round(traces[ident].real):
+        dims[key] = dim
+    if sum(dims.values()) != rank:
         raise ConjectureViolation(
             "eigenspace dimensions do not sum to the identity trace",
             report={"dims": dims, "identity_trace": traces[ident]},
         )
-    return spectrum
+    return TraceSpectrum(insertions, genus, rank, tuple(adm), tuple(unt), traces, dims)
 
 
 def fix_compatible(
@@ -280,17 +290,15 @@ def trace_factorization_check(
         )
     lhs = symmetry_trace(md, group, insertions, t, 0, sj)
     s0 = md.smatrix[0]
-
-    def factor(slots, currents, weight):
-        for mu, ts in zip(slots, currents):
-            weight = weight * sj[ts].full()[mu]
-        return weight
-
-    left = factor(insertions[:split], t[:split], s0 ** (1 - split))
-    right = factor(insertions[split:], t[split:], s0 ** (1 - len(insertions) + split))
     glue_full = sj[glue].full()
-    rhs = ((glue_full @ left) * (glue_full.conj() @ right)).sum()
-    return complex(lhs), complex(rhs)
+
+    def factor(slots, currents, channel):
+        weight = channel * s0 ** (1 - len(slots))  # the glued channel is one more slot
+        return _slot_sum(weight, (sj[ts].full()[mu] for mu, ts in zip(slots, currents)))
+
+    left = factor(insertions[:split], t[:split], glue_full)
+    right = factor(insertions[split:], t[split:], glue_full.conj())
+    return complex(lhs), complex((left * right).sum())
 
 
 @dataclass(frozen=True)

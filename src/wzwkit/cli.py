@@ -593,7 +593,9 @@ def _run_trace(config: JobConfig):
                 for key, dim in sorted(spectrum.dims.items())
             },
         }
-        if config.current_tuple is not None:
+        if config.current_tuple in spectrum.traces:
+            result["tuple_trace"] = spectrum.traces[config.current_tuple]
+        elif config.current_tuple is not None:
             result["tuple_trace"] = symmetry_trace(
                 md, group, config.insertions, config.current_tuple, config.genus
             )

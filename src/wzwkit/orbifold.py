@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .affine import ModularData, verify_modular_invariants
-from .blocks import block_rank
+from .blocks import _slot_sum, block_rank
 from .errors import (
     ConjectureViolation,
     InvariantViolation,
@@ -357,10 +357,10 @@ def conjecture2_trace(
     """Trace of the order-2 symmetry on a genus-zero block space.
 
     The sum runs over twisted labels with the twining matrix in place of S;
-    the two eigenspace dimensions (rank +- trace)/2 must be non-negative
-    integers, otherwise a ConjectureViolation is raised.  ``orientation``
-    selects which index of the twining matrix is summed, the two choices
-    being transposes of each other.
+    the trace must lie within ``tol`` of an integer T, and (rank +- T)/2 must
+    be non-negative integers, otherwise a ConjectureViolation is raised.
+    ``orientation`` selects which index of the twining matrix is summed, the
+    two choices being transposes of each other.
     """
     md = oin.md
     fixed_pos = {lab: pos for pos, lab in enumerate(oin.fixed)}
@@ -373,37 +373,26 @@ def conjecture2_trace(
         raise PreconditionError("vacuum is not a fixed point")
     s0 = oin.s0 if orientation >= 0 else oin.s0.T
     vac_col = s0[:, fixed_pos[md.vacuum]]
-    value = 0.0 + 0.0j
-    for kdot in range(len(oin.fixed)):
-        if abs(vac_col[kdot]) < 1e-14:
-            continue
-        term = abs(vac_col[kdot]) ** 2
-        for mu in insertions:
-            term = term * s0[kdot, fixed_pos[mu]] / vac_col[kdot]
-        value += term
+    kept = np.abs(vac_col) >= 1e-14
+    vac = vac_col[kept]
+    weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
+    value = complex(_slot_sum(weight, (s0[kept, fixed_pos[mu]] for mu in insertions)))
     rank = block_rank(md, 0, insertions)
-    dplus = (rank + value) / 2
-    dminus = (rank - value) / 2
+    rounded = round(value.real)
     out = []
-    for name, d in (("+", dplus), ("-", dminus)):
-        r = round(d.real)
-        if abs(d - r) > tol or r < 0:
+    for name, sign in (("+", 1), ("-", -1)):
+        dim, odd = divmod(rank + sign * rounded, 2)
+        if abs(value - rounded) > tol or odd or dim < 0:
             raise ConjectureViolation(
                 "orbifold eigenspace dimension is not a non-negative integer",
                 report={
                     "insertions": tuple(md.labels[i] for i in insertions),
-                    "trace": complex(value),
+                    "trace": value,
                     "rank": rank,
                     "eigenvalue": name,
-                    "dimension": complex(d),
+                    "dimension": complex((rank + sign * value) / 2),
                     "orientation": orientation,
                 },
             )
-        out.append(r)
-    return Conjecture2Result(
-        trace=complex(value),
-        rank=rank,
-        dim_plus=out[0],
-        dim_minus=out[1],
-        orientation=orientation,
-    )
+        out.append(dim)
+    return Conjecture2Result(value, rank, *out, orientation)

@@ -27,7 +27,7 @@ from wzwkit.blocks import (
     trace_factorization_check,
     untwisted_tuples,
 )
-from wzwkit.errors import PreconditionError, UnsupportedFolding
+from wzwkit.errors import ConjectureViolation, PreconditionError, UnsupportedFolding
 from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.simplecurrent import (
@@ -131,7 +131,54 @@ def glued_loop(md, insertions, split, t, glue, sj):
     return complex(rhs)
 
 
+SWEEP = tuple(("A1", k) for k in range(2, 9)) + tuple(("A2", k) for k in range(1, 5))
+
+
+def float_rank_sum(md, genus, insertions):
+    """Reference for ``block_rank``: the Verlinde-type float sum
+    sum_k |S_0k|^(2-2g) S_0k^(-m) prod_s S_(mu_s) k."""
+    s = md.smatrix
+    value = np.abs(s[0]) ** (2 - 2 * genus) * s[0] ** (-len(insertions))
+    for mu in insertions:
+        value = value * s[mu]
+    return complex(value.sum())
+
+
 class TestBlockRank:
+    @pytest.mark.parametrize("algebra,level", SWEEP)
+    def test_matches_the_float_sum(self, algebra, level):
+        md = modular_data(algebra, level)
+        for genus in range(3):
+            for m in range(4):
+                for insertions in itertools.combinations_with_replacement(range(md.dim), m):
+                    rank = block_rank(md, genus, insertions)
+                    assert type(rank) is int
+                    assert abs(float_rank_sum(md, genus, insertions) - rank) < 1e-6
+
+    def test_exact_past_float_precision(self):
+        md = modular_data("A1", 10)
+        # The float sum gives 5953562257340854435840 here.
+        assert block_rank(md, 12, ()) == 5953562257340934117376
+        assert block_rank(md, 12, (5, 5)) == 88875941870257607540736
+        assert block_rank(md, 8, (5, 5)) == 1380858267893760
+        assert block_rank(modular_data("A1", 4), 10, (2, 2)) == 41278262499
+
+    def test_negative_genus_is_a_precondition(self):
+        md = modular_data("A1", 4)
+        for genus, insertions in [(-1, ()), (-2, (2, 2))]:
+            with pytest.raises(PreconditionError, match="genus"):
+                block_rank(md, genus, insertions)
+
+    def test_handle_matrix_is_exact_on_both_sides_of_two_to_the_53(self):
+        tensor = verlinde_tensor(modular_data("A2", 3))
+        handle = blocks._handle_matrix(tensor)
+        assert handle.dtype == np.int64
+        assert np.array_equal(handle, np.einsum("nbd,ncd->bc", tensor, tensor))
+        big = np.array([[[2**27, 1], [0, 2**27]], [[1, 0], [2**27, 2**27]]], dtype=np.int64)
+        exact = blocks._handle_matrix(big)
+        assert exact.dtype == object
+        assert exact.tolist() == [[2**54 + 2, 2**28], [2**28, 3 * 2**54]]
+
     def test_genus_zero_triples_are_fusion_coefficients(self):
         md = modular_data("A1", 3)
         n = verlinde_tensor(md)
@@ -346,6 +393,23 @@ class TestEigendims:
         assert sorted(spec3.dims.values()) == [0, 1]
         spec4 = fourier_eigendims(md, g, (3, 3, 3, 3))
         assert sorted(spec4.dims.values()) == [0, 4]
+
+    def test_identity_trace_is_the_exact_rank(self):
+        md, g = setup_theory(4)
+        spec = fourier_eigendims(md, g, (2, 2), genus=10)
+        assert spec.rank == 41278262499
+        assert spec.traces[(0, 0)] == complex(spec.rank)
+        assert sum(spec.dims.values()) == spec.rank
+
+    def test_dims_must_divide_exactly(self, monkeypatch):
+        # rank 9 with the other trace moved from -3 to -2: (9 - 2) / 2 is no integer
+        md, g = setup_theory(4)
+        exact = blocks.symmetry_trace
+        monkeypatch.setattr(blocks, "symmetry_trace", lambda *args: exact(*args) + 1)
+        with pytest.raises(ConjectureViolation, match="not a non-negative integer") as err:
+            fourier_eigendims(md, g, (2, 2), genus=1)
+        assert err.value.report["rank"] == 9
+        assert err.value.report["value"] == pytest.approx(3.5)
 
     def test_su3_level3_fixed_point_tuple(self):
         md = modular_data("A2", 3)

@@ -538,6 +538,53 @@ class TestSingleConstructions:
         assert first == second
 
 
+class TestExactRanks:
+    """Block ranks past float precision, through the trace construction."""
+
+    @pytest.mark.parametrize(
+        "level,insertions,genus,rank,dims",
+        [
+            (10, "5,5", 8, 1380858267893760, [690429134786688, 690429133107072]),
+            (4, "2,2", 10, 41278262499, [20639101725, 20639160774]),
+        ],
+    )
+    def test_rank_and_dims_are_exact(self, level, insertions, genus, rank, dims):
+        doc, status = run_json(
+            ["trace", "A1", "--level", str(level), "--conjecture", "1",
+             "--insertions", insertions, "--genus", str(genus)]
+        )
+        assert status == EXIT_OK
+        assert doc["result"]["rank"] == rank
+        assert list(doc["result"]["dims"].values()) == dims
+
+    @pytest.mark.parametrize("current_tuple,trace", [((0, 0), [9.0, 0.0]), ((4, 4), [-3.0, 0.0])])
+    def test_tuple_trace_of_an_untwisted_tuple_is_its_spectrum_entry(self, current_tuple, trace):
+        doc, status = run_json(
+            ["trace", "A1", "--level", "4", "--conjecture", "1", "--insertions", "2,2",
+             "--genus", "1", "--tuple", ",".join(map(str, current_tuple))]
+        )
+        assert status == EXIT_OK
+        result = doc["result"]
+        assert result["tuple_trace"] == result["traces"][str(current_tuple)]
+        assert result["tuple_trace"] == pytest.approx(trace, abs=1e-9)
+
+    def test_never_reports_wrong_dims_past_the_trace_precision(self):
+        doc, status = run_json(
+            ["trace", "A1", "--level", "10", "--conjecture", "1",
+             "--insertions", "5,5", "--genus", "12"]
+        )
+        rank = 88875941870257607540736
+        if status == EXIT_OK:
+            assert doc["result"]["rank"] == rank
+            assert sorted(doc["result"]["dims"].values()) == sorted(
+                [(rank + 2176782336) // 2, (rank - 2176782336) // 2]
+            )
+        else:
+            assert status == EXIT_INVARIANT
+            assert doc["error"]["code"] == "conjecture-failure"
+            assert doc["error"]["report"]["rank"] == rank
+
+
 class TestFailureReports:
     def test_cap_exceeded_has_code_and_no_partial_result(self):
         doc, status = run_json(

@@ -334,6 +334,22 @@ class TestConjectureTwo:
         with pytest.raises(ConjectureViolation):
             conjecture2_trace(oin, (2, 2, 2))
 
+    def test_trace_of_the_wrong_parity_raises(self):
+        # The rank of (0, 2, 2) in the Z4 fusion ring is 1, and the trace is 0.
+        md = modular_data("A3", 1)
+        oin = outer_orbifold_input(
+            md,
+            (0, 3, 2, 1),
+            s0=np.eye(2),
+            t1_exponents=(Q(0), Q(0)),
+            t0_exponents=(Q(0), Q(0)),
+        )
+        with pytest.raises(ConjectureViolation) as err:
+            conjecture2_trace(oin, (0, 2, 2))
+        report = err.value.report
+        assert (report["rank"], report["trace"], report["eigenvalue"]) == (1, 0, "+")
+        assert report["dimension"] == 0.5
+
 
 class TestBlockAssembly:
     @pytest.mark.parametrize(
