@@ -62,22 +62,33 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     handle matrix H: a row vector from the vacuum, O(n^2) per factor.  No
     factor has a zero row (quantum dimensions are positive), so the vector's
     sum never falls and bounds every entry and partial sum; float64 is exact
-    while it stays below 2**53, and past that the product is redone over
+    while it stays below 2**53 (an entry of H that rounds in its float copy
+    is itself past that bound), and past that the product is redone over
     Python ints.
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
     tensor = verlinde_tensor(md)
-    factors = [tensor[mu] for mu in insertions]
-    if genus:
-        factors += [md._derived("handle", lambda md: _handle_matrix(verlinde_tensor(md)))] * genus
-    for dtype in (float, object):
-        v = np.zeros(md.dim, dtype)
+    keys = list(insertions) + [None] * genus
+
+    def factor(key: int | None) -> np.ndarray:  # N_mu, or H under None
+        if key is None:
+            return md._derived("handle", lambda md: _handle_matrix(tensor))
+        return tensor[key]
+
+    # float64 copies of only the factors that ranks use, made once per S matrix
+    floats = md._derived("float_factors", lambda md: {})
+    v = np.zeros(md.dim)
+    v[md.vacuum] = 1
+    for key in keys:
+        if (f := floats.get(key)) is None:
+            f = floats[key] = factor(key).astype(float)
+        v = v @ f
+    if v.sum() >= 2.0**53:
+        v = np.zeros(md.dim, object)
         v[md.vacuum] = 1
-        for f in factors:
-            v = v @ (f if dtype is float else f.astype(object))
-        if v.sum() < 2.0**53:
-            break
+        for key in keys:
+            v = v @ factor(key).astype(object)
     return int(v[md.vacuum])
 
 

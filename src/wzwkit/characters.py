@@ -4,10 +4,11 @@ This module computes characters as explicit truncated q-series: Verma
 module characters (a pure product formula, evaluated as an integer
 convolution), twining characters of diagram automorphisms (a graded
 trace over a signed permutation basis, evaluated twice by independent
-methods and cross-checked), irreducible affine characters for rank one
-(a bivariate Weyl-Kac quotient computed by exact grade-by-grade
-division), and a numeric check that the irreducible characters
-transform under the S-matrix at the self-dual point tau = i.
+methods and cross-checked), irreducible affine characters of every
+algebra (the Weyl-Kac sum over the coroot lattice, its vectors
+enumerated by norm), and a numeric check that the irreducible
+characters transform under the S-matrix at the pairs (tau, -1/tau) =
+(i, i) and (1.25i, 0.8i).
 
 Everything upstream of the final numeric evaluation is exact integer
 or rational arithmetic, so a failed consistency check points at a
@@ -17,6 +18,7 @@ wrong formula rather than at round-off.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Sequence
@@ -30,7 +32,7 @@ from .errors import (
     PreconditionError,
     UnsupportedFolding,
 )
-from .liealg import build_algebra
+from .liealg import _root_closure, build_algebra
 
 __all__ = [
     "QSeries",
@@ -368,126 +370,106 @@ def orbit_verma_character(
 
 
 # ---------------------------------------------------------------------------
-# Irreducible characters for A1 via the bivariate Weyl-Kac quotient.
+# Irreducible characters from the Weyl-Kac sum over the coroot lattice.
 # ---------------------------------------------------------------------------
 
 
-def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+def _coroot_ball(gram: np.ndarray, shift: np.ndarray, kappa: int, grade: int) -> np.ndarray:
+    """Every n in Z^r with shift.n + kappa n.G.n / 2 <= grade, found by norm.
 
-
-def _divide_antisymmetric(poly: dict[int, int]) -> dict[int, int]:
-    """Divide an antisymmetric Laurent polynomial by (y - 1/y) exactly.
-
-    Uses (y^e - y^-e) / (y - 1/y) = y^{e-1} + y^{e-3} + ... + y^{1-e}.
-    A symmetric defect means the numerator was not divisible, which
-    signals an inconsistent grade in the character quotient.
+    Completing the square turns the condition into the ball
+    |n - c|_G^2 <= 2 grade / kappa + |c|_G^2 around c = -G^{-1} shift / kappa.
+    With G = R^T R (R upper triangular) the squared norm is a sum of squares
+    whose i-th term involves only n_i .. n_{r-1}, so the coordinates are
+    walked from last to first, each over the interval its partial sum leaves
+    (Fincke-Pohst).  The float bounds carry a margin: the caller keeps a
+    vector by its exact integer exponent.
     """
-    out: dict[int, int] = {}
-    for e, c in poly.items():
-        if c == 0:
-            continue
-        if poly.get(-e, 0) != -c:
-            raise InternalConsistencyError(
-                "character numerator is not divisible by the Weyl denominator"
-            )
-        if e <= 0:
-            continue
-        for i in range(e):
-            key = e - 1 - 2 * i
-            out[key] = out.get(key, 0) + c
-    return {e: c for e, c in out.items() if c}
+    g = gram.astype(float)
+    centre = -np.linalg.solve(g, shift) / kappa
+    budget = (2 * grade / kappa + centre @ g @ centre) * (1 + 1e-9) + 1e-9
+    upper = np.linalg.cholesky(g).T
+    found = []
 
+    def walk(i: int, tail: tuple, rest: float) -> None:
+        if i < 0:
+            found.append(tail)
+            return
+        d = upper[i, i]
+        mid = centre[i] - upper[i, i + 1 :] @ (np.array(tail) - centre[i + 1 :]) / d
+        half = math.sqrt(max(rest, 0.0)) / d
+        for x in range(math.ceil(mid - half), math.floor(mid + half) + 1):
+            walk(i - 1, (x,) + tail, rest - (d * (x - mid)) ** 2)
 
-def _weyl_kac_term(shift: int, ell: int, grade: int) -> dict[int, dict[int, int]]:
-    """Theta-function difference, organised by q-grade.
-
-    Each integer n contributes q^{ell n^2 + shift n} times
-    (y^{2 ell n + shift} - y^{-(2 ell n + shift)}).
-    """
-    out: dict[int, dict[int, int]] = {}
-    bound = int((grade + abs(shift)) ** 0.5) + 2
-    for n in range(-bound, bound + 1):
-        e = ell * n * n + shift * n
-        if e < 0:
-            raise InternalConsistencyError(
-                f"theta exponent {e} negative at n={n}"
-            )
-        if e > grade:
-            continue
-        row = out.setdefault(e, {})
-        top = 2 * ell * n + shift
-        row[top] = row.get(top, 0) + 1
-        row[-top] = row.get(-top, 0) - 1
-    return {e: {k: v for k, v in row.items() if v} for e, row in out.items()}
+    walk(len(shift) - 1, (), budget)
+    return np.array(found, dtype=np.int64)
 
 
 def irreducible_character(
     algebra: str, level: int, weight: Sequence[int], grade: int = 40
 ) -> QSeries:
-    """Irreducible integrable character, rank one only.
+    """Irreducible integrable character of any algebra, in exact integers.
 
-    Computes the Weyl-Kac quotient in the blown-up variable y (with
-    y^2 tracking the weight lattice), dividing the numerator theta
-    difference by the denominator grade by grade.  The division is
-    exact Laurent arithmetic; any nonzero remainder aborts.  The
-    series coefficients are the y = 1 specialisations, which count
-    weight-space dimensions per grade.
+    The Weyl-Kac formula at z = 0 (Kac, ch. 10 and 13): with
+    kappa = k + h^vee and mu = lambda + rho + kappa gamma,
+
+        chi = q^(h - c/24) sum_{gamma in Q^vee} D(mu) q^((lambda+rho, gamma)
+              + kappa |gamma|^2 / 2) prod_{n >= 1} (1 - q^n)^(-dim g),
+
+    where D(mu) = prod_{alpha > 0} (mu, alpha^vee) / (rho, alpha^vee) is the
+    Weyl dimension polynomial.  Q^vee is even, so every exponent is an
+    integer, and D is an integer at integral mu.  The lattice sum runs over
+    the ball of :func:`_coroot_ball`; the product is the Verma coefficient
+    list, so the character is one integer convolution.
     """
-    if algebra != "A1":
-        raise UnsupportedFolding(
-            f"irreducible characters are implemented for A1 only, not {algebra}"
+    alg = build_algebra(algebra)
+    lam = tuple(weight)
+    if len(lam) == alg.rank and (min(lam) < 0 or alg.level_of(lam) > level):
+        raise PreconditionError(f"weight {lam} is not integrable at level {level}")
+    verma = verma_character(algebra, level, lam, grade)
+    kappa = level + alg.dual_coxeter
+    # (alpha_i^vee, alpha_j^vee) = A_ij / (|alpha_i|^2 / 2); positive coroots
+    # in the simple-coroot basis are the positive roots of A^T.
+    gram = np.array([[int(a / ln) for a in row] for row, ln in zip(alg.cartan, alg.root_lengths)])
+    coroots = np.array([a for a, _ in _root_closure(tuple(zip(*alg.cartan))) if max(a) > 0])
+    shift = np.array(lam) + 1
+    ball = _coroot_ball(gram, shift, kappa, grade)
+    exponents = ball @ shift + kappa * np.einsum("vi,ij,vj->v", ball, gram, ball) // 2
+    keep = exponents <= grade
+    pairings = (shift + kappa * ball[keep] @ gram) @ coroots.T
+    numerator = [0] * (grade + 1)
+    for e, row in zip(exponents[keep].tolist(), pairings.tolist()):
+        numerator[e] += math.prod(row)
+    denominator = math.prod(coroots.sum(axis=1).tolist())
+    coeffs = [
+        sum(numerator[e] * verma.coeffs[n - e] for e in range(n + 1))
+        for n in range(grade + 1)
+    ]
+    if any(c % denominator for c in coeffs):
+        raise InternalConsistencyError(
+            "Weyl-Kac sum is not divisible by the Weyl dimension denominator"
         )
-    lam = tuple(weight)[0]
-    if not 0 <= lam <= level:
-        raise PreconditionError(
-            f"weight ({lam},) is not integrable at level {level}"
-        )
-    if grade < 0:
-        raise PreconditionError("grade must be non-negative")
-    exponent = _leading_exponent(algebra, level, weight)
-    numerator = _weyl_kac_term(lam + 1, level + 2, grade)
-    denominator = _weyl_kac_term(1, 2, grade)
-    quotient: list[dict[int, int]] = []
-    for n in range(grade + 1):
-        rhs = dict(numerator.get(n, {}))
-        for j in range(1, n + 1):
-            den_j = denominator.get(j)
-            if not den_j:
-                continue
-            for e, c in _laurent_mul(den_j, quotient[n - j]).items():
-                rhs[e] = rhs.get(e, 0) - c
-        quotient.append(_divide_antisymmetric(rhs))
-    coeffs = tuple(sum(part.values()) for part in quotient)
-    return QSeries(coeffs, exponent)
+    return QSeries(tuple(c // denominator for c in coeffs), verma.exponent)
 
 
 def numeric_modular_check(
     md: ModularData,
     char_supplier: Callable[[int], QSeries] | None = None,
-    tau0: complex = 1j,
     grade: int = 40,
 ) -> dict:
-    """Check that truncated characters are S-covariant at tau = i.
+    """Check that truncated characters transform under S.
 
-    At the self-dual point the character vector must be fixed by the
-    S-matrix, so the residual per label is |chi(i) - (S chi)(i)|.  The
-    T transformation is diagonal on each series by construction and is
-    not rechecked here.  Large residuals are reported, not raised; the
-    caller decides what counts as failure.
+    The residual per label is the largest |chi(-1/tau) - (S chi)(tau)| over
+    the pairs (tau, -1/tau) = (i, i) and (1.25i, 0.8i).  At the self-dual
+    point it is the fixed-point condition S chi = chi, one eigenvector of
+    S; the second pair tests all of S.  The T transformation is diagonal
+    on each series by construction and is not rechecked here.  Large
+    residuals are reported, not raised; the caller decides what counts as
+    failure.  The tail estimate is taken at the smallest Im of the points.
 
-    The default supplier builds rank-one irreducible characters from
-    the modular data's own algebra and level.
+    The default supplier builds the irreducible characters of the modular
+    data's own algebra and level.
     """
-    if tau0 != 1j:
-        raise PreconditionError(
-            "the fixed-point comparison is only meaningful at tau = i"
-        )
     if char_supplier is None:
 
         def char_supplier(index: int) -> QSeries:
@@ -496,17 +478,20 @@ def numeric_modular_check(
             )
 
     chars = [char_supplier(i) for i in range(md.dim)]
-    values = np.array([ch.evaluate(tau0) for ch in chars])
-    transformed = md.smatrix @ values
-    residuals = np.abs(values - transformed)
-    q0 = float(np.exp(-2.0 * np.pi))
-    tail = 0.0
-    for ch in chars:
-        last = abs(float(ch.coeffs[-1])) if ch.coeffs else 0.0
-        tail = max(
-            tail,
-            last * q0 ** (float(ch.exponent) + ch.grade + 1) / (1.0 - q0),
-        )
+    pairs = ((1j, 1j), (1.25j, 0.8j))
+    at = {p: np.array([ch.evaluate(p) for ch in chars]) for pair in pairs for p in pair}
+    residuals = np.max(
+        [np.abs(at[image] - md.smatrix @ at[tau]) for tau, image in pairs], axis=0
+    )
+    q0 = float(np.exp(-2.0 * np.pi * min(p.imag for p in at)))
+    tail = max(
+        (
+            abs(float(ch.coeffs[-1])) * q0 ** (float(ch.exponent) + ch.grade + 1) / (1.0 - q0)
+            for ch in chars
+            if ch.coeffs
+        ),
+        default=0.0,
+    )
     return {
         "grade": grade,
         "residuals": [float(r) for r in residuals],

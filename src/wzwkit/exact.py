@@ -13,17 +13,12 @@ from typing import Sequence
 
 __all__ = [
     "QMatrix",
-    "mat_vec",
     "invert_rational",
     "smith_normal_form",
     "phase_to_complex",
 ]
 
 QMatrix = list[list[Q]]
-
-
-def mat_vec(a: Sequence[Sequence[Q]], v: Sequence[Q]) -> list[Q]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Q(0)) for row in a]
 
 
 def invert_rational(m: Sequence[Sequence]) -> QMatrix:

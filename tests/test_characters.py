@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import cmath
+import math
+import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wzwkit.affine import modular_data
+from wzwkit.affine import integrable_weights, modular_data
 from wzwkit.characters import (
     QSeries,
     _a1_flip_action,
-    _divide_antisymmetric,
     irreducible_character,
     numeric_modular_check,
     orbit_verma_character,
@@ -24,6 +25,101 @@ from wzwkit.errors import (
     PreconditionError,
     UnsupportedFolding,
 )
+from wzwkit.liealg import build_algebra
+
+RANK_LE4 = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2",
+)
+PAIR_SWEEP = tuple((name, level) for name in RANK_LE4 for level in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Test-only A1 oracle: the bivariate Weyl-Kac quotient, in the variable y with
+# y^2 tracking the weight lattice, divided exactly grade by grade.
+# ---------------------------------------------------------------------------
+
+
+def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_antisymmetric(poly: dict[int, int]) -> dict[int, int]:
+    """Divide an antisymmetric Laurent polynomial by (y - 1/y) exactly.
+
+    Uses (y^e - y^-e) / (y - 1/y) = y^{e-1} + y^{e-3} + ... + y^{1-e}.
+    """
+    out: dict[int, int] = {}
+    for e, c in poly.items():
+        if c == 0:
+            continue
+        if poly.get(-e, 0) != -c:
+            raise InternalConsistencyError(
+                "character numerator is not divisible by the Weyl denominator"
+            )
+        if e <= 0:
+            continue
+        for i in range(e):
+            key = e - 1 - 2 * i
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _weyl_kac_term(shift: int, ell: int, grade: int) -> dict[int, dict[int, int]]:
+    """Each integer n contributes q^{ell n^2 + shift n} times
+    (y^{2 ell n + shift} - y^{-(2 ell n + shift)})."""
+    out: dict[int, dict[int, int]] = {}
+    bound = int((grade + abs(shift)) ** 0.5) + 2
+    for n in range(-bound, bound + 1):
+        e = ell * n * n + shift * n
+        if e > grade:
+            continue
+        row = out.setdefault(e, {})
+        top = 2 * ell * n + shift
+        row[top] = row.get(top, 0) + 1
+        row[-top] = row.get(-top, 0) - 1
+    return out
+
+
+def _a1_quotient(level: int, lam: int, grade: int) -> tuple[int, ...]:
+    numerator = _weyl_kac_term(lam + 1, level + 2, grade)
+    denominator = _weyl_kac_term(1, 2, grade)
+    quotient: list[dict[int, int]] = []
+    for n in range(grade + 1):
+        rhs = dict(numerator.get(n, {}))
+        for j in range(1, n + 1):
+            for e, c in _laurent_mul(denominator.get(j, {}), quotient[n - j]).items():
+                rhs[e] = rhs.get(e, 0) - c
+        quotient.append(_divide_antisymmetric(rhs))
+    return tuple(sum(part.values()) for part in quotient)
+
+
+def _e8_level_one(grade: int) -> tuple[int, ...]:
+    """E4 / prod (1 - q^n)^8, with E4 = 1 + 240 sum sigma_3(n) q^n."""
+    coeffs = [1] + [
+        240 * sum(d**3 for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, grade + 1)
+    ]
+    for m in range(1, grade + 1):
+        for _ in range(8):
+            for n in range(m, grade + 1):
+                coeffs[n] += coeffs[n - m]
+    return tuple(coeffs)
+
+
+def _weyl_dimension(algebra: str, weight) -> Q:
+    """prod_{alpha > 0} (lambda + rho, alpha) / (rho, alpha) over the metric."""
+    alg = build_algebra(algebra)
+    rho = (1,) * alg.rank
+    shifted = tuple(x + 1 for x in weight)
+    return math.prod(
+        alg.pairing(shifted, alpha) / alg.pairing(rho, alpha)
+        for alpha in alg.positive_roots_omega
+    )
 
 
 class TestQSeries:
@@ -182,13 +278,47 @@ class TestIrreducibleCharacter:
             for tight, loose in zip(irr.coeffs, verma.coeffs):
                 assert 0 < tight <= (lam + 1) * loose
 
-    def test_rejects_other_algebras(self):
-        with pytest.raises(UnsupportedFolding):
-            irreducible_character("A2", 1, (0, 0), grade=4)
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_matches_the_a1_quotient_oracle(self, level):
+        for lam in range(level + 1):
+            series = irreducible_character("A1", level, (lam,), grade=40)
+            assert series.coeffs == _a1_quotient(level, lam, 40)
+
+    def test_e8_level_one_is_e4_over_eta8(self):
+        series = irreducible_character("E8", 1, (0,) * 8, grade=12)
+        assert series.coeffs == _e8_level_one(12)
+        assert series.exponent == Q(-1, 3)
+
+    def test_e8_level_two(self):
+        alg = build_algebra("E8")
+        leading = {
+            irreducible_character("E8", 2, lab, grade=0).coeffs[0]
+            for lab in integrable_weights(alg, 2)
+        }
+        assert leading == {1, 248, 3875}
+        vacuum = irreducible_character("E8", 2, (0,) * 8, grade=2)
+        assert vacuum.coeffs == (1, 248, 31124)
+
+    @pytest.mark.parametrize("algebra,level", PAIR_SWEEP)
+    def test_leading_coefficient_is_the_weyl_dimension(self, algebra, level):
+        for lab in integrable_weights(build_algebra(algebra), level):
+            series = irreducible_character(algebra, level, lab, grade=0)
+            assert series.coeffs[0] == _weyl_dimension(algebra, lab)
 
     def test_rejects_non_integrable_weight(self):
-        with pytest.raises(PreconditionError):
-            irreducible_character("A1", 2, (3,), grade=4)
+        cases = [
+            ("A1", 2, (3,)),
+            ("A2", 2, (-1, 1)),
+            ("A2", 2, (2, 1)),
+            ("G2", 2, (0, -1)),
+            ("G2", 1, (0, 1)),
+            ("G2", 2, (1, 1)),
+        ]
+        for algebra, level, weight in cases:
+            alg = build_algebra(algebra)
+            assert min(weight) < 0 or alg.level_of(weight) > level
+            with pytest.raises(PreconditionError):
+                irreducible_character(algebra, level, weight, grade=4)
 
 
 class TestAntisymmetricDivision:
@@ -217,10 +347,28 @@ class TestNumericModularCheck:
         assert report["tail_estimate"] < 1e-10
         assert len(report["residuals"]) == md.dim
 
-    def test_rejects_other_base_points(self):
-        md = modular_data("A1", 1)
-        with pytest.raises(PreconditionError):
-            numeric_modular_check(md, tau0=2j)
+    def test_pair_residuals_vanish_up_to_rank_four(self):
+        start = time.monotonic()
+        for algebra, level in PAIR_SWEEP:
+            report = numeric_modular_check(modular_data(algebra, level), grade=12)
+            assert report["max_residual"] < 1e-10, (algebra, level)
+            assert report["tail_estimate"] < 1e-10
+        assert time.monotonic() - start < 10
+
+    def test_second_pair_sees_more_than_the_fixed_point(self):
+        # A common factor q^(1/2) keeps the vector at tau = i fixed by S, so
+        # the self-dual comparison alone passes it; the pair (1.25i, 0.8i)
+        # sees that the shifted series no longer transform.
+        md = modular_data("A1", 2)
+
+        def shifted(index):
+            series = irreducible_character("A1", 2, md.labels[index], grade=20)
+            return QSeries(series.coeffs, series.exponent + Q(1, 2))
+
+        at_i = [shifted(i).evaluate(1j) for i in range(md.dim)]
+        assert max(abs(at_i - md.smatrix @ at_i)) < 1e-12
+        report = numeric_modular_check(md, char_supplier=shifted, grade=20)
+        assert report["max_residual"] > 1e-3
 
     def test_custom_supplier_reports_without_raising(self):
         md = modular_data("A1", 1)
