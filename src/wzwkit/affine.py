@@ -82,11 +82,13 @@ class ModularData:
 
     ``labels[0]`` is always the vacuum.  ``smatrix`` is unitary and symmetric
     with a positive real vacuum row; ``delta`` and ``central_charge`` are
-    exact.  ``sj_provider``, when set, maps a simple-current label to its
-    fixed-point S matrix (used by the trace and extension machinery).
+    exact.  ``factors`` is set on a tensor product to its two factor theories
+    (labels are pairs in factor order), from which its fixed-point S matrices
+    are built.
 
     Quantities derived from S are computed once per S array: assigning a new
-    ``smatrix`` recomputes them, and the array they came from is made read-only.
+    ``smatrix``, ``delta`` or ``central_charge`` recomputes them, and the array
+    they came from is made read-only.
     """
 
     algebra: str
@@ -95,7 +97,7 @@ class ModularData:
     smatrix: np.ndarray
     delta: tuple[Q, ...]
     central_charge: Q
-    sj_provider: Callable | None = None
+    factors: tuple["ModularData", "ModularData"] | None = None
     _index: dict = field(default=None, repr=False)
     _memo: tuple = field(default=None, init=False, repr=False)
 
@@ -109,11 +111,16 @@ class ModularData:
 
     def _derived(self, name: str, compute: Callable[["ModularData"], object]):
         """``compute(self)``, memoized for the current S matrix and T data."""
-        key = (self.smatrix, self.delta, self.central_charge)
-        if self._memo is None or any(a is not b for a, b in zip(self._memo[0], key)):
+        memo = self._memo
+        if (
+            memo is None
+            or memo[0] is not self.smatrix
+            or memo[1] is not self.delta
+            or memo[2] is not self.central_charge
+        ):
             self.smatrix.flags.writeable = False
-            self._memo = (key, {})
-        values = self._memo[1]
+            memo = self._memo = (self.smatrix, self.delta, self.central_charge, {})
+        values = memo[3]
         if name not in values:
             values[name] = compute(self)
         return values[name]
@@ -213,7 +220,6 @@ def modular_data(
     cache_dir: str | Path | None = None,
     weyl_cap: int = 200000,
     tol: float = 1e-9,
-    attach_sj: bool = True,
 ) -> ModularData:
     """Compute (or load from cache) verified modular data for one affine theory."""
     alg = build_algebra(algebra)
@@ -236,14 +242,6 @@ def modular_data(
             save_modular_data(md, cache_dir)
     else:
         verify_modular_invariants(md, tol)
-    if attach_sj and md.sj_provider is None:
-
-        def _provider(current, _md=md):
-            from .simplecurrent import fixed_point_smatrix
-
-            return fixed_point_smatrix(_md, current)
-
-        md.sj_provider = _provider
     return md
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .affine import ModularData
 from .errors import ConjectureViolation, PreconditionError, UnsupportedFolding
 from .fusion import SimpleCurrentGroup, verlinde_tensor
-from .simplecurrent import SJCache, _cocycle_table, _untwisted_rows, abelian_characters
+from .simplecurrent import _cocycle_table, _untwisted_rows, abelian_characters, fixed_point_smatrix
 
 __all__ = [
     "block_rank",
@@ -105,7 +105,7 @@ def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
 
 
 def admissible_tuples(
-    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int]
+    group: SimpleCurrentGroup, insertions: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Identity-product tuples whose slots each stabilize their insertion."""
     stabs = [set(group.stabilizer(mu)) for mu in insertions]
@@ -120,7 +120,6 @@ def untwisted_tuples(
     md: ModularData,
     group: SimpleCurrentGroup,
     insertions: Sequence[int],
-    sj: SJCache | None = None,
     tol: float = 1e-8,
 ) -> list[tuple[int, ...]]:
     """Admissible tuples with trivial cocycle against every admissible tuple.
@@ -130,16 +129,16 @@ def untwisted_tuples(
     evaluations each).  Comparing every pair in both directions costs
     O(m |adm|^2) products in O(m |adm|) memory.
     """
-    return _tuple_sets(md, group, insertions, sj or SJCache(md), tol)[1]
+    return _tuple_sets(md, group, insertions, tol)[1]
 
 
 def _tuple_sets(
-    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int], sj: SJCache, tol=1e-8
+    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int], tol=1e-8
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The admissible tuples and their untwisted subset, each found once."""
-    adm = admissible_tuples(md, group, insertions)
+    adm = admissible_tuples(group, insertions)
     stabs = {mu: group.stabilizer(mu) for mu in insertions}
-    tables = {mu: _cocycle_table(md, group, mu, stab, sj, tol) for mu, stab in stabs.items()}
+    tables = {mu: _cocycle_table(md, group, mu, stab, tol) for mu, stab in stabs.items()}
     rows = np.array(
         [[stabs[mu].index(ts) for ts, mu in zip(t, insertions)] for t in adm], dtype=np.intp
     )
@@ -156,12 +155,7 @@ def _slot_sum(weight: np.ndarray, factors: Iterable[np.ndarray]):
 
 
 def symmetry_trace(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    insertions: Sequence[int],
-    t: Sequence[int],
-    genus: int = 0,
-    sj: SJCache | None = None,
+    md: ModularData, insertions: Sequence[int], t: Sequence[int], genus: int = 0
 ) -> complex:
     """Trace of one current tuple on the block space, as a float sum.
 
@@ -169,10 +163,10 @@ def symmetry_trace(
     current, weighted by |S_0k|^(2-2g) S_0k^(-m); the all-identity tuple
     gives the rank, which ``block_rank`` reads exactly instead.
     """
-    sj = sj or SJCache(md)
     s0 = md.smatrix[0]
     weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
-    return complex(_slot_sum(weight, (sj[ts].full()[mu] for mu, ts in zip(insertions, t))))
+    rows = (fixed_point_smatrix(md, ts).full()[mu] for mu, ts in zip(insertions, t))
+    return complex(_slot_sum(weight, rows))
 
 
 @dataclass(eq=False)
@@ -194,7 +188,6 @@ def fourier_eigendims(
     insertions: Sequence[int],
     genus: int = 0,
     tol: float = 1e-6,
-    sj: SJCache | None = None,
 ) -> TraceSpectrum:
     """Eigenspace dimensions of the untwisted tuple action on a block space.
 
@@ -203,16 +196,15 @@ def fourier_eigendims(
     ``tol`` of an integer and (rank + X_chi) / |G| must be a non-negative
     integer; otherwise a ConjectureViolation carrying the report is raised.
     """
-    sj = sj or SJCache(md)
     insertions = tuple(insertions)
     rank = block_rank(md, genus, insertions)
-    adm, unt = _tuple_sets(md, group, insertions, sj)
+    adm, unt = _tuple_sets(md, group, insertions)
 
     def compose_tuples(a, b):
         return tuple(group.compose(x, y) for x, y in zip(a, b))
 
     ident = (md.vacuum,) * len(insertions)
-    traces = {t: symmetry_trace(md, group, insertions, t, genus, sj) for t in unt if t != ident}
+    traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
     traces = {ident: complex(rank), **traces}
     chars = abelian_characters(unt, compose_tuples, ident)
     order = sorted(unt)
@@ -244,19 +236,12 @@ def fourier_eigendims(
     return TraceSpectrum(insertions, genus, rank, tuple(adm), tuple(unt), traces, dims)
 
 
-def fix_compatible(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    t: Sequence[int],
-    glue: int,
-    sj: SJCache | None = None,
-) -> bool:
+def fix_compatible(md: ModularData, t: Sequence[int], glue: int) -> bool:
     """Whether the common fixed set of the tuple lies in the glue current's."""
-    sj = sj or SJCache(md)
     common = set(range(md.dim))
     for ts in t:
-        common &= sj[ts].fixed_set
-    return common <= sj[glue].fixed_set
+        common &= fixed_point_smatrix(md, ts).fixed_set
+    return common <= fixed_point_smatrix(md, glue).fixed_set
 
 
 def rank_factorization_check(
@@ -278,13 +263,7 @@ def rank_factorization_check(
 
 
 def trace_factorization_check(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    insertions: Sequence[int],
-    split: int,
-    t: Sequence[int],
-    glue: int,
-    sj: SJCache | None = None,
+    md: ModularData, insertions: Sequence[int], split: int, t: Sequence[int], glue: int
 ) -> tuple[complex, complex]:
     """Both sides of the trace gluing identity with a current pair inserted.
 
@@ -294,18 +273,18 @@ def trace_factorization_check(
     by the whole tuple is also fixed by the glue current; otherwise a
     PreconditionError is raised.
     """
-    sj = sj or SJCache(md)
-    if not fix_compatible(md, group, t, glue, sj):
+    if not fix_compatible(md, t, glue):
         raise PreconditionError(
             "glue current does not fix the common fixed set of the tuple"
         )
-    lhs = symmetry_trace(md, group, insertions, t, 0, sj)
+    lhs = symmetry_trace(md, insertions, t, 0)
     s0 = md.smatrix[0]
-    glue_full = sj[glue].full()
+    glue_full = fixed_point_smatrix(md, glue).full()
 
     def factor(slots, currents, channel):
         weight = channel * s0 ** (1 - len(slots))  # the glued channel is one more slot
-        return _slot_sum(weight, (sj[ts].full()[mu] for mu, ts in zip(slots, currents)))
+        rows = (fixed_point_smatrix(md, ts).full()[mu] for mu, ts in zip(slots, currents))
+        return _slot_sum(weight, rows)
 
     left = factor(insertions[:split], t[:split], glue_full)
     right = factor(insertions[split:], t[split:], glue_full.conj())

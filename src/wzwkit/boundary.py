@@ -32,7 +32,6 @@ from .errors import (
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
 from .simplecurrent import (
-    SJCache,
     _cocycle_table,
     _untwisted_stabilizer,
     abelian_characters,
@@ -106,13 +105,13 @@ class ClassifyingAlgebra:
         return self.reflection
 
 
-def _label_data(md: ModularData, group: SimpleCurrentGroup, sj: SJCache, tol: float):
+def _label_data(md: ModularData, group: SimpleCurrentGroup, tol: float):
     stab: dict[int, tuple[int, ...]] = {}
     ustab: dict[int, tuple[int, ...]] = {}
     for i in range(md.dim):
         s = group.stabilizer(i)
         stab[i] = s
-        ustab[i] = _untwisted_stabilizer(s, _cocycle_table(md, group, i, s, sj, tol), tol)
+        ustab[i] = _untwisted_stabilizer(s, _cocycle_table(md, group, i, s, tol), tol)
 
     hats: list[HatLabel] = []
     for i in range(md.dim):
@@ -157,7 +156,7 @@ def classifying_labels(
     of all sectors (no spin restriction), one per character of the central
     stabilizer.  The counts always agree.
     """
-    hats, boundaries, _, _ = _label_data(md, group, SJCache(md), tol)
+    hats, boundaries, _, _ = _label_data(md, group, tol)
     return hats, boundaries
 
 
@@ -172,15 +171,14 @@ def hat_smatrix(
     the intersection of the hat label's stabilizer with the boundary label's
     central stabilizer, normalized by the usual square-root prefactor.
     """
-    sj = SJCache(md)
-    return _hat_matrix(group, sj, _label_data(md, group, sj, tol))
+    return _hat_matrix(md, group, _label_data(md, group, tol))
 
 
-def _hat_matrix(group: SimpleCurrentGroup, sj: SJCache, label_data) -> np.ndarray:
+def _hat_matrix(md: ModularData, group: SimpleCurrentGroup, label_data) -> np.ndarray:
     hats, boundaries, stab, ustab = label_data
     weight = {i: len(stab[i]) * len(ustab[i]) for i in stab}
     return sj_character_matrix(
-        sj,
+        md,
         group.order,
         [(h.sector, dict(h.char), weight[h.sector]) for h in hats],
         [(b.rep, dict(b.char), weight[b.rep]) for b in boundaries],
@@ -261,12 +259,11 @@ def classifying_algebra(
     every boundary column a one-dimensional representation; together they
     imply associativity and commutativity) and their residuals are recorded.
     """
-    sj = SJCache(md)
-    label_data = _label_data(md, group, sj, tol)
+    label_data = _label_data(md, group, tol)
     hats, boundaries = label_data[:2]
     if hats[0].sector != md.vacuum or any(v != 0 for _, v in hats[0].char):
         raise InternalConsistencyError("hat unit is not the vacuum with trivial character")
-    shat = _hat_matrix(group, sj, label_data)
+    shat = _hat_matrix(md, group, label_data)
     nhat, refl, residuals = _structure_constants(shat, tol)
     return ClassifyingAlgebra(
         md=md,

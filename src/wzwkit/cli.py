@@ -597,7 +597,7 @@ def _run_trace(config: JobConfig):
             result["tuple_trace"] = spectrum.traces[config.current_tuple]
         elif config.current_tuple is not None:
             result["tuple_trace"] = symmetry_trace(
-                md, group, config.insertions, config.current_tuple, config.genus
+                md, config.insertions, config.current_tuple, config.genus
             )
         return result, {}
     oin = inner_orbifold_input(md, config.shift)

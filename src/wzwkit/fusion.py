@@ -169,27 +169,19 @@ def simple_currents(
     return group
 
 
-def tensor_product(md1: ModularData, md2: ModularData, tol: float = 1e-9) -> ModularData:
+def tensor_product(md1: ModularData, md2: ModularData) -> ModularData:
     """Product theory: Kronecker S matrix, additive exact conformal data.
 
-    Labels are pairs (label1, label2); nest calls for longer products.
+    Labels are pairs (label1, label2); nest calls for longer products.  The
+    product carries its factors, from which its fixed-point S matrices are
+    built.
     """
-    labels = tuple((l1, l2) for l1 in md1.labels for l2 in md2.labels)
-    delta = tuple(d1 + d2 for d1 in md1.delta for d2 in md2.delta)
-    md = ModularData(
+    return ModularData(
         algebra=f"{md1.algebra}*{md2.algebra}",
         level=-1,
-        labels=labels,
+        labels=tuple((l1, l2) for l1 in md1.labels for l2 in md2.labels),
         smatrix=np.kron(md1.smatrix, md2.smatrix),
-        delta=delta,
+        delta=tuple(d1 + d2 for d1 in md1.delta for d2 in md2.delta),
         central_charge=md1.central_charge + md2.central_charge,
+        factors=(md1, md2),
     )
-    if md1.sj_provider is not None and md2.sj_provider is not None:
-
-        def _provider(current, _md=md):
-            from .simplecurrent import tensor_fixed_point_data
-
-            return tensor_fixed_point_data(_md, md1, md2, current)
-
-        md.sj_provider = _provider
-    return md

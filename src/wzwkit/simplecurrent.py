@@ -1,13 +1,15 @@
 """Fixed-point S matrices of simple currents, their cocycle, and extensions.
 
 A simple current J acting on a theory comes with a unitary matrix S^J indexed
-by the J-fixed primaries.  The currents supported here are those whose folded
-theory has rank zero (the identity current, and the cyclic rotations of the
-level-k su(2) and su(3) theories), for which S^J is at most one by one.  Its
-single entry is the phase of the orbit-Lie-algebra S^J of Fuchs,
-Schellekens and Schweigert ("A matrix S for all simple current extensions",
-hep-th/9601078), in closed form: exp(-3 pi i k / 8) for su(2) at k = 0 mod 4,
-and 1 for su(3) at k = 0 mod 3.  The fractional-spin su(2) currents
+by the J-fixed primaries.  ``fixed_point_smatrix`` is the one way to obtain
+it, built once per S matrix of the theory: the identity current's S^J is S;
+a tensor product's is the Kronecker product of its factors' S^J; and the
+catalogue covers the currents whose folded theory has rank zero (the cyclic
+rotations of the level-k su(2) and su(3) theories), for which S^J is at
+most one by one.  Its single entry is the phase of the orbit-Lie-algebra
+S^J of Fuchs, Schellekens and Schweigert ("A matrix S for all simple
+current extensions", hep-th/9601078), in closed form: exp(-3 pi i k / 8)
+for su(2) at k = 0 mod 4, and 1 for su(3) at k = 0 mod 3.  The fractional-spin su(2) currents
 (k = 2 mod 4) take the phase 1 by convention; it never enters downstream
 results.  ``extend_by_group`` verifies the extensions built from these phases.
 
@@ -43,8 +45,6 @@ from .fusion import SimpleCurrentGroup, verlinde_tensor
 __all__ = [
     "FixedPointData",
     "fixed_point_smatrix",
-    "tensor_fixed_point_data",
-    "SJCache",
     "cocycle",
     "snap_phase",
     "abelian_characters",
@@ -64,33 +64,34 @@ class FixedPointData:
     matrix: np.ndarray
     dim: int
 
-    @classmethod
-    def identity_current(cls, md: ModularData) -> "FixedPointData":
-        return cls(md.vacuum, tuple(range(md.dim)), md.smatrix, md.dim)
-
     @property
     def fixed_set(self) -> frozenset:
         return frozenset(self.fixed)
 
     def full(self) -> np.ndarray:
-        """S^J zero-extended over the full primary index set."""
+        """S^J zero-extended over the full primary index set; the identity
+        current fixes every primary, and its S^J is S itself, not a copy."""
         cached = getattr(self, "_full", None)
         if cached is None:
-            cached = np.zeros((self.dim, self.dim), dtype=complex)
-            idx = np.array(self.fixed, dtype=np.intp)
-            if len(idx):
-                cached[np.ix_(idx, idx)] = self.matrix
+            cached = self.matrix
+            if len(self.fixed) < self.dim:
+                cached = np.zeros((self.dim, self.dim), dtype=complex)
+                idx = np.array(self.fixed, dtype=np.intp)
+                if len(idx):
+                    cached[np.ix_(idx, idx)] = self.matrix
             object.__setattr__(self, "_full", cached)
         return cached
 
 
 def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
-    """S^J for one simple current of an affine theory.
+    """S^J for one simple current (a label index or a label), built once per
+    S matrix of the theory.
 
-    Supported beyond the identity current: the su(2) current (level even or
-    odd) and the two su(3) rotation currents.  Their folded theories have
-    rank zero, so the matrix is empty or the single phase xi of the
-    orbit-Lie-algebra S^J (hep-th/9601078):
+    The identity current gives S itself, and a tensor product the Kronecker
+    block of its factors' S^J.  Beyond those, the su(2) current (level even
+    or odd) and the two su(3) rotation currents are supported.  Their folded
+    theories have rank zero, so the matrix is empty or the single phase xi of
+    the orbit-Lie-algebra S^J (hep-th/9601078):
 
     * su(2) at level k = 0 mod 4: xi = exp(-3 pi i k / 8);
     * su(2) at level k = 2 mod 4: xi = 1.  The current has spin k/4, so no
@@ -99,12 +100,26 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
 
     For the integer-spin currents xi is the only root of unity of order
     lcm(24, 4(k + h^vee)) for which the extension by the current passes the
-    checks of ``extend_by_group``.
+    checks of ``extend_by_group``.  Any other current raises
+    ``UnsupportedFolding``.
     """
     j_index = current if isinstance(current, int) else md.index(tuple(current))
+    memo = md._derived("fixed_point_smatrix", lambda md: {})
+    data = memo.get(j_index)
+    if data is None:
+        data = memo[j_index] = _fixed_point_data(md, j_index)
+    return data
+
+
+def _fixed_point_data(md: ModularData, j_index: int) -> FixedPointData:
     if j_index == md.vacuum:
-        return FixedPointData.identity_current(md)
+        return FixedPointData(j_index, tuple(range(md.dim)), md.smatrix, md.dim)
     label = md.labels[j_index]
+    if md.factors is not None:
+        (md1, md2), (c1, c2) = md.factors, label
+        d1, d2 = fixed_point_smatrix(md1, c1), fixed_point_smatrix(md2, c2)
+        fixed = tuple(i1 * md2.dim + i2 for i1 in d1.fixed for i2 in d2.fixed)
+        return FixedPointData(j_index, fixed, np.kron(d1.matrix, d2.matrix), md.dim)
     k = md.level
     if md.algebra == "A1" and label == (k,):
         if k % 2:
@@ -124,47 +139,12 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
     return FixedPointData(j_index, (fixed_index,), np.array([[xi]]), md.dim)
 
 
-def tensor_fixed_point_data(
-    md: ModularData, md1: ModularData, md2: ModularData, current
-) -> FixedPointData:
-    """S^J of a product theory from the factor data (Kronecker block)."""
-    c1, c2 = current if not isinstance(current, int) else md.labels[current]
-    d1 = md1.sj_provider(c1) if c1 != md1.labels[0] else FixedPointData.identity_current(md1)
-    d2 = md2.sj_provider(c2) if c2 != md2.labels[0] else FixedPointData.identity_current(md2)
-    fixed = tuple(i1 * md2.dim + i2 for i1 in d1.fixed for i2 in d2.fixed)
-    return FixedPointData(
-        md.index((c1, c2)), fixed, np.kron(d1.matrix, d2.matrix), md.dim
-    )
-
-
-class SJCache:
-    """Memoized access to the S^J matrices of one theory."""
-
-    def __init__(self, md: ModularData):
-        self.md = md
-        self._cache: dict[int, FixedPointData] = {}
-
-    def __getitem__(self, j_index: int) -> FixedPointData:
-        if j_index not in self._cache:
-            if j_index == self.md.vacuum:
-                data = FixedPointData.identity_current(self.md)
-            elif self.md.sj_provider is None:
-                raise UnsupportedFolding(
-                    f"theory {self.md.algebra} has no fixed-point S matrix provider"
-                )
-            else:
-                data = self.md.sj_provider(self.md.labels[j_index])
-            self._cache[j_index] = data
-        return self._cache[j_index]
-
-
 def cocycle(
     md: ModularData,
     group: SimpleCurrentGroup,
     j: int,
     jprime: int,
     mu: int,
-    sj: SJCache,
     tol: float = 1e-8,
 ) -> complex:
     """The phase F_mu(J, J') relating the J'-shifted rows of S^J.
@@ -174,7 +154,7 @@ def cocycle(
     """
     if jprime == md.vacuum:
         return 1.0 + 0.0j
-    data = sj[j]
+    data = fixed_point_smatrix(md, j)
     if mu not in data.fixed_set:
         raise UnderdeterminedCocycle(
             f"label index {mu} is not fixed by current index {j}; F is undefined there"
@@ -261,7 +241,7 @@ def abelian_characters(
 
 
 def sj_character_matrix(
-    sj: SJCache,
+    md: ModularData,
     group_order: int,
     rows: Sequence[tuple[int, Mapping[int, Q], int]],
     cols: Sequence[tuple[int, Mapping[int, Q], int]],
@@ -277,8 +257,9 @@ def sj_character_matrix(
     current J adds psi_J phi_J^* times S^J[rows, cols], entrywise: one
     (rows x cols) array operation per current.  J runs in ascending order
     over the currents in some row's domain and some column's domain; only
-    those S^J are fetched, so a theory without a fixed-point provider works
-    as long as no such current is nontrivial.
+    those S^J are fetched from ``fixed_point_smatrix``, so a theory whose
+    nontrivial currents have no S^J (an extension or an orbifold) works as
+    long as no such current is nontrivial.
     """
     currents = sorted(
         set().union(*(char for _, char, _ in rows))
@@ -297,7 +278,7 @@ def sj_character_matrix(
     block = np.ix_([mu for mu, _, _ in rows], [nu for nu, _, _ in cols])
     acc = np.zeros((len(rows), len(cols)), dtype=complex)
     for c, j in enumerate(currents):
-        acc += psi[:, c, None] * sj[j].full()[block] * phi[None, :, c]
+        acc += psi[:, c, None] * fixed_point_smatrix(md, j).full()[block] * phi[None, :, c]
     weight = np.outer([w for _, _, w in rows], [w for _, _, w in cols])
     return group_order / np.sqrt(weight) * acc
 
@@ -326,12 +307,11 @@ def _cocycle_table(
     group: SimpleCurrentGroup,
     mu: int,
     stab: tuple[int, ...],
-    sj: SJCache,
     tol: float = 1e-8,
 ) -> np.ndarray:
     """F_mu(J, J') for J, J' in the stabilizer of mu, indexed by position in ``stab``."""
     return np.array(
-        [[cocycle(md, group, t, tp, mu, sj, tol) for tp in stab] for t in stab],
+        [[cocycle(md, group, t, tp, mu, tol) for tp in stab] for t in stab],
         dtype=complex,
     )
 
@@ -372,7 +352,6 @@ def orbit_data(
     tol: float = 1e-8,
 ) -> list[OrbitRecord]:
     """Orbits, stabilizers and cocycle phases of a current group on primaries."""
-    sj = SJCache(md)
     integer_spins = all(md.delta[j].denominator == 1 for j in group.indices)
     seen: set[int] = set()
     records: list[OrbitRecord] = []
@@ -383,7 +362,7 @@ def orbit_data(
         seen.update(orbit)
         rep = orbit[0]
         stab = group.stabilizer(rep)
-        table = _cocycle_table(md, group, rep, stab, sj, tol)
+        table = _cocycle_table(md, group, rep, stab, tol)
         cvals = {
             (t, tp): snap_phase(table[a, b])
             for a, t in enumerate(stab)
@@ -454,7 +433,6 @@ def extend_by_group(
                 f"current {md.labels[j]} has non-integer conformal weight {md.delta[j]}; "
                 "the extension only exists for integer-spin currents"
             )
-    sj = SJCache(md)
 
     surviving: list[int] = []
     for i in range(md.dim):
@@ -470,7 +448,7 @@ def extend_by_group(
         seen.update(orbit)
         rep = orbit[0]
         stab = group.stabilizer(rep)
-        u = _untwisted_stabilizer(stab, _cocycle_table(md, group, rep, stab, sj, tol), tol)
+        u = _untwisted_stabilizer(stab, _cocycle_table(md, group, rep, stab, tol), tol)
         orbit_reps.append((rep, orbit, stab, u))
 
     # one class per character of U, pinned to the lex-minimal representative
@@ -488,7 +466,7 @@ def extend_by_group(
         )
 
     labels = [(c.rep, c.char, weight[c.rep]) for c in classes]
-    s_ext = sj_character_matrix(sj, group.order, labels, labels)
+    s_ext = sj_character_matrix(md, group.order, labels, labels)
 
     ext_md = ModularData(
         algebra=f"{md.algebra}/ext",

@@ -43,7 +43,7 @@ from wzwkit.orbifold import (
     dual_current_label,
     inner_orbifold_input,
 )
-from wzwkit.simplecurrent import SJCache, extend_by_group, orbit_data
+from wzwkit.simplecurrent import extend_by_group, orbit_data
 
 RANK_LE3 = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 SUITE_LEVELS = range(1, 7)
@@ -72,7 +72,7 @@ def sweep_theories():
     out = []
     for name, level in SWEEP:
         md = modular_data(name, level)
-        out.append((md, simple_currents(md), SJCache(md)))
+        out.append((md, simple_currents(md)))
     return out
 
 
@@ -164,12 +164,12 @@ def test_criterion_04_triple_tensor_embedding_resolves_to_so9():
 def test_criterion_05_conjecture_one_sweep(sweep_theories):
     start = time.monotonic()
     checked = 0
-    for md, group, sj in sweep_theories:
+    for md, group in sweep_theories:
         for m in (3, 4):
             for insertions in itertools.combinations_with_replacement(
                 range(md.dim), m
             ):
-                spectrum = fourier_eigendims(md, group, insertions, genus=0, sj=sj)
+                spectrum = fourier_eigendims(md, group, insertions, genus=0)
                 identity = (md.vacuum,) * m
                 assert abs(spectrum.traces[identity] - spectrum.rank) < 1e-6
                 for value in spectrum.traces.values():
@@ -177,13 +177,13 @@ def test_criterion_05_conjecture_one_sweep(sweep_theories):
                     assert abs(value.real - round(value.real)) < 1e-6
                 checked += 1
     assert checked == sum(
-        math.comb(md.dim + m - 1, m) for md, _, _ in sweep_theories for m in (3, 4)
+        math.comb(md.dim + m - 1, m) for md, _ in sweep_theories for m in (3, 4)
     )
     assert time.monotonic() - start < 600.0
 
 
 def test_criterion_06_factorization_identities(sweep_theories):
-    for md, group, sj in sweep_theories:
+    for md, group in sweep_theories:
         conj = md.conjugation_permutation()
         for m in (3, 4):
             for insertions in itertools.combinations_with_replacement(
@@ -196,12 +196,12 @@ def test_criterion_06_factorization_identities(sweep_theories):
                 )
                 assert genus_one == glued
                 split = m // 2
-                for t in untwisted_tuples(md, group, insertions, sj):
+                for t in untwisted_tuples(md, group, insertions):
                     for glue in group.indices:
-                        if not fix_compatible(md, group, t, glue, sj):
+                        if not fix_compatible(md, t, glue):
                             continue
                         lhs, rhs = trace_factorization_check(
-                            md, group, insertions, split, t, glue, sj
+                            md, insertions, split, t, glue
                         )
                         assert abs(lhs - rhs) < 1e-6
 

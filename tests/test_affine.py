@@ -148,7 +148,7 @@ class TestConformalData:
         assert central_charge(build_algebra(label), k) == expect
 
     def test_t_exponents_exact(self):
-        md = modular_data("A1", 1, attach_sj=False)
+        md = modular_data("A1", 1)
         assert md.t_exponents == (Q(-1, 24), Q(5, 24))
 
 
@@ -173,7 +173,7 @@ class TestSmatrix:
 
     @pytest.mark.parametrize("label,k", [("A2", 2), ("B2", 3), ("G2", 2), ("A3", 1), ("C3", 1)])
     def test_invariants_pass(self, label, k):
-        md = modular_data(label, k, attach_sj=False)
+        md = modular_data(label, k)
         residuals = verify_modular_invariants(md, tol=1e-9)
         assert set(residuals) >= {"unitarity", "symmetry", "st_cubed"}
         assert max(residuals.values()) <= 1e-9
@@ -189,7 +189,7 @@ class TestSmatrix:
 
     def test_e6_level_one_is_the_z3_theory(self):
         # Z3 simple currents of weight 2/3: S_JJ = S_0J exp(2 pi i Q_J(J)), Q_J(J) = 2/3
-        md = modular_data("E6", 1, attach_sj=False)
+        md = modular_data("E6", 1)
         assert md.labels == ((0,) * 6, (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0))
         assert md.delta == (0, Q(2, 3), Q(2, 3))
         w = np.exp(-2j * np.pi / 3)
@@ -197,7 +197,7 @@ class TestSmatrix:
         assert np.abs(md.smatrix - expect).max() < 1e-12
 
     def test_invariant_violation_raised_on_tampered_matrix(self):
-        md = modular_data("A1", 2, attach_sj=False)
+        md = modular_data("A1", 2)
         md.smatrix = md.smatrix.copy()
         md.smatrix[1, 2] += 1e-3
         with pytest.raises(InvariantViolation) as exc:
@@ -205,24 +205,24 @@ class TestSmatrix:
         assert exc.value.residual > exc.value.tol
 
     def test_a2_conjugation_transposes_labels(self):
-        md = modular_data("A2", 3, attach_sj=False)
+        md = modular_data("A2", 3)
         perm = md.conjugation_permutation()
         for i, lab in enumerate(md.labels):
             assert md.labels[perm[i]] == (lab[1], lab[0])
 
     def test_su2_self_conjugate(self):
-        md = modular_data("A1", 5, attach_sj=False)
+        md = modular_data("A1", 5)
         assert md.conjugation_permutation() == tuple(range(6))
 
     def test_quantum_dimensions_at_least_one(self):
-        md = modular_data("B2", 4, attach_sj=False)
+        md = modular_data("B2", 4)
         qdims = md.smatrix[0].real / md.smatrix[0, 0].real
         assert qdims.min() > 1 - 1e-9
 
 
 class TestCache:
     def test_roundtrip_byte_identical(self, tmp_path):
-        md = modular_data("A2", 2, attach_sj=False)
+        md = modular_data("A2", 2)
         p1 = save_modular_data(md, tmp_path / "one")
         loaded = load_modular_data("A2", 2, tmp_path / "one")
         assert loaded is not None
@@ -234,23 +234,23 @@ class TestCache:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_cache_hit_skips_weyl_traversal(self, tmp_path, weyl_traversals):
-        modular_data("B2", 2, cache_dir=tmp_path, attach_sj=False)
+        modular_data("B2", 2, cache_dir=tmp_path)
         before = len(weyl_traversals)
-        md = modular_data("B2", 2, cache_dir=tmp_path, attach_sj=False)
+        md = modular_data("B2", 2, cache_dir=tmp_path)
         assert len(weyl_traversals) == before
         assert md.dim == len(integrable_weights(build_algebra("B2"), 2))
 
     def test_corrupt_cache_recomputes_with_warning(self, tmp_path):
-        modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+        modular_data("A1", 3, cache_dir=tmp_path)
         cache_path("A1", 3, tmp_path).write_text("{not json")
         with pytest.warns(UserWarning, match="unreadable cache"):
-            md = modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+            md = modular_data("A1", 3, cache_dir=tmp_path)
         assert md.dim == 4
 
     def test_schema_mismatch_invalidates(self, tmp_path):
         import json
 
-        modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
+        modular_data("A1", 1, cache_dir=tmp_path)
         p = cache_path("A1", 1, tmp_path)
         payload = json.loads(p.read_text())
         payload["schema"] = 0
@@ -258,13 +258,13 @@ class TestCache:
         with pytest.warns(UserWarning, match=r"schema 0, expected \d"):
             assert load_modular_data("A1", 1, tmp_path) is None
         with pytest.warns(UserWarning, match="stale cache"):
-            md = modular_data("A1", 1, cache_dir=tmp_path, attach_sj=False)
+            md = modular_data("A1", 1, cache_dir=tmp_path)
         assert md.dim == 2
 
     def test_permuted_labels_are_recomputed(self, tmp_path, weyl_traversals):
         import json
 
-        md = modular_data("A2", 2, cache_dir=tmp_path, attach_sj=False)
+        md = modular_data("A2", 2, cache_dir=tmp_path)
         p = cache_path("A2", 2, tmp_path)
         payload = json.loads(p.read_text())
         payload["labels"] = payload["labels"][:1] + payload["labels"][:0:-1]
@@ -273,13 +273,13 @@ class TestCache:
             assert load_modular_data("A2", 2, tmp_path) is None
         before = len(weyl_traversals)
         with pytest.warns(UserWarning, match="integrable weights"):
-            again = modular_data("A2", 2, cache_dir=tmp_path, attach_sj=False)
+            again = modular_data("A2", 2, cache_dir=tmp_path)
         assert len(weyl_traversals) == before + 1
         assert again.labels == md.labels
         assert np.array_equal(again.smatrix, md.smatrix)
 
     def test_failed_write_keeps_previous_entry(self, tmp_path, monkeypatch):
-        md = modular_data("A1", 2, attach_sj=False)
+        md = modular_data("A1", 2)
         path = save_modular_data(md, tmp_path)
         before = path.read_bytes()
         write_text = Path.write_text
@@ -299,7 +299,7 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_awkward_floats_roundtrip_bit_for_bit(self, tmp_path):
-        md = modular_data("A1", 2, attach_sj=False)
+        md = modular_data("A1", 2)
         parts = [-0.0, 5e-324, 1.5e-310, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308, 1e300]
         s = np.array([[complex(x, y) for y in parts[i : i + 3]] for i, x in enumerate(parts[:3])])
         md.smatrix = s
@@ -311,7 +311,7 @@ class TestCache:
     def _tamper_smatrix(self, tmp_path, smatrix):
         import json
 
-        modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+        modular_data("A1", 3, cache_dir=tmp_path)
         p = cache_path("A1", 3, tmp_path)
         payload = json.loads(p.read_text())
         payload["smatrix"] = smatrix(payload["smatrix"])
@@ -331,14 +331,14 @@ class TestCache:
         self._tamper_smatrix(tmp_path, smatrix)
         before = len(weyl_traversals)
         with pytest.warns(UserWarning, match=f"unreadable cache .*{reason}"):
-            md = modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+            md = modular_data("A1", 3, cache_dir=tmp_path)
         assert len(weyl_traversals) == before + 1
         assert np.allclose(md.smatrix, su2_smatrix(3))
 
     def test_schema_two_pair_list_entry_is_stale(self, tmp_path, weyl_traversals):
         import json
 
-        md = modular_data("A1", 3, attach_sj=False)
+        md = modular_data("A1", 3)
         p = cache_path("A1", 3, tmp_path)
         p.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -353,7 +353,7 @@ class TestCache:
         p.write_text(json.dumps(payload, sort_keys=True) + "\n")
         before = len(weyl_traversals)
         with pytest.warns(UserWarning, match=r"stale cache .*schema 2, expected 3"):
-            again = modular_data("A1", 3, cache_dir=tmp_path, attach_sj=False)
+            again = modular_data("A1", 3, cache_dir=tmp_path)
         assert len(weyl_traversals) == before + 1
         assert np.array_equal(again.smatrix, md.smatrix)
         assert json.loads(p.read_text())["schema"] == 3

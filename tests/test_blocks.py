@@ -31,11 +31,11 @@ from wzwkit.errors import ConjectureViolation, PreconditionError, UnsupportedFol
 from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.simplecurrent import (
-    SJCache,
     _cocycle_table,
     _untwisted_stabilizer,
     abelian_characters,
     cocycle,
+    fixed_point_smatrix,
     orbit_data,
 )
 
@@ -45,23 +45,23 @@ def setup_theory(k):
     return md, simple_currents(md)
 
 
-def tuple_cocycle(md, group, t, tprime, insertions, sj, tol=1e-8):
+def tuple_cocycle(md, group, t, tprime, insertions, tol=1e-8):
     """Slotwise product of the relative phases F_mu(t_s, t'_s)."""
     out = 1.0 + 0.0j
     for ts, tps, mu in zip(t, tprime, insertions):
-        out *= cocycle(md, group, ts, tps, mu, sj, tol)
+        out *= cocycle(md, group, ts, tps, mu, tol)
     return out
 
 
-def pairwise_untwisted(md, group, rows, insertions, sj, tol=1e-8):
+def pairwise_untwisted(md, group, rows, insertions, tol=1e-8):
     """Reference: the rows whose cocycle against every row is trivial both
     ways, one cocycle evaluation per slot and ordered pair."""
     return [
         t
         for t in rows
         if all(
-            abs(tuple_cocycle(md, group, t, tp, insertions, sj, tol) - 1) <= tol
-            and abs(tuple_cocycle(md, group, tp, t, insertions, sj, tol) - 1) <= tol
+            abs(tuple_cocycle(md, group, t, tp, insertions, tol) - 1) <= tol
+            and abs(tuple_cocycle(md, group, tp, t, insertions, tol) - 1) <= tol
             for tp in rows
         )
     ]
@@ -111,21 +111,21 @@ def fourier_loop_dims(md, group, spectrum):
     return dims
 
 
-def glued_loop(md, insertions, split, t, glue, sj):
+def glued_loop(md, insertions, split, t, glue):
     """Reference for the glued side of ``trace_factorization_check``: one
     channel label nu at a time."""
     s = md.smatrix
     mleft, mright = split + 1, len(insertions) - split + 1
-    glue_full = sj[glue].full()
+    glue_full = fixed_point_smatrix(md, glue).full()
     rhs = 0.0 + 0.0j
     for nu in range(md.dim):
         pl = np.ones(md.dim, dtype=complex)
         for mu, ts in zip(insertions[:split], t[:split]):
-            pl = pl * sj[ts].full()[mu]
+            pl = pl * fixed_point_smatrix(md, ts).full()[mu]
         left = (s[0] ** (2 - mleft) * pl * glue_full[nu]).sum()
         pr = np.conj(glue_full[nu]).copy()
         for mu, ts in zip(insertions[split:], t[split:]):
-            pr = pr * sj[ts].full()[mu]
+            pr = pr * fixed_point_smatrix(md, ts).full()[mu]
         right = (s[0] ** (2 - mright) * pr).sum()
         rhs += left * right
     return complex(rhs)
@@ -220,7 +220,7 @@ class TestTupleSets:
     def test_admissible_su2_level2(self):
         md, g = setup_theory(2)
         jj = md.index((2,))
-        adm = admissible_tuples(md, g, (1, 1, 2))
+        adm = admissible_tuples(g, (1, 1, 2))
         assert set(adm) == {(0, 0, 0), (jj, jj, 0)}
 
     def test_untwisted_su2_level2_three_point(self):
@@ -232,7 +232,7 @@ class TestTupleSets:
     def test_untwisted_su2_level2_four_point_drops_pairs(self):
         md, g = setup_theory(2)
         jj = md.index((2,))
-        adm = admissible_tuples(md, g, (1, 1, 1, 1))
+        adm = admissible_tuples(g, (1, 1, 1, 1))
         assert len(adm) == 8
         unt = untwisted_tuples(md, g, (1, 1, 1, 1))
         assert set(unt) == {(0, 0, 0, 0), (jj, jj, jj, jj)}
@@ -250,10 +250,9 @@ class TestUntwistedOracle:
         "md,group,insertions", [pytest.param(*c[1:], id=c[0]) for c in oracle_cases()]
     )
     def test_untwisted_tuples_match_the_pairwise_loop(self, md, group, insertions):
-        sj = SJCache(md)
-        adm = admissible_tuples(md, group, insertions)
-        expected = pairwise_untwisted(md, group, adm, insertions, sj)
-        assert untwisted_tuples(md, group, insertions, sj) == expected
+        adm = admissible_tuples(group, insertions)
+        expected = pairwise_untwisted(md, group, adm, insertions)
+        assert untwisted_tuples(md, group, insertions) == expected
 
     @pytest.mark.parametrize(
         "md,group",
@@ -262,12 +261,11 @@ class TestUntwistedOracle:
     def test_untwisted_stabilizers_match_the_pairwise_loop(self, md, group):
         # Fractional-spin currents (A1 at k = 2 mod 4) have F_mu(1, J) = -1
         # but F_mu(J, 1) = 1, so a check in one direction only keeps J.
-        sj = SJCache(md)
         for rec in orbit_data(md, group):
             mu, stab = rec.representative, rec.stabilizer
             rows = [(t,) for t in stab]
-            expected = tuple(t for (t,) in pairwise_untwisted(md, group, rows, (mu,), sj))
-            table = _cocycle_table(md, group, mu, stab, sj)
+            expected = tuple(t for (t,) in pairwise_untwisted(md, group, rows, (mu,)))
+            table = _cocycle_table(md, group, mu, stab)
             assert _untwisted_stabilizer(stab, table) == expected
             assert rec.untwisted_stabilizer == (expected if rec.integer_spins else None)
 
@@ -280,7 +278,7 @@ class TestUntwistedOracle:
 
     def test_klein_four_untwisted_set_is_smaller_than_admissible(self):
         md, sub, f = klein_four_cube()
-        assert len(admissible_tuples(md, sub, (f,) * 3)) == 16
+        assert len(admissible_tuples(sub, (f,) * 3)) == 16
         assert len(untwisted_tuples(md, sub, (f,) * 3)) == 1
 
 
@@ -332,33 +330,33 @@ class TestTraces:
     def test_identity_tuple_reproduces_rank(self):
         md, g = setup_theory(4)
         for insertions in [(2, 2, 2), (2, 2, 2, 2), (1, 1, 2)]:
-            tr = symmetry_trace(md, g, insertions, (0,) * len(insertions))
+            tr = symmetry_trace(md, insertions, (0,) * len(insertions))
             assert abs(tr - block_rank(md, 0, insertions)) < 1e-9
 
     def test_su2_level2_pair_trace(self):
         md, g = setup_theory(2)
         jj = md.index((2,))
-        tr = symmetry_trace(md, g, (1, 1, 2), (jj, jj, 0))
+        tr = symmetry_trace(md, (1, 1, 2), (jj, jj, 0))
         assert abs(tr - (-1.0)) < 1e-9
 
     def test_su2_level2_full_tuple_trace(self):
         md, g = setup_theory(2)
         jj = md.index((2,))
-        tr = symmetry_trace(md, g, (1, 1, 1, 1), (jj,) * 4)
+        tr = symmetry_trace(md, (1, 1, 1, 1), (jj,) * 4)
         assert abs(tr - 2.0) < 1e-9
 
     def test_su2_level4_pair_and_full_traces(self):
         md, g = setup_theory(4)
         jj = md.index((4,))
-        assert abs(symmetry_trace(md, g, (2, 2, 2), (jj, jj, 0)) - 1.0) < 1e-9
-        assert abs(symmetry_trace(md, g, (2, 2, 2, 2), (jj, jj, 0, 0)) - (-1.0)) < 1e-9
-        assert abs(symmetry_trace(md, g, (2, 2, 2, 2), (jj,) * 4) - 3.0) < 1e-9
+        assert abs(symmetry_trace(md, (2, 2, 2), (jj, jj, 0)) - 1.0) < 1e-9
+        assert abs(symmetry_trace(md, (2, 2, 2, 2), (jj, jj, 0, 0)) - (-1.0)) < 1e-9
+        assert abs(symmetry_trace(md, (2, 2, 2, 2), (jj,) * 4) - 3.0) < 1e-9
 
     def test_su2_level6_traces(self):
         md, g = setup_theory(6)
         jj = md.index((6,))
-        assert abs(symmetry_trace(md, g, (3, 3, 0), (jj, jj, 0)) - 1.0) < 1e-9
-        assert abs(symmetry_trace(md, g, (3, 3, 3, 3), (jj,) * 4) - 4.0) < 1e-9
+        assert abs(symmetry_trace(md, (3, 3, 0), (jj, jj, 0)) - 1.0) < 1e-9
+        assert abs(symmetry_trace(md, (3, 3, 3, 3), (jj,) * 4) - 4.0) < 1e-9
 
 
 class TestEigendims:
@@ -437,30 +435,29 @@ class TestFactorization:
     def test_trace_factorization_full_tuple(self):
         md, g = setup_theory(4)
         jj = md.index((4,))
-        lhs, rhs = trace_factorization_check(md, g, (2, 2, 2, 2), 2, (jj,) * 4, jj)
+        lhs, rhs = trace_factorization_check(md, (2, 2, 2, 2), 2, (jj,) * 4, jj)
         assert abs(lhs - rhs) < 1e-8
         assert abs(lhs - 3.0) < 1e-9
 
     def test_trace_factorization_pair_with_identity_glue(self):
         md, g = setup_theory(4)
         jj = md.index((4,))
-        lhs, rhs = trace_factorization_check(md, g, (2, 2, 2, 2), 2, (jj, jj, 0, 0), 0)
+        lhs, rhs = trace_factorization_check(md, (2, 2, 2, 2), 2, (jj, jj, 0, 0), 0)
         assert abs(lhs - rhs) < 1e-8
 
     @pytest.mark.parametrize("algebra,level", [("A1", k) for k in range(2, 9)] + [("A2", 3)])
     def test_glued_side_matches_the_per_label_loop(self, algebra, level):
         md = modular_data(algebra, level)
         g = simple_currents(md)
-        sj = SJCache(md)
         checked = 0
         for m in (3, 4):
             for insertions in itertools.combinations_with_replacement(range(md.dim), m):
-                for t in untwisted_tuples(md, g, insertions, sj):
+                for t in untwisted_tuples(md, g, insertions):
                     for glue in g.indices:
-                        if not fix_compatible(md, g, t, glue, sj):
+                        if not fix_compatible(md, t, glue):
                             continue
-                        _, rhs = trace_factorization_check(md, g, insertions, m // 2, t, glue, sj)
-                        expected = glued_loop(md, insertions, m // 2, t, glue, sj)
+                        _, rhs = trace_factorization_check(md, insertions, m // 2, t, glue)
+                        expected = glued_loop(md, insertions, m // 2, t, glue)
                         assert abs(rhs - expected) <= 1e-14 * max(1.0, abs(expected))
                         checked += 1
         assert checked > 0
@@ -468,13 +465,13 @@ class TestFactorization:
     def test_incompatible_glue_rejected(self):
         md, g = setup_theory(4)
         jj = md.index((4,))
-        assert not fix_compatible(md, g, (0, 0, 0, 0), jj)
+        assert not fix_compatible(md, (0, 0, 0, 0), jj)
         with pytest.raises(PreconditionError):
-            trace_factorization_check(md, g, (2, 2, 2, 2), 2, (0, 0, 0, 0), jj)
+            trace_factorization_check(md, (2, 2, 2, 2), 2, (0, 0, 0, 0), jj)
 
     def test_identity_glue_always_compatible(self):
         md, g = setup_theory(2)
-        assert fix_compatible(md, g, (0, 0, 0), 0)
+        assert fix_compatible(md, (0, 0, 0), 0)
 
 
 class TestTruncatedLaurent:

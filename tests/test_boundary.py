@@ -21,10 +21,10 @@ from wzwkit.boundary import (
     structure_constants,
     z2_wzw_hat_table,
 )
-from wzwkit.errors import InvariantViolation, PreconditionError
+from wzwkit.errors import InvariantViolation, PreconditionError, UnsupportedFolding
 from wzwkit.fusion import simple_currents, verlinde_tensor
 from wzwkit.orbifold import assemble_orbifold, dual_current_label, inner_orbifold_input
-from wzwkit.simplecurrent import SJCache
+from wzwkit.simplecurrent import fixed_point_smatrix
 
 from test_blocks import klein_four_cube
 from test_simplecurrent import SJ_THEORIES, entrywise_sj_sum
@@ -222,11 +222,10 @@ class TestGuards:
 class TestHatMatrixOracle:
     @staticmethod
     def entrywise_hat(md, group):
-        sj = SJCache(md)
-        hats, boundaries, stab, ustab = _label_data(md, group, sj, 1e-8)
+        hats, boundaries, stab, ustab = _label_data(md, group, 1e-8)
         rows = [(h.sector, dict(h.char), len(stab[h.sector]) * len(ustab[h.sector])) for h in hats]
         cols = [(b.rep, dict(b.char), len(stab[b.rep]) * len(ustab[b.rep])) for b in boundaries]
-        return entrywise_sj_sum(sj, group.order, rows, cols)
+        return entrywise_sj_sum(md, group.order, rows, cols)
 
     @pytest.mark.parametrize("algebra,level", SJ_THEORIES)
     def test_center_hat_matrix_matches_the_entrywise_sum(self, algebra, level):
@@ -245,9 +244,10 @@ class TestHatMatrixOracle:
 
     @pytest.mark.parametrize("level", [2, 4])
     def test_orbifold_dual_current_hat_matrix_matches_the_entrywise_sum(self, level):
-        # the orbifold theory has no fixed-point provider: only S^J of the
-        # identity may be fetched
+        # the orbifold theory has no S^J for its dual current: only S^J of
+        # the identity may be fetched
         _, orb, dual = orbifold_setup(level)
-        assert orb.md.sj_provider is None
+        with pytest.raises(UnsupportedFolding, match="/orb"):
+            fixed_point_smatrix(orb.md, dual.indices[1])
         shat = hat_smatrix(orb.md, dual)
         assert np.array_equal(shat, self.entrywise_hat(orb.md, dual))

@@ -600,6 +600,18 @@ class TestFailureReports:
         assert status == EXIT_UNSUPPORTED
         assert doc["error"]["code"] == "unsupported"
 
+    @pytest.mark.parametrize(
+        "algebra,group,current",
+        [("A3", "5", "(0, 2, 0)"), ("C2", "center", "(0, 2)"), ("D4", "center", "(0, 0, 0, 2)")],
+    )
+    def test_extension_without_fixed_point_matrix_is_unsupported(self, algebra, group, current):
+        doc, status = run_json(["extend", algebra, "--level", "2", "--group", group])
+        assert status == EXIT_UNSUPPORTED
+        assert doc["error"]["code"] == "unsupported"
+        assert doc["error"]["message"] == (
+            f"no fixed-point S matrix available for current {current} of {algebra} level 2"
+        )
+
     @pytest.mark.parametrize("level", [2, 6, 10])
     def test_charged_fixed_point_boundary_is_unsupported(self, level):
         doc, status = run_json(

@@ -12,6 +12,7 @@ from wzwkit.affine import modular_data, verify_modular_invariants
 from wzwkit.errors import IntegralityError, InvariantViolation
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_residual, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
+from wzwkit.simplecurrent import fixed_point_smatrix
 
 
 def su2_fusion_oracle(k: int, a: int, b: int, c: int) -> int:
@@ -25,7 +26,7 @@ def su2_fusion_oracle(k: int, a: int, b: int, c: int) -> int:
 
 @pytest.fixture(scope="module")
 def su2_data():
-    return {k: modular_data("A1", k, attach_sj=False) for k in range(1, 7)}
+    return {k: modular_data("A1", k) for k in range(1, 7)}
 
 
 class TestVerlinde:
@@ -47,19 +48,19 @@ class TestVerlinde:
                     assert n[a, b, c] == su2_fusion_oracle(k, a, b, c)
 
     def test_vacuum_fuses_trivially(self):
-        md = modular_data("B2", 2, attach_sj=False)
+        md = modular_data("B2", 2)
         n = verlinde_tensor(md)
         assert np.array_equal(n[0], np.eye(md.dim, dtype=np.int64))
 
     def test_fusion_with_conjugate_reaches_vacuum_once(self):
-        md = modular_data("A2", 2, attach_sj=False)
+        md = modular_data("A2", 2)
         n = verlinde_tensor(md)
         conj = md.conjugation_permutation()
         for a in range(md.dim):
             assert n[a, :, 0].tolist() == [1 if b == conj[a] else 0 for b in range(md.dim)]
 
     def test_associativity(self):
-        md = modular_data("B2", 2, attach_sj=False)
+        md = modular_data("B2", 2)
         n = verlinde_tensor(md)
         for a in range(md.dim):
             for b in range(md.dim):
@@ -68,7 +69,7 @@ class TestVerlinde:
                 assert np.array_equal(lhs, rhs)
 
     def test_a2_level1_cyclic_ring(self):
-        md = modular_data("A2", 1, attach_sj=False)
+        md = modular_data("A2", 1)
         n = verlinde_tensor(md)
         one = md.index((0, 1))
         two = md.index((1, 0))
@@ -80,7 +81,7 @@ class TestVerlinde:
     @given(k=st.integers(1, 10), a=st.integers(0, 10), b=st.integers(0, 10))
     def test_su2_oracle_property(self, k, a, b):
         a, b = min(a, k), min(b, k)
-        md = modular_data("A1", k, attach_sj=False)
+        md = modular_data("A1", k)
         n = verlinde_tensor(md)
         expect = [su2_fusion_oracle(k, a, b, c) for c in range(k + 1)]
         assert n[a, b].tolist() == expect
@@ -88,7 +89,7 @@ class TestVerlinde:
 
 class TestDerivedOncePerSMatrix:
     def test_each_call_applies_its_own_tolerance(self):
-        md = modular_data("A1", 4, attach_sj=False)
+        md = modular_data("A1", 4)
         verlinde_tensor(md)
         residuals = verify_modular_invariants(md)
         fusion_residual = verlinde_residual(md)
@@ -101,7 +102,7 @@ class TestDerivedOncePerSMatrix:
         assert exc.value.relation == "unitarity"
 
     def test_replaced_smatrix_is_recomputed(self):
-        md = modular_data("A1", 4, attach_sj=False)
+        md = modular_data("A1", 4)
         verlinde_tensor(md)
         verify_modular_invariants(md)
         tampered = md.smatrix.copy()
@@ -112,9 +113,26 @@ class TestDerivedOncePerSMatrix:
         with pytest.raises(InvariantViolation):
             verify_modular_invariants(md)
 
+    @pytest.mark.parametrize("field", ["delta", "central_charge"])
+    def test_replaced_t_data_drops_memoized_values(self, field):
+        md = modular_data("A1", 4)
+        tensor = verlinde_tensor(md)
+        sj = fixed_point_smatrix(md, (4,))
+        verify_modular_invariants(md)
+        if field == "delta":
+            md.delta = (md.delta[0] + Q(1, 3),) + md.delta[1:]
+        else:
+            md.central_charge = md.central_charge + 1
+        again = verlinde_tensor(md)
+        assert again is not tensor and np.array_equal(again, tensor)
+        assert fixed_point_smatrix(md, (4,)) is not sj
+        with pytest.raises(InvariantViolation) as exc:
+            verify_modular_invariants(md)
+        assert exc.value.relation == "st_cubed"
+
     @pytest.mark.parametrize("label,k", [("A1", 60), ("A2", 8), ("B3", 3), ("G2", 6)])
     def test_in_place_residual_matches_the_direct_expression(self, label, k):
-        md = modular_data(label, k, attach_sj=False)
+        md = modular_data(label, k)
         s = md.smatrix
         raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
         residual = np.abs(raw - np.round(raw.real))
@@ -131,7 +149,7 @@ class TestDerivedOncePerSMatrix:
         assert exc.value.residual == verlinde_residual(md)
 
     def test_peak_memory_is_the_integer_tensor(self):
-        md = modular_data("A1", 60, attach_sj=False)
+        md = modular_data("A1", 60)
         tracemalloc.start()
         try:
             tensor = verlinde_tensor(md)
@@ -141,7 +159,7 @@ class TestDerivedOncePerSMatrix:
         assert peak <= 1.5 * tensor.nbytes
 
     def test_memoized_arrays_are_read_only(self):
-        md = modular_data("A1", 4, attach_sj=False)
+        md = modular_data("A1", 4)
         tensor = verlinde_tensor(md)
         with pytest.raises(ValueError):
             md.smatrix[1, 2] += 1e-3
@@ -156,7 +174,7 @@ class TestSimpleCurrents:
         assert g.element_order(g.indices[1]) == 2
 
     def test_su3_group_is_z3(self):
-        g = simple_currents(modular_data("A2", 2, attach_sj=False))
+        g = simple_currents(modular_data("A2", 2))
         assert g.order == 3
         j = [i for i in g.indices if i != 0][0]
         assert g.element_order(j) == 3
@@ -168,7 +186,7 @@ class TestSimpleCurrents:
          ("A3", 2), ("C3", 2), ("B3", 1), ("D4", 1)],
     )
     def test_group_order_matches_center(self, label, k):
-        md = modular_data(label, k, attach_sj=False)
+        md = modular_data(label, k)
         g = simple_currents(md)
         assert g.order == center_group(build_algebra(label)).order
 
@@ -188,7 +206,7 @@ class TestSimpleCurrents:
         assert g.stabilizer(2) == (0, jj)
 
     def test_subgroup_closure(self):
-        md = modular_data("A2", 3, attach_sj=False)
+        md = modular_data("A2", 3)
         g = simple_currents(md)
         j = [i for i in g.indices if i != 0][0]
         sub = g.subgroup((j,))
@@ -197,7 +215,7 @@ class TestSimpleCurrents:
 
 class TestTensorProduct:
     def test_two_ising_like_factors(self):
-        md1 = modular_data("A1", 1, attach_sj=False)
+        md1 = modular_data("A1", 1)
         prod = tensor_product(md1, md1)
         assert prod.dim == 4
         assert prod.labels[0] == ((0,), (0,))
@@ -205,13 +223,13 @@ class TestTensorProduct:
         assert prod.delta[prod.index(((1,), (1,)))] == Q(1, 2)
 
     def test_product_smatrix_is_kron(self):
-        a = modular_data("A1", 2, attach_sj=False)
-        b = modular_data("A2", 1, attach_sj=False)
+        a = modular_data("A1", 2)
+        b = modular_data("A2", 1)
         prod = tensor_product(a, b)
         assert np.array_equal(prod.smatrix, np.kron(a.smatrix, b.smatrix))
 
     def test_product_fusion_factorizes(self):
-        a = modular_data("A1", 1, attach_sj=False)
+        a = modular_data("A1", 1)
         prod = tensor_product(a, a)
         n = verlinde_tensor(prod)
         na = verlinde_tensor(a)
@@ -224,7 +242,7 @@ class TestTensorProduct:
                     assert n[x, y, z] == na[x1, y1, z1] * na[x2, y2, z2]
 
     def test_triple_product_currents(self):
-        md = modular_data("A1", 2, attach_sj=False)
+        md = modular_data("A1", 2)
         cube = tensor_product(tensor_product(md, md), md)
         g = simple_currents(cube)
         assert g.order == 8

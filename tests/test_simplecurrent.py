@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -8,7 +9,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import wzwkit.simplecurrent as simplecurrent
 from wzwkit.affine import modular_data
+from wzwkit.blocks import fourier_eigendims
+from wzwkit.boundary import classifying_algebra
 from wzwkit.errors import (
     ExtensionRejected,
     IntegralityError,
@@ -20,9 +24,9 @@ from wzwkit.errors import (
 from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.liealg import build_algebra
+from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
 from wzwkit.simplecurrent import (
     FixedPointData,
-    SJCache,
     abelian_characters,
     cocycle,
     extend_by_group,
@@ -50,7 +54,7 @@ def su2_cube(k=2):
 SJ_THEORIES = [("A1", k) for k in (4, 8, 12, 16)] + [("A2", k) for k in (3, 6, 9, 12)]
 
 
-def entrywise_sj_sum(sj, group_order, rows, cols):
+def entrywise_sj_sum(md, group_order, rows, cols):
     """Reference for ``sj_character_matrix``: one entry at a time, one current
     at a time, J ascending over the currents both characters are defined on
     and skipped unless it fixes both sectors."""
@@ -59,7 +63,7 @@ def entrywise_sj_sum(sj, group_order, rows, cols):
         for b, (nu, phi, wb) in enumerate(cols):
             acc = 0.0 + 0.0j
             for j in sorted(set(psi) & set(phi)):
-                data = sj[j]
+                data = fixed_point_smatrix(md, j)
                 if mu in data.fixed_set and nu in data.fixed_set:
                     val = data.matrix[data.fixed.index(mu), data.fixed.index(nu)]
                     acc += phase_to_complex(psi[j]) * val * np.conj(phase_to_complex(phi[j]))
@@ -135,21 +139,26 @@ class TestFixedPointMatrices:
     @pytest.mark.parametrize(
         "algebra, level", [("A1", 4), ("A1", 8), ("A1", 12), ("A2", 3), ("A2", 6)]
     )
-    def test_closed_form_is_the_only_consistent_root_of_unity(self, algebra, level):
-        md = modular_data(algebra, level)
-        group = simple_currents(md)
-        closed = {j: fixed_point_smatrix(md, j) for j in group.indices[1:]}
+    def test_closed_form_is_the_only_consistent_root_of_unity(
+        self, algebra, level, monkeypatch
+    ):
+        base = modular_data(algebra, level)
+        closed = {j: fixed_point_smatrix(base, j) for j in simple_currents(base).indices[1:]}
         (xi_closed,) = {data.matrix[0, 0] for data in closed.values()}
         order = math.lcm(24, 4 * (level + build_algebra(algebra).dual_coxeter))
+        build = simplecurrent._fixed_point_data
         passed = 0
         for m in range(order):
             xi = phase_to_complex(Q(m, order))
 
-            def provider(label, xi=xi):
-                data = closed[md.index(label)]
-                return FixedPointData(data.current_index, data.fixed, np.array([[xi]]), md.dim)
+            def candidate(md, j_index, xi=xi):
+                if j_index not in closed:
+                    return build(md, j_index)
+                return FixedPointData(j_index, closed[j_index].fixed, np.array([[xi]]), md.dim)
 
-            md.sj_provider = provider
+            monkeypatch.setattr(simplecurrent, "_fixed_point_data", candidate)
+            md = dataclasses.replace(base)  # a fresh theory starts with no S^J built
+            group = simple_currents(md)
             if xi == xi_closed:
                 extend_by_group(md, group)
                 passed += 1
@@ -167,18 +176,11 @@ class TestFixedPointMatrices:
         with pytest.raises(UnsupportedFolding):
             fixed_point_smatrix(md, j)
 
-    def test_provider_is_attached(self):
-        md = md_su2(4)
-        assert md.sj_provider is not None
-        data = md.sj_provider((4,))
-        assert data.fixed == (2,)
-
-    def test_tensor_provider_multiplies_phases(self):
+    def test_tensor_product_multiplies_phases(self):
         md = su2_cube(2)
-        vac = ((0,), (0,))
         jj = ((((2,), (2,))), (2,))
-        data = md.sj_provider(jj)
-        assert len(data.fixed) == 1
+        data = fixed_point_smatrix(md, jj)
+        assert data.fixed == (md.index((((1,), (1,)), (1,))),)
         assert abs(data.matrix[0, 0] - 1.0) < 1e-9
 
     def test_full_zero_extension(self):
@@ -190,27 +192,95 @@ class TestFixedPointMatrices:
         assert np.abs(np.delete(np.delete(full, 2, 0), 2, 1)).max() == 0
 
 
+class TestFixedPointEntryPoint:
+    """``fixed_point_smatrix`` builds each S^J once per S matrix."""
+
+    def test_lookups_return_the_same_object(self):
+        md = md_su2(4)
+        j = md.index((4,))
+        assert fixed_point_smatrix(md, (4,)) is fixed_point_smatrix(md, j)
+        assert fixed_point_smatrix(md, md.vacuum) is fixed_point_smatrix(md, (0,))
+        assert fixed_point_smatrix(md, md.vacuum).matrix is md.smatrix
+        assert fixed_point_smatrix(md, md.vacuum).full() is md.smatrix
+
+    def test_new_smatrix_gives_a_fresh_object(self):
+        md = md_su2(4)
+        old = fixed_point_smatrix(md, (4,))
+        md.smatrix = md.smatrix.copy()
+        new = fixed_point_smatrix(md, (4,))
+        assert new is not old
+        assert new.fixed == old.fixed
+        assert np.array_equal(new.matrix, old.matrix)
+        assert fixed_point_smatrix(md, md.vacuum).matrix is md.smatrix
+
+    @pytest.mark.parametrize("algebra,level,fixed", [("A1", 4, (2,)), ("A2", 3, (1, 1))])
+    def test_constructions_build_each_current_once(self, algebra, level, fixed, monkeypatch):
+        built = []
+        build = simplecurrent._fixed_point_data
+
+        def counted(md, j_index):
+            built.append(j_index)
+            return build(md, j_index)
+
+        monkeypatch.setattr(simplecurrent, "_fixed_point_data", counted)
+        md = modular_data(algebra, level)
+        group = simple_currents(md)
+        extend_by_group(md, group)
+        classifying_algebra(md, group)
+        fourier_eigendims(md, group, (md.index(fixed),) * 4)
+        nontrivial = sorted(j for j in built if j != md.vacuum)
+        assert nontrivial == list(group.indices[1:])
+
+    def test_product_with_an_outside_factor(self):
+        su2, b2 = md_su2(2), modular_data("B2", 2)
+        md = tensor_product(su2, b2)
+        group = simple_currents(md)
+        assert group.order == 4
+        supported = 0
+        for j in group.indices[1:]:
+            c1, c2 = md.labels[j]
+            if c2 == b2.labels[0]:
+                data = fixed_point_smatrix(md, j)
+                d1 = fixed_point_smatrix(su2, c1)
+                assert data.fixed == tuple(d1.fixed[0] * b2.dim + i for i in range(b2.dim))
+                assert np.array_equal(data.matrix, d1.matrix[0, 0] * b2.smatrix)
+                supported += 1
+            else:
+                with pytest.raises(UnsupportedFolding, match="B2 level 2"):
+                    fixed_point_smatrix(md, j)
+        assert supported == 1
+
+    def test_extension_and_orbifold_have_no_nontrivial_sj(self):
+        parent = md_su2(4)
+        ext = extend_by_group(parent, simple_currents(parent)).md
+        orb = assemble_orbifold(inner_orbifold_input(md_su2(2), (1,))).md
+        for theory in (ext, orb):
+            currents = simple_currents(theory).indices
+            assert len(currents) > 1
+            assert fixed_point_smatrix(theory, theory.vacuum).matrix is theory.smatrix
+            for j in currents[1:]:
+                with pytest.raises(UnsupportedFolding):
+                    fixed_point_smatrix(theory, j)
+
+
 class TestCocycle:
     def test_identity_slot_gives_current_spin_phase(self):
         md = md_su2(2)
         g = simple_currents(md)
-        sj = SJCache(md)
-        f = cocycle(md, g, md.vacuum, md.index((2,)), 1, sj)
+        f = cocycle(md, g, md.vacuum, md.index((2,)), 1)
         assert abs(f - (-1.0)) < 1e-9
 
     def test_current_slot_on_own_fixed_point_is_trivial(self):
         md = md_su2(2)
         g = simple_currents(md)
-        sj = SJCache(md)
         j = md.index((2,))
-        assert abs(cocycle(md, g, j, j, 1, sj) - 1.0) < 1e-9
+        assert abs(cocycle(md, g, j, j, 1) - 1.0) < 1e-9
 
     def test_off_fixed_point_column_is_undefined(self):
         md = md_su2(2)
         g = simple_currents(md)
-        sj = SJCache(md)
         with pytest.raises(UnderdeterminedCocycle):
-            cocycle(md, g, md.index((2,)), md.index((2,)), 0, sj)
+            cocycle(md, g, md.index((2,)), md.index((2,)), 0)
 
     def test_snap_phase(self):
         assert snap_phase(1j) == Q(1, 4)
@@ -224,8 +294,7 @@ class TestCocycle:
         j202 = md.index((((2,), (0,)), (2,)))
         f = md.index((((1,), (1,)), (1,)))
         sub = g.subgroup((j022, j202))
-        sj = SJCache(md)
-        val = cocycle(md, sub, j022, j202, f, sj)
+        val = cocycle(md, sub, j022, j202, f)
         assert abs(val - (-1.0)) < 1e-9
 
 
@@ -240,7 +309,7 @@ class TestCharacters:
         assert chars[1][j] == Q(1, 2)
 
     def test_z3_characters(self):
-        md = modular_data("A2", 1, attach_sj=False)
+        md = modular_data("A2", 1)
         g = simple_currents(md)
         chars = abelian_characters(g.indices, g.compose, 0)
         assert len(chars) == 3
@@ -367,7 +436,7 @@ class TestExtensions:
         w = complex(-0.5, math.sqrt(3) / 2)
         target = np.array([[r3, r3, r3], [r3, r3 * w, r3 * w.conjugate()], [r3, r3 * w.conjugate(), r3 * w]])
         assert match_up_to_bijection(s, target)
-        su3 = modular_data("A2", 1, attach_sj=False)
+        su3 = modular_data("A2", 1)
         assert match_up_to_bijection(s, su3.smatrix)
 
     def test_su2_level4_extension_ring_is_z3(self):
@@ -439,7 +508,7 @@ class TestSjCharacterMatrix:
         rows = [
             (c.rep, c.char, len(group.stabilizer(c.rep)) * len(c.char)) for c in ext.classes
         ]
-        return entrywise_sj_sum(SJCache(ext.parent), group.order, rows, rows)
+        return entrywise_sj_sum(ext.parent, group.order, rows, rows)
 
     @pytest.mark.parametrize("algebra,level", SJ_THEORIES)
     def test_extension_matches_the_entrywise_sum(self, algebra, level):
@@ -461,17 +530,18 @@ class TestSjCharacterMatrix:
         j = md.index((4,))
         fixed = md.index((2,))
         fetched = []
-        provider = md.sj_provider
+        lookup = simplecurrent.fixed_point_smatrix
 
-        def counted(label):
-            fetched.append(label)
-            return provider(label)
+        def counted(theory, current):
+            if current != theory.vacuum:  # the identity S^J is S itself
+                fetched.append(current)
+            return lookup(theory, current)
 
-        monkeypatch.setattr(md, "sj_provider", counted)
+        monkeypatch.setattr(simplecurrent, "fixed_point_smatrix", counted)
         rows = [(fixed, {md.vacuum: Q(0), j: Q(1, 2)}, 4)]
         cols = [(fixed, {md.vacuum: Q(0)}, 4), (md.vacuum, {md.vacuum: Q(0)}, 1)]
-        out = sj_character_matrix(SJCache(md), 2, rows, cols)
+        out = sj_character_matrix(md, 2, rows, cols)
         assert fetched == []
-        assert np.array_equal(out, entrywise_sj_sum(SJCache(md), 2, rows, cols))
-        sj_character_matrix(SJCache(md), 2, rows, rows)
-        assert fetched == [(4,)]
+        assert np.array_equal(out, entrywise_sj_sum(md, 2, rows, cols))
+        sj_character_matrix(md, 2, rows, rows)
+        assert fetched == [j]
