@@ -92,14 +92,18 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     return int(v[md.vacuum])
 
 
-def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
-    """Current tuples of length m multiplying to the identity."""
-    out = []
-    for combo in itertools.product(group.indices, repeat=m - 1):
+def _closed_tuples(group: SimpleCurrentGroup, slots: Sequence[Sequence[int]]):
+    """Each tuple of ``slots`` (in product order), closed by the inverse of its product."""
+    for combo in itertools.product(*slots):
         acc = group.md.vacuum
         for j in combo:
             acc = group.compose(acc, j)
-        out.append(combo + (group.inverse(acc),))
+        yield combo + (group.inverse(acc),)
+
+
+def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
+    """Current tuples of length m multiplying to the identity."""
+    out = list(_closed_tuples(group, [group.indices] * (m - 1)))
     assert len(out) == group.order ** (m - 1)
     return out
 
@@ -107,13 +111,13 @@ def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
 def admissible_tuples(
     group: SimpleCurrentGroup, insertions: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Identity-product tuples whose slots each stabilize their insertion."""
-    stabs = [set(group.stabilizer(mu)) for mu in insertions]
-    return [
-        t
-        for t in gamma_out(group, len(insertions))
-        if all(ts in st for ts, st in zip(t, stabs))
-    ]
+    """Identity-product tuples whose slots each stabilize their insertion.
+
+    Slots 1..m-1 run over their stabilizers only; the closing current must
+    stabilize the last insertion.  The order is that of ``gamma_out``.
+    """
+    *slots, last = (group.stabilizer(mu) for mu in insertions)
+    return [t for t in _closed_tuples(group, slots) if t[-1] in last]
 
 
 def untwisted_tuples(

@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedFolding,
     WeylCapExceeded,
 )
-from .fusion import SimpleCurrentGroup, simple_currents, verlinde_residual, verlinde_tensor
+from .fusion import SimpleCurrentGroup, simple_currents, verify_fusion, verlinde_tensor
 from .liealg import build_algebra, center_group
 from .orbifold import assemble_orbifold, conjecture2_trace, inner_orbifold_input
 from .simplecurrent import extend_by_group
@@ -471,7 +471,7 @@ def _run_fusion(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
     tensor = verlinde_tensor(md)
-    residuals["fusion_integrality"] = verlinde_residual(md)
+    residuals["fusion_integrality"] = verify_fusion(md)
     group = simple_currents(md)
     result = {
         "dim": md.dim,
@@ -625,8 +625,7 @@ def _center_order_multiset(factors: Sequence[int]) -> list[int]:
 def _run_check(config: JobConfig):
     md = _load(config)
     residuals = verify_modular_invariants(md, config.tolerance)
-    verlinde_tensor(md)
-    residuals["fusion_integrality"] = verlinde_residual(md)
+    residuals["fusion_integrality"] = verify_fusion(md)
     group = simple_currents(md)
     detected = sorted(group.element_order(j) for j in group.indices)
     factors = center_group(build_algebra(config.algebra)).factors

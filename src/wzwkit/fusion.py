@@ -1,14 +1,25 @@
 """Fusion coefficients, simple currents, and products of modular data.
 
-Fusion multiplicities come from the Verlinde sum over the unitary S matrix
-and must round to non-negative integers within tolerance; anything else is
-reported as a hard error rather than silently rounded.
+Fusion multiplicities come from the Verlinde sum
+N_ab^c = sum_k S_ak S_bk conj(S_ck) / S_0k over the unitary S matrix and must
+round to non-negative integers within tolerance; anything else is reported as
+a hard error rather than silently rounded.
+
+The sum runs as one pass over the rows a, one BLAS product per row, holding
+O(n^2) at a time.  Every pass fills a memoized summary: the worst residual,
+the most negative rounded entry and the fusion permutation of each row with
+one channel per b.  ``verify_fusion`` and ``simple_currents`` read only the
+summary, so checking a theory never stores the n^3 tensor; only
+``verlinde_tensor`` (the ``fusion`` report and block ranks) keeps the rounded
+rows, as an int64 array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,58 +28,102 @@ from .errors import IntegralityError, InternalConsistencyError
 
 __all__ = [
     "verlinde_tensor",
-    "verlinde_residual",
+    "verify_fusion",
     "SimpleCurrentGroup",
     "simple_currents",
     "tensor_product",
 ]
 
 
-def _verlinde(md: ModularData):
+class _Summary(NamedTuple):
+    """What one pass of the Verlinde sum keeps; positions are (a, b, c)."""
+
+    residual: float  # first largest |x - round(x)| in C order
+    worst: tuple[int, int, int]
+    value: complex  # the raw sum at ``worst``
+    neg: tuple[int, int, int]  # first smallest rounded entry
+    lowest: float
+    perms: dict[int, tuple[int, ...]]  # row a -> (c with N_ab^c = 1 for each b)
+
+
+def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
+    """One pass over rows a: N_a = (S diag(S_a)) (conj(S) / S_0)^T.
+
+    Each row is rounded, summarized and dropped, or written into ``tensor``.
+    An exactly real S (every A1 theory) runs in float64.
+    """
     s = md.smatrix
+    if not s.imag.any():
+        s = s.real
     n = len(s)
     dual = (s.conj() / s[0]).T
-    tensor = np.empty((n, n, n), dtype=np.int64)
-    # per row a: first largest residual, its flat index in the row and its raw value
-    residual, where, value = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
+    residual, lowest, perms = -1.0, np.inf, {}
     for a in range(n):
         raw = (s * s[a]) @ dual  # raw[b, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
         rounded = np.round(raw.real)
-        tensor[a] = rounded
+        if tensor is not None:
+            tensor[a] = rounded
         off = np.abs(raw - rounded)
-        where[a] = np.argmax(off)
-        residual[a], value[a] = off.flat[where[a]], raw.flat[where[a]]
-    a = int(np.argmax(residual))
-    worst = (a, *divmod(int(where[a]), n))
-    neg = np.unravel_index(int(np.argmin(tensor)), tensor.shape)
+        i = int(np.argmax(off))
+        if off.flat[i] > residual:
+            residual, worst, value = float(off.flat[i]), (a, *divmod(i, n)), complex(raw.flat[i])
+        i = int(np.argmin(rounded))
+        if rounded.flat[i] < lowest:
+            lowest, neg = float(rounded.flat[i]), (a, *divmod(i, n))
+        if (rounded.sum(axis=1) == 1).all():
+            perms[a] = tuple(rounded.argmax(axis=1).tolist())
+    return _Summary(residual, worst, value, neg, lowest, perms)
+
+
+def _summary(md: ModularData) -> _Summary:
+    return md._derived("verlinde_summary", _verlinde)
+
+
+def _tensor(md: ModularData) -> np.ndarray:
+    n = md.dim
+    tensor = np.empty((n, n, n), dtype=np.int64)
+    summary = _verlinde(md, tensor)
+    md._derived("verlinde_summary", lambda md: summary)
     tensor.flags.writeable = False
-    return tensor, float(residual[a]), worst, complex(value[a]), neg, float(tensor[neg])
+    return tensor
+
+
+def verify_fusion(md: ModularData, tol: float = 1e-6) -> float:
+    """The largest residual |x - round(x)| of the Verlinde sums, once each is
+    checked to round to a non-negative integer.
+
+    The sum runs at most once per S matrix and stores no fusion tensor.  Each
+    call applies its own ``tol`` and raises ``IntegralityError`` at the first
+    worst entry, or at the first negative one.
+    """
+    summary = _summary(md)
+    if summary.residual > tol:
+        raise IntegralityError(
+            "fusion coefficient",
+            summary.value,
+            summary.residual,
+            tuple(md.labels[i] for i in summary.worst),
+        )
+    if summary.lowest < 0:
+        raise IntegralityError(
+            "fusion coefficient (negative)",
+            summary.lowest,
+            -summary.lowest,
+            tuple(md.labels[i] for i in summary.neg),
+        )
+    return summary.residual
 
 
 def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     """All fusion multiplicities N[a, b, c] = N_{ab}^c as a read-only integer array.
 
-    The Verlinde sum runs once per S matrix, as one BLAS product per row a:
-    N[a] = (S diag(S_a)) (conj(S) / S_0)^T.  Rows are rounded as they are
-    made, so the memory held is the int64 tensor plus O(n^2) per row.  Each
-    call applies its own ``tol`` to the residual |x - round(x)| and raises
-    ``IntegralityError`` at the first worst entry, or at the first negative one.
+    The n^3 int64 tensor is built once per S matrix, by the same row pass as
+    ``verify_fusion``, which it fills on the way; apart from the tensor the
+    pass holds O(n^2).  The tensor is checked as ``verify_fusion(md, tol)``.
     """
-    tensor, residual, worst, value, neg, lowest = md._derived("verlinde", _verlinde)
-    if residual > tol:
-        raise IntegralityError(
-            "fusion coefficient", value, residual, tuple(md.labels[i] for i in worst)
-        )
-    if lowest < 0:
-        raise IntegralityError(
-            "fusion coefficient (negative)", lowest, -lowest, tuple(md.labels[i] for i in neg)
-        )
+    tensor = md._derived("verlinde", _tensor)
+    verify_fusion(md, tol)
     return tensor
-
-
-def verlinde_residual(md: ModularData) -> float:
-    """Largest distance of a Verlinde sum from the nearest integer."""
-    return md._derived("verlinde", _verlinde)[1]
 
 
 @dataclass(eq=False)
@@ -98,11 +153,15 @@ class SimpleCurrentGroup:
     def compose(self, j1: int, j2: int) -> int:
         return self.perms[j1][j2]
 
+    @cached_property
+    def _inverses(self) -> dict[int, int]:
+        vacuum = self.md.vacuum
+        return {j: inv for j in self.indices if (inv := self.perms[j].index(vacuum)) in self.perms}
+
     def inverse(self, j: int) -> int:
-        for j2 in self.indices:
-            if self.compose(j, j2) == self.md.vacuum:
-                return j2
-        raise InternalConsistencyError("simple current has no inverse in the group")
+        if (inv := self._inverses.get(j)) is None:
+            raise InternalConsistencyError("simple current has no inverse in the group")
+        return inv
 
     def element_order(self, j: int) -> int:
         k, cur = 1, j
@@ -148,20 +207,16 @@ def simple_currents(
     """
     s0 = md.smatrix[0]
     by_smatrix = {j for j in range(md.dim) if abs(s0[j] - s0[0]) <= tol}
-    n = verlinde_tensor(md, fusion_tol)
-    by_fusion = {j for j in range(md.dim) if (n[j].sum(axis=1) == 1).all()}
-    if by_smatrix != by_fusion:
+    verify_fusion(md, fusion_tol)
+    perms = _summary(md).perms
+    if by_smatrix != set(perms):
         raise InternalConsistencyError(
             "simple-current criteria disagree: "
-            f"S-matrix test gives {sorted(by_smatrix)}, fusion test gives {sorted(by_fusion)}"
+            f"S-matrix test gives {sorted(by_smatrix)}, fusion test gives {sorted(perms)}"
         )
-    perms = {}
-    for j in sorted(by_fusion):
-        perm = tuple(int(np.argmax(n[j, b])) for b in range(md.dim))
-        if sorted(perm) != list(range(md.dim)):
-            raise InternalConsistencyError("simple-current fusion is not a permutation")
-        perms[j] = perm
-    group = SimpleCurrentGroup(md, tuple(sorted(by_fusion)), perms)
+    if any(sorted(perm) != list(range(md.dim)) for perm in perms.values()):
+        raise InternalConsistencyError("simple-current fusion is not a permutation")
+    group = SimpleCurrentGroup(md, tuple(perms), dict(perms))
     for j1 in group.indices:
         for j2 in group.indices:
             if group.compose(j1, j2) not in perms:

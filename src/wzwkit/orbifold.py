@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFolding,
 )
 from .exact import phase_to_complex
-from .fusion import verlinde_tensor
+from .fusion import verify_fusion
 from .liealg import build_algebra
 
 __all__ = [
@@ -324,7 +324,7 @@ def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularD
         raise InvariantViolation("orbifold_vacuum_position", 1.0, 0.0, "")
     residuals = dict(verify_modular_invariants(omd, tol))
 
-    verlinde_tensor(omd, tol=max(tol, 1e-6))
+    verify_fusion(omd, tol=max(tol, 1e-6))
 
     s0sq = oin.s0 @ oin.s0
     perm_res = np.abs(np.abs(s0sq) - np.round(np.abs(s0sq))).max()

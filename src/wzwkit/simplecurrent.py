@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedFolding,
 )
 from .exact import phase_to_complex
-from .fusion import SimpleCurrentGroup, verlinde_tensor
+from .fusion import SimpleCurrentGroup, verify_fusion
 
 __all__ = [
     "FixedPointData",
@@ -479,7 +479,7 @@ def extend_by_group(
     if classes[0].rep != md.vacuum or any(v != 0 for v in classes[0].char.values()):
         raise InternalConsistencyError("extension vacuum class is not first")
     verify_modular_invariants(ext_md, tol)
-    verlinde_tensor(ext_md, fusion_tol)
+    verify_fusion(ext_md, fusion_tol)
 
     z = np.zeros((md.dim, md.dim), dtype=np.int64)
     for rep, orbit, stab, _u in orbit_reps:

@@ -67,6 +67,21 @@ def pairwise_untwisted(md, group, rows, insertions, tol=1e-8):
     ]
 
 
+def filtered_gamma_out(group, insertions):
+    """Reference: every identity-product tuple, kept when each slot stabilizes
+    its insertion."""
+    stabs = [set(group.stabilizer(mu)) for mu in insertions]
+    return [
+        t
+        for t in gamma_out(group, len(insertions))
+        if all(ts in st for ts, st in zip(t, stabs))
+    ]
+
+
+# The theories of the conjecture-one and factorization acceptance sweeps.
+SWEEP = tuple(("A1", k) for k in range(2, 9)) + tuple(("A2", k) for k in range(1, 5))
+
+
 def klein_four_cube():
     """su(2)^3 at level 2 with the Klein four group of even current triples,
     and the label index of the common fixed point (1, 1, 1)."""
@@ -241,6 +256,27 @@ class TestTupleSets:
         md, g = setup_theory(4)
         unt = untwisted_tuples(md, g, (2, 2, 2, 2))
         assert len(unt) == 8
+
+
+class TestAdmissibleOracle:
+    @pytest.mark.parametrize("label,k", SWEEP, ids=[f"{a}-{k}" for a, k in SWEEP])
+    def test_admissible_tuples_match_the_filtered_gamma_out(self, label, k):
+        md = modular_data(label, k)
+        group = simple_currents(md)
+        for m in (1, 2, 3, 4):
+            for insertions in itertools.combinations_with_replacement(range(md.dim), m):
+                assert admissible_tuples(group, insertions) == filtered_gamma_out(group, insertions)
+
+    def test_klein_four_subgroup_matches_the_filtered_gamma_out(self):
+        md, sub, f = klein_four_cube()
+        for insertions in [(f,) * 3, (f, 0, f, f), (0, f, f)]:
+            assert admissible_tuples(sub, insertions) == filtered_gamma_out(sub, insertions)
+
+    def test_inverse_composes_to_the_vacuum(self):
+        md, sub, _ = klein_four_cube()
+        for group in (simple_currents(md), sub, simple_currents(modular_data("A2", 3))):
+            for j in group.indices:
+                assert group.compose(j, group.inverse(j)) == group.md.vacuum
 
 
 class TestUntwistedOracle:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -503,19 +504,53 @@ class TestSingleConstructions:
         assert doc["error"]["code"] == "conjecture-failure"
         assert doc["error"]["report"]["orientation"] == 1
 
-    @pytest.mark.parametrize("construction", ["check", "fusion"])
-    def test_verlinde_sum_runs_once_per_job(self, construction, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["check", "A1", "--level", "4"], [("A1", 4, False)]),
+            (["fusion", "A1", "--level", "4"], [("A1", 4, True)]),
+            (
+                ["extend", "A1", "--level", "4", "--group", "center"],
+                [("A1", 4, False), ("A1/ext", 4, False)],
+            ),
+            (["orbifold", "A1", "--level", "4", "--shift", "1"], [("A1/orb", 4, False)]),
+            (["boundary", "A1", "--level", "4", "--group", "center"], [("A1", 4, False)]),
+        ],
+        ids=["check", "fusion", "extend", "orbifold", "boundary"],
+    )
+    def test_verlinde_sum_runs_once_per_job(self, argv, expected, monkeypatch):
+        # (theory, whether the pass stored the tensor), one entry per row loop
         verlinde = wzwkit.fusion._verlinde
-        theories = []
+        passes = []
 
-        def counted(md):
-            theories.append((md.algebra, md.level))
-            return verlinde(md)
+        def counted(md, tensor=None):
+            passes.append((md.algebra, md.level, tensor is not None))
+            return verlinde(md, tensor)
 
         monkeypatch.setattr(wzwkit.fusion, "_verlinde", counted)
-        _, status = run_json([construction, "A1", "--level", "4"])
+        _, status = run_json(argv)
         assert status == EXIT_OK
-        assert theories == [("A1", 4)]
+        assert passes == expected
+
+    def test_check_stores_no_fusion_tensor(self, monkeypatch):
+        loaded = []
+
+        def load(config):
+            loaded.append(modular_data(config.algebra, config.level))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load", load)
+        tracemalloc.start()
+        try:
+            _, status = run_json(["check", "A1", "--level", "150"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_OK
+        (md,) = loaded
+        memoized = md._memo[3]
+        assert "verlinde_summary" in memoized and "verlinde" not in memoized
+        assert peak < md.dim**3 * 8
 
     def test_one_svd_per_classifying_algebra(self, monkeypatch):
         svd = np.linalg.svd

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wzwkit.fusion
 from wzwkit.affine import modular_data, verify_modular_invariants
 from wzwkit.errors import IntegralityError, InvariantViolation
-from wzwkit.fusion import simple_currents, tensor_product, verlinde_residual, verlinde_tensor
+from wzwkit.fusion import simple_currents, tensor_product, verify_fusion, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
-from wzwkit.simplecurrent import fixed_point_smatrix
+from wzwkit.simplecurrent import extend_by_group, fixed_point_smatrix
 
 
 def su2_fusion_oracle(k: int, a: int, b: int, c: int) -> int:
@@ -22,6 +24,66 @@ def su2_fusion_oracle(k: int, a: int, b: int, c: int) -> int:
     lo = abs(a - b)
     hi = min(a + b, 2 * k - a - b)
     return 1 if lo <= c <= hi else 0
+
+
+def full_tensor_verlinde(md, s=None):
+    """The Verlinde sum as one stored n^3 tensor, then its worst residual and
+    its smallest entry over the whole tensor.  ``s`` defaults to the complex S.
+
+    Returns (tensor, residual, worst, value, neg, lowest, current permutations).
+    """
+    s = md.smatrix if s is None else s
+    n = len(s)
+    dual = (s.conj() / s[0]).T
+    tensor = np.empty((n, n, n), dtype=np.int64)
+    residual, where, value = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
+    for a in range(n):
+        raw = (s * s[a]) @ dual
+        rounded = np.round(raw.real)
+        tensor[a] = rounded
+        off = np.abs(raw - rounded)
+        where[a] = np.argmax(off)
+        residual[a], value[a] = off.flat[where[a]], raw.flat[where[a]]
+    a = int(np.argmax(residual))
+    worst = (a, *divmod(int(where[a]), n))
+    neg = tuple(int(i) for i in np.unravel_index(int(np.argmin(tensor)), tensor.shape))
+    perms = {
+        j: tuple(int(np.argmax(tensor[j, b])) for b in range(n))
+        for j in range(n)
+        if (tensor[j].sum(axis=1) == 1).all()
+    }
+    return tensor, float(residual[a]), worst, complex(value[a]), neg, float(tensor[neg]), perms
+
+
+def streamed_operand(md):
+    """The S matrix the row pass sums over: its real part when S is exactly real."""
+    return md.smatrix if md.smatrix.imag.any() else md.smatrix.real
+
+
+def oracle_theories():
+    yield from (pytest.param("A1", k, id=f"A1-{k}") for k in range(1, 61))
+    yield from (pytest.param("A2", k, id=f"A2-{k}") for k in range(1, 11))
+    yield pytest.param("B3", 3, id="B3-3")
+    yield pytest.param("G2", 6, id="G2-6")
+    yield pytest.param("A1*A2", 2, id="A1xA2-2")
+    yield pytest.param("A1/ext", 16, id="A1-16-ext")
+
+
+def oracle_theory(label, k):
+    if label == "A1*A2":
+        return tensor_product(modular_data("A1", k), modular_data("A2", k))
+    if label == "A1/ext":
+        parent = modular_data("A1", k)
+        return extend_by_group(parent, simple_currents(parent)).md
+    return modular_data(label, k)
+
+
+def flipped(md, i):
+    """``md`` with row and column i of S negated: still unitary and symmetric,
+    but N_ab^c changes sign when an odd number of a, b, c equal i."""
+    sign = np.ones(md.dim)
+    sign[i] = -1
+    return dataclasses.replace(md, smatrix=md.smatrix * np.outer(sign, sign))
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +154,7 @@ class TestDerivedOncePerSMatrix:
         md = modular_data("A1", 4)
         verlinde_tensor(md)
         residuals = verify_modular_invariants(md)
-        fusion_residual = verlinde_residual(md)
+        fusion_residual = verify_fusion(md)
         assert 0 < fusion_residual <= 1e-6
         with pytest.raises(IntegralityError) as exc:
             verlinde_tensor(md, tol=fusion_residual / 2)
@@ -140,13 +202,13 @@ class TestDerivedOncePerSMatrix:
         a = np.abs(s)
         bound = 2 * len(s) * np.finfo(float).eps * np.einsum("ak,bk,ck->abc", a, a, a / a[0]).max()
         assert np.array_equal(verlinde_tensor(md), np.round(raw.real))
-        assert abs(verlinde_residual(md) - residual.max()) <= bound
+        assert abs(verify_fusion(md) - residual.max()) <= bound
         with pytest.raises(IntegralityError) as exc:
             verlinde_tensor(md, tol=0.0)
         worst = tuple(md.index(lab) for lab in exc.value.where)
         assert residual.max() - residual[worst] <= bound
         assert abs(exc.value.value - raw[worst]) <= bound
-        assert exc.value.residual == verlinde_residual(md)
+        assert exc.value.residual == verify_fusion(md)
 
     def test_peak_memory_is_the_integer_tensor(self):
         md = modular_data("A1", 60)
@@ -165,6 +227,55 @@ class TestDerivedOncePerSMatrix:
             md.smatrix[1, 2] += 1e-3
         with pytest.raises(ValueError):
             tensor[0, 0, 0] = 2
+
+
+class TestStreamedSummary:
+    """The row pass against the whole stored tensor."""
+
+    @pytest.mark.parametrize("label,k", oracle_theories())
+    def test_summary_matches_the_full_tensor(self, label, k):
+        md = oracle_theory(label, k)
+        summary = wzwkit.fusion._verlinde(md)
+        assert tuple(summary) == full_tensor_verlinde(md, streamed_operand(md))[1:]
+
+    @pytest.mark.parametrize("k", range(1, 61))
+    def test_real_path_tensor_matches_the_complex_sum(self, k):
+        md = modular_data("A1", k)
+        assert not md.smatrix.imag.any()
+        assert np.array_equal(verlinde_tensor(md), full_tensor_verlinde(md)[0])
+
+    def test_tensor_pass_fills_the_summary(self):
+        md = modular_data("A2", 4)
+        tensor = verlinde_tensor(md)
+        assert md._memo[3]["verlinde_summary"] == wzwkit.fusion._verlinde(md)
+        assert np.array_equal(tensor, full_tensor_verlinde(md)[0])
+
+    @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
+    @pytest.mark.parametrize("shift", [1e-3, 1e-3j])
+    def test_tampered_smatrix_raises_at_the_worst_entry(self, label, k, shift):
+        md = modular_data(label, k)
+        tampered = md.smatrix.copy()
+        tampered[1, 2] += shift
+        md = dataclasses.replace(md, smatrix=tampered)
+        _, residual, worst, value, *_ = full_tensor_verlinde(md, streamed_operand(md))
+        for check in (verify_fusion, verlinde_tensor):
+            with pytest.raises(IntegralityError) as exc:
+                check(md)
+            assert exc.value.what == "fusion coefficient"
+            assert exc.value.where == tuple(md.labels[i] for i in worst)
+            assert (exc.value.value, exc.value.residual) == (value, residual)
+
+    @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
+    def test_negative_entry_raises_at_the_first_one(self, label, k):
+        md = flipped(modular_data(label, k), 1)
+        *_, neg, lowest, _ = full_tensor_verlinde(md, streamed_operand(md))
+        assert lowest == -1
+        for check in (verify_fusion, verlinde_tensor):
+            with pytest.raises(IntegralityError) as exc:
+                check(md)
+            assert exc.value.what == "fusion coefficient (negative)"
+            assert exc.value.where == tuple(md.labels[i] for i in neg)
+            assert exc.value.value == lowest
 
 
 class TestSimpleCurrents:
