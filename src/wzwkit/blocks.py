@@ -4,10 +4,10 @@ A block-space rank is exact: (e_0 N_mu1 ... N_mum H^g)_0 over the verified
 integer fusion tensor N and its handle matrix H.  The trace of a current
 tuple is one float slot-product sum with each slot's S row replaced by its
 current's fixed-point row; the identity tuple's trace is the rank.  The
-untwisted tuples (found pairwise against one cocycle table per insertion
-label, O(m |adm|^2) products) form a group whose characters are built by
-extension; one product of its conjugated character table with the other
-traces gives integers X_chi and the dimensions (rank + X_chi) / |G|.
+untwisted tuples (found by O(m |adm|^2) exact integer sums over one table of
+cocycle exponents per insertion label) form a group whose characters are
+built by extension; one product of its conjugated character table with the
+other traces gives integers X_chi and the dimensions (rank + X_chi) / |G|.
 
 The module also carries an exact validator for the multi-shift automorphism
 of the affine sl(2) loop algebra, built on truncated Laurent series over the
@@ -17,7 +17,7 @@ rationals with explicit validity windows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +26,9 @@ import numpy as np
 from .affine import ModularData
 from .errors import ConjectureViolation, PreconditionError, UnsupportedFolding
 from .fusion import SimpleCurrentGroup, verlinde_tensor
-from .simplecurrent import _cocycle_table, _untwisted_rows, abelian_characters, fixed_point_smatrix
+from .simplecurrent import (
+    _stabilizer_data, _untwisted_rows, abelian_characters, fixed_point_smatrix
+)
 
 __all__ = [
     "block_rank",
@@ -121,32 +123,30 @@ def admissible_tuples(
 
 
 def untwisted_tuples(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    insertions: Sequence[int],
-    tol: float = 1e-8,
+    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Admissible tuples with trivial cocycle against every admissible tuple.
 
-    The cocycle of two tuples is the slotwise product of F_mu(t_s, t'_s),
-    read from one table per distinct insertion label (|Stab(mu)|^2 cocycle
-    evaluations each).  Comparing every pair in both directions costs
-    O(m |adm|^2) products in O(m |adm|) memory.
+    The cocycle of two tuples is the slotwise product of F_mu(t_s, t'_s): an
+    exact sum of exponents, read from one table per distinct insertion label
+    (|Stab(mu)|^2 cocycle evaluations each).  Comparing every pair in both
+    directions costs O(m |adm|^2) integer sums in O(m |adm|) memory.
     """
-    return _tuple_sets(md, group, insertions, tol)[1]
+    return _tuple_sets(md, group, insertions)[1]
 
 
 def _tuple_sets(
-    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int], tol=1e-8
+    md: ModularData, group: SimpleCurrentGroup, insertions: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The admissible tuples and their untwisted subset, each found once."""
     adm = admissible_tuples(group, insertions)
-    stabs = {mu: group.stabilizer(mu) for mu in insertions}
-    tables = {mu: _cocycle_table(md, group, mu, stab, tol) for mu, stab in stabs.items()}
+    stabs, tables = {}, {}
+    for mu in dict.fromkeys(insertions):  # one table per distinct label
+        stabs[mu], tables[mu], _ = _stabilizer_data(md, group, mu)
     rows = np.array(
         [[stabs[mu].index(ts) for ts, mu in zip(t, insertions)] for t in adm], dtype=np.intp
     )
-    keep = _untwisted_rows([tables[mu] for mu in insertions], rows, tol)
+    keep = _untwisted_rows([tables[mu] for mu in insertions], rows)
     return adm, [adm[i] for i in keep]
 
 

@@ -31,12 +31,7 @@ from .errors import (
 )
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
-from .simplecurrent import (
-    _cocycle_table,
-    _untwisted_stabilizer,
-    abelian_characters,
-    sj_character_matrix,
-)
+from .simplecurrent import _stabilizer_data, abelian_characters, sj_character_matrix
 
 __all__ = [
     "HatLabel",
@@ -105,13 +100,11 @@ class ClassifyingAlgebra:
         return self.reflection
 
 
-def _label_data(md: ModularData, group: SimpleCurrentGroup, tol: float):
+def _label_data(md: ModularData, group: SimpleCurrentGroup):
     stab: dict[int, tuple[int, ...]] = {}
     ustab: dict[int, tuple[int, ...]] = {}
     for i in range(md.dim):
-        s = group.stabilizer(i)
-        stab[i] = s
-        ustab[i] = _untwisted_stabilizer(s, _cocycle_table(md, group, i, s, tol), tol)
+        stab[i], _, ustab[i] = _stabilizer_data(md, group, i)
 
     hats: list[HatLabel] = []
     for i in range(md.dim):
@@ -121,12 +114,8 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup, tol: float):
             hats.append(HatLabel(i, tuple(sorted(char.items()))))
 
     boundaries: list[BoundaryLabel] = []
-    seen: set[int] = set()
-    for i in range(md.dim):
-        if i in seen:
-            continue
-        orbit = group.orbit(i)
-        seen.update(orbit)
+    for orbit in group.orbits():
+        i = orbit[0]
         if md.vacuum not in ustab[i]:
             raise UnderdeterminedCocycle(
                 f"label {md.labels[i]} (index {i}) is a fixed point of nonzero "
@@ -145,9 +134,7 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup, tol: float):
 
 
 def classifying_labels(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    tol: float = 1e-8,
+    md: ModularData, group: SimpleCurrentGroup
 ) -> tuple[tuple[HatLabel, ...], tuple[BoundaryLabel, ...]]:
     """Hat labels and boundary labels of the classifying algebra.
 
@@ -156,22 +143,18 @@ def classifying_labels(
     of all sectors (no spin restriction), one per character of the central
     stabilizer.  The counts always agree.
     """
-    hats, boundaries, _, _ = _label_data(md, group, tol)
+    hats, boundaries, _, _ = _label_data(md, group)
     return hats, boundaries
 
 
-def hat_smatrix(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    tol: float = 1e-8,
-) -> np.ndarray:
+def hat_smatrix(md: ModularData, group: SimpleCurrentGroup) -> np.ndarray:
     """The diagonalizing matrix of the classifying algebra.
 
     Entry (mu-hat, a) sums psi(J) S^J_{mu,rho} psi_a(J)* over the currents in
     the intersection of the hat label's stabilizer with the boundary label's
     central stabilizer, normalized by the usual square-root prefactor.
     """
-    return _hat_matrix(md, group, _label_data(md, group, tol))
+    return _hat_matrix(md, group, _label_data(md, group))
 
 
 def _hat_matrix(md: ModularData, group: SimpleCurrentGroup, label_data) -> np.ndarray:
@@ -259,7 +242,7 @@ def classifying_algebra(
     every boundary column a one-dimensional representation; together they
     imply associativity and commutativity) and their residuals are recorded.
     """
-    label_data = _label_data(md, group, tol)
+    label_data = _label_data(md, group)
     hats, boundaries = label_data[:2]
     if hats[0].sector != md.vacuum or any(v != 0 for _, v in hats[0].char):
         raise InternalConsistencyError("hat unit is not the vacuum with trivial character")

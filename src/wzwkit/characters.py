@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .affine import ModularData, central_charge, conformal_weight
-from .blocks import LoopElement, TruncatedLaurent, loop_bracket
+from .blocks import LoopElement, loop_bracket
 from .errors import (
     InternalConsistencyError,
     PreconditionError,

@@ -577,6 +577,7 @@ def _run_trace(config: JobConfig):
                 f"--insertions slot {slot}: {mu} is not a label index below {md.dim}"
             )
     if config.conjecture == 1:
+        verlinde_tensor(md)  # block ranks read the tensor; its pass fills the summary too
         group = simple_currents(md)
         if config.current_tuple is not None:
             _check_current_tuple(group, config.insertions, config.current_tuple)

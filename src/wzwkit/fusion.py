@@ -50,10 +50,16 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
     """One pass over rows a: N_a = (S diag(S_a)) (conj(S) / S_0)^T.
 
     Each row is rounded, summarized and dropped, or written into ``tensor``.
-    An exactly real S (every A1 theory) runs in float64.
+    A real S runs in float64: one with exactly real entries (every A1
+    theory), or a self-conjugate one whose imaginary part is at rounding
+    level (at most n eps), since S symmetric and unitary with S^2 = 1 is
+    real.  A larger imaginary part keeps the complex sum, which reports it.
     """
     s = md.smatrix
-    if not s.imag.any():
+    if not s.imag.any() or (
+        np.abs(s.imag).max() <= len(s) * np.finfo(float).eps
+        and md.conjugation_permutation() == tuple(range(len(s)))
+    ):
         s = s.real
     n = len(s)
     dual = (s.conj() / s[0]).T
@@ -178,6 +184,10 @@ class SimpleCurrentGroup:
     def orbit(self, i: int) -> tuple[int, ...]:
         return tuple(sorted({self.act(j, i) for j in self.indices}))
 
+    def orbits(self) -> list[tuple[int, ...]]:
+        """Each orbit once, in order of its least label."""
+        return sorted({self.orbit(i) for i in range(self.md.dim)})
+
     def stabilizer(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in self.indices if self.act(j, i) == i)
 
@@ -196,9 +206,7 @@ class SimpleCurrentGroup:
         return SimpleCurrentGroup(self.md, idx, {j: self.perms[j] for j in idx})
 
 
-def simple_currents(
-    md: ModularData, tol: float = 1e-9, fusion_tol: float = 1e-6
-) -> SimpleCurrentGroup:
+def simple_currents(md: ModularData, tol: float = 1e-9) -> SimpleCurrentGroup:
     """Detect the full simple-current group, cross-checking two criteria.
 
     A current is a primary whose vacuum S entry equals that of the vacuum
@@ -207,7 +215,7 @@ def simple_currents(
     """
     s0 = md.smatrix[0]
     by_smatrix = {j for j in range(md.dim) if abs(s0[j] - s0[0]) <= tol}
-    verify_fusion(md, fusion_tol)
+    verify_fusion(md)
     perms = _summary(md).perms
     if by_smatrix != set(perms):
         raise InternalConsistencyError(

@@ -15,8 +15,11 @@ results.  ``extend_by_group`` verifies the extensions built from these phases.
 
 The relative phases F_mu(J, J') extracted from these matrices control which
 characters of the stabilizer survive in extensions, boundary data, and trace
-formulas.  The extended S matrix and the classifying algebra's hat matrix are
-both |G| / sqrt(|S_a||U_a||S_b||U_b|) sum_J psi_a(J) S^J_{ab} psi_b(J)*, built
+formulas.  ``_stabilizer_data`` is the one place they are evaluated: each
+value is snapped to an exact root-of-unity exponent, and the untwisted
+subgroup is found by exact integer sums of exponents.  The extended S matrix
+and the classifying algebra's hat matrix are both
+|G| / sqrt(|S_a||U_a||S_b||U_b|) sum_J psi_a(J) S^J_{ab} psi_b(J)*, built
 whole by ``sj_character_matrix``: one (rows x columns) array step per current,
 O(|G| n^2) for n labels, and one phase per label and current.
 """
@@ -24,6 +27,7 @@ O(|G| n^2) for n labels, and one phase per label and current.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Mapping, Sequence
@@ -302,83 +306,66 @@ class OrbitRecord:
     degeneracy: int | None = None
 
 
-def _cocycle_table(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    mu: int,
-    stab: tuple[int, ...],
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """F_mu(J, J') for J, J' in the stabilizer of mu, indexed by position in ``stab``."""
-    return np.array(
-        [[cocycle(md, group, t, tp, mu, tol) for tp in stab] for t in stab],
-        dtype=complex,
+def _stabilizer_data(
+    md: ModularData, group: SimpleCurrentGroup, mu: int
+) -> tuple[tuple[int, ...], tuple[tuple[Q, ...], ...], tuple[int, ...]]:
+    """The stabilizer of mu, its cocycle exponents and its untwisted subgroup.
+
+    ``exps[a][b]`` is the exact exponent of F_mu(stab[a], stab[b]): one
+    ``cocycle`` call per pair, snapped at the precision of the cocycle's own
+    consistency check.  A value that is not a root of unity raises
+    ``InternalConsistencyError``.  This is the only place the cocycle is
+    evaluated.
+    """
+    stab = group.stabilizer(mu)
+    exps = tuple(
+        tuple(snap_phase(cocycle(md, group, t, tp, mu), tol=1e-8) for tp in stab) for t in stab
     )
+    rows = np.arange(len(stab)).reshape(-1, 1)
+    return stab, exps, tuple(stab[i] for i in _untwisted_rows([exps], rows))
 
 
-def _untwisted_rows(
-    tables: Sequence[np.ndarray], rows: np.ndarray, tol: float = 1e-8
-) -> list[int]:
+def _untwisted_rows(tables: Sequence[Sequence[Sequence[Q]]], rows: np.ndarray) -> list[int]:
     """Indices of the rows with trivial cocycle against every row, both ways.
 
     ``rows`` holds one stabilizer position per slot (shape rows x slots) and
-    ``tables[s]`` the cocycle table of slot s; the cocycle of two rows is
-    the slotwise product of table entries.  The rows are compared one at a
-    time, so memory stays O(slots x rows).
+    ``tables[s]`` the cocycle exponents of slot s; the cocycle of two rows is
+    the slotwise sum of exponents, trivial when it is an integer.  The
+    exponents are taken as int64 numerators over their common denominator d
+    and each row is compared at once with all rows, so the test is exact and
+    memory stays O(slots x rows).
     """
+    d = math.lcm(*(e.denominator for table in tables for line in table for e in line))
+    nums = [np.array([[int(e * d) for e in line] for line in table], np.int64) for table in tables]
     keep = []
     for i, row in enumerate(rows):
-        ahead = np.ones(len(rows), dtype=complex)
-        behind = np.ones(len(rows), dtype=complex)
-        for table, pos, column in zip(tables, row, rows.T):
-            ahead *= table[pos, column]
-            behind *= table[column, pos]
-        if (np.abs(ahead - 1) <= tol).all() and (np.abs(behind - 1) <= tol).all():
+        ahead = sum(num[pos, column] for num, pos, column in zip(nums, row, rows.T))
+        behind = sum(num[column, pos] for num, pos, column in zip(nums, row, rows.T))
+        if not (ahead % d).any() and not (behind % d).any():
             keep.append(i)
     return keep
 
 
-def _untwisted_stabilizer(
-    stab: tuple[int, ...], table: np.ndarray, tol: float = 1e-8
-) -> tuple[int, ...]:
-    """Currents in the stabilizer whose cocycle against it is trivial both ways."""
-    rows = np.arange(len(stab)).reshape(-1, 1)
-    return tuple(stab[i] for i in _untwisted_rows([table], rows, tol))
-
-
-def orbit_data(
-    md: ModularData,
-    group: SimpleCurrentGroup,
-    tol: float = 1e-8,
-) -> list[OrbitRecord]:
+def orbit_data(md: ModularData, group: SimpleCurrentGroup) -> list[OrbitRecord]:
     """Orbits, stabilizers and cocycle phases of a current group on primaries."""
     integer_spins = all(md.delta[j].denominator == 1 for j in group.indices)
-    seen: set[int] = set()
     records: list[OrbitRecord] = []
-    for i in range(md.dim):
-        if i in seen:
-            continue
-        orbit = group.orbit(i)
-        seen.update(orbit)
+    for orbit in group.orbits():
         rep = orbit[0]
-        stab = group.stabilizer(rep)
-        table = _cocycle_table(md, group, rep, stab, tol)
-        cvals = {
-            (t, tp): snap_phase(table[a, b])
-            for a, t in enumerate(stab)
-            for b, tp in enumerate(stab)
-        }
+        stab, exps, u = _stabilizer_data(md, group, rep)
         rec = OrbitRecord(
             representative=rep,
             orbit=orbit,
             stabilizer=stab,
             integer_spins=integer_spins,
-            cocycle_values=cvals,
+            cocycle_values={
+                (t, tp): e for t, line in zip(stab, exps) for tp, e in zip(stab, line)
+            },
         )
         if integer_spins:
-            u = _untwisted_stabilizer(stab, table, tol)
-            ratio = len(stab) // len(u)
-            if len(stab) % len(u) or int(ratio**0.5 + 0.5) ** 2 != ratio:
+            ratio, rest = divmod(len(stab), len(u))
+            root = math.isqrt(ratio)
+            if rest or root * root != ratio:
                 raise IntegralityError(
                     "fixed-point degeneracy squared",
                     ratio,
@@ -386,7 +373,7 @@ def orbit_data(
                     md.labels[rep],
                 )
             rec.untwisted_stabilizer = u
-            rec.degeneracy = int(ratio**0.5 + 0.5)
+            rec.degeneracy = root
         records.append(rec)
     return records
 
@@ -417,7 +404,6 @@ def extend_by_group(
     md: ModularData,
     group: SimpleCurrentGroup,
     tol: float = 1e-8,
-    fusion_tol: float = 1e-6,
 ) -> ExtendedTheory:
     """Extend a theory by a group of integer-spin simple currents.
 
@@ -434,22 +420,12 @@ def extend_by_group(
                 "the extension only exists for integer-spin currents"
             )
 
-    surviving: list[int] = []
-    for i in range(md.dim):
-        if all(group.charge(j, i) == 0 for j in group.indices):
-            surviving.append(i)
-
-    seen: set[int] = set()
-    orbit_reps: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-    for i in surviving:
-        if i in seen:
-            continue
-        orbit = group.orbit(i)
-        seen.update(orbit)
+    orbit_reps = []
+    for orbit in group.orbits():
         rep = orbit[0]
-        stab = group.stabilizer(rep)
-        u = _untwisted_stabilizer(stab, _cocycle_table(md, group, rep, stab, tol), tol)
-        orbit_reps.append((rep, orbit, stab, u))
+        if all(group.charge(j, rep) == 0 for j in group.indices):
+            stab, _, u = _stabilizer_data(md, group, rep)
+            orbit_reps.append((rep, orbit, stab, u))
 
     # one class per character of U, pinned to the lex-minimal representative
     classes: list[ExtClass] = []
@@ -479,7 +455,7 @@ def extend_by_group(
     if classes[0].rep != md.vacuum or any(v != 0 for v in classes[0].char.values()):
         raise InternalConsistencyError("extension vacuum class is not first")
     verify_modular_invariants(ext_md, tol)
-    verify_fusion(ext_md, fusion_tol)
+    verify_fusion(ext_md)
 
     z = np.zeros((md.dim, md.dim), dtype=np.int64)
     for rep, orbit, stab, _u in orbit_reps:

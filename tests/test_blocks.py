@@ -27,14 +27,20 @@ from wzwkit.blocks import (
     trace_factorization_check,
     untwisted_tuples,
 )
-from wzwkit.errors import ConjectureViolation, PreconditionError, UnsupportedFolding
+from wzwkit.boundary import classifying_algebra
+from wzwkit.errors import (
+    ConjectureViolation,
+    InternalConsistencyError,
+    PreconditionError,
+    UnsupportedFolding,
+)
 from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.simplecurrent import (
-    _cocycle_table,
-    _untwisted_stabilizer,
+    _stabilizer_data,
     abelian_characters,
     cocycle,
+    extend_by_group,
     fixed_point_smatrix,
     orbit_data,
 )
@@ -301,8 +307,7 @@ class TestUntwistedOracle:
             mu, stab = rec.representative, rec.stabilizer
             rows = [(t,) for t in stab]
             expected = tuple(t for (t,) in pairwise_untwisted(md, group, rows, (mu,)))
-            table = _cocycle_table(md, group, mu, stab)
-            assert _untwisted_stabilizer(stab, table) == expected
+            assert _stabilizer_data(md, group, mu)[2] == expected
             assert rec.untwisted_stabilizer == (expected if rec.integer_spins else None)
 
     @pytest.mark.parametrize(
@@ -343,14 +348,18 @@ class TestCocycleCost:
         assert bound == 4
         assert len(cocycle_calls) <= bound
 
+    @staticmethod
+    def theory(name):
+        if name == "cube-klein":
+            md, group, _ = klein_four_cube()
+            return md, group
+        algebra, level = name.split("-")
+        md = modular_data(algebra, int(level))
+        return md, simple_currents(md)
+
     @pytest.mark.parametrize("theory", ["A1-4", "A2-3", "cube-klein"])
     def test_orbit_data_evaluates_each_pair_once(self, cocycle_calls, theory):
-        if theory == "cube-klein":
-            md, group, _ = klein_four_cube()
-        else:
-            algebra, level = theory.split("-")
-            md = modular_data(algebra, int(level))
-            group = simple_currents(md)
+        md, group = self.theory(theory)
         records = orbit_data(md, group)
         assert all(rec.integer_spins for rec in records)
         expected = sorted(
@@ -360,6 +369,43 @@ class TestCocycleCost:
             for tp in rec.stabilizer
         )
         assert sorted(cocycle_calls) == expected
+
+    @pytest.mark.parametrize("build", [extend_by_group, classifying_algebra])
+    @pytest.mark.parametrize("theory", ["A1-4", "A2-3", "cube-klein"])
+    def test_extension_and_boundary_evaluate_each_pair_once_per_label(
+        self, cocycle_calls, theory, build
+    ):
+        md, group = self.theory(theory)
+        build(md, group)
+        labels = {mu for _, _, mu in cocycle_calls}
+        expected = sorted(
+            (t, tp, mu)
+            for mu in labels
+            for t in group.stabilizer(mu)
+            for tp in group.stabilizer(mu)
+        )
+        assert sorted(cocycle_calls) == expected
+
+
+class TestCocycleExactness:
+    """A cocycle value off the roots of unity is an internal error, not a
+    twisted current."""
+
+    @pytest.fixture
+    def off_root(self, monkeypatch):
+        value = complex(np.exp(2j * np.pi * 0.1234567))
+        monkeypatch.setattr(simplecurrent, "cocycle", lambda *args, **kwargs: value)
+
+    def test_untwisted_tuples_raise(self, off_root):
+        md, g = setup_theory(4)
+        with pytest.raises(InternalConsistencyError, match="not a root of unity"):
+            untwisted_tuples(md, g, (2, 2))
+
+    @pytest.mark.parametrize("build", [extend_by_group, classifying_algebra])
+    def test_extension_and_classifying_algebra_raise(self, off_root, build):
+        md, g = setup_theory(4)
+        with pytest.raises(InternalConsistencyError, match="not a root of unity"):
+            build(md, g)
 
 
 class TestTraces:

@@ -222,7 +222,7 @@ class TestGuards:
 class TestHatMatrixOracle:
     @staticmethod
     def entrywise_hat(md, group):
-        hats, boundaries, stab, ustab = _label_data(md, group, 1e-8)
+        hats, boundaries, stab, ustab = _label_data(md, group)
         rows = [(h.sector, dict(h.char), len(stab[h.sector]) * len(ustab[h.sector])) for h in hats]
         cols = [(b.rep, dict(b.char), len(stab[b.rep]) * len(ustab[b.rep])) for b in boundaries]
         return entrywise_sj_sum(md, group.order, rows, cols)

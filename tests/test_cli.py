@@ -515,8 +515,12 @@ class TestSingleConstructions:
             ),
             (["orbifold", "A1", "--level", "4", "--shift", "1"], [("A1/orb", 4, False)]),
             (["boundary", "A1", "--level", "4", "--group", "center"], [("A1", 4, False)]),
+            (
+                "trace A1 --level 4 --conjecture 1 --insertions 2,2 --genus 1".split(),
+                [("A1", 4, True)],
+            ),
         ],
-        ids=["check", "fusion", "extend", "orbifold", "boundary"],
+        ids=["check", "fusion", "extend", "orbifold", "boundary", "trace"],
     )
     def test_verlinde_sum_runs_once_per_job(self, argv, expected, monkeypatch):
         # (theory, whether the pass stored the tensor), one entry per row loop
