@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "load_modular_data",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def integrable_weights(alg: SimpleLieAlgebra, level: int) -> tuple[tuple[int, ...], ...]:
@@ -76,7 +76,7 @@ def central_charge(alg: SimpleLieAlgebra, level: int) -> Q:
     return Q(level * alg.dim, level + alg.dual_coxeter)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModularData:
     """Labels, S matrix and exact conformal data of one rational theory.
 
@@ -86,9 +86,9 @@ class ModularData:
     (labels are pairs in factor order), from which its fixed-point S matrices
     are built.
 
-    Quantities derived from S are computed once per S array: assigning a new
-    ``smatrix``, ``delta`` or ``central_charge`` recomputes them, and the array
-    they came from is made read-only.
+    A theory is frozen and its S matrix read-only, so every quantity derived
+    from it is computed once per theory; ``dataclasses.replace`` makes a new
+    theory that derives its own.
     """
 
     algebra: str
@@ -98,8 +98,10 @@ class ModularData:
     delta: tuple[Q, ...]
     central_charge: Q
     factors: tuple["ModularData", "ModularData"] | None = None
-    _index: dict = field(default=None, repr=False)
-    _memo: tuple = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.smatrix.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -109,26 +111,14 @@ class ModularData:
     def vacuum(self) -> int:
         return 0
 
-    def _derived(self, name: str, compute: Callable[["ModularData"], object]):
-        """``compute(self)``, memoized for the current S matrix and T data."""
-        memo = self._memo
-        if (
-            memo is None
-            or memo[0] is not self.smatrix
-            or memo[1] is not self.delta
-            or memo[2] is not self.central_charge
-        ):
-            self.smatrix.flags.writeable = False
-            memo = self._memo = (self.smatrix, self.delta, self.central_charge, {})
-        values = memo[3]
-        if name not in values:
-            values[name] = compute(self)
-        return values[name]
+    def _derived(self, key: Hashable, compute: Callable[["ModularData"], object]):
+        """``compute(self)``, computed once per theory and stored under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
 
     def index(self, label) -> int:
-        if self._index is None:
-            self._index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._index[label]
+        return self._derived("index", lambda md: {lab: i for i, lab in enumerate(md.labels)})[label]
 
     @property
     def t_exponents(self) -> tuple[Q, ...]:
@@ -136,12 +126,18 @@ class ModularData:
         return tuple(d - shift for d in self.delta)
 
     def t_diagonal(self) -> np.ndarray:
-        return np.array([phase_to_complex(e) for e in self.t_exponents])
+        return self._derived(
+            "t_diagonal", lambda md: np.array([phase_to_complex(e) for e in md.t_exponents])
+        )
 
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Permutation i -> conj(i) read off from S squared."""
-        s = self.smatrix
-        return tuple(int(j) for j in np.argmax(np.abs(s @ s), axis=1))
+        return self._derived("conjugation_permutation", _conjugation_permutation)
+
+
+def _conjugation_permutation(md: ModularData) -> tuple[int, ...]:
+    s = md.smatrix
+    return tuple(int(j) for j in np.argmax(np.abs(s @ s), axis=1))
 
 
 def kac_peterson_smatrix(
@@ -187,7 +183,7 @@ def verify_modular_invariants(md: ModularData, tol: float = 1e-9) -> dict[str, f
     """Check the defining relations of the modular data; raise on violation.
 
     Returns the residual of each relation so callers can report them.  The
-    residuals are computed once per S matrix; each call compares them with
+    residuals are computed once per theory; each call compares them with
     its own ``tol`` and raises on the first relation that fails.
     """
     table = md._derived("invariants", _invariant_residuals)
@@ -214,6 +210,22 @@ def verify_modular_invariants(md: ModularData, tol: float = 1e-9) -> dict[str, f
     return residuals
 
 
+def _theory(
+    alg: SimpleLieAlgebra, level: int, smatrix: Callable[[tuple], np.ndarray]
+) -> ModularData:
+    """The WZW theory of ``alg`` at ``level`` with S = ``smatrix(labels)``; labels,
+    conformal weights and c are derived here whether S is computed or read."""
+    labels = integrable_weights(alg, level)
+    return ModularData(
+        algebra=alg.name,
+        level=level,
+        labels=labels,
+        smatrix=smatrix(labels),
+        delta=tuple(conformal_weight(alg, level, lab) for lab in labels),
+        central_charge=central_charge(alg, level),
+    )
+
+
 def modular_data(
     algebra: str,
     level: int,
@@ -223,20 +235,9 @@ def modular_data(
 ) -> ModularData:
     """Compute (or load from cache) verified modular data for one affine theory."""
     alg = build_algebra(algebra)
-    md = None
-    if cache_dir is not None:
-        md = load_modular_data(algebra, level, cache_dir)
+    md = load_modular_data(algebra, level, cache_dir) if cache_dir is not None else None
     if md is None:
-        labels = integrable_weights(alg, level)
-        s = kac_peterson_smatrix(alg, level, labels, weyl_cap)
-        md = ModularData(
-            algebra=alg.name,
-            level=level,
-            labels=labels,
-            smatrix=s,
-            delta=tuple(conformal_weight(alg, level, lab) for lab in labels),
-            central_charge=central_charge(alg, level),
-        )
+        md = _theory(alg, level, lambda labels: kac_peterson_smatrix(alg, level, labels, weyl_cap))
         verify_modular_invariants(md, tol)
         if cache_dir is not None:
             save_modular_data(md, cache_dir)
@@ -250,13 +251,15 @@ def cache_path(algebra: str, level: int, cache_dir: str | Path) -> Path:
 
 
 def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
-    """Write modular data as deterministic JSON; returns the file path.
+    """Write the S matrix of a theory as deterministic JSON; returns the file path.
 
-    S is stored as base64 of its little-endian complex128 bytes in C order,
-    one encode of 16 n^2 bytes with no per-entry work; the bytes round-trip
-    bit for bit.  Labels and the exact rationals stay readable JSON.  The
-    JSON goes to a temporary file beside the entry, which then replaces
-    the entry in one step, so a failed write leaves the old entry intact.
+    The entry holds only ``schema``, ``algebra``, ``level`` and ``smatrix``:
+    labels, conformal weights and the central charge are derived from the
+    algebra and the level when the entry is read.  S is stored as base64 of
+    its little-endian complex128 bytes in C order, one encode of 16 n^2
+    bytes with no per-entry work; the bytes round-trip bit for bit.  The
+    JSON goes to a temporary file beside the entry, which then replaces the
+    entry in one step, so a failed write leaves the old entry intact.
     """
     path = cache_path(md.algebra, md.level, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,10 +268,7 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
         "schema": SCHEMA_VERSION,
         "algebra": md.algebra,
         "level": md.level,
-        "labels": [list(lab) for lab in md.labels],
         "smatrix": base64.b64encode(s_bytes).decode("ascii"),
-        "delta": [str(d) for d in md.delta],
-        "central_charge": str(md.central_charge),
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -279,20 +279,31 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
     return path
 
 
-def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> ModularData | None:
-    """Read cached modular data; None if absent, stale-schema, or unreadable.
+def _decode_smatrix(text: str, n: int) -> np.ndarray:
+    """The n x n S matrix from base64 of exactly 16 n^2 bytes, as a view of them."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 16 * n * n:
+        raise ValueError(f"S payload has {len(raw)} bytes, expected {16 * n * n}")
+    return np.frombuffer(raw, dtype="<c16").reshape(n, n)
 
-    An entry whose labels are not the theory's integrable weights in order,
-    or whose S payload is not base64 of exactly 16 n^2 bytes, counts as
-    unreadable.  S is a read-only view of the decoded bytes (one base64
-    decode, no per-entry work and no copy); it is verified by the caller
-    like a freshly computed one.
+
+def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> ModularData | None:
+    """Read a cached theory; None if absent, stale-schema, or unreadable.
+
+    The theory is built as on a miss, with S read from the entry instead of
+    computed.  An entry that is not a JSON object naming this algebra and
+    level, or whose S payload is not base64 of exactly 16 n^2 bytes for the
+    n integrable weights, counts as unreadable.  S is a read-only view of the
+    decoded bytes (one base64 decode, no per-entry work and no copy); it is
+    verified by the caller like a freshly computed one.
     """
     path = cache_path(algebra, level, cache_dir)
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("cache entry is not a JSON object")
         if payload.get("schema") != SCHEMA_VERSION:
             warnings.warn(
                 f"ignoring stale cache file {path}: schema {payload.get('schema')!r},"
@@ -302,22 +313,8 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
             return None
         if payload["algebra"] != algebra or payload["level"] != level:
             raise ValueError("cache file does not match requested theory")
-        labels = tuple(tuple(lab) for lab in payload["labels"])
-        if labels != integrable_weights(build_algebra(algebra), level):
-            raise ValueError("cache labels are not the integrable weights in order")
-        raw = base64.b64decode(payload["smatrix"], validate=True)
-        n = len(labels)
-        if len(raw) != 16 * n * n:
-            raise ValueError(f"S payload has {len(raw)} bytes, expected {16 * n * n}")
-        s = np.frombuffer(raw, dtype="<c16").reshape(n, n)
-        return ModularData(
-            algebra=algebra,
-            level=level,
-            labels=labels,
-            smatrix=s,
-            delta=tuple(Q(d) for d in payload["delta"]),
-            central_charge=Q(payload["central_charge"]),
-        )
+        text = payload["smatrix"]
+        return _theory(build_algebra(algebra), level, lambda lab: _decode_smatrix(text, len(lab)))
     except (ValueError, KeyError, TypeError) as exc:
         warnings.warn(f"ignoring unreadable cache file {path}: {exc}", stacklevel=2)
         return None

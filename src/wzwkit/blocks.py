@@ -78,14 +78,11 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
             return md._derived("handle", lambda md: _handle_matrix(tensor))
         return tensor[key]
 
-    # float64 copies of only the factors that ranks use, made once per S matrix
-    floats = md._derived("float_factors", lambda md: {})
+    # float64 copies of only the factors that ranks use, made once per theory
     v = np.zeros(md.dim)
     v[md.vacuum] = 1
     for key in keys:
-        if (f := floats.get(key)) is None:
-            f = floats[key] = factor(key).astype(float)
-        v = v @ f
+        v = v @ md._derived(("float_factor", key), lambda md: factor(key).astype(float))
     if v.sum() >= 2.0**53:
         v = np.zeros(md.dim, object)
         v[md.vacuum] = 1
@@ -169,7 +166,7 @@ def symmetry_trace(
     """
     s0 = md.smatrix[0]
     weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
-    rows = (fixed_point_smatrix(md, ts).full()[mu] for mu, ts in zip(insertions, t))
+    rows = (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(insertions, t))
     return complex(_slot_sum(weight, rows))
 
 
@@ -191,13 +188,12 @@ def fourier_eigendims(
     group: SimpleCurrentGroup,
     insertions: Sequence[int],
     genus: int = 0,
-    tol: float = 1e-6,
 ) -> TraceSpectrum:
     """Eigenspace dimensions of the untwisted tuple action on a block space.
 
     The identity tuple's trace is the exact rank.  For each character chi,
     X_chi = sum over the other tuples of conj(chi(t)) T(t) must lie within
-    ``tol`` of an integer and (rank + X_chi) / |G| must be a non-negative
+    1e-6 of an integer and (rank + X_chi) / |G| must be a non-negative
     integer; otherwise a ConjectureViolation carrying the report is raised.
     """
     insertions = tuple(insertions)
@@ -219,7 +215,7 @@ def fourier_eigendims(
     for char, key, x in zip(chars, keys, others):
         rounded = round(x.real)
         dim, rest = divmod(rank + rounded, len(unt))
-        if abs(x - rounded) > tol or rest or dim < 0:
+        if abs(x - rounded) > 1e-6 or rest or dim < 0:
             raise ConjectureViolation(
                 "eigenspace dimension is not a non-negative integer",
                 report={
@@ -283,11 +279,11 @@ def trace_factorization_check(
         )
     lhs = symmetry_trace(md, insertions, t, 0)
     s0 = md.smatrix[0]
-    glue_full = fixed_point_smatrix(md, glue).full()
+    glue_full = fixed_point_smatrix(md, glue).full
 
     def factor(slots, currents, channel):
         weight = channel * s0 ** (1 - len(slots))  # the glued channel is one more slot
-        rows = (fixed_point_smatrix(md, ts).full()[mu] for mu, ts in zip(slots, currents))
+        rows = (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(slots, currents))
         return _slot_sum(weight, rows)
 
     left = factor(insertions[:split], t[:split], glue_full)

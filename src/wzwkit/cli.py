@@ -736,8 +736,9 @@ def run(config: JobConfig) -> tuple[str, int]:
 def cache_roundtrip(md: ModularData, cache_dir: str | Path) -> ModularData:
     """Serialize modular data to disk and reload it, verifying equality.
 
-    Every field must survive bit for bit: S is written as its raw
-    complex128 bytes and rationals as exact strings.
+    S must survive bit for bit, as it is written as its raw complex128
+    bytes; labels, conformal weights and the central charge are derived
+    again on load and must equal the originals.
     """
     save_modular_data(md, cache_dir)
     loaded = load_modular_data(md.algebra, md.level, cache_dir)

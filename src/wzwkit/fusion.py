@@ -98,7 +98,7 @@ def verify_fusion(md: ModularData, tol: float = 1e-6) -> float:
     """The largest residual |x - round(x)| of the Verlinde sums, once each is
     checked to round to a non-negative integer.
 
-    The sum runs at most once per S matrix and stores no fusion tensor.  Each
+    The sum runs at most once per theory and stores no fusion tensor.  Each
     call applies its own ``tol`` and raises ``IntegralityError`` at the first
     worst entry, or at the first negative one.
     """
@@ -123,7 +123,7 @@ def verify_fusion(md: ModularData, tol: float = 1e-6) -> float:
 def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     """All fusion multiplicities N[a, b, c] = N_{ab}^c as a read-only integer array.
 
-    The n^3 int64 tensor is built once per S matrix, by the same row pass as
+    The n^3 int64 tensor is built once per theory, by the same row pass as
     ``verify_fusion``, which it fills on the way; apart from the tensor the
     pass holds O(n^2).  The tensor is checked as ``verify_fusion(md, tol)``.
     """
@@ -132,7 +132,7 @@ def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     return tensor
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimpleCurrentGroup:
     """The group of simple currents of one theory, acting on primary labels.
 
@@ -206,15 +206,15 @@ class SimpleCurrentGroup:
         return SimpleCurrentGroup(self.md, idx, {j: self.perms[j] for j in idx})
 
 
-def simple_currents(md: ModularData, tol: float = 1e-9) -> SimpleCurrentGroup:
+def simple_currents(md: ModularData) -> SimpleCurrentGroup:
     """Detect the full simple-current group, cross-checking two criteria.
 
-    A current is a primary whose vacuum S entry equals that of the vacuum
-    itself; independently it must fuse with every primary into exactly one
-    channel.  Disagreement between the two tests is an internal error.
+    A current is a primary whose vacuum S entry is within 1e-9 of the
+    vacuum's own; independently it must fuse with every primary into exactly
+    one channel.  Disagreement between the two tests is an internal error.
     """
     s0 = md.smatrix[0]
-    by_smatrix = {j for j in range(md.dim) if abs(s0[j] - s0[0]) <= tol}
+    by_smatrix = {j for j in range(md.dim) if abs(s0[j] - s0[0]) <= 1e-9}
     verify_fusion(md)
     perms = _summary(md).perms
     if by_smatrix != set(perms):

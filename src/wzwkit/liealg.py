@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
@@ -149,13 +149,18 @@ class SimpleLieAlgebra:
     def num_positive_roots(self) -> int:
         return len(self.positive_roots_alpha)
 
+    @cached_property
+    def _integral_metric(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The metric as integers over their least common denominator."""
+        den = lcm(*(g.denominator for row in self.metric for g in row))
+        return den, tuple(tuple(int(g * den) for g in row) for row in self.metric)
+
     def pairing(self, x: Sequence, y: Sequence) -> Q:
-        """Invariant bilinear form of two weights given by Dynkin labels."""
-        g = self.metric
-        return sum(
-            (Q(x[i]) * g[i][j] * Q(y[j]) for i in range(self.rank) for j in range(self.rank)),
-            Q(0),
-        )
+        """Invariant bilinear form of two weights given by Dynkin labels, summed
+        over the metric's common denominator (in integers for integer labels)."""
+        den, g = self._integral_metric
+        r = range(self.rank)
+        return Q(sum(x[i] * g[i][j] * y[j] for i in r for j in r), den)
 
     def level_of(self, x: Sequence) -> Q:
         """Pairing (x, theta^vee) = sum of Dynkin labels weighted by comarks."""

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OrbifoldInput:
     """Everything needed to assemble the orbifold of a base theory by Z2.
 
@@ -352,12 +352,11 @@ def conjecture2_trace(
     oin: OrbifoldInput,
     insertions: Sequence[int],
     orientation: int = 1,
-    tol: float = 1e-6,
 ) -> Conjecture2Result:
     """Trace of the order-2 symmetry on a genus-zero block space.
 
     The sum runs over twisted labels with the twining matrix in place of S;
-    the trace must lie within ``tol`` of an integer T, and (rank +- T)/2 must
+    the trace must lie within 1e-6 of an integer T, and (rank +- T)/2 must
     be non-negative integers, otherwise a ConjectureViolation is raised.
     ``orientation`` selects which index of the twining matrix is summed, the
     two choices being transposes of each other.
@@ -382,7 +381,7 @@ def conjecture2_trace(
     out = []
     for name, sign in (("+", 1), ("-", -1)):
         dim, odd = divmod(rank + sign * rounded, 2)
-        if abs(value - rounded) > tol or odd or dim < 0:
+        if abs(value - rounded) > 1e-6 or odd or dim < 0:
             raise ConjectureViolation(
                 "orbifold eigenspace dimension is not a non-negative integer",
                 report={

@@ -2,7 +2,7 @@
 
 A simple current J acting on a theory comes with a unitary matrix S^J indexed
 by the J-fixed primaries.  ``fixed_point_smatrix`` is the one way to obtain
-it, built once per S matrix of the theory: the identity current's S^J is S;
+it, built once for each theory: the identity current's S^J is S;
 a tensor product's is the Kronecker product of its factors' S^J; and the
 catalogue covers the currents whose folded theory has rank zero (the cyclic
 rotations of the level-k su(2) and su(3) theories), for which S^J is at
@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +60,13 @@ __all__ = [
     "extend_by_group",
 ]
 
-@dataclass(eq=False)
+# A cocycle's ratios agree within PHASE_TOL, and it is snapped within PHASE_TOL
+# to a root of unity of order dividing PHASE_DENOMINATOR.
+PHASE_TOL = 1e-8
+PHASE_DENOMINATOR = 10080
+
+
+@dataclass(frozen=True, eq=False)
 class FixedPointData:
     """The matrix S^J restricted to the J-fixed primaries of one theory."""
 
@@ -72,24 +79,21 @@ class FixedPointData:
     def fixed_set(self) -> frozenset:
         return frozenset(self.fixed)
 
+    @cached_property
     def full(self) -> np.ndarray:
         """S^J zero-extended over the full primary index set; the identity
         current fixes every primary, and its S^J is S itself, not a copy."""
-        cached = getattr(self, "_full", None)
-        if cached is None:
-            cached = self.matrix
-            if len(self.fixed) < self.dim:
-                cached = np.zeros((self.dim, self.dim), dtype=complex)
-                idx = np.array(self.fixed, dtype=np.intp)
-                if len(idx):
-                    cached[np.ix_(idx, idx)] = self.matrix
-            object.__setattr__(self, "_full", cached)
-        return cached
+        if len(self.fixed) == self.dim:
+            return self.matrix
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        idx = np.array(self.fixed, dtype=np.intp)
+        if len(idx):
+            out[np.ix_(idx, idx)] = self.matrix
+        return out
 
 
 def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
-    """S^J for one simple current (a label index or a label), built once per
-    S matrix of the theory.
+    """S^J for one simple current (a label index or a label), built once per theory.
 
     The identity current gives S itself, and a tensor product the Kronecker
     block of its factors' S^J.  Beyond those, the su(2) current (level even
@@ -108,11 +112,7 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
     ``UnsupportedFolding``.
     """
     j_index = current if isinstance(current, int) else md.index(tuple(current))
-    memo = md._derived("fixed_point_smatrix", lambda md: {})
-    data = memo.get(j_index)
-    if data is None:
-        data = memo[j_index] = _fixed_point_data(md, j_index)
-    return data
+    return md._derived(("fixed_point_smatrix", j_index), lambda md: _fixed_point_data(md, j_index))
 
 
 def _fixed_point_data(md: ModularData, j_index: int) -> FixedPointData:
@@ -149,7 +149,6 @@ def cocycle(
     j: int,
     jprime: int,
     mu: int,
-    tol: float = 1e-8,
 ) -> complex:
     """The phase F_mu(J, J') relating the J'-shifted rows of S^J.
 
@@ -181,21 +180,21 @@ def cocycle(
         )
     first = ratios[0]
     for r in ratios[1:]:
-        if abs(r - first) > tol:
+        if abs(r - first) > PHASE_TOL:
             raise InternalConsistencyError(
                 f"inconsistent cocycle ratios at column {mu}: {first} vs {r}"
             )
     return first
 
 
-def snap_phase(z: complex, max_denominator: int = 10080, tol: float = 1e-6) -> Q:
+def snap_phase(z: complex) -> Q:
     """Exact exponent a/b with z = exp(2 pi i a/b), or raise if z is not close
     to such a root of unity."""
     mag = abs(z)
-    if abs(mag - 1.0) > tol:
+    if abs(mag - 1.0) > PHASE_TOL:
         raise InternalConsistencyError(f"phase {z} is not on the unit circle")
-    expo = Q(cmath.phase(z) / (2 * cmath.pi)).limit_denominator(max_denominator) % 1
-    if abs(z - phase_to_complex(expo)) > tol:
+    expo = Q(cmath.phase(z) / (2 * cmath.pi)).limit_denominator(PHASE_DENOMINATOR) % 1
+    if abs(z - phase_to_complex(expo)) > PHASE_TOL:
         raise InternalConsistencyError(f"phase {z} is not a root of unity of bounded order")
     return expo
 
@@ -282,18 +281,18 @@ def sj_character_matrix(
     block = np.ix_([mu for mu, _, _ in rows], [nu for nu, _, _ in cols])
     acc = np.zeros((len(rows), len(cols)), dtype=complex)
     for c, j in enumerate(currents):
-        acc += psi[:, c, None] * fixed_point_smatrix(md, j).full()[block] * phi[None, :, c]
+        acc += psi[:, c, None] * fixed_point_smatrix(md, j).full[block] * phi[None, :, c]
     weight = np.outer([w for _, _, w in rows], [w for _, _, w in cols])
     return group_order / np.sqrt(weight) * acc
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OrbitRecord:
     """One orbit of the current group on primaries, with stabilizer data.
 
-    ``untwisted_stabilizer`` and ``degeneracy`` are only filled in when every
+    ``untwisted_stabilizer`` and ``degeneracy`` are only set when every
     current in the group has integer spin; otherwise the relative phases
-    F_mu(J, J') need not form a bihomomorphism and ``integer_spins`` is left
+    F_mu(J, J') need not form a bihomomorphism and ``integer_spins`` is
     False with no square-root constraint enforced.
     """
 
@@ -318,9 +317,7 @@ def _stabilizer_data(
     evaluated.
     """
     stab = group.stabilizer(mu)
-    exps = tuple(
-        tuple(snap_phase(cocycle(md, group, t, tp, mu), tol=1e-8) for tp in stab) for t in stab
-    )
+    exps = tuple(tuple(snap_phase(cocycle(md, group, t, tp, mu)) for tp in stab) for t in stab)
     rows = np.arange(len(stab)).reshape(-1, 1)
     return stab, exps, tuple(stab[i] for i in _untwisted_rows([exps], rows))
 
@@ -353,28 +350,18 @@ def orbit_data(md: ModularData, group: SimpleCurrentGroup) -> list[OrbitRecord]:
     for orbit in group.orbits():
         rep = orbit[0]
         stab, exps, u = _stabilizer_data(md, group, rep)
-        rec = OrbitRecord(
-            representative=rep,
-            orbit=orbit,
-            stabilizer=stab,
-            integer_spins=integer_spins,
-            cocycle_values={
-                (t, tp): e for t, line in zip(stab, exps) for tp, e in zip(stab, line)
-            },
-        )
+        untwisted = degeneracy = None
         if integer_spins:
             ratio, rest = divmod(len(stab), len(u))
-            root = math.isqrt(ratio)
-            if rest or root * root != ratio:
+            untwisted, degeneracy = u, math.isqrt(ratio)
+            if rest or degeneracy * degeneracy != ratio:
                 raise IntegralityError(
-                    "fixed-point degeneracy squared",
-                    ratio,
-                    float(ratio),
-                    md.labels[rep],
+                    "fixed-point degeneracy squared", ratio, float(ratio), md.labels[rep]
                 )
-            rec.untwisted_stabilizer = u
-            rec.degeneracy = root
-        records.append(rec)
+        cocycles = {(t, tp): e for t, line in zip(stab, exps) for tp, e in zip(stab, line)}
+        records.append(
+            OrbitRecord(rep, orbit, stab, integer_spins, cocycles, untwisted, degeneracy)
+        )
     return records
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
+import json
 import math
 from collections import deque
 from fractions import Fraction as Q
@@ -198,10 +200,10 @@ class TestSmatrix:
 
     def test_invariant_violation_raised_on_tampered_matrix(self):
         md = modular_data("A1", 2)
-        md.smatrix = md.smatrix.copy()
-        md.smatrix[1, 2] += 1e-3
+        tampered = md.smatrix.copy()
+        tampered[1, 2] += 1e-3
         with pytest.raises(InvariantViolation) as exc:
-            verify_modular_invariants(md)
+            verify_modular_invariants(dataclasses.replace(md, smatrix=tampered))
         assert exc.value.residual > exc.value.tol
 
     def test_a2_conjugation_transposes_labels(self):
@@ -248,8 +250,6 @@ class TestCache:
         assert md.dim == 4
 
     def test_schema_mismatch_invalidates(self, tmp_path):
-        import json
-
         modular_data("A1", 1, cache_dir=tmp_path)
         p = cache_path("A1", 1, tmp_path)
         payload = json.loads(p.read_text())
@@ -260,23 +260,6 @@ class TestCache:
         with pytest.warns(UserWarning, match="stale cache"):
             md = modular_data("A1", 1, cache_dir=tmp_path)
         assert md.dim == 2
-
-    def test_permuted_labels_are_recomputed(self, tmp_path, weyl_traversals):
-        import json
-
-        md = modular_data("A2", 2, cache_dir=tmp_path)
-        p = cache_path("A2", 2, tmp_path)
-        payload = json.loads(p.read_text())
-        payload["labels"] = payload["labels"][:1] + payload["labels"][:0:-1]
-        p.write_text(json.dumps(payload))
-        with pytest.warns(UserWarning, match="integrable weights"):
-            assert load_modular_data("A2", 2, tmp_path) is None
-        before = len(weyl_traversals)
-        with pytest.warns(UserWarning, match="integrable weights"):
-            again = modular_data("A2", 2, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before + 1
-        assert again.labels == md.labels
-        assert np.array_equal(again.smatrix, md.smatrix)
 
     def test_failed_write_keeps_previous_entry(self, tmp_path, monkeypatch):
         md = modular_data("A1", 2)
@@ -302,15 +285,12 @@ class TestCache:
         md = modular_data("A1", 2)
         parts = [-0.0, 5e-324, 1.5e-310, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308, 1e300]
         s = np.array([[complex(x, y) for y in parts[i : i + 3]] for i, x in enumerate(parts[:3])])
-        md.smatrix = s
-        save_modular_data(md, tmp_path)
+        save_modular_data(dataclasses.replace(md, smatrix=s), tmp_path)
         loaded = load_modular_data("A1", 2, tmp_path)
         assert loaded is not None
         assert loaded.smatrix.tobytes() == s.tobytes()
 
     def _tamper_smatrix(self, tmp_path, smatrix):
-        import json
-
         modular_data("A1", 3, cache_dir=tmp_path)
         p = cache_path("A1", 3, tmp_path)
         payload = json.loads(p.read_text())
@@ -335,28 +315,54 @@ class TestCache:
         assert len(weyl_traversals) == before + 1
         assert np.allclose(md.smatrix, su2_smatrix(3))
 
-    def test_schema_two_pair_list_entry_is_stale(self, tmp_path, weyl_traversals):
-        import json
-
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda payload: None,
+            lambda payload: payload.update(delta=payload["delta"][:2]),
+            lambda payload: payload.update(labels=payload["labels"][:0:-1]),
+        ],
+        ids=["intact", "short-delta", "permuted-labels"],
+    )
+    def test_schema_three_entry_is_stale(self, tmp_path, weyl_traversals, tamper):
         md = modular_data("A1", 3)
         p = cache_path("A1", 3, tmp_path)
         p.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "schema": 2,
+            "schema": 3,
             "algebra": "A1",
             "level": 3,
             "labels": [list(lab) for lab in md.labels],
-            "smatrix": [[[z.real, z.imag] for z in row] for row in md.smatrix.tolist()],
+            "smatrix": base64.b64encode(md.smatrix.tobytes()).decode("ascii"),
             "delta": [str(d) for d in md.delta],
             "central_charge": str(md.central_charge),
         }
+        tamper(payload)
         p.write_text(json.dumps(payload, sort_keys=True) + "\n")
         before = len(weyl_traversals)
-        with pytest.warns(UserWarning, match=r"stale cache .*schema 2, expected 3"):
+        with pytest.warns(UserWarning, match=r"stale cache .*schema 3, expected 4"):
+            again = modular_data("A1", 3, cache_dir=tmp_path)
+        assert len(weyl_traversals) == before + 1
+        assert again.delta == md.delta
+        assert np.array_equal(again.smatrix, md.smatrix)
+        assert json.loads(p.read_text())["schema"] == 4
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"x"', "3"])
+    def test_entry_that_is_not_an_object_recomputes(self, tmp_path, weyl_traversals, text):
+        md = modular_data("A1", 3, cache_dir=tmp_path)
+        cache_path("A1", 3, tmp_path).write_text(text)
+        before = len(weyl_traversals)
+        with pytest.warns(UserWarning, match="unreadable cache .*not a JSON object"):
             again = modular_data("A1", 3, cache_dir=tmp_path)
         assert len(weyl_traversals) == before + 1
         assert np.array_equal(again.smatrix, md.smatrix)
-        assert json.loads(p.read_text())["schema"] == 3
+
+    def test_entry_holds_only_the_smatrix(self, tmp_path):
+        md = modular_data("A2", 2)
+        payload = json.loads(save_modular_data(md, tmp_path).read_text())
+        assert sorted(payload) == ["algebra", "level", "schema", "smatrix"]
+        assert (payload["schema"], payload["algebra"], payload["level"]) == (4, "A2", 2)
+        assert base64.b64decode(payload["smatrix"]) == md.smatrix.tobytes()
 
     def test_missing_cache_dir_returns_none(self, tmp_path):
         assert load_modular_data("A1", 1, tmp_path / "absent") is None

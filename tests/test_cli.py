@@ -491,7 +491,7 @@ class TestSingleConstructions:
     def test_conjecture_two_runs_once_in_orientation_one(self, monkeypatch):
         orientations = []
 
-        def violated(oin, insertions, orientation=1, tol=1e-6):
+        def violated(oin, insertions, orientation=1):
             orientations.append(orientation)
             raise ConjectureViolation("stub", report={"orientation": orientation})
 
@@ -552,7 +552,7 @@ class TestSingleConstructions:
             tracemalloc.stop()
         assert status == EXIT_OK
         (md,) = loaded
-        memoized = md._memo[3]
+        memoized = md._memo
         assert "verlinde_summary" in memoized and "verlinde" not in memoized
         assert peak < md.dim**3 * 8
 

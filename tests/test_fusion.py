@@ -168,34 +168,43 @@ class TestDerivedOncePerSMatrix:
             verify_modular_invariants(md, tol=residuals["unitarity"] / 2)
         assert exc.value.relation == "unitarity"
 
-    def test_replaced_smatrix_is_recomputed(self):
+    def test_theory_is_frozen(self):
+        md = modular_data("A1", 4)
+        for field in dataclasses.fields(md):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(md, field.name, getattr(md, field.name))
+        with pytest.raises(ValueError, match="read-only"):
+            md.smatrix[1, 2] += 1e-3
+
+    def test_replaced_smatrix_is_checked_afresh(self):
         md = modular_data("A1", 4)
         verlinde_tensor(md)
         verify_modular_invariants(md)
         tampered = md.smatrix.copy()
         tampered[1, 2] += 1e-3
-        md.smatrix = tampered
+        md = dataclasses.replace(md, smatrix=tampered)
         with pytest.raises(IntegralityError):
             verlinde_tensor(md)
         with pytest.raises(InvariantViolation):
             verify_modular_invariants(md)
 
     @pytest.mark.parametrize("field", ["delta", "central_charge"])
-    def test_replaced_t_data_drops_memoized_values(self, field):
+    def test_replaced_t_data_derives_afresh(self, field):
         md = modular_data("A1", 4)
         tensor = verlinde_tensor(md)
         sj = fixed_point_smatrix(md, (4,))
         verify_modular_invariants(md)
         if field == "delta":
-            md.delta = (md.delta[0] + Q(1, 3),) + md.delta[1:]
+            other = dataclasses.replace(md, delta=(md.delta[0] + Q(1, 3),) + md.delta[1:])
         else:
-            md.central_charge = md.central_charge + 1
-        again = verlinde_tensor(md)
+            other = dataclasses.replace(md, central_charge=md.central_charge + 1)
+        again = verlinde_tensor(other)
         assert again is not tensor and np.array_equal(again, tensor)
-        assert fixed_point_smatrix(md, (4,)) is not sj
+        assert fixed_point_smatrix(other, (4,)) is not sj
         with pytest.raises(InvariantViolation) as exc:
-            verify_modular_invariants(md)
+            verify_modular_invariants(other)
         assert exc.value.relation == "st_cubed"
+        assert verlinde_tensor(md) is tensor and fixed_point_smatrix(md, (4,)) is sj
 
     @pytest.mark.parametrize("label,k", [("A1", 60), ("A2", 8), ("B3", 3), ("G2", 6)])
     def test_in_place_residual_matches_the_direct_expression(self, label, k):
@@ -268,7 +277,7 @@ class TestStreamedSummary:
     def test_tensor_pass_fills_the_summary(self):
         md = modular_data("A2", 4)
         tensor = verlinde_tensor(md)
-        assert md._memo[3]["verlinde_summary"] == wzwkit.fusion._verlinde(md)
+        assert md._memo["verlinde_summary"] == wzwkit.fusion._verlinde(md)
         assert np.array_equal(tensor, full_tensor_verlinde(md)[0])
 
     @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])

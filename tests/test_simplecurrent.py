@@ -186,14 +186,14 @@ class TestFixedPointMatrices:
     def test_full_zero_extension(self):
         md = md_su2(4)
         data = fixed_point_smatrix(md, (4,))
-        full = data.full()
+        full = data.full
         assert full.shape == (5, 5)
         assert full[2, 2] == data.matrix[0, 0]
         assert np.abs(np.delete(np.delete(full, 2, 0), 2, 1)).max() == 0
 
 
 class TestFixedPointEntryPoint:
-    """``fixed_point_smatrix`` builds each S^J once per S matrix."""
+    """``fixed_point_smatrix`` builds each S^J once per theory."""
 
     def test_lookups_return_the_same_object(self):
         md = md_su2(4)
@@ -201,12 +201,12 @@ class TestFixedPointEntryPoint:
         assert fixed_point_smatrix(md, (4,)) is fixed_point_smatrix(md, j)
         assert fixed_point_smatrix(md, md.vacuum) is fixed_point_smatrix(md, (0,))
         assert fixed_point_smatrix(md, md.vacuum).matrix is md.smatrix
-        assert fixed_point_smatrix(md, md.vacuum).full() is md.smatrix
+        assert fixed_point_smatrix(md, md.vacuum).full is md.smatrix
 
     def test_new_smatrix_gives_a_fresh_object(self):
         md = md_su2(4)
         old = fixed_point_smatrix(md, (4,))
-        md.smatrix = md.smatrix.copy()
+        md = dataclasses.replace(md, smatrix=md.smatrix.copy())
         new = fixed_point_smatrix(md, (4,))
         assert new is not old
         assert new.fixed == old.fixed
