@@ -20,9 +20,9 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import CartanDataError, InvariantViolation, PreconditionError
 from .exact import phase_to_complex
-from .liealg import SimpleLieAlgebra, build_algebra, weyl_traverse
+from .liealg import SimpleLieAlgebra, build_algebra, parse_algebra_label, weyl_traverse
 
 __all__ = [
     "ModularData",
@@ -131,13 +131,8 @@ class ModularData:
         )
 
     def conjugation_permutation(self) -> tuple[int, ...]:
-        """Permutation i -> conj(i) read off from S squared."""
-        return self._derived("conjugation_permutation", _conjugation_permutation)
-
-
-def _conjugation_permutation(md: ModularData) -> tuple[int, ...]:
-    s = md.smatrix
-    return tuple(int(j) for j in np.argmax(np.abs(s @ s), axis=1))
+        """Permutation i -> conj(i) read off from S squared in the invariants pass."""
+        return self._derived("invariants", _invariant_residuals)["conjugation"]
 
 
 def kac_peterson_smatrix(
@@ -163,6 +158,7 @@ def kac_peterson_smatrix(
 
 
 def _invariant_residuals(md: ModularData) -> dict:
+    """Residual of each defining relation, and the conjugation permutation."""
     s = md.smatrix
     eye = np.eye(md.dim)
     s2 = s @ s
@@ -176,6 +172,7 @@ def _invariant_residuals(md: ModularData) -> dict:
         "conjugation_permutation": float(np.abs(s2.real - perm).max() + np.abs(s2.imag).max()),
         "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
         "st_cubed": float(np.abs(st @ st @ st - s2).max()),
+        "conjugation": tuple(np.argmax(np.abs(s2), axis=1).tolist()),
     }
 
 
@@ -236,13 +233,12 @@ def modular_data(
     """Compute (or load from cache) verified modular data for one affine theory."""
     alg = build_algebra(algebra)
     md = load_modular_data(algebra, level, cache_dir) if cache_dir is not None else None
-    if md is None:
+    hit = md is not None
+    if not hit:
         md = _theory(alg, level, lambda labels: kac_peterson_smatrix(alg, level, labels, weyl_cap))
-        verify_modular_invariants(md, tol)
-        if cache_dir is not None:
-            save_modular_data(md, cache_dir)
-    else:
-        verify_modular_invariants(md, tol)
+    verify_modular_invariants(md, tol)
+    if cache_dir is not None and not hit:
+        save_modular_data(md, cache_dir)
     return md
 
 
@@ -260,7 +256,15 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
     bytes with no per-entry work; the bytes round-trip bit for bit.  The
     JSON goes to a temporary file beside the entry, which then replaces the
     entry in one step, so a failed write leaves the old entry intact.
+
+    Raises PreconditionError, before anything is written, unless
+    ``md.algebra`` names a simple algebra: a tensor product, extension or
+    orbifold could not be derived again from its label.
     """
+    try:
+        parse_algebra_label(md.algebra)
+    except CartanDataError as exc:
+        raise PreconditionError(f"cannot cache theory {md.algebra!r}: {exc}") from None
     path = cache_path(md.algebra, md.level, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     s_bytes = md.smatrix.astype("<c16", copy=False).tobytes()

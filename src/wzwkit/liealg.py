@@ -20,13 +20,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CartanDataError, InternalConsistencyError, WeylCapExceeded
-from .exact import invert_rational, smith_normal_form
+from .exact import invert_rational
 
 __all__ = [
     "SimpleLieAlgebra",
@@ -329,22 +329,21 @@ def weyl_order(alg: SimpleLieAlgebra, cap: int = 200000) -> int:
 
 @dataclass(frozen=True)
 class CenterGroup:
-    """The center of the simply connected group, as an abelian group.
+    """The center of the simply connected group, P^vee / Q^vee.
 
     ``factors`` are the nontrivial invariant factors (each divides the next);
-    ``generators`` are coset representatives in coweight coordinates, one per
-    factor, so that generator k has order factors[k] in the quotient.
+    ``generators`` are fundamental coweights e_i of distinct nodes, in coweight
+    coordinates, generator k of order factors[k]; ``element_orders`` are the
+    orders of all elements, sorted, the identity included.
     """
 
     factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
+    element_orders: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return len(self.element_orders)
 
     def describe(self) -> str:
         if not self.factors:
@@ -353,25 +352,36 @@ class CenterGroup:
 
 
 def center_group(alg: SimpleLieAlgebra) -> CenterGroup:
-    """Coweight lattice modulo coroot lattice via Smith normal form.
+    """Coweight lattice modulo coroot lattice, from the minuscule coweights.
 
-    In coweight coordinates the coroot lattice is spanned by the columns of
-    the Cartan matrix, so the quotient is Z^n / A Z^n.
+    In coweight coordinates the coroot lattice is A Z^n, and the quotient is 0
+    together with the fundamental coweights e_i of the nodes of mark 1
+    (Bourbaki, Lie groups and Lie algebras VI §2 ex. 5).  The order of e_i is
+    the lcm of the denominators of column i of A^-1.  Every such quotient is
+    cyclic or Z2 x Z2, so its invariant factors are (|Z| / e, e) for the
+    largest order e.  Raises InternalConsistencyError unless |Z| = det A and,
+    for every d, as many elements have order dividing d as in Z_{|Z|/e} x Z_e.
     """
     n = alg.rank
-    left, diag, _right = smith_normal_form(alg.cartan)
-    linv = invert_rational(left)
-    factors = []
-    gens = []
-    for i in range(n):
-        d = diag[i][i]
-        if d > 1:
-            factors.append(d)
-            col = [linv[r][i] for r in range(n)]
-            if any(c.denominator != 1 for c in col):
-                raise InternalConsistencyError("unimodular inverse not integral")
-            gens.append(tuple(int(c) for c in col))
-    return CenterGroup(tuple(factors), tuple(gens))
+    inv = invert_rational(alg.cartan)
+    nodes = [i for i in range(n) if alg.marks[i] == 1]
+    order_of = {i: lcm(*(inv[r][i].denominator for r in range(n))) for i in nodes}
+    orders = tuple(sorted([1, *order_of.values()]))
+    size, top = len(orders), orders[-1]
+    factors = tuple(f for f in (size // top, top) if f > 1)
+    if size != round(np.linalg.det(alg.cartan)) or any(
+        sum(d % o == 0 for o in orders) != prod(gcd(d, f) for f in factors)
+        for d in range(1, size + 1)
+    ):
+        raise InternalConsistencyError(
+            f"{alg.name}: coweights of orders {orders} do not form a center "
+            f"{factors} of order det A"
+        )
+    used: list[int] = []
+    for f in factors:
+        used.append(next(i for i in nodes if order_of[i] == f and i not in used))
+    gens = tuple(tuple(int(j == i) for j in range(n)) for i in used)
+    return CenterGroup(factors, gens, orders)
 
 
 def affine_cartan_matrix(alg: SimpleLieAlgebra) -> tuple[tuple[int, ...], ...]:

@@ -155,7 +155,7 @@ def inner_orbifold_input(md: ModularData, shift: Sequence) -> OrbifoldInput:
         eta_exponents=eta_exponents,
         fixed=tuple(range(dim)),
         pairs=(),
-        s0=md.smatrix.copy(),
+        s0=md.smatrix,
         t1_exponents=t1,
         t0_exponents=t0,
         shift=s,

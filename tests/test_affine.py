@@ -22,8 +22,11 @@ from wzwkit.affine import (
     save_modular_data,
     verify_modular_invariants,
 )
-from wzwkit.errors import InvariantViolation
+from wzwkit.errors import InvariantViolation, PreconditionError
+from wzwkit.fusion import simple_currents, tensor_product
 from wzwkit.liealg import build_algebra
+from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
+from wzwkit.simplecurrent import extend_by_group
 
 
 def su2_smatrix(k: int) -> np.ndarray:
@@ -234,6 +237,22 @@ class TestCache:
         assert np.array_equal(loaded.smatrix, md.smatrix)
         p2 = save_modular_data(loaded, tmp_path / "two")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["tensor", "extension", "orbifold"])
+    def test_theory_without_a_simple_algebra_is_refused(self, tmp_path, kind):
+        # its labels, weights and c could not be derived from its name on load
+        if kind == "tensor":
+            md = tensor_product(modular_data("A1", 2), modular_data("A1", 2))
+        elif kind == "extension":
+            parent = modular_data("A1", 4)
+            md = extend_by_group(parent, simple_currents(parent)).md
+        else:
+            md = assemble_orbifold(inner_orbifold_input(modular_data("A1", 2), (1,))).md
+        cache_dir = tmp_path / "c"
+        cache_dir.mkdir()
+        with pytest.raises(PreconditionError, match="cannot cache"):
+            save_modular_data(md, cache_dir)
+        assert list(cache_dir.iterdir()) == []
 
     def test_cache_hit_skips_weyl_traversal(self, tmp_path, weyl_traversals):
         modular_data("B2", 2, cache_dir=tmp_path)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from wzwkit.errors import CartanDataError, WeylCapExceeded
+from wzwkit.errors import CartanDataError, InternalConsistencyError, WeylCapExceeded
 from wzwkit.liealg import (
     affine_cartan_matrix,
     build_algebra,
@@ -257,36 +259,67 @@ class TestWeyl:
         assert "raise the cap" in str(exc.value)
 
 
+# The center of every series: Z_{n+1} for A, Z2 for B and C, Z4 for D with n
+# odd and Z2 x Z2 with n even, Z3, Z2 and trivial for E6-E8, trivial for F4, G2.
+CENTERS = (
+    [(f"A{n}", (n + 1,)) for n in range(1, 10)]
+    + [(f"B{n}", (2,)) for n in range(2, 10)]
+    + [(f"C{n}", (2,)) for n in range(2, 10)]
+    + [(f"D{n}", (4,) if n % 2 else (2, 2)) for n in range(3, 11)]
+    + [("E6", (3,)), ("E7", (2,)), ("E8", ()), ("F4", ()), ("G2", ())]
+)
+CENTER_LABELS = [label for label, _ in CENTERS]
+
+
+def brute_force_orders(factors):
+    """Sorted orders of all elements of Z_f1 x ... x Z_fk, by enumeration."""
+    orders = []
+    for element in itertools.product(*(range(f) for f in factors)):
+        order = 1
+        for a, f in zip(element, factors):
+            order = math.lcm(order, f // math.gcd(a, f))
+        orders.append(order)
+    return sorted(orders)
+
+
 class TestCenter:
-    @pytest.mark.parametrize(
-        "label,factors",
-        [
-            ("A1", (2,)),
-            ("A2", (3,)),
-            ("A3", (4,)),
-            ("B2", (2,)),
-            ("B3", (2,)),
-            ("C3", (2,)),
-            ("D4", (2, 2)),
-            ("E6", (3,)),
-            ("E7", (2,)),
-            ("G2", ()),
-            ("F4", ()),
-            ("E8", ()),
-        ],
-    )
+    @pytest.mark.parametrize("label,factors", CENTERS)
     def test_invariant_factors(self, label, factors):
         assert center_group(build_algebra(label)).factors == factors
 
-    def test_generator_orders(self):
-        # each generator must have exactly the advertised order in Z^n / A Z^n
-        for label in ["A2", "A3", "D4", "B3"]:
-            alg = build_algebra(label)
-            cg = center_group(alg)
-            for gen, order in zip(cg.generators, cg.factors):
-                for mult in range(1, order):
-                    assert not _in_column_lattice(alg.cartan, [mult * g for g in gen])
-                assert _in_column_lattice(alg.cartan, [order * g for g in gen])
+    @pytest.mark.parametrize("label", CENTER_LABELS)
+    def test_generator_orders(self, label):
+        # each generator must have exactly the advertised order in Z^n / A Z^n,
+        # and the generators are fundamental coweights of distinct nodes
+        alg = build_algebra(label)
+        cg = center_group(alg)
+        assert len(cg.generators) == len(cg.factors)
+        assert len({gen.index(1) for gen in cg.generators}) == len(cg.generators)
+        for gen, order in zip(cg.generators, cg.factors):
+            assert sorted(gen) == [0] * (alg.rank - 1) + [1]
+            for mult in range(1, order):
+                assert not _in_column_lattice(alg.cartan, [mult * g for g in gen])
+            assert _in_column_lattice(alg.cartan, [order * g for g in gen])
+
+    @pytest.mark.parametrize("label", CENTER_LABELS)
+    def test_element_orders_match_the_factors(self, label):
+        cg = center_group(build_algebra(label))
+        assert list(cg.element_orders) == brute_force_orders(cg.factors)
+        assert cg.order == math.prod(cg.factors)
+
+    @pytest.mark.parametrize(
+        "label,marks",
+        [
+            ("A3", (1, 2, 1)),  # fewer elements than det A
+            ("D4", (1, 2, 1, 2)),
+            ("G2", (1, 2)),  # more elements than det A
+            ("D5", (1, 1, 2, 1, 2)),  # det A elements, two of them of order 1
+        ],
+    )
+    def test_wrong_marks_are_refused(self, label, marks):
+        alg = dataclasses.replace(build_algebra(label), marks=marks)
+        with pytest.raises(InternalConsistencyError):
+            center_group(alg)
 
     def test_describe(self):
         assert center_group(build_algebra("D4")).describe() == "Z2 x Z2"
