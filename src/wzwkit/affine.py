@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -291,6 +292,15 @@ def _decode_smatrix(text: str, n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(n, n)
 
 
+def _warn_outside(message: str) -> None:
+    """Warn at the innermost calling line outside this module: the caller of
+    ``load_modular_data``, or of ``modular_data`` when that read the entry."""
+    frame, level = sys._getframe(2), 3
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> ModularData | None:
     """Read a cached theory; None if absent, stale-schema, or unreadable.
 
@@ -309,10 +319,9 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
         if not isinstance(payload, dict):
             raise ValueError("cache entry is not a JSON object")
         if payload.get("schema") != SCHEMA_VERSION:
-            warnings.warn(
+            _warn_outside(
                 f"ignoring stale cache file {path}: schema {payload.get('schema')!r},"
-                f" expected {SCHEMA_VERSION}",
-                stacklevel=2,
+                f" expected {SCHEMA_VERSION}"
             )
             return None
         if payload["algebra"] != algebra or payload["level"] != level:
@@ -320,5 +329,5 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
         text = payload["smatrix"]
         return _theory(build_algebra(algebra), level, lambda lab: _decode_smatrix(text, len(lab)))
     except (ValueError, KeyError, TypeError) as exc:
-        warnings.warn(f"ignoring unreadable cache file {path}: {exc}", stacklevel=2)
+        _warn_outside(f"ignoring unreadable cache file {path}: {exc}")
         return None

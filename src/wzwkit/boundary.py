@@ -4,8 +4,9 @@ Given a theory together with a group of simple currents, boundary conditions
 that preserve the orbifold subalgebra are governed by a commutative algebra
 whose structure constants come from a Verlinde-like formula.  Bulk fields are
 indexed by hat labels (a zero-charge sector with a character of its full
-stabilizer); boundary conditions by group orbits of arbitrary sectors dressed
-with a character of the central stabilizer.  The two label sets always have
+stabilizer); boundary conditions by the orbit labels of
+``simplecurrent.OrbitLabel``: group orbits of arbitrary sectors dressed with
+a character of the central (untwisted) stabilizer.  The two label sets have
 the same size and the diagonalizing matrix connecting them is built from the
 fixed-point S matrices of the theory, in one call to
 ``simplecurrent.sj_character_matrix`` (O(|G| n^2) for n labels).  The raised
@@ -23,19 +24,13 @@ from fractions import Fraction as Q
 import numpy as np
 
 from .affine import ModularData
-from .errors import (
-    InternalConsistencyError,
-    InvariantViolation,
-    PreconditionError,
-    UnderdeterminedCocycle,
-)
+from .errors import InternalConsistencyError, InvariantViolation, PreconditionError
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
-from .simplecurrent import _stabilizer_data, abelian_characters, sj_character_matrix
+from .simplecurrent import OrbitLabel, _orbit_labels, abelian_characters, sj_character_matrix
 
 __all__ = [
     "HatLabel",
-    "BoundaryLabel",
     "ClassifyingAlgebra",
     "TypeDecomposition",
     "classifying_labels",
@@ -57,32 +52,22 @@ class HatLabel:
     char: tuple[tuple[int, Q], ...]
 
 
-@dataclass(frozen=True)
-class BoundaryLabel:
-    """A boundary condition: current orbit plus a central-stabilizer character.
-
-    ``rep`` is the lexicographically minimal orbit member.
-    """
-
-    rep: int
-    char: tuple[tuple[int, Q], ...]
-    orbit: tuple[int, ...]
-
-
 @dataclass(eq=False)
 class ClassifyingAlgebra:
     """The boundary classifying algebra of one theory and current group.
 
+    ``hat_labels`` index the bulk fields and ``boundary_labels`` (orbit
+    labels, the type of the extension primaries) the boundary conditions.
     ``smatrix`` is indexed by (hat label, boundary label); ``nhat`` holds the
-    raised structure constants and ``reflection`` the reflection coefficients,
-    both computed with the checks of ``structure_constants``.  The unit is
-    always hat index 0, the vacuum with the trivial character.
+    raised structure constants and ``reflection`` the reflection
+    coefficients, both computed with the checks of ``structure_constants``.
+    Hat index 0, the vacuum with the trivial character, is the unit.
     """
 
     md: ModularData
     group: SimpleCurrentGroup
     hat_labels: tuple[HatLabel, ...]
-    boundary_labels: tuple[BoundaryLabel, ...]
+    boundary_labels: tuple[OrbitLabel, ...]
     smatrix: np.ndarray
     nhat: np.ndarray
     reflection: np.ndarray
@@ -92,50 +77,31 @@ class ClassifyingAlgebra:
     def dim(self) -> int:
         return len(self.hat_labels)
 
-    @property
-    def unit(self) -> int:
-        return 0
-
-    def reflection_coefficients(self) -> np.ndarray:
-        return self.reflection
-
 
 def _label_data(md: ModularData, group: SimpleCurrentGroup):
-    stab: dict[int, tuple[int, ...]] = {}
-    ustab: dict[int, tuple[int, ...]] = {}
-    for i in range(md.dim):
-        stab[i], _, ustab[i] = _stabilizer_data(md, group, i)
+    """Hat labels, boundary labels and the stabilizer and weight of every sector.
 
-    hats: list[HatLabel] = []
-    for i in range(md.dim):
-        if any(group.charge(j, i) != 0 for j in group.indices):
-            continue
-        for char in abelian_characters(stab[i], group.compose, md.vacuum):
-            hats.append(HatLabel(i, tuple(sorted(char.items()))))
-
-    boundaries: list[BoundaryLabel] = []
-    for orbit in group.orbits():
-        i = orbit[0]
-        if md.vacuum not in ustab[i]:
-            raise UnderdeterminedCocycle(
-                f"label {md.labels[i]} (index {i}) is a fixed point of nonzero "
-                "monodromy charge: its cocycle is nontrivial on the vacuum, so its "
-                "stabilizer has no untwisted subgroup; not supported"
-            )
-        for char in abelian_characters(ustab[i], group.compose, md.vacuum):
-            boundaries.append(BoundaryLabel(i, tuple(sorted(char.items())), orbit))
-
+    The boundary labels and the orbit records come from one pass over the
+    orbits; each hat label reads the stabilizer of its sector's orbit.
+    """
+    boundaries, records = _orbit_labels(md, group)
+    hats = tuple(
+        HatLabel(i, tuple(sorted(char.items())))
+        for i in range(md.dim)
+        if all(group.charge(j, i) == 0 for j in group.indices)
+        for char in abelian_characters(records[i][0], group.compose, md.vacuum)
+    )
     if len(hats) != len(boundaries):
         raise InternalConsistencyError(
             f"{len(hats)} hat labels but {len(boundaries)} boundary labels; "
             "stabilizer data is inconsistent"
         )
-    return tuple(hats), tuple(boundaries), stab, ustab
+    return hats, boundaries, records
 
 
 def classifying_labels(
     md: ModularData, group: SimpleCurrentGroup
-) -> tuple[tuple[HatLabel, ...], tuple[BoundaryLabel, ...]]:
+) -> tuple[tuple[HatLabel, ...], tuple[OrbitLabel, ...]]:
     """Hat labels and boundary labels of the classifying algebra.
 
     Hat labels exhaust the sectors of vanishing monodromy charge, one per
@@ -143,7 +109,7 @@ def classifying_labels(
     of all sectors (no spin restriction), one per character of the central
     stabilizer.  The counts always agree.
     """
-    hats, boundaries, _, _ = _label_data(md, group)
+    hats, boundaries, _ = _label_data(md, group)
     return hats, boundaries
 
 
@@ -158,13 +124,12 @@ def hat_smatrix(md: ModularData, group: SimpleCurrentGroup) -> np.ndarray:
 
 
 def _hat_matrix(md: ModularData, group: SimpleCurrentGroup, label_data) -> np.ndarray:
-    hats, boundaries, stab, ustab = label_data
-    weight = {i: len(stab[i]) * len(ustab[i]) for i in stab}
+    hats, boundaries, records = label_data
     return sj_character_matrix(
         md,
         group.order,
-        [(h.sector, dict(h.char), weight[h.sector]) for h in hats],
-        [(b.rep, dict(b.char), weight[b.rep]) for b in boundaries],
+        [(h.sector, dict(h.char), records[h.sector][1]) for h in hats],
+        [(b.rep, dict(b.char), records[b.rep][1]) for b in boundaries],
     )
 
 
@@ -293,7 +258,7 @@ def automorphism_type_decomposition(
         buckets.setdefault(key, []).append(a)
     parts = tuple(sorted((k, tuple(v)) for k, v in buckets.items()))
 
-    refl = ca.reflection_coefficients()
+    refl = ca.reflection
     idem = np.linalg.inv(refl.T)
     sums = {k: idem[:, list(v)].sum(axis=1) for k, v in parts}
     residual = 0.0

@@ -30,19 +30,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .affine import (
-    ModularData,
-    load_modular_data,
-    modular_data,
-    save_modular_data,
-    verify_modular_invariants,
-)
+from .affine import ModularData, modular_data, verify_modular_invariants
 from .blocks import fourier_eigendims, symmetry_trace
 from .boundary import automorphism_type_decomposition, classifying_algebra
 from .errors import (
@@ -65,7 +58,6 @@ from .simplecurrent import extend_by_group
 __all__ = [
     "JobConfig",
     "run",
-    "cache_roundtrip",
     "build_parser",
     "main",
     "EXIT_OK",
@@ -490,7 +482,7 @@ def _run_extend(config: JobConfig):
         "classes": [
             {
                 "rep": list(md.labels[cls.rep]),
-                "char": {str(j): v for j, v in sorted(cls.char.items())},
+                "char": {str(j): v for j, v in cls.char},
             }
             for cls in ext.classes
         ],
@@ -534,7 +526,7 @@ def _run_boundary(config: JobConfig):
         ],
         "smatrix": algebra.smatrix,
         "nhat_nonzero": _nonzero_table(np.abs(nhat) > 0.5, np.round(nhat.real)),
-        "reflection": algebra.reflection_coefficients(),
+        "reflection": algebra.reflection,
     }
     if group.order == 2:
         decomposition = automorphism_type_decomposition(algebra, tol=config.tolerance)
@@ -719,30 +711,6 @@ def run(config: JobConfig) -> tuple[str, int]:
         code, status = classified
         fmt = "json" if config.fmt == "csv" else config.fmt
         return _render(_error_document(config, exc, code), fmt), status
-
-
-def cache_roundtrip(md: ModularData, cache_dir: str | Path) -> ModularData:
-    """Serialize modular data to disk and reload it, verifying equality.
-
-    S must survive bit for bit, as it is written as its raw complex128
-    bytes; labels, conformal weights and the central charge are derived
-    again on load and must equal the originals.
-    """
-    save_modular_data(md, cache_dir)
-    loaded = load_modular_data(md.algebra, md.level, cache_dir)
-    if loaded is None:
-        raise InternalConsistencyError("cache entry unreadable immediately after write")
-    same = (
-        loaded.algebra == md.algebra
-        and loaded.level == md.level
-        and loaded.labels == md.labels
-        and loaded.delta == md.delta
-        and loaded.central_charge == md.central_charge
-        and np.array_equal(loaded.smatrix, md.smatrix)
-    )
-    if not same:
-        raise InternalConsistencyError("cache round trip altered the modular data")
-    return loaded
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ The relative phases F_mu(J, J') extracted from these matrices control which
 characters of the stabilizer survive in extensions, boundary data, and trace
 formulas.  ``_stabilizer_data`` is the one place they are evaluated: each
 value is snapped to an exact root-of-unity exponent, and the untwisted
-subgroup is found by exact integer sums of exponents.  The extended S matrix
+subgroup is found by exact integer sums of exponents.  ``_orbit_labels``
+takes it once per current orbit and labels the orbit by the characters of
+its untwisted stabilizer; the zero-charge labels are the extension
+primaries and all of them the boundary labels.  The extended S matrix
 and the classifying algebra's hat matrix are both
 |G| / sqrt(|S_a||U_a||S_b||U_b|) sum_J psi_a(J) S^J_{ab} psi_b(J)*, built
 whole by ``sj_character_matrix``: one (rows x columns) array step per current,
@@ -56,6 +59,7 @@ __all__ = [
     "sj_character_matrix",
     "OrbitRecord",
     "orbit_data",
+    "OrbitLabel",
     "ExtendedTheory",
     "extend_by_group",
 ]
@@ -365,24 +369,64 @@ def orbit_data(md: ModularData, group: SimpleCurrentGroup) -> list[OrbitRecord]:
     return records
 
 
-@dataclass(eq=False)
-class ExtClass:
-    """An extension primary: an orbit representative plus a stabilizer character."""
+@dataclass(frozen=True)
+class OrbitLabel:
+    """A current orbit plus a character of its untwisted stabilizer U.
+
+    ``rep`` is the least orbit member and ``char`` maps each current of U to
+    its exact phase exponent, as sorted (current, exponent) pairs.  The
+    zero-charge labels are the primaries of a simple-current extension; all
+    of them are the boundary labels of a classifying algebra.
+    """
 
     rep: int
-    char: dict[int, Q]
+    char: tuple[tuple[int, Q], ...]
+    orbit: tuple[int, ...]
 
-    def signature(self) -> tuple:
-        return (self.rep, tuple(sorted(self.char.items())))
+
+def _orbit_labels(
+    md: ModularData, group: SimpleCurrentGroup
+) -> tuple[tuple[OrbitLabel, ...], dict[int, tuple[tuple[int, ...], int]]]:
+    """Every orbit label, and the stabilizer S and weight |S| |U| of every
+    sector's orbit, the weight that ``sj_character_matrix`` takes.
+
+    One pass over ``group.orbits()``: ``_stabilizer_data`` of each orbit's
+    least member, which holds for the whole orbit, then one label per
+    character of U.  The labels come out ordered by (rep, char).  An orbit
+    whose U lacks the vacuum is a fixed point of nonzero monodromy charge
+    and raises ``UnderdeterminedCocycle``; for an integer-spin group every
+    current fixing a sector has charge zero there, so it never does.
+    """
+    labels: list[OrbitLabel] = []
+    records: dict[int, tuple[tuple[int, ...], int]] = {}
+    for orbit in group.orbits():
+        rep = orbit[0]
+        stab, _, u = _stabilizer_data(md, group, rep)
+        if md.vacuum not in u:
+            raise UnderdeterminedCocycle(
+                f"label {md.labels[rep]} (index {rep}) is a fixed point of nonzero "
+                "monodromy charge: its cocycle is nontrivial on the vacuum, so its "
+                "stabilizer has no untwisted subgroup; not supported"
+            )
+        records.update(dict.fromkeys(orbit, (stab, len(stab) * len(u))))
+        labels.extend(
+            OrbitLabel(rep, tuple(sorted(char.items())), orbit)
+            for char in abelian_characters(u, group.compose, md.vacuum)
+        )
+    return tuple(labels), records
 
 
 @dataclass(eq=False)
 class ExtendedTheory:
-    """Result of extending by an integer-spin simple-current group."""
+    """Result of extending by an integer-spin simple-current group.
+
+    ``classes`` are the zero-charge orbit labels, in the order of the
+    extended primaries; ``md`` labels each primary by its (rep, char) pair.
+    """
 
     parent: ModularData
     group: SimpleCurrentGroup
-    classes: tuple[ExtClass, ...]
+    classes: tuple[OrbitLabel, ...]
     md: ModularData
     zmatrix: np.ndarray
 
@@ -394,11 +438,13 @@ def extend_by_group(
 ) -> ExtendedTheory:
     """Extend a theory by a group of integer-spin simple currents.
 
-    Surviving primaries are those with vanishing monodromy charge under the
-    whole group (checked exactly); each contributes one extension primary per
-    character of its untwisted stabilizer.  The extended S and T matrices are
-    verified as modular data, the extended fusion rules must be non-negative
-    integers, and the diagonal-invariant matrix Z must commute with S and T.
+    The extension primaries are the orbit labels of ``_orbit_labels`` with
+    vanishing monodromy charge under the whole group (checked exactly): one
+    per zero-charge orbit and character of its untwisted stabilizer.  The
+    extended S matrix is ``sj_character_matrix`` over them.  The extended S
+    and T matrices are verified as modular data, the extended fusion rules
+    must be non-negative integers, and the diagonal-invariant matrix Z must
+    commute with S and T.
     """
     for j in group.indices:
         if md.delta[j].denominator != 1:
@@ -407,48 +453,29 @@ def extend_by_group(
                 "the extension only exists for integer-spin currents"
             )
 
-    orbit_reps = []
-    for orbit in group.orbits():
-        rep = orbit[0]
-        if all(group.charge(j, rep) == 0 for j in group.indices):
-            stab, _, u = _stabilizer_data(md, group, rep)
-            orbit_reps.append((rep, orbit, stab, u))
-
-    # one class per character of U, pinned to the lex-minimal representative
-    classes: list[ExtClass] = []
-    weight: dict[int, int] = {}
-    for rep, orbit, stab, u in orbit_reps:
-        weight[rep] = len(stab) * len(u)
-        for char in abelian_characters(u, group.compose, md.vacuum):
-            classes.append(ExtClass(rep, char))
-    classes.sort(key=lambda c: c.signature())
-    expected = sum(len(u) for _, _, _, u in orbit_reps)
-    if len(classes) != expected:
-        raise InternalConsistencyError(
-            f"extension produced {len(classes)} classes, expected {expected}"
-        )
-
-    labels = [(c.rep, c.char, weight[c.rep]) for c in classes]
-    s_ext = sj_character_matrix(md, group.order, labels, labels)
+    labels, records = _orbit_labels(md, group)
+    classes = tuple(
+        c for c in labels if all(group.charge(j, c.rep) == 0 for j in group.indices)
+    )
+    rows = [(c.rep, dict(c.char), records[c.rep][1]) for c in classes]
+    s_ext = sj_character_matrix(md, group.order, rows, rows)
 
     ext_md = ModularData(
         algebra=f"{md.algebra}/ext",
         level=md.level,
-        labels=tuple(c.signature() for c in classes),
+        labels=tuple((c.rep, c.char) for c in classes),
         smatrix=s_ext,
         delta=tuple(md.delta[c.rep] for c in classes),
         central_charge=md.central_charge,
     )
-    if classes[0].rep != md.vacuum or any(v != 0 for v in classes[0].char.values()):
+    if classes[0].rep != md.vacuum or any(v != 0 for _, v in classes[0].char):
         raise InternalConsistencyError("extension vacuum class is not first")
     verify_modular_invariants(ext_md, tol)
     verify_fusion(ext_md)
 
     z = np.zeros((md.dim, md.dim), dtype=np.int64)
-    for rep, orbit, stab, _u in orbit_reps:
-        v = np.zeros(md.dim, dtype=np.int64)
-        v[list(orbit)] = 1
-        z += len(stab) * np.outer(v, v)
+    for orbit in {c.orbit for c in classes}:
+        z[np.ix_(orbit, orbit)] = len(records[orbit[0]][0])
     if z[md.vacuum, md.vacuum] != 1:
         raise InternalConsistencyError("vacuum entry of the invariant matrix is not 1")
     t_diag = md.t_diagonal()
@@ -459,4 +486,4 @@ def extend_by_group(
     if comm_t > 1e-9:
         raise InvariantViolation("invariant_commutes_with_t", float(comm_t), 1e-9)
 
-    return ExtendedTheory(parent=md, group=group, classes=tuple(classes), md=ext_md, zmatrix=z)
+    return ExtendedTheory(parent=md, group=group, classes=classes, md=ext_md, zmatrix=z)

@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import json
 import math
+import sys
 from collections import deque
 from fractions import Fraction as Q
 from pathlib import Path
@@ -279,6 +280,21 @@ class TestCache:
         with pytest.warns(UserWarning, match="stale cache"):
             md = modular_data("A1", 1, cache_dir=tmp_path)
         assert md.dim == 2
+
+    @pytest.mark.parametrize("entry", ["[]", json.dumps({"schema": 0})])
+    def test_cache_warning_names_the_calling_line(self, tmp_path, entry):
+        # the warning points at the line that called the library, not into it
+        cache_path("A1", 1, tmp_path).write_text(entry)
+        with pytest.warns(UserWarning, match="cache file") as records:
+            line = sys._getframe().f_lineno + 1
+            modular_data("A1", 1, cache_dir=tmp_path)
+        cache_path("A1", 1, tmp_path).write_text(entry)
+        with pytest.warns(UserWarning, match="cache file") as direct:
+            load_modular_data("A1", 1, tmp_path)
+        for record in (*records, *direct):
+            assert record.filename == __file__
+        assert [r.lineno for r in records] == [line]
+        assert [r.lineno for r in direct] == [line + 3]
 
     def test_failed_write_keeps_previous_entry(self, tmp_path, monkeypatch):
         md = modular_data("A1", 2)

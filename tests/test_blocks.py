@@ -368,17 +368,16 @@ class TestCocycleCost:
 
     @pytest.mark.parametrize("build", [extend_by_group, classifying_algebra])
     @pytest.mark.parametrize("theory", ["A1-4", "A2-3", "cube-klein"])
-    def test_extension_and_boundary_evaluate_each_pair_once_per_label(
+    def test_extension_and_boundary_evaluate_each_pair_once_per_orbit(
         self, cocycle_calls, theory, build
     ):
         md, group = self.theory(theory)
         build(md, group)
-        labels = {mu for _, _, mu in cocycle_calls}
         expected = sorted(
-            (t, tp, mu)
-            for mu in labels
-            for t in group.stabilizer(mu)
-            for tp in group.stabilizer(mu)
+            (t, tp, orbit[0])
+            for orbit in group.orbits()
+            for t in group.stabilizer(orbit[0])
+            for tp in group.stabilizer(orbit[0])
         )
         assert sorted(cocycle_calls) == expected
 

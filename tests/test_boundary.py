@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -21,10 +22,15 @@ from wzwkit.boundary import (
     structure_constants,
     z2_wzw_hat_table,
 )
-from wzwkit.errors import InvariantViolation, PreconditionError, UnsupportedFolding
+from wzwkit.errors import (
+    InvariantViolation,
+    PreconditionError,
+    UnderdeterminedCocycle,
+    UnsupportedFolding,
+)
 from wzwkit.fusion import simple_currents, verlinde_tensor
 from wzwkit.orbifold import assemble_orbifold, dual_current_label, inner_orbifold_input
-from wzwkit.simplecurrent import fixed_point_smatrix
+from wzwkit.simplecurrent import _orbit_labels, _stabilizer_data, fixed_point_smatrix
 
 from test_blocks import klein_four_cube
 from test_simplecurrent import SJ_THEORIES, entrywise_sj_sum
@@ -78,7 +84,7 @@ class TestTrivialGroup:
         assert np.array_equal(np.round(trivial_algebra.nhat.real), n)
 
     def test_reflection_row_of_the_unit(self, trivial_algebra):
-        refl = trivial_algebra.reflection_coefficients()
+        refl = trivial_algebra.reflection
         assert np.abs(refl[0] - 1).max() < 1e-12
 
     def test_single_automorphism_type(self, trivial_algebra):
@@ -151,7 +157,7 @@ class TestZ2Orbifold:
     def test_reflection_coefficients_unit_row(self, z2_level2):
         _, orb, dual = z2_level2
         ca = classifying_algebra(orb.md, dual)
-        refl = ca.reflection_coefficients()
+        refl = ca.reflection
         assert np.abs(refl[0] - 1).max() < 1e-10
 
     def test_automorphism_types_split_by_twist(self, z2_level2):
@@ -222,9 +228,14 @@ class TestGuards:
 class TestHatMatrixOracle:
     @staticmethod
     def entrywise_hat(md, group):
-        hats, boundaries, stab, ustab = _label_data(md, group)
-        rows = [(h.sector, dict(h.char), len(stab[h.sector]) * len(ustab[h.sector])) for h in hats]
-        cols = [(b.rep, dict(b.char), len(stab[b.rep]) * len(ustab[b.rep])) for b in boundaries]
+        hats, boundaries, _ = _label_data(md, group)
+
+        def weight(mu):
+            stab, _, u = _stabilizer_data(md, group, mu)
+            return len(stab) * len(u)
+
+        rows = [(h.sector, dict(h.char), weight(h.sector)) for h in hats]
+        cols = [(b.rep, dict(b.char), weight(b.rep)) for b in boundaries]
         return entrywise_sj_sum(md, group.order, rows, cols)
 
     @pytest.mark.parametrize("algebra,level", SJ_THEORIES)
@@ -251,3 +262,48 @@ class TestHatMatrixOracle:
             fixed_point_smatrix(orb.md, dual.indices[1])
         shat = hat_smatrix(orb.md, dual)
         assert np.array_equal(shat, self.entrywise_hat(orb.md, dual))
+
+
+class TestOrbitLabels:
+    """The boundary labels come from one pass over the orbits, which reads the
+    stabilizer data of each orbit's least member only."""
+
+    @pytest.mark.parametrize("level", [2, 6])
+    def test_fractional_spin_fixed_point_is_unsupported(self, level):
+        md = modular_data("A1", level)
+        fixed = (level // 2,)
+        message = f"label {fixed} (index {md.index(fixed)}) is a fixed point of nonzero"
+        with pytest.raises(UnderdeterminedCocycle, match=re.escape(message)):
+            classifying_algebra(md, simple_currents(md))
+
+    @staticmethod
+    def theories():
+        for level in range(1, 13):
+            md = modular_data("A1", level)
+            yield f"A1-{level}", md, simple_currents(md)
+        for level in range(1, 10):
+            md = modular_data("A2", level)
+            yield f"A2-{level}", md, simple_currents(md)
+        md, group, _ = klein_four_cube()
+        yield "cube-klein", md, group
+        for level in (2, 4):
+            _, orb, dual = orbifold_setup(level)
+            yield f"orbifold-{level}", orb.md, dual
+
+    def test_stabilizer_data_is_constant_along_orbits(self):
+        for name, md, group in self.theories():
+            for orbit in group.orbits():
+                record = _stabilizer_data(md, group, orbit[0])[::2]
+                for mu in orbit[1:]:
+                    assert _stabilizer_data(md, group, mu)[::2] == record, (name, mu)
+
+    def test_labels_in_rep_and_character_order_with_every_sector_record(self):
+        for name, md, group in self.theories():
+            if name in {"A1-2", "A1-6", "A1-10"}:  # fractional-spin fixed points
+                continue
+            labels, records = _orbit_labels(md, group)
+            assert labels == tuple(sorted(labels, key=lambda b: (b.rep, b.char))), name
+            assert sorted(records) == list(range(md.dim)), name
+            for mu, record in records.items():
+                stab, _, u = _stabilizer_data(md, group, mu)
+                assert record == (stab, len(stab) * len(u)), (name, mu)

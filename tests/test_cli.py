@@ -11,10 +11,9 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-import wzwkit.affine as affine
 import wzwkit.cli as cli
 import wzwkit.fusion
-from wzwkit.affine import cache_path, modular_data
+from wzwkit.affine import cache_path, load_modular_data, modular_data, save_modular_data
 from wzwkit.boundary import classifying_algebra
 from wzwkit.cli import (
     EXIT_CAP,
@@ -26,7 +25,6 @@ from wzwkit.cli import (
     _render,
     _run_boundary,
     _run_fusion,
-    cache_roundtrip,
     config_from_args,
     main,
     run,
@@ -707,7 +705,8 @@ class TestSweep:
 class TestCache:
     def test_roundtrip_is_bit_for_bit(self, tmp_path):
         md = modular_data("A1", 1)
-        loaded = cache_roundtrip(md, tmp_path)
+        save_modular_data(md, tmp_path)
+        loaded = load_modular_data("A1", 1, tmp_path)
         assert loaded.labels == md.labels
         assert loaded.delta == md.delta
         assert np.array_equal(loaded.smatrix, md.smatrix)
@@ -723,7 +722,7 @@ class TestCache:
 
     def test_corrupt_entry_recomputes_with_warning(self, tmp_path):
         md = modular_data("A1", 2)
-        cache_roundtrip(md, tmp_path)
+        save_modular_data(md, tmp_path)
         cache_path("A1", 2, tmp_path).write_text("{not json")
         with pytest.warns(UserWarning, match="unreadable cache"):
             again = modular_data("A1", 2, cache_dir=tmp_path)
@@ -731,22 +730,22 @@ class TestCache:
 
     def test_stale_schema_is_invalidated(self, tmp_path, weyl_traversals):
         md = modular_data("A1", 2)
-        path = cache_roundtrip(md, tmp_path) and cache_path("A1", 2, tmp_path)
+        path = save_modular_data(md, tmp_path)
         payload = json.loads(path.read_text())
         payload["schema"] = 999
         path.write_text(json.dumps(payload))
         before = len(weyl_traversals)
-        again = modular_data("A1", 2, cache_dir=tmp_path)
+        with pytest.warns(UserWarning, match="stale cache .*schema 999"):
+            again = modular_data("A1", 2, cache_dir=tmp_path)
         assert len(weyl_traversals) == before + 1
         assert np.allclose(again.smatrix, md.smatrix)
 
     def test_mismatched_payload_is_rejected(self, tmp_path):
         md = modular_data("A1", 2)
-        cache_roundtrip(md, tmp_path)
-        path = cache_path("A1", 2, tmp_path)
+        path = save_modular_data(md, tmp_path)
         payload = json.loads(path.read_text())
         payload["level"] = 3
         path.write_text(json.dumps(payload))
         with pytest.warns(UserWarning):
-            result = affine.load_modular_data("A1", 2, tmp_path)
+            result = load_modular_data("A1", 2, tmp_path)
         assert result is None

@@ -506,7 +506,7 @@ class TestSjCharacterMatrix:
     def entrywise_extension(ext):
         group = ext.group
         rows = [
-            (c.rep, c.char, len(group.stabilizer(c.rep)) * len(c.char)) for c in ext.classes
+            (c.rep, dict(c.char), len(group.stabilizer(c.rep)) * len(c.char)) for c in ext.classes
         ]
         return entrywise_sj_sum(ext.parent, group.order, rows, rows)
 
