@@ -65,8 +65,8 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     factor has a zero row (quantum dimensions are positive), so the vector's
     sum never falls and bounds every entry and partial sum; float64 is exact
     while it stays below 2**53 (an entry of H that rounds in its float copy
-    is itself past that bound), and past that the product is redone over
-    Python ints.
+    is itself past that bound), and past that, or once the float vector
+    overflows to inf and NaN, the product is redone over Python ints.
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
@@ -81,9 +81,10 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     # float64 copies of only the factors that ranks use, made once per theory
     v = np.zeros(md.dim)
     v[md.vacuum] = 1
-    for key in keys:
-        v = v @ md._derived(("float_factor", key), lambda md: factor(key).astype(float))
-    if v.sum() >= 2.0**53:
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the guard below
+        for key in keys:
+            v = v @ md._derived(("float_factor", key), lambda md: factor(key).astype(float))
+    if not v.sum() < 2.0**53:
         v = np.zeros(md.dim, object)
         v[md.vacuum] = 1
         for key in keys:

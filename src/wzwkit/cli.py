@@ -28,7 +28,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -51,7 +51,7 @@ from .errors import (
     WeylCapExceeded,
 )
 from .fusion import SimpleCurrentGroup, simple_currents, verify_fusion, verlinde_tensor
-from .liealg import build_algebra, center_group
+from .liealg import build_algebra, center_group, parse_algebra_label
 from .orbifold import assemble_orbifold, conjecture2_trace, inner_orbifold_input
 from .simplecurrent import extend_by_group
 
@@ -73,17 +73,6 @@ EXIT_PARSE = 3
 EXIT_CAP = 4
 EXIT_UNSUPPORTED = 5
 
-CONSTRUCTIONS = (
-    "modular-data",
-    "fusion",
-    "extend",
-    "orbifold",
-    "boundary",
-    "trace",
-    "check",
-    "sweep",
-)
-
 CACHE_ENV = "WZWKIT_CACHE_DIR"
 
 SWEEP_COLUMNS = (
@@ -102,8 +91,9 @@ SWEEP_COLUMNS = (
 class JobConfig:
     """One batch job: a construction plus everything it needs.
 
-    Field defaults match the command-line defaults; ``validate`` enforces
-    that the parameters are complete for the chosen construction.
+    Field names are the command-line ``dest`` names and the field defaults
+    are the command-line defaults; ``validate`` enforces that the
+    parameters are complete for the chosen construction.
     """
 
     construction: str
@@ -122,21 +112,35 @@ class JobConfig:
     fmt: str = "json"
 
     def validate(self) -> None:
-        if self.construction not in CONSTRUCTIONS:
+        constructions = (*_HANDLERS, "sweep")
+        if self.construction not in constructions:
             raise PreconditionError(
                 f"unknown construction {self.construction!r}; "
-                f"expected one of {', '.join(CONSTRUCTIONS)}"
+                f"expected one of {', '.join(constructions)}"
             )
         if not self.algebra:
             raise PreconditionError("an algebra label is required")
+        parse_algebra_label(self.algebra)
         if self.tolerance <= 0:
             raise PreconditionError("tolerances must be positive")
+        if not np.isfinite(self.tolerance):
+            raise PreconditionError(f"tolerances must be finite, got {self.tolerance!r}")
         if self.weyl_cap < 1:
             raise PreconditionError("--weyl-cap must be a positive integer")
         if self.fmt not in ("json", "csv", "pretty"):
             raise PreconditionError(f"unknown output format {self.fmt!r}")
         if self.fmt == "csv" and self.construction != "sweep":
             raise PreconditionError("csv output is only defined for sweeps")
+        if self.cache_dir is not None:
+            # the nearest existing ancestor of the directory must be a directory
+            path = os.path.abspath(self.cache_dir)
+            while not os.path.lexists(path):
+                path = os.path.dirname(path)
+            if not os.path.isdir(path):
+                raise PreconditionError(
+                    f"cache directory {self.cache_dir!r} is, or lies under, {path!r}, "
+                    "which is not a directory"
+                )
         if self.construction == "sweep":
             if self.levels is None:
                 raise PreconditionError("sweep requires --levels, e.g. --levels 1-6")
@@ -646,14 +650,7 @@ def _run_sweep(config: JobConfig) -> tuple[str, int]:
     rows = []
     worst = EXIT_OK
     for level in range(lo, hi + 1):
-        sub = JobConfig(
-            construction="check",
-            algebra=config.algebra,
-            level=level,
-            tolerance=config.tolerance,
-            weyl_cap=config.weyl_cap,
-            cache_dir=config.cache_dir,
-        )
+        sub = replace(config, construction="check", level=level, levels=None)
         row = {"algebra": config.algebra, "level": level}
         try:
             result, residuals = _run_check(sub)
@@ -729,25 +726,23 @@ def _parse_rationals(text: str) -> tuple[Q, ...]:
     try:
         return tuple(Q(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"expected comma-separated rationals, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise PreconditionError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
+    """``lo-hi``, or a single level ``k`` for ``k-k``."""
     try:
-        if "-" in text:
-            lo, hi = text.split("-", 1)
-            return int(lo), int(hi)
-        single = int(text)
-        return single, single
+        lo, sep, hi = text.partition("-")
+        return int(lo), int(hi if sep else lo)
     except ValueError:
-        raise PreconditionError(f"expected a level range like 2-6, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a level range like 2-6, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -764,16 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub, with_level: bool = True):
         sub.add_argument("algebra", help="algebra label such as A1, B3, or G2")
         if with_level:
-            sub.add_argument("--level", type=int, default=0)
-        sub.add_argument("--tolerance", type=float, default=1e-8)
-        sub.add_argument("--weyl-cap", type=int, default=200000)
-        sub.add_argument("--cache-dir", default=None)
-        sub.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("json", "csv", "pretty"),
-            default=None,
-        )
+            sub.add_argument("--level", type=int, default=JobConfig.level)
+        sub.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
+        sub.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
+        sub.add_argument("--cache-dir")
+        sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
 
     common(subparsers.add_parser("modular-data", help="S matrix and weights"))
     common(subparsers.add_parser("fusion", help="Verlinde coefficients"))
@@ -784,7 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     orbifold = subparsers.add_parser("orbifold", help="inner Z2 orbifold")
     common(orbifold)
-    orbifold.add_argument("--shift", required=True, help="comma-separated rationals")
+    orbifold.add_argument(
+        "--shift", type=_parse_rationals, required=True, help="comma-separated rationals"
+    )
 
     boundary = subparsers.add_parser("boundary", help="classifying algebra")
     common(boundary)
@@ -793,50 +785,30 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser("trace", help="conjecture traces")
     common(trace)
     trace.add_argument("--conjecture", type=int, choices=(1, 2), required=True)
-    trace.add_argument("--insertions", required=True, help="comma-separated label indices")
-    trace.add_argument("--genus", type=int, default=0)
-    trace.add_argument("--tuple", dest="current_tuple", default=None)
-    trace.add_argument("--shift", default=None)
+    trace.add_argument(
+        "--insertions", type=_parse_ints, required=True, help="comma-separated label indices"
+    )
+    trace.add_argument("--genus", type=int, default=JobConfig.genus)
+    trace.add_argument("--tuple", dest="current_tuple", type=_parse_ints)
+    trace.add_argument("--shift", type=_parse_rationals)
 
     common(subparsers.add_parser("check", help="full invariant suite"))
 
     sweep = subparsers.add_parser("sweep", help="check across a level range")
     common(sweep, with_level=False)
-    sweep.add_argument("--levels", required=True, help="range like 1-6")
+    sweep.add_argument("--levels", type=_parse_levels, required=True, help="range like 1-6")
 
     return parser
 
 
 def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.construction is None:
         raise PreconditionError("a construction subcommand is required")
-    fmt = args.fmt
-    if fmt is None:
-        fmt = "csv" if args.construction == "sweep" else "json"
-    return JobConfig(
-        construction=args.construction,
-        algebra=args.algebra,
-        level=getattr(args, "level", 0),
-        group=getattr(args, "group", None),
-        shift=_parse_rationals(args.shift) if getattr(args, "shift", None) else None,
-        insertions=(
-            _parse_ints(args.insertions) if getattr(args, "insertions", None) else None
-        ),
-        genus=getattr(args, "genus", 0),
-        current_tuple=(
-            _parse_ints(args.current_tuple)
-            if getattr(args, "current_tuple", None)
-            else None
-        ),
-        conjecture=getattr(args, "conjecture", None),
-        levels=_parse_levels(args.levels) if getattr(args, "levels", None) else None,
-        tolerance=args.tolerance,
-        weyl_cap=args.weyl_cap,
-        cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-        fmt=fmt,
-    )
+    if args.fmt is None:
+        args.fmt = "csv" if args.construction == "sweep" else "json"
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return JobConfig(**vars(args))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -181,6 +181,20 @@ class TestBlockRank:
         assert block_rank(md, 8, (5, 5)) == 1380858267893760
         assert block_rank(modular_data("A1", 4), 10, (2, 2)) == 41278262499
 
+    @pytest.mark.filterwarnings("error")
+    def test_exact_past_float_overflow(self):
+        # At genus 300 the float64 vector overflows to inf, and inf * 0 gives NaN.
+        md = modular_data("A1", 4)
+        tensor = verlinde_tensor(md).astype(object)
+        handle = sum(row @ row.T for row in tensor)
+        v = np.zeros(md.dim, object)
+        v[md.vacuum] = 1
+        for factor in [tensor[2], tensor[2]] + [handle] * 300:
+            v = v @ factor
+        rank = block_rank(md, 300, (2, 2))
+        assert rank == v[md.vacuum]
+        assert len(str(rank)) == 324
+
     def test_negative_genus_is_a_precondition(self):
         md = modular_data("A1", 4)
         for genus, insertions in [(-1, ()), (-2, (2, 2))]:

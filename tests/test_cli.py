@@ -230,10 +230,24 @@ CONJ1 = ["--conjecture", "1"]
 CONJ2 = ["--conjecture", "2", "--shift", "1"]
 
 
+@pytest.fixture
+def no_theory(monkeypatch):
+    """Fail the test if the job builds its theory: it must be rejected first."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected job must not build its theory")
+
+    monkeypatch.setattr(cli, "modular_data", refuse)
+
+
 class TestJobConfigValidation:
     def test_unknown_construction(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             JobConfig(construction="plot", algebra="A1", level=1).validate()
+        assert str(info.value) == (
+            "unknown construction 'plot'; expected one of modular-data, fusion, "
+            "extend, orbifold, boundary, trace, check, sweep"
+        )
 
     def test_missing_level(self):
         with pytest.raises(PreconditionError):
@@ -335,6 +349,68 @@ class TestJobConfigValidation:
         with pytest.raises(PreconditionError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "A1", "--level", "3", "--tolerance", "nan"], "finite"),
+            (["check", "A1", "--level", "3", "--tolerance", "inf"], "finite"),
+            (["boundary", "A1", "--level", "4", "--group", "center", "--tolerance", "inf"], "finite"),
+            (["sweep", "A0", "--levels", "1-3"], "series A does not admit rank 0"),
+            (["sweep", "A1", "--levels", "1-3", "--tolerance", "nan"], "finite"),
+        ],
+    )
+    def test_bad_inputs_are_rejected_before_any_theory(self, argv, message, no_theory):
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+        assert message in doc["error"]["message"]
+
+    def test_unknown_algebra_report_is_the_same_for_check_and_sweep(self):
+        check, status = run_json(["check", "A0", "--level", "1"])
+        assert status == EXIT_PARSE
+        assert check["error"] == {
+            "code": "parse-error",
+            "type": "CartanDataError",
+            "message": "series A does not admit rank 0",
+        }
+        assert check["input"] == {
+            "algebra": "A0",
+            "construction": "check",
+            "format": "json",
+            "level": 1,
+            "tolerance": 1e-8,
+            "weyl_cap": 200000,
+        }
+        sweep, status = run_json(["sweep", "A0", "--levels", "1-3"])
+        assert status == EXIT_PARSE
+        assert sweep["error"] == check["error"]
+
+    @pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_cache_dir_at_or_under_a_file_is_rejected(
+        self, below, from_env, tmp_path, monkeypatch, no_theory
+    ):
+        afile = tmp_path / "afile"
+        afile.touch()
+        cache_dir = str(afile / below) if below else str(afile)
+        argv = ["modular-data", "A1", "--level", "3"]
+        if from_env:
+            monkeypatch.setenv("WZWKIT_CACHE_DIR", cache_dir)
+        else:
+            monkeypatch.delenv("WZWKIT_CACHE_DIR", raising=False)
+            argv += ["--cache-dir", cache_dir]
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+        assert doc["input"]["cache_dir"] == cache_dir
+        assert "not a directory" in doc["error"]["message"]
+
+    def test_cache_dir_that_does_not_exist_yet_is_accepted(self, tmp_path):
+        config = JobConfig(
+            construction="modular-data", algebra="A1", level=3, cache_dir=str(tmp_path / "a" / "b")
+        )
+        config.validate()
+
 
 class TestArgumentParsing:
     def test_trace_flags_round_trip(self):
@@ -380,6 +456,77 @@ class TestArgumentParsing:
         )
         assert status == EXIT_PARSE
         assert doc["error"]["code"] == "parse-error"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["modular-data", "A1", "--level", "3"], JobConfig("modular-data", "A1", level=3)),
+            (
+                [
+                    "fusion", "A2", "--level", "2", "--tolerance", "1e-6",
+                    "--weyl-cap", "500", "--format", "pretty",
+                ],
+                JobConfig("fusion", "A2", level=2, tolerance=1e-6, weyl_cap=500, fmt="pretty"),
+            ),
+            (
+                ["extend", "A1", "--level", "4", "--group", "center"],
+                JobConfig("extend", "A1", level=4, group="center"),
+            ),
+            (
+                ["orbifold", "A1", "--level", "2", "--shift", "1/2,1"],
+                JobConfig("orbifold", "A1", level=2, shift=(Q(1, 2), Q(1))),
+            ),
+            (
+                ["boundary", "A2", "--level", "3", "--group", "0,4", "--cache-dir", "c"],
+                JobConfig("boundary", "A2", level=3, group="0,4", cache_dir="c"),
+            ),
+            (
+                [
+                    "trace", "A1", "--level", "4", "--conjecture", "1",
+                    "--insertions", "2,2", "--genus", "2", "--tuple", "4,4",
+                ],
+                JobConfig(
+                    "trace", "A1", level=4, conjecture=1, insertions=(2, 2), genus=2,
+                    current_tuple=(4, 4),
+                ),
+            ),
+            (
+                ["trace", "A1", "--level", "4", "--conjecture", "2", "--shift", "1", "--insertions", "2,2,2"],
+                JobConfig("trace", "A1", level=4, conjecture=2, shift=(Q(1),), insertions=(2, 2, 2)),
+            ),
+            (["check", "G2", "--level", "1"], JobConfig("check", "G2", level=1)),
+            (["sweep", "A1", "--levels", "5"], JobConfig("sweep", "A1", levels=(5, 5), fmt="csv")),
+            (
+                ["sweep", "B2", "--levels", "1-3", "--format", "json"],
+                JobConfig("sweep", "B2", levels=(1, 3)),
+            ),
+        ],
+    )
+    def test_command_line_parses_to_the_config_built_by_hand(self, argv, expected, monkeypatch):
+        monkeypatch.delenv("WZWKIT_CACHE_DIR", raising=False)
+        assert config_from_args(argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["orbifold", "A1", "--level", "2", "--shift", "half"], "--shift"),
+            (["orbifold", "A1", "--level", "2", "--shift", "1/0"], "--shift"),
+            (["trace", "A1", "--level", "4", *CONJ1, "--insertions", "2,x"], "--insertions"),
+            (["trace", "A1", "--level", "4", *CONJ1, "--insertions", "2,2", "--tuple", "4,y"], "--tuple"),
+            (
+                ["trace", "A1", "--level", "4", "--conjecture", "2", "--shift", "1,b", "--insertions", "2,2,2"],
+                "--shift",
+            ),
+            (["sweep", "A1", "--levels", "5-"], "--levels"),
+            (["sweep", "A1", "--levels", "a-b"], "--levels"),
+            (["sweep", "A1", "--levels", "1-3-5"], "--levels"),
+        ],
+    )
+    def test_malformed_option_value_names_the_option(self, argv, option):
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+        assert doc["error"]["message"].startswith(f"argument {option}: expected ")
 
     def test_unknown_subcommand_exits_with_parse_code(self):
         doc, status = run_json(["transmogrify", "A1"])
