@@ -17,6 +17,7 @@ rationals with explicit validity windows.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Mapping, Sequence
@@ -24,7 +25,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .affine import ModularData
-from .errors import ConjectureViolation, PreconditionError, UnsupportedFolding
+from .errors import (
+    ConjectureViolation, PrecisionExhausted, PreconditionError, UnsupportedFolding
+)
 from .fusion import SimpleCurrentGroup, verlinde_tensor
 from .simplecurrent import (
     _stabilizer_data, _untwisted_rows, abelian_characters, fixed_point_smatrix
@@ -196,22 +199,29 @@ def fourier_eigendims(
     X_chi = sum over the other tuples of conj(chi(t)) T(t) must lie within
     1e-6 of an integer and (rank + X_chi) / |G| must be a non-negative
     integer; otherwise a ConjectureViolation carrying the report is raised.
+    A rank past float range, or a trace or X_chi that is not finite, raises
+    PrecisionExhausted instead.
     """
     insertions = tuple(insertions)
     rank = block_rank(md, genus, insertions)
+    if rank > sys.float_info.max:
+        raise PrecisionExhausted(f"genus-{genus} block rank of {rank.bit_length()} bits is past float range")
     adm, unt = _tuple_sets(md, group, insertions)
 
     def compose_tuples(a, b):
         return tuple(group.compose(x, y) for x, y in zip(a, b))
 
     ident = (md.vacuum,) * len(insertions)
-    traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
-    traces = {ident: complex(rank), **traces}
     chars = abelian_characters(unt, compose_tuples, ident)
     order = sorted(unt)
     keys = [tuple(char[t] for t in order) for char in chars]
     conjugated = np.exp(-2j * np.pi * np.array(keys, dtype=float))
-    others = conjugated @ np.array([0j if t == ident else traces[t] for t in order])
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
+        others = conjugated @ np.array([traces.get(t, 0j) for t in order])
+    if not np.isfinite([*traces.values(), *others]).all():
+        raise PrecisionExhausted(f"genus-{genus} float trace or Fourier sum is not finite")
+    traces = {ident: complex(rank), **traces}
     dims: dict[tuple, int] = {}
     for char, key, x in zip(chars, keys, others):
         rounded = round(x.real)

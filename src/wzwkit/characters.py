@@ -2,9 +2,9 @@
 
 This module computes characters as explicit truncated q-series: Verma
 module characters (a pure product formula, evaluated as an integer
-convolution), twining characters of diagram automorphisms (a graded
-trace over a signed permutation basis, evaluated twice by independent
-methods and cross-checked), irreducible affine characters of every
+convolution), twining characters of diagram automorphisms (the graded
+trace of the A1 node swap, a closed-form signed permutation of the
+lowering generators, read off its cycle determinants), irreducible affine characters of every
 algebra (the Weyl-Kac sum over the coroot lattice, its vectors
 enumerated by norm), and a numeric check that the irreducible
 characters transform under the S-matrix at the pairs (tau, -1/tau) =
@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .affine import ModularData, central_charge, conformal_weight
-from .blocks import LoopElement, loop_bracket
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -116,152 +115,16 @@ def verma_character(
 # degree of x t^-m grows by 2 per loop power.
 # ---------------------------------------------------------------------------
 
-_GENERATOR_DEGREE = {"F": 1, "E": -1, "H": 0}
 
+def _a1_swap_cycles(grade: int) -> list[tuple[int, int, int]]:
+    """Cycles of the A1 node swap on the lowering generators of degree <= grade.
 
-def _principal_degree(gen: str, m: int) -> int:
-    return 2 * m + _GENERATOR_DEGREE[gen]
-
-
-def _scale_element(elem: LoopElement, factor: Q) -> LoopElement:
-    parts = {gen: laurent.scale(factor) for gen, laurent in elem.parts}
-    return LoopElement.make(parts, central=elem.central * factor)
-
-
-def _extract_signed_generator(elem: LoopElement) -> tuple[tuple[str, int], int]:
-    """Read off a single basis element with coefficient +-1, or fail."""
-    if elem.central != 0:
-        raise InternalConsistencyError(
-            "automorphism image acquired a central term"
-        )
-    if len(elem.parts) != 1:
-        raise InternalConsistencyError(
-            "automorphism image is not a single generator"
-        )
-    gen, laurent = elem.parts[0]
-    live = [(e, c) for e, c in laurent.coeffs if c]
-    if len(live) != 1 or live[0][1] not in (1, -1):
-        raise InternalConsistencyError(
-            f"automorphism image of unexpected shape: {gen} -> {live}"
-        )
-    exponent, coeff = live[0]
-    return (gen, -exponent), int(coeff)
-
-
-def _a1_flip_action(grade: int) -> dict[tuple[str, int], tuple[tuple[str, int], int]]:
-    """Signed-permutation action of the affine A1 node swap.
-
-    Only the two images that define the automorphism are postulated:
-    F t^0 and E t^-1 trade places.  Everything else follows by closing
-    under the loop bracket, so a sign error in the seeds would surface
-    as a failed involution check rather than propagate silently.
+    Returns (length, degree, phase) per cycle.  In the principal grading
+    the swap trades E t^-m with F t^-(m-1), a 2-cycle in the odd degree
+    2m - 1 with phase +1, and sends H t^-m to -H t^-m, a 1-cycle in the
+    even degree 2m with phase -1.
     """
-    images: dict[tuple[str, int], LoopElement] = {
-        ("F", 0): LoopElement.generator("E", -1),
-        ("E", 1): LoopElement.generator("F", 0),
-    }
-    mmax = grade // 2 + 2
-    for m in range(1, mmax + 1):
-        if m >= 2:
-            images[("E", m)] = _scale_element(
-                loop_bracket(images[("H", m - 1)], images[("E", 1)]), Q(1, 2)
-            )
-        images[("H", m)] = loop_bracket(images[("E", m)], images[("F", 0)])
-        images[("F", m)] = _scale_element(
-            loop_bracket(images[("H", m)], images[("F", 0)]), Q(-1, 2)
-        )
-    action = {
-        key: _extract_signed_generator(elem) for key, elem in images.items()
-    }
-    for source, (target, sign) in action.items():
-        if _principal_degree(*source) != _principal_degree(*target):
-            raise InternalConsistencyError(
-                f"folding does not preserve the principal degree at {source}"
-            )
-        if target in action:
-            back, back_sign = action[target]
-            if back != source or sign * back_sign != 1:
-                raise InternalConsistencyError(
-                    f"folding fails to square to the identity at {source}"
-                )
-    return action
-
-
-def _action_cycles(
-    action: dict[tuple[str, int], tuple[tuple[str, int], int]], grade: int
-) -> list[tuple[int, int, int]]:
-    """Decompose the action on basis elements of degree <= grade.
-
-    Returns (length, degree, phase) per cycle, where the phase is the
-    product of the signs around the cycle.
-    """
-    basis = sorted(
-        b for b in action if 0 < _principal_degree(*b) <= grade
-    )
-    present = set(basis)
-    seen: set[tuple[str, int]] = set()
-    cycles = []
-    for start in basis:
-        if start in seen:
-            continue
-        members = 0
-        phase = 1
-        cur = start
-        while True:
-            if cur not in present:
-                raise InternalConsistencyError(
-                    f"cycle through {start} escapes the degree-{grade} basis"
-                )
-            seen.add(cur)
-            members += 1
-            cur, sign = action[cur]
-            phase *= sign
-            if cur == start:
-                break
-        cycles.append((members, _principal_degree(*start), phase))
-    return cycles
-
-
-def _brute_force_trace(
-    action: dict[tuple[str, int], tuple[tuple[str, int], int]], grade: int
-) -> list[int]:
-    """Graded trace by direct enumeration of invariant monomials.
-
-    Walks every multiset of lowering generators up to the cutoff; a
-    monomial contributes its accumulated sign when the automorphism
-    permutes its factors among themselves and zero otherwise.
-    """
-    basis = sorted(
-        b for b in action if 0 < _principal_degree(*b) <= grade
-    )
-    index = {b: i for i, b in enumerate(basis)}
-    degrees = [_principal_degree(*b) for b in basis]
-    out = [0] * (grade + 1)
-    mults = [0] * len(basis)
-
-    def contribution() -> None:
-        phase = 1
-        for i, b in enumerate(basis):
-            target, sign = action[b]
-            if mults[index[target]] != mults[i]:
-                return
-            phase *= sign ** mults[i]
-        out[sum(m * d for m, d in zip(mults, degrees))] += phase
-
-    def walk(pos: int, total: int) -> None:
-        if pos == len(basis):
-            contribution()
-            return
-        step = degrees[pos]
-        m = 0
-        while total + m * step <= grade:
-            mults[pos] = m
-            walk(pos + 1, total + m * step)
-            m += 1
-        mults[pos] = 0
-
-    walk(0, 0)
-    return out
+    return [(2, d, 1) if d % 2 else (1, d, -1) for d in range(1, grade + 1)]
 
 
 def _det_product_trace(cycles: list[tuple[int, int, int]], grade: int) -> list[int]:
@@ -280,13 +143,37 @@ def _det_product_trace(cycles: list[tuple[int, int, int]], grade: int) -> list[i
     return coeffs
 
 
-def _validate_node_permutation(perm: Sequence[int], rank: int) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if len(perm) != rank + 1 or sorted(perm) != list(range(rank + 1)):
+def _folded_character(
+    algebra: str,
+    level: int,
+    weight: Sequence[int],
+    automorphism: Sequence[int],
+    grade: int,
+    rule: str,
+    swap_coeffs: Callable[[int], Sequence[int]],
+) -> QSeries:
+    """The Verma character for the identity; ``swap_coeffs(grade)`` for the
+    A1 node swap on a weight it fixes; UnsupportedFolding naming ``rule``
+    for any other permutation of the affine nodes."""
+    perm, nodes = tuple(automorphism), list(range(build_algebra(algebra).rank + 1))
+    if sorted(perm) != nodes:
         raise PreconditionError(
-            f"automorphism {perm} is not a permutation of {rank + 1} affine nodes"
+            f"automorphism {perm} is not a permutation of {len(nodes)} affine nodes"
         )
-    return perm
+    if list(perm) == nodes:
+        return verma_character(algebra, level, weight, grade)
+    if algebra != "A1" or perm != (1, 0):
+        raise UnsupportedFolding(f"no {rule} for automorphism {perm} of {algebra}")
+    if grade < 0:
+        raise PreconditionError("grade must be non-negative")
+    exponent = _leading_exponent(algebra, level, weight)
+    lam = weight[0]
+    if level - lam != lam:
+        raise PreconditionError(
+            f"node swap sends weight ({lam},) to ({level - lam},); "
+            "the folding needs a fixed weight"
+        )
+    return QSeries(tuple(swap_coeffs(grade)), exponent)
 
 
 def twining_verma_character(
@@ -300,40 +187,15 @@ def twining_verma_character(
 
     The automorphism is given as a permutation of the affine Dynkin
     nodes (node 0 first).  The identity reproduces the plain Verma
-    character.  The A1 node swap is evaluated as a signed-permutation
-    trace computed two ways, once by brute-force enumeration of
-    invariant monomials and once from the cycle determinant product,
-    and the two must agree exactly.
+    character.  The A1 node swap is a closed-form signed permutation of
+    the lowering generators, and its trace is the product of the
+    inverted cycle determinants.
 
     Raises PreconditionError when the automorphism moves the weight
     and UnsupportedFolding for permutations outside the catalogue.
     """
-    alg = build_algebra(algebra)
-    perm = _validate_node_permutation(automorphism, alg.rank)
-    if perm == tuple(range(alg.rank + 1)):
-        return verma_character(algebra, level, weight, grade)
-    if algebra == "A1" and perm == (1, 0):
-        lam = tuple(weight)[0]
-        if level - lam != lam:
-            raise PreconditionError(
-                f"node swap sends weight ({lam},) to ({level - lam},); "
-                "the twining trace needs a fixed weight"
-            )
-        if grade < 0:
-            raise PreconditionError("grade must be non-negative")
-        exponent = _leading_exponent(algebra, level, weight)
-        action = _a1_flip_action(grade)
-        brute = _brute_force_trace(action, grade)
-        slick = _det_product_trace(_action_cycles(action, grade), grade)
-        if brute != slick:
-            raise InternalConsistencyError(
-                "monomial enumeration and determinant product disagree: "
-                f"{brute} vs {slick}"
-            )
-        return QSeries(tuple(brute), exponent)
-    raise UnsupportedFolding(
-        f"no twining rule for automorphism {perm} of {algebra}"
-    )
+    return _folded_character(algebra, level, weight, automorphism, grade, "twining rule",
+                             lambda g: _det_product_trace(_a1_swap_cycles(g), g))
 
 
 def orbit_verma_character(
@@ -350,23 +212,8 @@ def orbit_verma_character(
     algebra has no lowering generators, and the character is the bare
     leading power of q.
     """
-    alg = build_algebra(algebra)
-    perm = _validate_node_permutation(automorphism, alg.rank)
-    if perm == tuple(range(alg.rank + 1)):
-        return verma_character(algebra, level, weight, grade)
-    if algebra == "A1" and perm == (1, 0):
-        lam = tuple(weight)[0]
-        if level - lam != lam:
-            raise PreconditionError(
-                f"weight ({lam},) is not fixed by the node swap"
-            )
-        if grade < 0:
-            raise PreconditionError("grade must be non-negative")
-        exponent = _leading_exponent(algebra, level, weight)
-        return QSeries((1,) + (0,) * grade, exponent)
-    raise UnsupportedFolding(
-        f"no orbit algebra rule for automorphism {perm} of {algebra}"
-    )
+    return _folded_character(algebra, level, weight, automorphism, grade, "orbit algebra rule",
+                             lambda g: (1,) + (0,) * g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every invocation runs one construction, prints one report to stdout, and
 exits with a status that classifies the outcome: 0 for success, 2 when a
 verified invariant or conjecture fails (the failure is itself reported as
 data), 3 for configuration and parse problems, 4 when the Weyl traversal
-cap is exceeded, and 5 for constructions the library does not support.
+cap is exceeded, 5 for constructions the library does not support, and 6
+when a float computation runs out of range or precision.
 
 Reports embed the input echo, the library version, and the residual table
 of every invariant that was checked, and identical configurations produce
@@ -45,6 +46,7 @@ from .errors import (
     IntegralityError,
     InternalConsistencyError,
     InvariantViolation,
+    PrecisionExhausted,
     PreconditionError,
     UnderdeterminedCocycle,
     UnsupportedFolding,
@@ -65,6 +67,7 @@ __all__ = [
     "EXIT_PARSE",
     "EXIT_CAP",
     "EXIT_UNSUPPORTED",
+    "EXIT_PRECISION",
 ]
 
 EXIT_OK = 0
@@ -72,6 +75,7 @@ EXIT_INVARIANT = 2
 EXIT_PARSE = 3
 EXIT_CAP = 4
 EXIT_UNSUPPORTED = 5
+EXIT_PRECISION = 6
 
 CACHE_ENV = "WZWKIT_CACHE_DIR"
 
@@ -358,6 +362,7 @@ _ERROR_TABLE: tuple[tuple[type, str, int], ...] = (
     (UnderdeterminedCocycle, "unsupported", EXIT_UNSUPPORTED),
     (ExtensionRejected, "extension-rejected", EXIT_INVARIANT),
     (ConjectureViolation, "conjecture-failure", EXIT_INVARIANT),
+    (PrecisionExhausted, "precision-exhausted", EXIT_PRECISION),
     (InvariantViolation, "invariant-failure", EXIT_INVARIANT),
     (IntegralityError, "invariant-failure", EXIT_INVARIANT),
     (InternalConsistencyError, "invariant-failure", EXIT_INVARIANT),
@@ -716,7 +721,17 @@ def run(config: JobConfig) -> tuple[str, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that raises instead of calling sys.exit."""
+    """ArgumentParser that raises instead of calling sys.exit.
+
+    A word that starts with '-' and then a digit, '.', 'inf' or 'nan' is a
+    value, never an option, so a negative tolerance, shift or insertion
+    reaches its validator; argparse's own pattern admits only plain
+    negative integers and decimals, not -1e-8, -inf or -1,0,0.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise PreconditionError(message)

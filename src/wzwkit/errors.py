@@ -18,6 +18,7 @@ __all__ = [
     "InternalConsistencyError",
     "PreconditionError",
     "ConjectureViolation",
+    "PrecisionExhausted",
 ]
 
 
@@ -106,3 +107,7 @@ class ConjectureViolation(RuntimeError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
+
+
+class PrecisionExhausted(ArithmeticError):
+    """A float computation ran past the range or precision its answer needs."""

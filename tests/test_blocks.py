@@ -31,6 +31,7 @@ from wzwkit.boundary import classifying_algebra
 from wzwkit.errors import (
     ConjectureViolation,
     InternalConsistencyError,
+    PrecisionExhausted,
     PreconditionError,
     UnsupportedFolding,
 )
@@ -499,6 +500,21 @@ class TestEigendims:
             fourier_eigendims(md, g, (2, 2), genus=1)
         assert err.value.report["rank"] == 9
         assert err.value.report["value"] == pytest.approx(3.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "insertions,genus,message",
+        [
+            ((2, 2), 300, "genus-300 block rank of 1075 bits is past float range"),
+            ((2, 2, 2, 2), 285, "genus-285 float trace or Fourier sum is not finite"),
+        ],
+    )
+    def test_past_float_range_is_precision_exhausted(self, insertions, genus, message):
+        # At genus 285 the rank still fits a float, but a trace weight overflows.
+        md, g = setup_theory(4)
+        with pytest.raises(PrecisionExhausted) as err:
+            fourier_eigendims(md, g, insertions, genus)
+        assert str(err.value) == message
 
     def test_su3_level3_fixed_point_tuple(self):
         md = modular_data("A2", 3)

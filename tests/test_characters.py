@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wzwkit.affine import integrable_weights, modular_data
+from wzwkit.blocks import LoopElement, loop_bracket
 from wzwkit.characters import (
     QSeries,
-    _a1_flip_action,
+    _a1_swap_cycles,
     irreducible_character,
     numeric_modular_check,
     orbit_verma_character,
@@ -122,6 +123,125 @@ def _weyl_dimension(algebra: str, weight) -> Q:
     )
 
 
+# ---------------------------------------------------------------------------
+# Test-only oracle: the A1 node swap derived by closing its two seed images
+# under the loop bracket, and its graded trace by enumerating every invariant
+# monomial of lowering generators.  Keys are (generator, m) for x t^-m.
+# ---------------------------------------------------------------------------
+
+_GENERATOR_DEGREE = {"F": 1, "E": -1, "H": 0}
+
+
+def _principal_degree(gen: str, m: int) -> int:
+    return 2 * m + _GENERATOR_DEGREE[gen]
+
+
+def _scale_element(elem: LoopElement, factor: Q) -> LoopElement:
+    parts = {gen: laurent.scale(factor) for gen, laurent in elem.parts}
+    return LoopElement.make(parts, central=elem.central * factor)
+
+
+def _signed_generator(elem: LoopElement) -> tuple[tuple[str, int], int]:
+    """Read off a single basis element with coefficient +-1."""
+    assert elem.central == 0, "automorphism image acquired a central term"
+    assert len(elem.parts) == 1, "automorphism image is not a single generator"
+    gen, laurent = elem.parts[0]
+    live = [(e, c) for e, c in laurent.coeffs if c]
+    assert len(live) == 1 and live[0][1] in (1, -1), (gen, live)
+    exponent, coeff = live[0]
+    return (gen, -exponent), int(coeff)
+
+
+def _a1_flip_action(grade: int) -> dict[tuple[str, int], tuple[tuple[str, int], int]]:
+    """Signed-permutation action of the node swap, from its seed images.
+
+    Only F t^0 <-> E t^-1 is postulated; every other image follows from the
+    loop bracket, and the result must keep the principal degree and square
+    to the identity.
+    """
+    images: dict[tuple[str, int], LoopElement] = {
+        ("F", 0): LoopElement.generator("E", -1),
+        ("E", 1): LoopElement.generator("F", 0),
+    }
+    for m in range(1, grade // 2 + 3):
+        if m >= 2:
+            images[("E", m)] = _scale_element(
+                loop_bracket(images[("H", m - 1)], images[("E", 1)]), Q(1, 2)
+            )
+        images[("H", m)] = loop_bracket(images[("E", m)], images[("F", 0)])
+        images[("F", m)] = _scale_element(
+            loop_bracket(images[("H", m)], images[("F", 0)]), Q(-1, 2)
+        )
+    action = {key: _signed_generator(elem) for key, elem in images.items()}
+    for source, (target, sign) in action.items():
+        assert _principal_degree(*source) == _principal_degree(*target), source
+        if target in action:
+            assert action[target] == (source, sign), source
+    return action
+
+
+def _basis(action, grade: int) -> list[tuple[str, int]]:
+    return sorted(b for b in action if 0 < _principal_degree(*b) <= grade)
+
+
+def _action_cycles(action, grade: int) -> list[tuple[int, int, int]]:
+    """(length, degree, phase) of each cycle on the degree-<=grade basis."""
+    basis = _basis(action, grade)
+    seen: set[tuple[str, int]] = set()
+    cycles = []
+    for start in basis:
+        if start in seen:
+            continue
+        members, phase, cur = 0, 1, start
+        while True:
+            assert cur in basis, f"cycle through {start} escapes the basis"
+            seen.add(cur)
+            members += 1
+            cur, sign = action[cur]
+            phase *= sign
+            if cur == start:
+                break
+        cycles.append((members, _principal_degree(*start), phase))
+    return cycles
+
+
+def _brute_force_trace(action, grade: int) -> list[int]:
+    """Graded trace by direct enumeration of invariant monomials.
+
+    Walks every multiset of lowering generators up to the cutoff; a
+    monomial contributes its accumulated sign when the automorphism
+    permutes its factors among themselves and zero otherwise.
+    """
+    basis = _basis(action, grade)
+    index = {b: i for i, b in enumerate(basis)}
+    degrees = [_principal_degree(*b) for b in basis]
+    out = [0] * (grade + 1)
+    mults = [0] * len(basis)
+
+    def contribution() -> None:
+        phase = 1
+        for i, b in enumerate(basis):
+            target, sign = action[b]
+            if mults[index[target]] != mults[i]:
+                return
+            phase *= sign ** mults[i]
+        out[sum(m * d for m, d in zip(mults, degrees))] += phase
+
+    def walk(pos: int, total: int) -> None:
+        if pos == len(basis):
+            contribution()
+            return
+        m = 0
+        while total + m * degrees[pos] <= grade:
+            mults[pos] = m
+            walk(pos + 1, total + m * degrees[pos])
+            m += 1
+        mults[pos] = 0
+
+    walk(0, 0)
+    return out
+
+
 class TestQSeries:
     def test_grade_counts_retained_coefficients(self):
         series = QSeries((1, 0, 2), Q(1, 8))
@@ -194,6 +314,11 @@ class TestFlipAction:
         assert action[("F", 1)] == (("E", 2), 1)
         assert action[("E", 3)] == (("F", 2), 1)
 
+    @pytest.mark.parametrize("grade", [0, 1, 6, 13, 30])
+    def test_closed_form_cycles_match_the_derived_action(self, grade):
+        derived = _action_cycles(_a1_flip_action(grade), grade)
+        assert sorted(_a1_swap_cycles(grade)) == sorted(derived)
+
 
 class TestTwiningVerma:
     def test_identity_reproduces_verma(self):
@@ -214,6 +339,11 @@ class TestTwiningVerma:
     def test_node_swap_at_level_four(self):
         series = twining_verma_character("A1", 4, (2,), (1, 0), grade=8)
         assert series.coeffs == (1,) + (0,) * 8
+
+    @pytest.mark.parametrize("grade", range(0, 19, 3))
+    def test_node_swap_matches_monomial_enumeration(self, grade):
+        series = twining_verma_character("A1", 4, (2,), (1, 0), grade=grade)
+        assert list(series.coeffs) == _brute_force_trace(_a1_flip_action(grade), grade)
 
     def test_node_swap_rejects_moved_weight(self):
         with pytest.raises(PreconditionError):

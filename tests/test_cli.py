@@ -20,6 +20,7 @@ from wzwkit.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PRECISION,
     EXIT_UNSUPPORTED,
     JobConfig,
     _render,
@@ -528,6 +529,30 @@ class TestArgumentParsing:
         assert doc["error"]["code"] == "parse-error"
         assert doc["error"]["message"].startswith(f"argument {option}: expected ")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "A1", "--level", "3", "--tolerance", "-1e-8"], "tolerances must be positive"),
+            (["check", "A1", "--level", "3", "--tolerance", "-inf"], "tolerances must be positive"),
+            (
+                ["orbifold", "A3", "--level", "2", "--shift", "-1,0,0"],
+                "shift does not act by signs on the weight lattice: 2(s, omega) = ('-3/2', '-1', '-1/2')",
+            ),
+            (
+                ["trace", "A1", "--level", "4", *CONJ1, "--insertions", "-1,2"],
+                "--insertions slot 0: -1 is not a label index below 5",
+            ),
+        ],
+        ids=["tolerance-exponent", "tolerance-inf", "shift", "insertions"],
+    )
+    def test_negative_option_value_reaches_its_validator(self, argv, message):
+        # the value written after the option reads as the --option=value spelling
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc == run_json([*argv[:-2], f"{argv[-2]}={argv[-1]}"])[0]
+        assert doc["error"]["code"] == "parse-error"
+        assert doc["error"]["message"] == message
+
     def test_unknown_subcommand_exits_with_parse_code(self):
         doc, status = run_json(["transmogrify", "A1"])
         assert status == EXIT_PARSE
@@ -812,6 +837,17 @@ class TestFailureReports:
         )
         assert status == EXIT_OK
         assert doc["result"]["dim"] == level // 2 + 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("genus", [300, 700])
+    def test_trace_past_float_range_has_its_own_code(self, genus, capsys):
+        doc, status = run_json(
+            ["trace", "A1", "--level", "4", *CONJ1, "--insertions", "2,2", "--genus", str(genus)]
+        )
+        assert status == EXIT_PRECISION
+        assert doc["error"]["code"] == "precision-exhausted"
+        assert doc["error"]["type"] == "PrecisionExhausted"
+        assert capsys.readouterr().err == ""
 
     def test_rejected_extension_is_reported_not_raised(self):
         doc, status = run_json(["extend", "A1", "--level", "3", "--group", "center"])
