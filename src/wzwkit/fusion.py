@@ -5,11 +5,13 @@ N_ab^c = sum_k S_ak S_bk conj(S_ck) / S_0k over the unitary S matrix and must
 round to non-negative integers within tolerance; anything else is reported as
 a hard error rather than silently rounded.
 
-The sum runs as one pass over the rows a, one BLAS product per row, holding
-O(n^2) at a time.  Every pass fills a memoized summary: the worst residual,
-the most negative rounded entry and the fusion permutation of each row with
-one channel per b.  ``verify_fusion`` and ``simple_currents`` read only the
-summary, so checking a theory never stores the n^3 tensor; only
+The sum is symmetric in a and b for any S, since rows a and b enter only
+through their elementwise product, so it runs as one pass over the pairs
+a <= b, one BLAS product per row a, holding O(n^2) at a time; the pairs b < a
+are read from the mirror.  Every pass fills a memoized summary: the worst
+residual, the most negative rounded entry and the fusion permutation of each
+row with one channel per b.  ``verify_fusion`` and ``simple_currents`` read
+only the summary, so checking a theory never stores the n^3 tensor; only
 ``verlinde_tensor`` (the ``fusion`` report and block ranks) keeps the rounded
 rows, as an int64 array.
 """
@@ -47,9 +49,17 @@ class _Summary(NamedTuple):
 
 
 def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
-    """One pass over rows a: N_a = (S diag(S_a)) (conj(S) / S_0)^T.
+    """One pass over the pairs a <= b: N_a[b - a] = (S_b diag(S_a)) (conj(S) / S_0)^T.
 
-    Each row is rounded, summarized and dropped, or written into ``tensor``.
+    Row a multiplies only the rows b >= a of S; its rounded rows are written
+    into ``tensor[a, a:]`` and, mirrored, ``tensor[a:, a]``, or dropped.  A
+    pair's channel count and first channel are kept at [a, b], so row a is a
+    current row when each of its pairs, those kept at [b, a] by the earlier
+    rows b < a included, has exactly one channel.  The tensor is symmetric in
+    (a, b), so its first largest residual and first smallest entry in C order
+    lie at a <= b, where the scan in (a, b >= a, c) order meets them first.
+    A non-finite sum counts as residual inf.
+
     A real S runs in float64: one with exactly real entries (every A1
     theory), or a self-conjugate one whose imaginary part is at rounding
     level (at most n eps), since S symmetric and unitary with S^2 = 1 is
@@ -62,22 +72,33 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
     ):
         s = s.real
     n = len(s)
-    dual = (s.conj() / s[0]).T
-    residual, lowest, perms = -1.0, np.inf, {}
-    for a in range(n):
-        raw = (s * s[a]) @ dual  # raw[b, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
-        rounded = np.round(raw.real)
-        if tensor is not None:
-            tensor[a] = rounded
-        off = np.abs(raw - rounded)
-        i = int(np.argmax(off))
-        if off.flat[i] > residual:
-            residual, worst, value = float(off.flat[i]), (a, *divmod(i, n)), complex(raw.flat[i])
-        i = int(np.argmin(rounded))
-        if rounded.flat[i] < lowest:
-            lowest, neg = float(rounded.flat[i]), (a, *divmod(i, n))
-        if (rounded.sum(axis=1) == 1).all():
-            perms[a] = tuple(rounded.argmax(axis=1).tolist())
+    residual, lowest = -1.0, np.inf
+    neg = (0, 0, 0)  # kept only if every row holds a NaN, whose residual inf is reported first
+    count, channel = np.zeros((n, n)), np.zeros((n, n), dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dual = (s.conj() / s[0]).T
+        for a in range(n):
+            raw = (s[a:] * s[a]) @ dual  # raw[b - a, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
+            rounded = np.round(raw.real)
+            if tensor is not None:
+                tensor[a, a:] = tensor[a:, a] = rounded
+            off = np.abs(raw - rounded)
+            if not (top := off.max()) <= residual:  # larger, or NaN from a non-finite sum
+                if np.isnan(top):
+                    off[np.isnan(off)] = np.inf
+                i = int(np.argmax(off))
+                if off.flat[i] > residual:
+                    residual, worst, value = float(off.flat[i]), (a, a + i // n, i % n), complex(raw.flat[i])
+            if rounded.min() < lowest:
+                i = int(np.argmin(rounded))
+                lowest, neg = float(rounded.flat[i]), (a, a + i // n, i % n)
+            count[a, a:] = rounded.sum(axis=1)
+            channel[a, a:] = rounded.argmax(axis=1)
+    one = count == 1  # False on the unfilled triangle below the diagonal
+    perms = {
+        a: tuple(channel[:a, a].tolist() + channel[a, a:].tolist())
+        for a in np.flatnonzero((one | one.T).all(axis=1)).tolist()
+    }
     return _Summary(residual, worst, value, neg, lowest, perms)
 
 

@@ -65,6 +65,19 @@ def streamed_operand(md):
     return s
 
 
+def summation_bound(s):
+    """A-priori bound on the difference of two summation orders of the
+    Verlinde sums of ``s`` (Higham, ch. 4): 2 n eps max_abc sum_k |S_ak S_bk S_ck / S_0k|."""
+    a = np.abs(s)
+    weight = (a / a[0]).T
+    return 2 * len(s) * np.finfo(float).eps * max(((a * row) @ weight).max() for row in a)
+
+
+def full_row_entry(s, a, b, c):
+    """The raw sum N_ab^c as ``full_tensor_verlinde`` forms it, from the full row a."""
+    return ((s * s[a]) @ (s.conj() / s[0]).T)[b, c]
+
+
 def oracle_theories():
     yield from (pytest.param("A1", k, id=f"A1-{k}") for k in range(1, 61))
     yield from (pytest.param("A2", k, id=f"A2-{k}") for k in range(1, 11))
@@ -212,9 +225,7 @@ class TestDerivedOncePerSMatrix:
         s = md.smatrix
         raw = np.einsum("ak,bk,ck->abc", s, s, s.conj() / s[0])
         residual = np.abs(raw - np.round(raw.real))
-        # a-priori bound on the difference of two summation orders (Higham, ch. 4)
-        a = np.abs(s)
-        bound = 2 * len(s) * np.finfo(float).eps * np.einsum("ak,bk,ck->abc", a, a, a / a[0]).max()
+        bound = summation_bound(s)
         assert np.array_equal(verlinde_tensor(md), np.round(raw.real))
         assert abs(verify_fusion(md) - residual.max()) <= bound
         with pytest.raises(IntegralityError) as exc:
@@ -248,9 +259,41 @@ class TestStreamedSummary:
 
     @pytest.mark.parametrize("label,k", oracle_theories())
     def test_summary_matches_the_full_tensor(self, label, k):
+        # BLAS sums the rows b >= a in another order than the full rows, so the
+        # float fields agree within the bound on two summation orders
         md = oracle_theory(label, k)
+        s = streamed_operand(md)
         summary = wzwkit.fusion._verlinde(md)
-        assert tuple(summary) == full_tensor_verlinde(md, streamed_operand(md))[1:]
+        _, residual, _, _, *exact = full_tensor_verlinde(md, s)
+        assert (summary.neg, summary.lowest, summary.perms) == tuple(exact)
+        assert summary.worst[0] <= summary.worst[1]
+        bound = summation_bound(s)
+        assert abs(summary.residual - residual) <= bound
+        assert abs(summary.value - full_row_entry(s, *summary.worst)) <= bound
+
+    @pytest.mark.parametrize("label,k", oracle_theories())
+    def test_tensor_is_symmetric_and_matches_the_full_rows(self, label, k):
+        md = oracle_theory(label, k)
+        tensor = verlinde_tensor(md)
+        assert np.array_equal(tensor, tensor.transpose(1, 0, 2))
+        assert np.array_equal(tensor, full_tensor_verlinde(md, streamed_operand(md))[0])
+
+    @pytest.mark.parametrize("label,k", [("A1", 20), ("A2", 6)])
+    def test_pass_multiplies_the_pairs_a_le_b(self, label, k):
+        rows = []
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                rows.append(len(self))
+                return np.asarray(self) @ np.asarray(other)
+
+        md = modular_data(label, k)
+        spied = dataclasses.replace(md, smatrix=md.smatrix.view(Spy))
+        summary = wzwkit.fusion._verlinde(spied)
+        # one product per row a, over its n - a rows b >= a
+        assert rows == list(range(md.dim, 0, -1))
+        assert sum(rows) == md.dim * (md.dim + 1) // 2
+        assert summary == wzwkit.fusion._verlinde(md)
 
     @pytest.mark.parametrize("k", range(1, 61))
     def test_real_path_tensor_matches_the_complex_sum(self, k):
@@ -294,6 +337,43 @@ class TestStreamedSummary:
             assert exc.value.what == "fusion coefficient"
             assert exc.value.where == tuple(md.labels[i] for i in worst)
             assert (exc.value.value, exc.value.residual) == (value, residual)
+
+    @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
+    @pytest.mark.parametrize("shift", [1e-3, 1e-3j])
+    @pytest.mark.parametrize("entry", [(2, 1), (-1, 1)], ids=["below-diagonal", "last-row"])
+    def test_tampered_mirror_half_raises_at_the_worst_entry(self, label, k, shift, entry):
+        md = modular_data(label, k)
+        tampered = md.smatrix.copy()
+        tampered[entry] += shift
+        md = dataclasses.replace(md, smatrix=tampered)
+        s = streamed_operand(md)
+        _, residual, (a, b, c), value, *_ = full_tensor_verlinde(md, s)
+        bound = summation_bound(s)
+        for check in (verify_fusion, verlinde_tensor):
+            with pytest.raises(IntegralityError) as exc:
+                check(md)
+            assert exc.value.what == "fusion coefficient"
+            assert tuple(md.index(lab) for lab in exc.value.where) in {(a, b, c), (b, a, c)}
+            assert abs(exc.value.residual - residual) <= bound
+            assert abs(exc.value.value - value) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label,k", [("A1", 4), ("A2", 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_smatrix_raises_at_the_first_such_sum(self, label, k, bad, row):
+        md = modular_data(label, k)
+        tampered = md.smatrix.copy()
+        tampered[row, 1] = bad
+        md = dataclasses.replace(md, smatrix=tampered)
+        # every sum with ``row`` among a, b, c (or, for row 0, every sum) takes
+        # the bad entry, so the first in C order is (0, 0, row)
+        for check in (verify_fusion, verlinde_tensor):
+            with pytest.raises(IntegralityError) as exc:
+                check(md)
+            assert exc.value.what == "fusion coefficient"
+            assert exc.value.residual == np.inf
+            assert exc.value.where == (md.labels[0], md.labels[0], md.labels[row])
 
     @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
     def test_negative_entry_raises_at_the_first_one(self, label, k):
