@@ -27,18 +27,21 @@ class CartanDataError(ValueError):
 
 
 class WeylCapExceeded(RuntimeError):
-    """Weyl group traversal hit the element cap before closing.
+    """A Weyl group walk hit its cap before closing.
+
+    The walk counts group elements (the layered Weyl sum) or cosets W/W_J
+    (the sum over cosets).
 
     Attributes:
         cap: the configured limit.
-        partial: number of distinct elements counted through the length
-            layer that took the count past ``cap``.
+        partial: number of distinct elements or cosets counted through the
+            length layer that took the count past ``cap``.
     """
 
     def __init__(self, cap: int, partial: int):
         super().__init__(
-            f"Weyl group traversal exceeded cap={cap} (found {partial} elements "
-            "before stopping); raise the cap to continue"
+            f"Weyl group walk exceeded cap={cap} (found {partial} group elements "
+            "or cosets before stopping); raise the cap to continue"
         )
         self.cap = cap
         self.partial = partial

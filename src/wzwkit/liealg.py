@@ -37,6 +37,7 @@ __all__ = [
     "build_algebra",
     "affine_cartan_matrix",
     "weyl_traverse",
+    "weyl_cosets",
     "weyl_order",
     "center_group",
     "diagram_automorphisms",
@@ -52,14 +53,21 @@ _RANK_BOUNDS = {
     "G": (2, 2),
 }
 
-_DIMENSIONS = {
-    "A": lambda n: n * (n + 2),
-    "B": lambda n: n * (2 * n + 1),
-    "C": lambda n: n * (2 * n + 1),
-    "D": lambda n: n * (2 * n - 1),
-    "E": lambda n: {6: 78, 7: 133, 8: 248}[n],
-    "F": lambda n: 52,
-    "G": lambda n: 14,
+# Degrees of the basic Weyl group invariants: |W| is their product and the
+# dimension is the sum of 2d - 1 (Humphreys, Reflection Groups and Coxeter
+# Groups, 3.7 and 3.9).
+_DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: (*range(2, 2 * n - 1, 2), n),
+    "E": lambda n: {
+        6: (2, 5, 6, 8, 9, 12),
+        7: (2, 6, 8, 10, 12, 14, 18),
+        8: (2, 8, 12, 14, 18, 20, 24, 30),
+    }[n],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
 }
 
 
@@ -252,7 +260,7 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
 
     roots = _root_closure(cart)
     positive = [(a, w) for a, w in roots if any(x > 0 for x in a)]
-    dim = _DIMENSIONS[series](rank)
+    dim = sum(2 * d - 1 for d in _DEGREES[series](rank))
     if 2 * len(positive) + rank != dim:
         raise InternalConsistencyError(
             f"root count {len(positive)} inconsistent with dim {dim} for {label}"
@@ -292,16 +300,28 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
     return alg
 
 
+def _descend(cartan: np.ndarray, points: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(parent rows, images)`` of the next layer's points that ``r_i`` reaches.
+
+    ``r_i v`` is one step further from the dominant chamber exactly when
+    v_i > 0, and it is kept only from the parent for which i is the lowest
+    index where ``r_i v`` has a negative label, so no point is reached twice.
+    """
+    up = np.flatnonzero(points[:, i] > 0)
+    images = points[up] - np.outer(points[up, i], cartan[i])
+    keep = np.argmax(images < 0, axis=1) == i
+    return up[keep], images[keep]
+
+
 def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[int, np.ndarray]]:
     """The Weyl group one length at a time: ``(length, matrices)`` per layer.
 
     ``matrices`` is an ``(m, rank, rank)`` integer array holding every element
     of that length once, each acting on Dynkin-label columns; its sign is
-    ``(-1) ** length``.  Layer l+1 comes from layer l: r_i w is longer than w
-    exactly when (w rho)_i > 0, and it is kept only from the parent w for which
-    i is the lowest index where r_i w rho has a negative label, so no element
-    is reached twice.  Raises WeylCapExceeded, carrying the count through the
-    layer that crosses ``cap``, before yielding that layer.
+    ``(-1) ** length``.  Layer l+1 is the W-orbit of rho one step down from
+    layer l (``_descend``), each element w carried to r_i w.  Raises
+    WeylCapExceeded, carrying the count through the layer that crosses
+    ``cap``, before yielding that layer.
     """
     cartan = np.array(alg.cartan, dtype=np.int64)
     layer = np.eye(alg.rank, dtype=np.int64)[np.newaxis]
@@ -314,17 +334,52 @@ def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[in
         rho = layer.sum(axis=2)  # w rho, as rho has all labels 1
         children = []
         for i in range(alg.rank):
-            up = rho[:, i] > 0
-            ws, child_rho = layer[up], rho[up] - np.outer(rho[up, i], cartan[i])
-            keep = np.argmax(child_rho < 0, axis=1) == i
-            ws = ws[keep]
+            ws = layer[_descend(cartan, rho, i)[0]]
             children.append(ws - cartan[i][:, np.newaxis] * ws[:, np.newaxis, i, :])
         layer = np.concatenate(children)
         length += 1
 
 
-def weyl_order(alg: SimpleLieAlgebra, cap: int = 200000) -> int:
-    return sum(len(ws) for _, ws in weyl_traverse(alg, cap))
+def weyl_cosets(
+    alg: SimpleLieAlgebra, block: Sequence[int], cap: int = 200000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal representatives c of the cosets W/W_J, J the nodes in ``block``.
+
+    Returns ``(inverses, signs)``: c^-1 as ``(m, rank, rank)`` integer
+    matrices on Dynkin-label columns, and (-1)^length(c).  The cosets are the
+    W-orbit of omega_J, the sum of the fundamental weights outside J, whose
+    stabilizer is W_J (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10-1.12); it is walked one length at a time like ``weyl_traverse``,
+    with c^-1 r_i carried to each image r_i c omega_J.  Raises
+    WeylCapExceeded, carrying the count through the layer that crosses
+    ``cap``, when there are more than ``cap`` cosets.
+    """
+    cartan = np.array(alg.cartan, dtype=np.int64)
+    points = np.array([[int(i not in block) for i in range(alg.rank)]], dtype=np.int64)
+    layer = np.eye(alg.rank, dtype=np.int64)[np.newaxis]
+    inverses, signs = [], []
+    length = count = 0
+    while len(layer):
+        count += len(layer)
+        if count > cap:
+            raise WeylCapExceeded(cap, count)
+        inverses.append(layer)
+        signs.append(np.full(len(layer), (-1) ** length))
+        children, images = [], []
+        for i in range(alg.rank):
+            parents, found = _descend(cartan, points, i)
+            cs = layer[parents]
+            cs[:, :, i] -= cs @ cartan[i]  # c^-1 r_i, as r_i y = y - y_i alpha_i
+            children.append(cs)
+            images.append(found)
+        points, layer = np.concatenate(images), np.concatenate(children)
+        length += 1
+    return np.concatenate(inverses), np.concatenate(signs)
+
+
+def weyl_order(alg: SimpleLieAlgebra) -> int:
+    """|W|, the product of the degrees of the basic invariants."""
+    return prod(_DEGREES[alg.series](alg.rank))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction as Q
 from pathlib import Path
@@ -25,7 +27,7 @@ from wzwkit.affine import (
 )
 from wzwkit.errors import InvariantViolation, PreconditionError
 from wzwkit.fusion import simple_currents, tensor_product
-from wzwkit.liealg import build_algebra
+from wzwkit.liealg import build_algebra, weyl_order, weyl_traverse
 from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
 from wzwkit.simplecurrent import extend_by_group
 
@@ -77,6 +79,19 @@ def per_element_smatrix(alg, level: int) -> np.ndarray:
             if m2 not in seen:
                 seen.add(m2)
                 queue.append((m2, -sign))
+    return np.conj(raw[0, 0]) / abs(raw[0, 0]) / np.linalg.norm(raw[0]) * raw
+
+
+def layered_smatrix(alg, level: int) -> np.ndarray:
+    """The Weyl sum over all of W, one length layer at a time, with no cap."""
+    labels = integrable_weights(alg, level)
+    shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
+    gram = np.array([[float(v) for v in row] for row in alg.metric])
+    t = -2j * np.pi / (level + alg.dual_coxeter)
+    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    for length, ws in weyl_traverse(alg, cap=weyl_order(alg)):
+        pairing = shifted @ ws.transpose(0, 2, 1) @ gram @ shifted.T
+        raw += (-1) ** length * np.exp(t * pairing).sum(axis=0)
     return np.conj(raw[0, 0]) / abs(raw[0, 0]) / np.linalg.norm(raw[0]) * raw
 
 
@@ -192,6 +207,57 @@ class TestSmatrix:
         for k in range(1, 7):
             s = kac_peterson_smatrix(alg, k)
             assert np.abs(s - per_element_smatrix(alg, k)).max() <= 1e-12, k
+
+    @pytest.mark.parametrize(
+        "label,k",
+        [
+            *itertools.product(
+                ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4"],
+                range(1, 7),
+            ),
+            *itertools.product(["F4", "G2"], range(1, 7)),
+            *itertools.product(["A5", "A6", "B5", "C5", "D5", "D6", "E6"], (1, 2)),
+        ],
+    )
+    def test_coset_determinants_match_the_layered_sum(self, label, k):
+        alg = build_algebra(label)
+        assert np.abs(kac_peterson_smatrix(alg, k) - layered_smatrix(alg, k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("rank", range(1, 10))
+    def test_level_one_a_series_is_the_cyclic_fourier_matrix(self, rank):
+        n = rank + 1
+        md = modular_data(f"A{rank}", 1)
+        charge = np.array([sum(i * x for i, x in enumerate(lab, 1)) for lab in md.labels])
+        fourier = np.exp(2j * np.pi * np.outer(charge, charge) / n) / math.sqrt(n)
+        assert np.abs(md.smatrix - fourier).max() < 1e-12
+
+    def test_e7_level_one_is_the_z2_theory(self):
+        md = modular_data("E7", 1)
+        assert md.delta == (0, Q(3, 4))
+        assert np.abs(md.smatrix - np.array([[1, 1], [1, -1]]) / math.sqrt(2)).max() < 1e-12
+
+    def test_e8_level_one_is_holomorphic(self):
+        md = modular_data("E8", 1)
+        assert md.labels == ((0,) * 8,)
+        assert np.abs(md.smatrix - 1).max() < 1e-12
+
+    def test_e8_level_two_is_the_ising_theory(self):
+        md = modular_data("E8", 2)
+        assert md.delta == (0, Q(15, 16), Q(3, 2))
+        r = 1 / math.sqrt(2)
+        ising = np.array([[0.5, r, 0.5], [r, 0.0, -r], [0.5, -r, 0.5]])
+        assert np.abs(md.smatrix - ising).max() < 1e-12
+
+    def test_determinant_pass_holds_no_array_past_a_few_s(self):
+        alg = build_algebra("A5")
+        n = len(integrable_weights(alg, 6))
+        tracemalloc.start()
+        try:
+            kac_peterson_smatrix(alg, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * n * n
 
     def test_e6_level_one_is_the_z3_theory(self):
         # Z3 simple currents of weight 2/3: S_JJ = S_0J exp(2 pi i Q_J(J)), Q_J(J) = 2/3

@@ -569,6 +569,15 @@ class TestSingleConstructions:
         assert doc["input"]["algebra"] == "A1"
         assert "version" in doc
 
+    def test_e8_level_two_has_its_extra_current(self):
+        # the weight-3/2 primary is a Z2 current that the trivial center does not predict
+        doc, status = run_json(["check", "E8", "--level", "2"])
+        assert status == EXIT_OK
+        assert doc["result"]["simple_current_order"] == 2
+        assert doc["result"]["center_invariant_factors"] == []
+        assert doc["result"]["center_match"] is False
+        assert doc["residuals"]["simple_current_center"] == 0.0
+
     def test_modular_data_report_contents(self):
         doc, status = run_json(["modular-data", "A1", "--level", "1"])
         assert status == EXIT_OK
@@ -802,6 +811,16 @@ class TestFailureReports:
         assert status == EXIT_CAP
         assert doc["error"]["code"] == "cap-exceeded"
         assert doc["error"]["cap"] == 2000
+        assert "result" not in doc
+
+    def test_cap_counts_the_cosets_of_the_determinant_route(self):
+        # A9 sums over one coset; A2 (|W| = 6) sums over its elements
+        doc, status = run_json(["check", "A9", "--level", "1", "--weyl-cap", "1"])
+        assert status == EXIT_OK
+        assert doc["result"]["center_match"] is True
+        doc, status = run_json(["modular-data", "A2", "--level", "2", "--weyl-cap", "5"])
+        assert status == EXIT_CAP
+        assert doc["error"]["code"] == "cap-exceeded"
         assert "result" not in doc
 
     def test_unsupported_folding_has_its_own_code(self):

@@ -16,6 +16,7 @@ from wzwkit.liealg import (
     center_group,
     diagram_automorphisms,
     parse_algebra_label,
+    weyl_cosets,
     weyl_order,
     weyl_traverse,
 )
@@ -203,10 +204,61 @@ class TestRoots:
 class TestWeyl:
     @pytest.mark.parametrize(
         "label,order",
-        [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("B3", 48), ("C3", 48)],
+        [
+            ("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("B3", 48), ("C3", 48),
+            ("A8", 362880), ("D7", 322560), ("E8", 696729600),
+        ],
     )
     def test_group_orders(self, label, order):
         assert weyl_order(build_algebra(label)) == order
+
+    @pytest.mark.parametrize(
+        "label",
+        [f"A{r}" for r in range(1, 8)]
+        + [f"{s}{r}" for s in "BC" for r in range(2, 7)]
+        + [f"D{r}" for r in range(3, 7)]
+        + ["E6", "F4", "G2"],
+    )
+    def test_closed_form_order_counts_the_enumeration(self, label):
+        alg = build_algebra(label)
+        assert weyl_order(alg) == sum(len(ws) for _, ws in weyl_traverse(alg))
+
+    @pytest.mark.parametrize(
+        "label,block,cosets",
+        [
+            ("E6", range(1, 6), 27),
+            ("E7", range(1, 7), 126),
+            ("E8", range(1, 8), 2160),
+            ("F4", (0, 1, 2), 24),
+            ("B3", (), 48),
+            ("D5", range(5), 1),
+        ],
+    )
+    def test_cosets_are_the_orbit_of_omega_j(self, label, block, cosets):
+        alg = build_algebra(label)
+        inverses, signs = weyl_cosets(alg, tuple(block))
+        assert len(inverses) == len(signs) == cosets
+        omega = np.array([int(i not in block) for i in range(alg.rank)])
+        # the points c omega_J are the whole orbit, each once
+        points = {tuple(np.linalg.solve(m, omega).round().astype(int)) for m in inverses}
+        assert len(points) == cosets
+        for m, sign in zip(inverses, signs):
+            assert round(np.linalg.det(m)) == sign
+
+    def test_full_walk_is_the_group_inverted(self):
+        alg = build_algebra("B3")
+        inverses, _ = weyl_cosets(alg, ())
+        elements = np.concatenate([ws for _, ws in weyl_traverse(alg)])
+        assert {m.tobytes() for m in np.linalg.inv(inverses).round().astype(np.int64)} == {
+            m.tobytes() for m in elements
+        }
+
+    def test_coset_cap_carries_partial_count(self):
+        with pytest.raises(WeylCapExceeded) as exc:
+            weyl_cosets(build_algebra("E8"), tuple(range(1, 8)), cap=2000)
+        assert exc.value.cap == 2000
+        assert 2000 < exc.value.partial <= 2160
+        assert "raise the cap" in str(exc.value)
 
     def test_signs_sum_to_zero(self):
         for label in ["A2", "B2", "G2"]:
