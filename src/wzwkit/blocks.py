@@ -42,7 +42,6 @@ __all__ = [
     "TraceSpectrum",
     "fourier_eigendims",
     "fix_compatible",
-    "rank_factorization_check",
     "trace_factorization_check",
     "TruncatedLaurent",
     "LoopElement",
@@ -253,24 +252,6 @@ def fix_compatible(md: ModularData, t: Sequence[int], glue: int) -> bool:
     for ts in t:
         common &= fixed_point_smatrix(md, ts).fixed_set
     return common <= fixed_point_smatrix(md, glue).fixed_set
-
-
-def rank_factorization_check(
-    md: ModularData, insertions: Sequence[int], split: int, genus: int = 0
-) -> tuple[int, int]:
-    """Left and right side of the gluing identity for block ranks.
-
-    The m-point rank equals the sum over the glued channel of the two
-    factor ranks, with the channel conjugated on one side.
-    """
-    conj = md.conjugation_permutation()
-    lhs = block_rank(md, genus, insertions)
-    rhs = 0
-    for nu in range(md.dim):
-        left = block_rank(md, genus, tuple(insertions[:split]) + (nu,))
-        right = block_rank(md, 0, (conj[nu],) + tuple(insertions[split:]))
-        rhs += left * right
-    return lhs, rhs
 
 
 def trace_factorization_check(

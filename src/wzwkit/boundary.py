@@ -282,8 +282,6 @@ def z2_wzw_hat_table(orb: OrbifoldModularData) -> np.ndarray:
     twisted-block matrix.
     """
     oin = orb.input
-    if oin.pairs:
-        raise PreconditionError("the explicit table covers inner orbifolds only")
     parent = oin.md
     n = parent.dim
     out = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -31,16 +31,13 @@ from .exact import invert_rational
 __all__ = [
     "SimpleLieAlgebra",
     "CenterGroup",
-    "NodePermutation",
     "parse_algebra_label",
     "cartan_matrix",
     "build_algebra",
-    "affine_cartan_matrix",
     "weyl_traverse",
     "weyl_cosets",
     "weyl_order",
     "center_group",
-    "diagram_automorphisms",
 ]
 
 _RANK_BOUNDS = {
@@ -173,9 +170,6 @@ class SimpleLieAlgebra:
     def level_of(self, x: Sequence) -> Q:
         """Pairing (x, theta^vee) = sum of Dynkin labels weighted by comarks."""
         return sum((Q(x[i]) * self.comarks[i] for i in range(self.rank)), Q(0))
-
-    def simple_root_omega(self, i: int) -> tuple[int, ...]:
-        return self.cartan[i]
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -438,87 +432,3 @@ def center_group(alg: SimpleLieAlgebra) -> CenterGroup:
     gens = tuple(tuple(int(j == i) for j in range(n)) for i in used)
     return CenterGroup(factors, gens, orders)
 
-
-def affine_cartan_matrix(alg: SimpleLieAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Untwisted affine Cartan matrix; node 0 is the affine node."""
-    n = alg.rank
-    theta_w = alg.highest_root_omega
-    row0 = [2] + [-theta_w[j] for j in range(n)]
-    rows = [tuple(row0)]
-    for i in range(n):
-        pair = alg.pairing(alg.simple_root_omega(i), theta_w)
-        if pair.denominator != 1:
-            raise InternalConsistencyError("affine column pairing not integral")
-        rows.append(tuple([-int(pair)] + list(alg.cartan[i])))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class NodePermutation:
-    """A symmetry of a (possibly affine) Dynkin diagram as a node permutation."""
-
-    perm: tuple[int, ...]
-    affine: bool
-
-    @property
-    def order(self) -> int:
-        k = 1
-        p = self.perm
-        cur = p
-        idn = tuple(range(len(p)))
-        while cur != idn:
-            cur = tuple(p[i] for i in cur)
-            k += 1
-        return k
-
-    def apply(self, node: int) -> int:
-        return self.perm[node]
-
-
-def _matrix_automorphisms(mat: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All node permutations p with mat[p(i)][p(j)] = mat[i][j], by backtracking."""
-    n = len(mat)
-    # node signature: multiset of row and column entries, to prune candidates
-    sig = [
-        (mat[i][i], tuple(sorted(mat[i])), tuple(sorted(row[i] for row in mat)))
-        for i in range(n)
-    ]
-    candidates = [[j for j in range(n) if sig[j] == sig[i]] for i in range(n)]
-    out: list[tuple[int, ...]] = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def place(i: int) -> None:
-        if i == n:
-            out.append(tuple(perm))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if mat[j][perm[k]] != mat[i][k] or mat[perm[k]][j] != mat[k][i]:
-                    ok = False
-                    break
-            if ok:
-                perm[i] = j
-                used[j] = True
-                place(i + 1)
-                used[j] = False
-                perm[i] = -1
-
-    place(0)
-    out.sort()
-    return out
-
-
-def diagram_automorphisms(alg: SimpleLieAlgebra, affine: bool = False) -> tuple[NodePermutation, ...]:
-    """Symmetries of the finite or untwisted affine Dynkin diagram.
-
-    The affine list always contains the rotations induced by the center of
-    the simply connected group (for the A series these are the cyclic
-    rotations of the extended diagram).
-    """
-    mat = affine_cartan_matrix(alg) if affine else alg.cartan
-    perms = _matrix_automorphisms(mat)
-    return tuple(NodePermutation(p, affine) for p in perms)

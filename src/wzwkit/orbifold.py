@@ -1,19 +1,16 @@
 """Z2 orbifold modular data: sector bookkeeping, S and T assembly, traces.
 
-An order-2 symmetry of the base theory is described by a label involution
-together with phases on its fixed points and the twisted-sector transformation
-data (the matrix connecting untwisted twining characters to twisted ones, and
-the twisted T eigenvalues).  From these the orbifold label set splits into
-paired untwisted sectors, resolved fixed points carrying a sign, and twisted
-sectors carrying a sign.  The orbifold S matrix is assembled from blocks of
-the base S, the twining matrix and the twisted-twisted matrix, each repeated
-over the sign pairs (O(n^2) for n orbifold labels, one phase per fixed point),
-and must pass the same invariant suite as any modular datum.
+An inner order-2 symmetry of the base theory fixes every label.  It is
+described by a phase on each label and the twisted-sector transformation data
+(the matrix connecting untwisted twining characters to twisted ones, and the
+twisted T eigenvalues).  Every base label then gives an untwisted and a twisted
+sector, each resolved into a sign pair.  The orbifold S matrix is assembled
+from blocks of the base S, the twining matrix and the twisted-twisted matrix,
+each repeated over the sign pairs (O(n^2) for n orbifold labels, one phase per
+label), and must pass the same invariant suite as any modular datum.
 
 For inner symmetries generated by a rational shift vector all the data derive
-exactly from the base theory.  Outer (diagram) symmetries get their label side
-computed here, but the twisted matrices belong to a genuinely twisted algebra
-and must be supplied explicitly.
+exactly from the base theory.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .errors import (
     ConjectureViolation,
     InvariantViolation,
     PreconditionError,
-    UnsupportedFolding,
 )
 from .exact import phase_to_complex
 from .fusion import verify_fusion
@@ -40,7 +36,6 @@ __all__ = [
     "OrbifoldInput",
     "OrbifoldModularData",
     "inner_orbifold_input",
-    "outer_orbifold_input",
     "assemble_orbifold",
     "conjecture2_trace",
     "Conjecture2Result",
@@ -50,42 +45,30 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OrbifoldInput:
-    """Everything needed to assemble the orbifold of a base theory by Z2.
+    """Everything needed to assemble the orbifold of a base theory by an inner Z2.
 
-    ``sigma_star`` is the induced label involution; ``eta_exponents`` give the
-    fixed-point phases as exact rationals q with eta = exp(2 pi i q); ``s0``
-    connects twining characters to twisted ones over the fixed-point set;
-    ``t1_exponents`` are the exact exponents (mod 2) whose half is the twisted
-    T eigenvalue, and ``t0_exponents`` the exact T exponents (mod 1) of the
-    twining-character system, which enter the twisted-twisted block.
+    The symmetry fixes every label of ``md``.  ``eta_exponents`` give the
+    label phases as exact rationals q with eta = exp(2 pi i q); ``s0``
+    connects twining characters to twisted ones; ``t1_exponents`` are the
+    exact exponents (mod 2) whose half is the twisted T eigenvalue, and
+    ``t0_exponents`` the exact T exponents (mod 1) of the twining-character
+    system, which enter the twisted-twisted block.
     """
 
     md: ModularData
-    sigma_star: tuple[int, ...]
     eta_exponents: dict[int, Q]
-    fixed: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
     s0: np.ndarray
     t1_exponents: tuple[Q, ...]
     t0_exponents: tuple[Q, ...]
-    exceptional_a2n: bool = False
-    shift: tuple[Q, ...] | None = None
 
     def __post_init__(self) -> None:
-        perm = self.sigma_star
-        if sorted(perm) != list(range(self.md.dim)):
-            raise PreconditionError("sigma* is not a permutation of the labels")
-        if any(perm[perm[i]] != i for i in range(self.md.dim)):
-            raise PreconditionError("sigma* is not an involution")
-        if perm[self.md.vacuum] != self.md.vacuum:
-            raise PreconditionError("sigma* must fix the vacuum")
-        nf = len(self.fixed)
-        if self.s0.shape != (nf, nf):
-            raise PreconditionError("S^(0) must be square over the fixed-point set")
-        if np.abs(self.s0 @ self.s0.conj().T - np.eye(nf)).max() > 1e-8:
+        n = self.md.dim
+        if self.s0.shape != (n, n):
+            raise PreconditionError("S^(0) must be square over the labels")
+        if np.abs(self.s0 @ self.s0.conj().T - np.eye(n)).max() > 1e-8:
             raise PreconditionError("S^(0) is not unitary")
-        if len(self.t1_exponents) != nf or len(self.t0_exponents) != nf:
-            raise PreconditionError("T exponent lists must match the fixed-point count")
+        if len(self.t1_exponents) != n or len(self.t0_exponents) != n:
+            raise PreconditionError("T exponent lists must match the label count")
 
     def eta(self, i: int) -> complex:
         return phase_to_complex(self.eta_exponents[i])
@@ -151,76 +134,10 @@ def inner_orbifold_input(md: ModularData, shift: Sequence) -> OrbifoldInput:
     t0 = tuple((t[i] / 2) % 1 for i in range(dim))
     return OrbifoldInput(
         md=md,
-        sigma_star=tuple(range(dim)),
         eta_exponents=eta_exponents,
-        fixed=tuple(range(dim)),
-        pairs=(),
         s0=md.smatrix,
         t1_exponents=t1,
         t0_exponents=t0,
-        shift=s,
-    )
-
-
-def outer_orbifold_input(
-    md: ModularData,
-    sigma_star: Sequence[int],
-    shift: Sequence | None = None,
-    s0: np.ndarray | None = None,
-    t1_exponents: Sequence[Q] | None = None,
-    t0_exponents: Sequence[Q] | None = None,
-) -> OrbifoldInput:
-    """Orbifold input for an outer symmetry given by a label involution.
-
-    The label side (orbit pairing, fixed points, the exceptional A_2n flag)
-    is computed here.  The twisted-sector matrices belong to the orbit
-    algebra, which for outer symmetries is genuinely twisted and outside the
-    folding catalog, so ``s0`` and the twisted T exponents must be supplied;
-    without them the construction raises UnsupportedFolding.  The involution
-    must preserve the base S matrix and conformal weights.
-    """
-    perm = tuple(int(p) for p in sigma_star)
-    dim = md.dim
-    if sorted(perm) != list(range(dim)):
-        raise PreconditionError("sigma* is not a permutation of the labels")
-    if any(perm[perm[i]] != i for i in range(dim)):
-        raise PreconditionError("sigma* is not an involution")
-    if all(perm[i] == i for i in range(dim)):
-        raise PreconditionError("sigma* is trivial; use the inner construction")
-    s = md.smatrix
-    if np.abs(s[np.ix_(perm, perm)] - s).max() > 1e-8:
-        raise PreconditionError("sigma* does not preserve the S matrix")
-    if any(md.delta[perm[i]] != md.delta[i] for i in range(dim)):
-        raise PreconditionError("sigma* does not preserve conformal weights")
-
-    fixed = tuple(i for i in range(dim) if perm[i] == i)
-    pairs = tuple(
-        (i, perm[i]) for i in range(dim) if perm[i] > i
-    )
-    alg = build_algebra(md.algebra)
-    exceptional = alg.series == "A" and alg.rank % 2 == 0
-
-    if s0 is None or t1_exponents is None or t0_exponents is None:
-        raise UnsupportedFolding(
-            "outer orbit algebras are twisted; supply s0, t1_exponents and "
-            "t0_exponents explicitly"
-        )
-    sv = tuple(Q(x) for x in shift) if shift is not None else None
-    eta_exponents = {
-        i: (alg.pairing(sv, md.labels[i]) % 1 if sv is not None else Q(0))
-        for i in fixed
-    }
-    return OrbifoldInput(
-        md=md,
-        sigma_star=perm,
-        eta_exponents=eta_exponents,
-        fixed=fixed,
-        pairs=pairs,
-        s0=np.asarray(s0, dtype=complex),
-        t1_exponents=tuple(Q(x) % 2 for x in t1_exponents),
-        t0_exponents=tuple(Q(x) % 1 for x in t0_exponents),
-        exceptional_a2n=exceptional,
-        shift=tuple(Q(x) for x in shift) if shift is not None else None,
     )
 
 
@@ -233,8 +150,8 @@ def _pmatrix(oin: OrbifoldInput) -> np.ndarray:
     """
     half = np.array([phase_to_complex(x / 2) for x in oin.t1_exponents])
     mid_exp = [
-        (2 * (oin.t0_exponents[pos] - oin.eta_exponents[lab])) % 1
-        for pos, lab in enumerate(oin.fixed)
+        (2 * (t0 - oin.eta_exponents[lab])) % 1
+        for lab, t0 in enumerate(oin.t0_exponents)
     ]
     mid = np.array([phase_to_complex(x) for x in mid_exp])
     return (half[:, None] * half[None, :]) * (
@@ -250,44 +167,24 @@ def dual_current_label(md: ModularData) -> tuple:
 def _orbifold_smatrix(oin: OrbifoldInput, p: np.ndarray) -> np.ndarray:
     """Orbifold S in the label order of ``assemble_orbifold``, block by block.
 
-    Fixed points carry an interleaved sign pair (+, -), pairs one label, and
-    twisted sectors a sign pair again.  With F the fixed points, P the first
-    members of the pairs and eta the fixed-point phases:
+    Untwisted and twisted sectors each carry an interleaved sign pair (+, -).
+    With eta the label phases:
 
-    * fixed x fixed: S_FF / 2 on every sign pair;
-    * fixed x pairs: S_FP on both signs, and pairs x fixed S_PF;
-    * pairs x pairs: S_PP + S_{P sigma(P)};
-    * fixed x twisted: eps / (2 eta_i) S^(0), the sign eps of the fixed row;
-      twisted x fixed is its transpose;
-    * twisted x twisted: eps eps' p / 2, with p from ``_pmatrix``;
-    * pairs x twisted and twisted x pairs: zero.
+    * untwisted x untwisted: S / 2 on every sign pair;
+    * untwisted x twisted: eps / (2 eta_i) S^(0), the sign eps of the
+      untwisted row; twisted x untwisted is its transpose;
+    * twisted x twisted: eps eps' p / 2, with p from ``_pmatrix``.
     """
-    s = oin.md.smatrix
-    fixed = list(oin.fixed)
-    firsts = [a for a, _ in oin.pairs]
-    partners = [oin.sigma_star[a] for a in firsts]
+    def doubled(m: np.ndarray) -> np.ndarray:
+        return np.repeat(np.repeat(m, 2, axis=0), 2, axis=1)
 
-    def doubled(m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        for axis in axes:
-            m = np.repeat(m, 2, axis=axis)
-        return m
-
-    scale = np.array([0.5 * eps / oin.eta(i) for i in fixed for eps in (1, -1)])
-    fixed_twisted = scale[:, None] * doubled(oin.s0, (0, 1))
-    zero = np.zeros((len(firsts), 2 * len(fixed)))
+    n = oin.md.dim
+    scale = np.array([0.5 * eps / oin.eta(i) for i in range(n) for eps in (1, -1)])
+    untwisted_twisted = scale[:, None] * doubled(oin.s0)
     return np.block(
         [
-            [
-                doubled(0.5 * s[np.ix_(fixed, fixed)], (0, 1)),
-                doubled(s[np.ix_(fixed, firsts)], (0,)),
-                fixed_twisted,
-            ],
-            [
-                doubled(s[np.ix_(firsts, fixed)], (1,)),
-                s[np.ix_(firsts, firsts)] + s[np.ix_(firsts, partners)],
-                zero,
-            ],
-            [fixed_twisted.T, zero.T, np.kron(p, 0.5 * np.array([[1, -1], [-1, 1]]))],
+            [doubled(0.5 * oin.md.smatrix), untwisted_twisted],
+            [untwisted_twisted.T, np.kron(p, 0.5 * np.array([[1, -1], [-1, 1]]))],
         ]
     )
 
@@ -295,21 +192,18 @@ def _orbifold_smatrix(oin: OrbifoldInput, p: np.ndarray) -> np.ndarray:
 def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularData:
     """Build the orbifold modular data and run every consistency check.
 
-    Label kinds: (mu, +-1, 0) for each fixed point, (mu, 0, 0) for each
-    length-2 orbit (carrying the smaller label), and (mu, +-1, 1) for each
-    twisted sector.  The vacuum of the orbifold is (vacuum, +1, 0).  Raises
-    InvariantViolation if any modular or structural identity fails, and
+    Label kinds: (mu, +-1, 0) for each untwisted sector and (mu, +-1, 1) for
+    each twisted sector, mu running over the base labels.  The vacuum of the
+    orbifold is (vacuum, +1, 0).  Raises InvariantViolation if any modular or structural identity fails, and
     IntegralityError if the orbifold fusion ring is not integral.
     """
     md = oin.md
     p = _pmatrix(oin)
-    labels = [(md.labels[i], eps, 0) for i in oin.fixed for eps in (1, -1)]
-    labels += [(md.labels[a], 0, 0) for a, _ in oin.pairs]
-    labels += [(md.labels[i], eps, 1) for i in oin.fixed for eps in (1, -1)]
+    labels = [(lab, eps, 0) for lab in md.labels for eps in (1, -1)]
+    labels += [(lab, eps, 1) for lab in md.labels for eps in (1, -1)]
     # twisted weights: c/24 + tau/2 with tau the twisted exponent, plus 1/2 for sign -1
     c24 = md.central_charge / 24
-    delta = [md.delta[i] for i in oin.fixed for _ in (1, -1)]
-    delta += [md.delta[a] for a, _ in oin.pairs]
+    delta = [d for d in md.delta for _ in (1, -1)]
     delta += [(c24 + tau / 2 + extra) % 1 for tau in oin.t1_exponents for extra in (0, Q(1, 2))]
 
     omd = ModularData(
@@ -362,20 +256,12 @@ def conjecture2_trace(
     two choices being transposes of each other.
     """
     md = oin.md
-    fixed_pos = {lab: pos for pos, lab in enumerate(oin.fixed)}
-    for mu in insertions:
-        if oin.sigma_star[mu] != mu:
-            raise PreconditionError(
-                f"insertion {md.labels[mu]} is not fixed by the symmetry"
-            )
-    if md.vacuum not in fixed_pos:
-        raise PreconditionError("vacuum is not a fixed point")
     s0 = oin.s0 if orientation >= 0 else oin.s0.T
-    vac_col = s0[:, fixed_pos[md.vacuum]]
+    vac_col = s0[:, md.vacuum]
     kept = np.abs(vac_col) >= 1e-14
     vac = vac_col[kept]
     weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
-    value = complex(_slot_sum(weight, (s0[kept, fixed_pos[mu]] for mu in insertions)))
+    value = complex(_slot_sum(weight, (s0[kept, mu] for mu in insertions)))
     rank = block_rank(md, 0, insertions)
     rounded = round(value.real)
     out = []

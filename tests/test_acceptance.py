@@ -224,7 +224,7 @@ def test_criterion_07_inner_orbifold_suite(orbifold_suite):
 def test_criterion_08_conjecture_two_on_the_orbifold_suite(orbifold_suite):
     passing = {1: True, -1: True}
     for level, (parent, oin, orb) in orbifold_suite.items():
-        for triple in itertools.combinations_with_replacement(oin.fixed, 3):
+        for triple in itertools.combinations_with_replacement(range(parent.dim), 3):
             for orientation in (1, -1):
                 try:
                     outcome = conjecture2_trace(oin, triple, orientation=orientation)

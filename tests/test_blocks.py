@@ -22,7 +22,6 @@ from wzwkit.blocks import (
     gamma_out,
     loop_bracket,
     multishift_validate,
-    rank_factorization_check,
     symmetry_trace,
     trace_factorization_check,
     untwisted_tuples,
@@ -50,6 +49,22 @@ from wzwkit.simplecurrent import (
 def setup_theory(k):
     md = modular_data("A1", k)
     return md, simple_currents(md)
+
+
+def rank_factorization_check(md, insertions, split, genus=0):
+    """Left and right side of the gluing identity for block ranks.
+
+    The m-point rank equals the sum over the glued channel of the two
+    factor ranks, with the channel conjugated on one side.
+    """
+    conj = md.conjugation_permutation()
+    lhs = block_rank(md, genus, insertions)
+    rhs = 0
+    for nu in range(md.dim):
+        left = block_rank(md, genus, tuple(insertions[:split]) + (nu,))
+        right = block_rank(md, 0, (conj[nu],) + tuple(insertions[split:]))
+        rhs += left * right
+    return lhs, rhs
 
 
 def tuple_cocycle(md, group, t, tprime, insertions):

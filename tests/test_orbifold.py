@@ -12,49 +12,46 @@ from wzwkit.errors import (
     ConjectureViolation,
     InvariantViolation,
     PreconditionError,
-    UnsupportedFolding,
 )
 from wzwkit.fusion import simple_currents
 from wzwkit.orbifold import (
     OrbifoldInput,
-    _orbifold_smatrix,
-    _pmatrix,
     assemble_orbifold,
     conjecture2_trace,
     dual_current_label,
     inner_orbifold_input,
-    outer_orbifold_input,
 )
 from wzwkit.simplecurrent import extend_by_group
 
 
 def ladder_smatrix(oin, p):
     """Reference for ``_orbifold_smatrix``: every entry from its pair of labels."""
-    md = oin.md
-    base = md.smatrix
-    fixed_pos = {lab: pos for pos, lab in enumerate(oin.fixed)}
-    labels = [(i, eps, 0) for i in oin.fixed for eps in (1, -1)]
-    labels += [(a, 0, 0) for a, _ in oin.pairs]
-    labels += [(i, eps, 1) for i in oin.fixed for eps in (1, -1)]
+    base = oin.md.smatrix
+    n = oin.md.dim
+    labels = [(i, eps, k) for k in (0, 1) for i in range(n) for eps in (1, -1)]
     so = np.zeros((len(labels), len(labels)), dtype=complex)
     for a, (ia, ea, ka) in enumerate(labels):
         for b, (ib, eb, kb) in enumerate(labels):
             if ka == 0 and kb == 0:
-                if ea == 0 and eb == 0:
-                    so[a, b] = base[ia, ib] + base[ia, oin.sigma_star[ib]]
-                elif ea == 0 or eb == 0:
-                    so[a, b] = base[ia, ib]
-                else:
-                    so[a, b] = 0.5 * base[ia, ib]
+                so[a, b] = 0.5 * base[ia, ib]
             elif ka == 0 and kb == 1:
-                if ea != 0:
-                    so[a, b] = 0.5 * ea / oin.eta(ia) * oin.s0[fixed_pos[ia], fixed_pos[ib]]
+                so[a, b] = 0.5 * ea / oin.eta(ia) * oin.s0[ia, ib]
             elif ka == 1 and kb == 0:
-                if eb != 0:
-                    so[a, b] = 0.5 * eb / oin.eta(ib) * oin.s0[fixed_pos[ib], fixed_pos[ia]]
+                so[a, b] = 0.5 * eb / oin.eta(ib) * oin.s0[ib, ia]
             else:
-                so[a, b] = 0.5 * ea * eb * p[fixed_pos[ia], fixed_pos[ib]]
+                so[a, b] = 0.5 * ea * eb * p[ia, ib]
     return so
+
+
+def with_twining_matrix(oin, s0):
+    """The same inner input with its twining matrix replaced by ``s0``."""
+    return OrbifoldInput(
+        md=oin.md,
+        eta_exponents=oin.eta_exponents,
+        s0=s0,
+        t1_exponents=oin.t1_exponents,
+        t0_exponents=oin.t0_exponents,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +86,6 @@ class TestInnerInput:
 
     def test_all_labels_fixed_and_twining_matrix_is_s(self, su2_level2):
         oin = inner_orbifold_input(su2_level2, (1,))
-        assert oin.fixed == (0, 1, 2)
-        assert oin.pairs == ()
-        assert oin.sigma_star == (0, 1, 2)
         assert np.array_equal(oin.s0, su2_level2.smatrix)
 
     def test_twisted_t_exponents_level_two(self, su2_level2):
@@ -209,10 +203,7 @@ class TestInputValidation:
         oin = inner_orbifold_input(su2_level2, (1,))
         bad = OrbifoldInput(
             md=oin.md,
-            sigma_star=oin.sigma_star,
             eta_exponents=oin.eta_exponents,
-            fixed=oin.fixed,
-            pairs=oin.pairs,
             s0=oin.s0,
             t1_exponents=(oin.t1_exponents[0] + Q(1, 8),) + oin.t1_exponents[1:],
             t0_exponents=oin.t0_exponents,
@@ -223,64 +214,23 @@ class TestInputValidation:
     def test_nonunitary_twining_matrix_rejected(self, su2_level2):
         oin = inner_orbifold_input(su2_level2, (1,))
         with pytest.raises(PreconditionError):
+            with_twining_matrix(oin, 2 * oin.s0)
+
+    def test_twining_matrix_must_cover_every_label(self, su2_level2):
+        oin = inner_orbifold_input(su2_level2, (1,))
+        with pytest.raises(PreconditionError, match="square over the labels"):
+            with_twining_matrix(oin, np.eye(2))
+
+    def test_t_exponents_must_cover_every_label(self, su2_level2):
+        oin = inner_orbifold_input(su2_level2, (1,))
+        with pytest.raises(PreconditionError, match="label count"):
             OrbifoldInput(
                 md=oin.md,
-                sigma_star=oin.sigma_star,
                 eta_exponents=oin.eta_exponents,
-                fixed=oin.fixed,
-                pairs=oin.pairs,
-                s0=2 * oin.s0,
-                t1_exponents=oin.t1_exponents,
+                s0=oin.s0,
+                t1_exponents=oin.t1_exponents[:2],
                 t0_exponents=oin.t0_exponents,
             )
-
-
-class TestOuterInput:
-    def test_a3_flip_label_side(self):
-        md = modular_data("A3", 1)
-        oin = outer_orbifold_input(
-            md,
-            (0, 3, 2, 1),
-            s0=np.eye(2),
-            t1_exponents=(Q(0), Q(0)),
-            t0_exponents=(Q(0), Q(0)),
-        )
-        assert oin.fixed == (0, 2)
-        assert oin.pairs == ((1, 3),)
-        assert not oin.exceptional_a2n
-
-    def test_twisted_data_required(self):
-        md = modular_data("A3", 1)
-        with pytest.raises(UnsupportedFolding):
-            outer_orbifold_input(md, (0, 3, 2, 1))
-
-    def test_charge_conjugation_of_a2_is_flagged(self):
-        md = modular_data("A2", 1)
-        oin = outer_orbifold_input(
-            md,
-            (0, 2, 1),
-            s0=np.eye(1),
-            t1_exponents=(Q(0),),
-            t0_exponents=(Q(0),),
-        )
-        assert oin.exceptional_a2n
-        assert oin.fixed == (0,)
-        assert oin.pairs == ((1, 2),)
-
-    def test_non_involution_rejected(self):
-        md = modular_data("A3", 1)
-        with pytest.raises(PreconditionError):
-            outer_orbifold_input(md, (0, 2, 3, 1))
-
-    def test_trivial_permutation_rejected(self):
-        md = modular_data("A3", 1)
-        with pytest.raises(PreconditionError):
-            outer_orbifold_input(md, (0, 1, 2, 3))
-
-    def test_s_breaking_involution_rejected(self):
-        md = modular_data("A3", 1)
-        with pytest.raises(PreconditionError):
-            outer_orbifold_input(md, (0, 2, 1, 3))
 
 
 class TestConjectureTwo:
@@ -309,69 +259,63 @@ class TestConjectureTwo:
         assert plus.orientation == 1
         assert minus.orientation == -1
 
-    def test_insertions_must_be_fixed(self):
-        md = modular_data("A3", 1)
-        oin = outer_orbifold_input(
-            md,
-            (0, 3, 2, 1),
-            s0=np.eye(2),
-            t1_exponents=(Q(0), Q(0)),
-            t0_exponents=(Q(0), Q(0)),
-        )
-        with pytest.raises(PreconditionError):
-            conjecture2_trace(oin, (1, 1, 0))
-
-    def test_dishonest_twining_data_raises(self):
-        md = modular_data("A3", 1)
-        rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
-        oin = outer_orbifold_input(
-            md,
-            (0, 3, 2, 1),
-            s0=rot,
-            t1_exponents=(Q(0), Q(0)),
-            t0_exponents=(Q(0), Q(0)),
-        )
-        with pytest.raises(ConjectureViolation):
-            conjecture2_trace(oin, (2, 2, 2))
-
-    def test_trace_of_the_wrong_parity_raises(self):
-        # The rank of (0, 2, 2) in the Z4 fusion ring is 1, and the trace is 0.
-        md = modular_data("A3", 1)
-        oin = outer_orbifold_input(
-            md,
-            (0, 3, 2, 1),
-            s0=np.eye(2),
-            t1_exponents=(Q(0), Q(0)),
-            t0_exponents=(Q(0), Q(0)),
-        )
+    def test_dishonest_twining_data_raises(self, su2_level2):
+        # a rotation mixing the first two labels leaves S^(0) unitary, but the
+        # trace of (1, 1, 2) becomes about -1.81, not an integer
+        rot = np.eye(3)
+        rot[:2, :2] = [[0.6, 0.8], [-0.8, 0.6]]
+        oin = inner_orbifold_input(su2_level2, (1,))
+        bad = with_twining_matrix(oin, su2_level2.smatrix @ rot)
         with pytest.raises(ConjectureViolation) as err:
-            conjecture2_trace(oin, (0, 2, 2))
+            conjecture2_trace(bad, (1, 1, 2))
+        assert err.value.report["trace"] == pytest.approx(-1.81, abs=0.005)
+
+    def test_trace_of_the_wrong_parity_raises(self, su2_level2):
+        # The rank of (0, 1, 1) at level 2 is 1, and the identity as twining
+        # matrix gives the trace 0.
+        oin = inner_orbifold_input(su2_level2, (1,))
+        bad = with_twining_matrix(oin, np.eye(3))
+        with pytest.raises(ConjectureViolation) as err:
+            conjecture2_trace(bad, (0, 1, 1))
         report = err.value.report
         assert (report["rank"], report["trace"], report["eigenvalue"]) == (1, 0, "+")
         assert report["dimension"] == 0.5
 
 
+INNER_CASES = [("A1", k, (1,)) for k in range(1, 9)] + [("B2", 2, (1, 0))]
+
+
 class TestBlockAssembly:
-    @pytest.mark.parametrize(
-        "algebra,level,shift",
-        [("A1", k, (1,)) for k in range(1, 9)] + [("B2", 2, (1, 0))],
-    )
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
     def test_inner_smatrix_matches_the_entry_ladder(self, algebra, level, shift):
         oin = inner_orbifold_input(modular_data(algebra, level), shift)
         orb = assemble_orbifold(oin)
         assert np.abs(orb.smatrix - ladder_smatrix(oin, orb.pmatrix)).max() < 1e-14
 
-    def test_outer_input_with_pairs_matches_the_entry_ladder(self):
-        # the twisted data here is made up, so assemble_orbifold would reject
-        # the result; the block layout is checked on its own
-        oin = outer_orbifold_input(
-            modular_data("A3", 1),
-            (0, 3, 2, 1),
-            s0=np.array([[0.6, 0.8], [-0.8, 0.6]]),
-            t1_exponents=(Q(0), Q(1, 3)),
-            t0_exponents=(Q(1, 4), Q(0)),
-            shift=(Q(1, 2), Q(0), Q(1, 2)),
-        )
-        assert oin.pairs == ((1, 3),)
-        p = _pmatrix(oin)
-        assert np.abs(_orbifold_smatrix(oin, p) - ladder_smatrix(oin, p)).max() < 1e-14
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
+    def test_extension_by_dual_current_recovers_parent(self, algebra, level, shift):
+        md = modular_data(algebra, level)
+        orb = assemble_orbifold(inner_orbifold_input(md, shift))
+        assert orb.md.dim == 4 * md.dim
+        idx = orb.md.index(dual_current_label(md))
+        z2 = simple_currents(orb.md).subgroup((idx,))
+        assert z2.order == 2
+        ext = extend_by_group(orb.md, z2)
+        reps = [orb.md.labels[c.rep] for c in ext.classes]
+        assert [r[0] for r in reps] == list(md.labels)
+        assert all(r[2] == 0 for r in reps)
+        assert np.abs(ext.md.smatrix - md.smatrix).max() < 1e-10
+        assert ext.md.delta == md.delta
+
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
+    def test_inner_trace_equals_rank(self, algebra, level, shift):
+        # with S itself as twining matrix the symmetry acts trivially on
+        # every genus-zero block space of three insertions
+        md = modular_data(algebra, level)
+        oin = inner_orbifold_input(md, shift)
+        for a in range(md.dim):
+            for b in range(a, md.dim):
+                for c in range(b, md.dim):
+                    res = conjecture2_trace(oin, (a, b, c))
+                    assert abs(res.trace - res.rank) < 1e-9
+                    assert (res.dim_plus, res.dim_minus) == (res.rank, 0)
