@@ -29,7 +29,6 @@ from .liealg import (
     parse_algebra_label,
     weyl_cosets,
     weyl_order,
-    weyl_traverse,
 )
 
 __all__ = [
@@ -143,8 +142,8 @@ class ModularData:
         return self._derived("invariants", _invariant_residuals)["conjugation"]
 
 
-# Largest |W| that the Weyl sum runs over element by element.
-_LAYERED_MAX_ORDER = 24
+# Largest |W| that the Weyl sum runs over with J empty, that is over W itself.
+_PLAIN_MAX_ORDER = 24
 
 # Entries of theta per block of the determinant pass, 0.5 MB as float64.
 _BLOCK_ENTRIES = 1 << 16
@@ -161,19 +160,12 @@ def kac_peterson_smatrix(
     S_lm is proportional to the Kac-Peterson sum over w in W of
     eps(w) exp(t (w x, y)), with x = l + rho, y = m + rho and
     t = -2 pi i / (level + h^vee) (Kac-Peterson, Adv. Math. 53 (1984) 125),
-    scaled so the vacuum row has norm 1 and a positive first entry.
-
-    When |W| <= 24 (A1-A3, D3, B2, C2, G2) the sum runs over W itself, one
-    length layer at a time, and ``weyl_cap`` bounds the elements.  At that
-    size the two routes are close: the sum is faster for A1 and A2 (A1/300
-    0.016 s against 0.035 s as determinants, A2/28 0.073 s against 0.075 to
-    0.125 s), the determinants for A3 and B2 (A3/12 0.13 to 0.21 s against
-    0.21 to 0.30 s), best of five on a 2-vCPU VM.  Otherwise W = W^J W_J
-    for a parabolic subgroup W_J of classical type, and
+    scaled so the vacuum row has norm 1 and a positive first entry.  With
+    W = W^J W_J for a parabolic subgroup W_J of classical type,
 
         S_lm ~ sum over c in W/W_J of eps(c) D_J(x, c^-1 y),
 
-    with ``weyl_cap`` bounding the cosets.  D_J(x, z) is the sum over W_J,
+    and ``weyl_cap`` bounds the cosets.  D_J(x, z) is the sum over W_J,
     Weyl's determinant form (Fulton-Harris 24.2) times exp(t (x', z')),
     where ' is the part orthogonal to the roots of J.  Let x_i, z_j be the
     coordinates in the epsilon frame of J's simple roots (Bourbaki, plates
@@ -185,44 +177,42 @@ def kac_peterson_smatrix(
         types B, C  det sin theta
         type D      det cos theta + i^m det sin theta,  m the rank of J
 
-    ======  ====================  ===============
-    series  J                     cosets
-    ======  ====================  ===============
-    A-D     every node            1
-    E_r     nodes 2..r, D_{r-1}   27, 126, 2160
-    F4      nodes 1-3, B3         24
-    ======  ====================  ===============
+    and 1 when J is empty, where W/W_J is W itself.
 
-    The determinants are taken over blocks of rows and cosets, for the
-    entries on and above the diagonal only (S is symmetric), so the work
-    arrays stay below a fixed size: besides S, only the index of its lower
-    triangle grows with n^2.
+    =====================  ====================  ===============
+    series                 J                     cosets
+    =====================  ====================  ===============
+    A1-A3, B2, C2, D3, G2  empty                 |W|
+    other A-D              every node            1
+    E_r                    nodes 2..r, D_{r-1}   27, 126, 2160
+    F4                     nodes 1-3, B3         24
+    =====================  ====================  ===============
+
+    J is empty when |W| <= 24: G2 has no determinant form, A1-A3 are faster
+    as plain sums (A1/300 0.011 s against 0.033 s with J every node, A2/28
+    0.034 s against 0.090 s, A3/12 0.13 s against 0.17 s; B2, C2 and D3
+    within noise; best of five on a 2-vCPU VM), and every A1 pairing is an
+    exact half-integer, so A1's S does not depend on the order of the sum.
+
+    The sum is taken over blocks of rows and cosets, for the entries on and
+    above the diagonal only (S is symmetric), so the work arrays stay below
+    a fixed size: besides S, only the mask of its lower triangle grows
+    with n^2.
     """
     if labels is None:
         labels = integrable_weights(alg, level)
     kappa = level + alg.dual_coxeter
     shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
-    if weyl_order(alg) <= _LAYERED_MAX_ORDER:
-        raw = _layered_sum(alg, kappa, shifted, weyl_cap)
-    else:
-        raw = _coset_sum(alg, kappa, shifted, weyl_cap)
+    raw = _coset_sum(alg, kappa, shifted, weyl_cap)
     scale = 1.0 / np.linalg.norm(raw[0])
     phase = np.conj(raw[0, 0]) / abs(raw[0, 0])
     return phase * scale * raw
 
 
-def _layered_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int) -> np.ndarray:
-    n = len(shifted)
-    gram = np.array([[float(v) for v in row] for row in alg.metric])
-    raw = np.zeros((n, n), dtype=complex)
-    for length, ws in weyl_traverse(alg, cap):
-        pairing = shifted @ ws.transpose(0, 2, 1) @ gram @ shifted.T
-        raw += (-1) ** length * np.exp((-2j * np.pi / kappa) * pairing).sum(axis=0)
-    return raw
-
-
 def _parabolic_block(alg: SimpleLieAlgebra) -> tuple[str, tuple[int, ...]]:
     """Type of J and its nodes, listed in J's own Bourbaki order."""
+    if weyl_order(alg) <= _PLAIN_MAX_ORDER:
+        return alg.series, ()
     if alg.series == "E":
         return "D", tuple(range(alg.rank - 1, 0, -1))
     if alg.series == "F":
@@ -233,13 +223,18 @@ def _parabolic_block(alg: SimpleLieAlgebra) -> tuple[str, tuple[int, ...]]:
 def _frame(
     alg: SimpleLieAlgebra, kind: str, block: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(g, eps, perp)`` with (x, y) = g (x eps).(y eps) + (x perp).(y perp).
+    """``(g, eps, gperp)`` with (x, y) = g (x eps).(y eps) + x gperp y.
 
     ``eps`` maps Dynkin labels to the epsilon coordinates of J's frame (for
-    type A, the coordinates projected to sum zero), ``perp`` to an
-    orthonormal frame of the span of the fundamental weights outside J.
+    type A, the coordinates projected to sum zero).  ``gperp`` is the Gram
+    matrix, on Dynkin labels, of the projection to the span of the
+    fundamental weights outside J, the part orthogonal to the roots of J:
+    the metric itself when J is empty, zero when J is every node.
     """
+    gram = np.array([[float(v) for v in row] for row in alg.metric])
     m = len(block)
+    if not m:
+        return 1.0, np.zeros((alg.rank, 0)), gram
     roots = np.eye(m, m + (kind == "A")) - np.eye(m, m + (kind == "A"), 1)
     if kind == "C":
         roots[-1] *= 2
@@ -250,10 +245,8 @@ def _frame(
     # x eps solves roots (x eps) = ((alpha_j, x) / g)_j, and (alpha_j, x) = lengths_j x_j
     eps = np.zeros((alg.rank, roots.shape[1]))
     eps[list(block)] = (lengths / g)[:, np.newaxis] * np.linalg.pinv(roots).T
-    gram = np.array([[float(v) for v in row] for row in alg.metric])
     rest = [i for i in range(alg.rank) if i not in block]
-    perp = gram[:, rest] @ np.linalg.inv(np.linalg.cholesky(gram[np.ix_(rest, rest)])).T
-    return g, eps, perp
+    return g, eps, gram[:, rest] @ np.linalg.solve(gram[np.ix_(rest, rest)], gram[rest])
 
 
 def _alternating_det(kind: str, theta: np.ndarray) -> np.ndarray:
@@ -270,12 +263,12 @@ def _alternating_det(kind: str, theta: np.ndarray) -> np.ndarray:
 def _coset_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int) -> np.ndarray:
     kind, block = _parabolic_block(alg)
     inverses, signs = weyl_cosets(alg, block, cap)
-    g, eps, perp = _frame(alg, kind, block)
+    g, eps, gperp = _frame(alg, kind, block)
     images = shifted @ inverses.transpose(0, 2, 1)  # c^-1 y, one (n, rank) array per coset
     x, z = shifted @ eps, images @ eps
-    x_perp, z_perp = shifted @ perp, images @ perp
+    x_gperp = shifted @ gperp
     n, width = x.shape
-    per_coset = n * width * width
+    per_coset = n * max(1, width * width)
     block_cosets = max(1, min(len(signs), _BLOCK_ENTRIES // per_coset))
     block_rows = max(1, _BLOCK_ENTRIES // (block_cosets * per_coset))
     t = -2 * np.pi / kappa
@@ -286,12 +279,12 @@ def _coset_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int)
         for c0 in range(0, len(signs), block_cosets):
             cs = slice(c0, c0 + block_cosets)
             # the columns m >= r0 only: S is symmetric
-            terms = _alternating_det(kind, xs * z[cs, r0:, np.newaxis, :])
-            if perp.shape[1]:
-                pairing = np.einsum("rp,knp->rkn", x_perp[rs], z_perp[cs, r0:])
+            terms = _alternating_det(kind, xs * z[cs, r0:, np.newaxis, :]) if width else 1
+            if gperp.any():
+                pairing = (x_gperp[rs] @ images[cs, r0:].transpose(0, 2, 1)).transpose(1, 0, 2)
                 terms = terms * np.exp(1j * t * pairing)
             raw[rs, r0:] += np.tensordot(terms, signs[cs], axes=(1, 0))
-    lower = np.tril_indices(n, -1)
+    lower = np.tri(n, k=-1, dtype=bool)
     raw[lower] = raw.T[lower]
     return raw
 

@@ -33,7 +33,6 @@ __all__ = [
     "HatLabel",
     "ClassifyingAlgebra",
     "TypeDecomposition",
-    "classifying_labels",
     "hat_smatrix",
     "structure_constants",
     "reflection_coefficients",
@@ -81,8 +80,11 @@ class ClassifyingAlgebra:
 def _label_data(md: ModularData, group: SimpleCurrentGroup):
     """Hat labels, boundary labels and the stabilizer and weight of every sector.
 
-    The boundary labels and the orbit records come from one pass over the
-    orbits; each hat label reads the stabilizer of its sector's orbit.
+    Hat labels are the sectors of zero charge, one per character of the full
+    stabilizer; boundary labels are the current orbits of all sectors, one
+    per character of the central stabilizer.  The boundary labels and the
+    orbit records come from one pass over the orbits; each hat label reads
+    the stabilizer of its sector's orbit.
     """
     boundaries, records = _orbit_labels(md, group)
     hats = tuple(
@@ -97,20 +99,6 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup):
             "stabilizer data is inconsistent"
         )
     return hats, boundaries, records
-
-
-def classifying_labels(
-    md: ModularData, group: SimpleCurrentGroup
-) -> tuple[tuple[HatLabel, ...], tuple[OrbitLabel, ...]]:
-    """Hat labels and boundary labels of the classifying algebra.
-
-    Hat labels exhaust the sectors of vanishing monodromy charge, one per
-    character of the full stabilizer; boundary labels exhaust current orbits
-    of all sectors (no spin restriction), one per character of the central
-    stabilizer.  The counts always agree.
-    """
-    hats, boundaries, _ = _label_data(md, group)
-    return hats, boundaries
 
 
 def hat_smatrix(md: ModularData, group: SimpleCurrentGroup) -> np.ndarray:

@@ -4,7 +4,7 @@ Every invocation runs one construction, prints one report to stdout, and
 exits with a status that classifies the outcome: 0 for success, 2 when a
 verified invariant or conjecture fails (the failure is itself reported as
 data), 3 for configuration and parse problems, 4 when the Weyl sum needs
-more group elements or cosets than its cap, 5 for constructions the
+more cosets W/W_J than its cap, 5 for constructions the
 library does not support, and 6 when a float computation runs out of
 range or precision.
 

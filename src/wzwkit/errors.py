@@ -29,13 +29,13 @@ class CartanDataError(ValueError):
 class WeylCapExceeded(RuntimeError):
     """A Weyl group walk hit its cap before closing.
 
-    The walk counts group elements (the layered Weyl sum) or cosets W/W_J
-    (the sum over cosets).
+    The walk counts the cosets W/W_J of the S sum; where J is empty they are
+    the group elements.  The message names both, as reports print it.
 
     Attributes:
         cap: the configured limit.
-        partial: number of distinct elements or cosets counted through the
-            length layer that took the count past ``cap``.
+        partial: number of cosets counted through the length layer that took
+            the count past ``cap``.
     """
 
     def __init__(self, cap: int, partial: int):

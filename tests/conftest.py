@@ -8,14 +8,14 @@ import wzwkit.affine as affine
 
 
 @pytest.fixture
-def weyl_traversals(monkeypatch):
-    """List that grows by one for every Weyl traversal the S-matrix sum starts."""
+def coset_walks(monkeypatch):
+    """List that grows by one for every walk of W/W_J the S-matrix sum starts."""
     calls = []
-    original = affine.weyl_traverse
+    original = affine.weyl_cosets
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(affine, "weyl_traverse", counted)
+    monkeypatch.setattr(affine, "weyl_cosets", counted)
     return calls

@@ -83,16 +83,24 @@ def per_element_smatrix(alg, level: int) -> np.ndarray:
 
 
 def layered_smatrix(alg, level: int) -> np.ndarray:
-    """The Weyl sum over all of W, one length layer at a time, with no cap."""
+    """The Weyl sum over all of W, one length layer at a time, with no cap.
+
+    This is the sum the library ran for |W| <= 24 before every S became a
+    sum over W/W_J, with the normalization lines of ``kac_peterson_smatrix``.
+    At A1 every pairing is an exact half-integer, so the two agree bit for bit.
+    """
     labels = integrable_weights(alg, level)
+    kappa = level + alg.dual_coxeter
     shifted = np.array([[x + 1 for x in lab] for lab in labels], dtype=np.int64)
+    n = len(shifted)
     gram = np.array([[float(v) for v in row] for row in alg.metric])
-    t = -2j * np.pi / (level + alg.dual_coxeter)
-    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    raw = np.zeros((n, n), dtype=complex)
     for length, ws in weyl_traverse(alg, cap=weyl_order(alg)):
         pairing = shifted @ ws.transpose(0, 2, 1) @ gram @ shifted.T
-        raw += (-1) ** length * np.exp(t * pairing).sum(axis=0)
-    return np.conj(raw[0, 0]) / abs(raw[0, 0]) / np.linalg.norm(raw[0]) * raw
+        raw += (-1) ** length * np.exp((-2j * np.pi / kappa) * pairing).sum(axis=0)
+    scale = 1.0 / np.linalg.norm(raw[0])
+    phase = np.conj(raw[0, 0]) / abs(raw[0, 0])
+    return phase * scale * raw
 
 
 class TestIntegrableWeights:
@@ -223,6 +231,13 @@ class TestSmatrix:
         alg = build_algebra(label)
         assert np.abs(kac_peterson_smatrix(alg, k) - layered_smatrix(alg, k)).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", [*range(1, 41), 80, 150, 200, 250, 300])
+    def test_a1_is_the_layered_sum_bit_for_bit(self, k):
+        # boundary reports list the constants that float noise puts past 1/2,
+        # so A1's S may not move by one bit
+        alg = build_algebra("A1")
+        assert np.array_equal(kac_peterson_smatrix(alg, k), layered_smatrix(alg, k))
+
     @pytest.mark.parametrize("rank", range(1, 10))
     def test_level_one_a_series_is_the_cyclic_fourier_matrix(self, rank):
         n = rank + 1
@@ -321,11 +336,11 @@ class TestCache:
             save_modular_data(md, cache_dir)
         assert list(cache_dir.iterdir()) == []
 
-    def test_cache_hit_skips_weyl_traversal(self, tmp_path, weyl_traversals):
+    def test_cache_hit_skips_weyl_traversal(self, tmp_path, coset_walks):
         modular_data("B2", 2, cache_dir=tmp_path)
-        before = len(weyl_traversals)
+        before = len(coset_walks)
         md = modular_data("B2", 2, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before
+        assert len(coset_walks) == before
         assert md.dim == len(integrable_weights(build_algebra("B2"), 2))
 
     def test_corrupt_cache_recomputes_with_warning(self, tmp_path):
@@ -408,12 +423,12 @@ class TestCache:
         ],
         ids=["bad-base64", "cut-base64", "short-payload", "long-payload"],
     )
-    def test_bad_smatrix_payload_recomputes(self, tmp_path, weyl_traversals, smatrix, reason):
+    def test_bad_smatrix_payload_recomputes(self, tmp_path, coset_walks, smatrix, reason):
         self._tamper_smatrix(tmp_path, smatrix)
-        before = len(weyl_traversals)
+        before = len(coset_walks)
         with pytest.warns(UserWarning, match=f"unreadable cache .*{reason}"):
             md = modular_data("A1", 3, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before + 1
+        assert len(coset_walks) == before + 1
         assert np.allclose(md.smatrix, su2_smatrix(3))
 
     @pytest.mark.parametrize(
@@ -425,7 +440,7 @@ class TestCache:
         ],
         ids=["intact", "short-delta", "permuted-labels"],
     )
-    def test_schema_three_entry_is_stale(self, tmp_path, weyl_traversals, tamper):
+    def test_schema_three_entry_is_stale(self, tmp_path, coset_walks, tamper):
         md = modular_data("A1", 3)
         p = cache_path("A1", 3, tmp_path)
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -440,22 +455,22 @@ class TestCache:
         }
         tamper(payload)
         p.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        before = len(weyl_traversals)
+        before = len(coset_walks)
         with pytest.warns(UserWarning, match=r"stale cache .*schema 3, expected 4"):
             again = modular_data("A1", 3, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before + 1
+        assert len(coset_walks) == before + 1
         assert again.delta == md.delta
         assert np.array_equal(again.smatrix, md.smatrix)
         assert json.loads(p.read_text())["schema"] == 4
 
     @pytest.mark.parametrize("text", ["[]", "null", '"x"', "3"])
-    def test_entry_that_is_not_an_object_recomputes(self, tmp_path, weyl_traversals, text):
+    def test_entry_that_is_not_an_object_recomputes(self, tmp_path, coset_walks, text):
         md = modular_data("A1", 3, cache_dir=tmp_path)
         cache_path("A1", 3, tmp_path).write_text(text)
-        before = len(weyl_traversals)
+        before = len(coset_walks)
         with pytest.warns(UserWarning, match="unreadable cache .*not a JSON object"):
             again = modular_data("A1", 3, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before + 1
+        assert len(coset_walks) == before + 1
         assert np.array_equal(again.smatrix, md.smatrix)
 
     def test_entry_holds_only_the_smatrix(self, tmp_path):

@@ -15,7 +15,6 @@ from wzwkit.boundary import (
     _structure_constants,
     automorphism_type_decomposition,
     classifying_algebra,
-    classifying_labels,
     hat_smatrix,
     match_up_to_column_signs,
     reflection_coefficients,
@@ -66,9 +65,8 @@ def z2_level4():
 
 
 class TestTrivialGroup:
-    def test_labels_are_the_sectors(self, su2_level3):
-        group = simple_currents(su2_level3).subgroup(())
-        hats, boundaries = classifying_labels(su2_level3, group)
+    def test_labels_are_the_sectors(self, trivial_algebra):
+        hats, boundaries = trivial_algebra.hat_labels, trivial_algebra.boundary_labels
         assert len(hats) == len(boundaries) == 4
         assert hats[0] == HatLabel(0, ((0, Q(0)),))
         assert [h.sector for h in hats] == [0, 1, 2, 3]
@@ -96,7 +94,8 @@ class TestTrivialGroup:
 class TestZ2Orbifold:
     def test_label_counts(self, z2_level2):
         _, orb, dual = z2_level2
-        hats, boundaries = classifying_labels(orb.md, dual)
+        ca = classifying_algebra(orb.md, dual)
+        hats, boundaries = ca.hat_labels, ca.boundary_labels
         assert len(hats) == len(boundaries) == 6
         assert all(orb.md.labels[h.sector][2] == 0 for h in hats)
         assert [b.rep for b in boundaries] == [0, 2, 4, 6, 8, 10]

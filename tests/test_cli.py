@@ -913,14 +913,14 @@ class TestCache:
         assert loaded.delta == md.delta
         assert np.array_equal(loaded.smatrix, md.smatrix)
 
-    def test_hit_skips_weyl_traversal(self, tmp_path, weyl_traversals):
+    def test_hit_skips_weyl_traversal(self, tmp_path, coset_walks):
         argv = ["modular-data", "A2", "--level", "2", "--cache-dir", str(tmp_path)]
         _, status = run_json(argv)
         assert status == EXIT_OK
-        assert len(weyl_traversals) == 1
+        assert len(coset_walks) == 1
         _, status = run_json(argv)
         assert status == EXIT_OK
-        assert len(weyl_traversals) == 1
+        assert len(coset_walks) == 1
 
     def test_corrupt_entry_recomputes_with_warning(self, tmp_path):
         md = modular_data("A1", 2)
@@ -930,16 +930,16 @@ class TestCache:
             again = modular_data("A1", 2, cache_dir=tmp_path)
         assert np.allclose(again.smatrix, md.smatrix)
 
-    def test_stale_schema_is_invalidated(self, tmp_path, weyl_traversals):
+    def test_stale_schema_is_invalidated(self, tmp_path, coset_walks):
         md = modular_data("A1", 2)
         path = save_modular_data(md, tmp_path)
         payload = json.loads(path.read_text())
         payload["schema"] = 999
         path.write_text(json.dumps(payload))
-        before = len(weyl_traversals)
+        before = len(coset_walks)
         with pytest.warns(UserWarning, match="stale cache .*schema 999"):
             again = modular_data("A1", 2, cache_dir=tmp_path)
-        assert len(weyl_traversals) == before + 1
+        assert len(coset_walks) == before + 1
         assert np.allclose(again.smatrix, md.smatrix)
 
     def test_mismatched_payload_is_rejected(self, tmp_path):
