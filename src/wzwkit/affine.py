@@ -194,10 +194,11 @@ def kac_peterson_smatrix(
     within noise; best of five on a 2-vCPU VM), and every A1 pairing is an
     exact half-integer, so A1's S does not depend on the order of the sum.
 
-    The sum is taken over blocks of rows and cosets, for the entries on and
-    above the diagonal only (S is symmetric), so the work arrays stay below
-    a fixed size: besides S, only the mask of its lower triangle grows
-    with n^2.
+    The sum runs over blocks of rows and cosets, each row block over the
+    columns from its first row on, and the upper triangle is mirrored onto
+    the lower, so S is exactly symmetric; when one block holds every row (A1
+    up to level 180) the whole square is summed.  Besides S, only the mask
+    of its lower triangle grows with n^2.
     """
     if labels is None:
         labels = integrable_weights(alg, level)

@@ -672,8 +672,8 @@ def _run_sweep(config: JobConfig) -> tuple[str, int]:
             classified = _classify(exc)
             if classified is None:
                 raise
-            code, status = classified
-            worst = max(worst, EXIT_INVARIANT if status != EXIT_OK else EXIT_OK)
+            code, _ = classified
+            worst = EXIT_INVARIANT
             row.update(dict.fromkeys(SWEEP_COLUMNS[3:], ""), status=code)
         else:
             fusion_residual = residuals.pop("fusion_integrality")

@@ -134,12 +134,10 @@ class SimpleLieAlgebra:
     series: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
     root_lengths: tuple[Q, ...]
     metric: tuple[tuple[Q, ...], ...]
     positive_roots_alpha: tuple[tuple[int, ...], ...]
     positive_roots_omega: tuple[tuple[int, ...], ...]
-    highest_root_alpha: tuple[int, ...]
     highest_root_omega: tuple[int, ...]
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
@@ -262,11 +260,10 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
     positive.sort(key=lambda rw: rw[0])
     heights = [sum(a) for a, _ in positive]
     top = max(range(len(positive)), key=lambda idx: heights[idx])
-    theta_alpha, theta_omega = positive[top]
+    marks, theta_omega = positive[top]  # the marks are theta in simple roots
     if heights.count(heights[top]) != 1:
         raise InternalConsistencyError("highest root is not unique")
 
-    marks = theta_alpha
     comarks_q = [Q(marks[i]) * lengths[i] for i in range(rank)]
     if any(c.denominator != 1 for c in comarks_q):
         raise InternalConsistencyError("comarks are not integral")
@@ -277,12 +274,10 @@ def build_algebra(label: str) -> SimpleLieAlgebra:
         series=series,
         rank=rank,
         cartan=cart,
-        symmetrizer=sym,
         root_lengths=lengths,
         metric=metric,
         positive_roots_alpha=tuple(a for a, _ in positive),
         positive_roots_omega=tuple(w for _, w in positive),
-        highest_root_alpha=theta_alpha,
         highest_root_omega=theta_omega,
         marks=marks,
         comarks=comarks,
@@ -307,17 +302,22 @@ def _descend(cartan: np.ndarray, points: np.ndarray, i: int) -> tuple[np.ndarray
     return up[keep], images[keep]
 
 
-def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[int, np.ndarray]]:
-    """The Weyl group one length at a time: ``(length, matrices)`` per layer.
+def _coset_layers(
+    alg: SimpleLieAlgebra, block: Sequence[int], cap: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Minimal coset representatives of W/W_J one length at a time.
 
-    ``matrices`` is an ``(m, rank, rank)`` integer array holding every element
-    of that length once, each acting on Dynkin-label columns; its sign is
-    ``(-1) ** length``.  Layer l+1 is the W-orbit of rho one step down from
-    layer l (``_descend``), each element w carried to r_i w.  Raises
-    WeylCapExceeded, carrying the count through the layer that crosses
-    ``cap``, before yielding that layer.
+    Yields ``(length, inverses)``, c^-1 for every c of that length as an
+    ``(m, rank, rank)`` integer array on Dynkin-label columns.  The cosets
+    are the W-orbit of omega_J, the sum of the fundamental weights outside
+    J, whose stabilizer is W_J (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.10-1.12); layer l+1 is the orbit one step down from layer l
+    (``_descend``), with c^-1 r_i carried to each image r_i c omega_J.
+    Raises WeylCapExceeded, carrying the count through the layer that
+    crosses ``cap``, before yielding that layer.
     """
     cartan = np.array(alg.cartan, dtype=np.int64)
+    points = np.array([[int(i not in block) for i in range(alg.rank)]], dtype=np.int64)
     layer = np.eye(alg.rank, dtype=np.int64)[np.newaxis]
     length = count = 0
     while len(layer):
@@ -325,40 +325,6 @@ def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[in
         if count > cap:
             raise WeylCapExceeded(cap, count)
         yield length, layer
-        rho = layer.sum(axis=2)  # w rho, as rho has all labels 1
-        children = []
-        for i in range(alg.rank):
-            ws = layer[_descend(cartan, rho, i)[0]]
-            children.append(ws - cartan[i][:, np.newaxis] * ws[:, np.newaxis, i, :])
-        layer = np.concatenate(children)
-        length += 1
-
-
-def weyl_cosets(
-    alg: SimpleLieAlgebra, block: Sequence[int], cap: int = 200000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal representatives c of the cosets W/W_J, J the nodes in ``block``.
-
-    Returns ``(inverses, signs)``: c^-1 as ``(m, rank, rank)`` integer
-    matrices on Dynkin-label columns, and (-1)^length(c).  The cosets are the
-    W-orbit of omega_J, the sum of the fundamental weights outside J, whose
-    stabilizer is W_J (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10-1.12); it is walked one length at a time like ``weyl_traverse``,
-    with c^-1 r_i carried to each image r_i c omega_J.  Raises
-    WeylCapExceeded, carrying the count through the layer that crosses
-    ``cap``, when there are more than ``cap`` cosets.
-    """
-    cartan = np.array(alg.cartan, dtype=np.int64)
-    points = np.array([[int(i not in block) for i in range(alg.rank)]], dtype=np.int64)
-    layer = np.eye(alg.rank, dtype=np.int64)[np.newaxis]
-    inverses, signs = [], []
-    length = count = 0
-    while len(layer):
-        count += len(layer)
-        if count > cap:
-            raise WeylCapExceeded(cap, count)
-        inverses.append(layer)
-        signs.append(np.full(len(layer), (-1) ** length))
         children, images = [], []
         for i in range(alg.rank):
             parents, found = _descend(cartan, points, i)
@@ -368,7 +334,34 @@ def weyl_cosets(
             images.append(found)
         points, layer = np.concatenate(images), np.concatenate(children)
         length += 1
-    return np.concatenate(inverses), np.concatenate(signs)
+
+
+def weyl_traverse(alg: SimpleLieAlgebra, cap: int = 200000) -> Iterator[tuple[int, np.ndarray]]:
+    """The Weyl group one length at a time: ``(length, matrices)`` per layer.
+
+    ``matrices`` is an ``(m, rank, rank)`` integer array holding every element
+    of that length once, each acting on Dynkin-label columns; its sign is
+    ``(-1) ** length``.  These are the layers of the coset walk with J empty,
+    the inverses of the elements of each length, which are the same set.
+    Raises WeylCapExceeded, carrying the count through the layer that crosses
+    ``cap``, before yielding that layer.
+    """
+    yield from _coset_layers(alg, (), cap)
+
+
+def weyl_cosets(
+    alg: SimpleLieAlgebra, block: Sequence[int], cap: int = 200000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal representatives c of the cosets W/W_J, J the nodes in ``block``.
+
+    Returns ``(inverses, signs)``: c^-1 as ``(m, rank, rank)`` integer
+    matrices on Dynkin-label columns, and (-1)^length(c), from the layers of
+    ``_coset_layers``.  Raises WeylCapExceeded when there are more than
+    ``cap`` cosets.
+    """
+    layers = list(_coset_layers(alg, block, cap))
+    signs = [np.full(len(layer), (-1) ** length) for length, layer in layers]
+    return np.concatenate([layer for _, layer in layers]), np.concatenate(signs)
 
 
 def weyl_order(alg: SimpleLieAlgebra) -> int:

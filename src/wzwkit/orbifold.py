@@ -1,16 +1,15 @@
 """Z2 orbifold modular data: sector bookkeeping, S and T assembly, traces.
 
-An inner order-2 symmetry of the base theory fixes every label.  It is
-described by a phase on each label and the twisted-sector transformation data
-(the matrix connecting untwisted twining characters to twisted ones, and the
-twisted T eigenvalues).  Every base label then gives an untwisted and a twisted
-sector, each resolved into a sign pair.  The orbifold S matrix is assembled
-from blocks of the base S, the twining matrix and the twisted-twisted matrix,
-each repeated over the sign pairs (O(n^2) for n orbifold labels, one phase per
+An inner order-2 symmetry of the base theory fixes every label.  It is given
+by a rational shift vector, which acts on each label by a sign.  Its twining
+characters are ordinary characters at a shifted argument, so the twining data
+are the base S and T themselves (Fuchs-Schellekens-Schweigert,
+hep-th/9506135; Birke-Fuchs-Schweigert, hep-th/9905038); the input holds only
+the signs and the twisted T exponents.  Every base label then gives an
+untwisted and a twisted sector, each resolved into a sign pair.  The orbifold
+S matrix is assembled from blocks of S and the twisted-twisted matrix, each
+repeated over the sign pairs (O(n^2) for n orbifold labels, one phase per
 label), and must pass the same invariant suite as any modular datum.
-
-For inner symmetries generated by a rational shift vector all the data derive
-exactly from the base theory.
 """
 
 from __future__ import annotations
@@ -23,11 +22,7 @@ import numpy as np
 
 from .affine import ModularData, verify_modular_invariants
 from .blocks import _slot_sum, block_rank
-from .errors import (
-    ConjectureViolation,
-    InvariantViolation,
-    PreconditionError,
-)
+from .errors import ConjectureViolation, InvariantViolation, PreconditionError
 from .exact import phase_to_complex
 from .fusion import verify_fusion
 from .liealg import build_algebra
@@ -48,27 +43,24 @@ class OrbifoldInput:
     """Everything needed to assemble the orbifold of a base theory by an inner Z2.
 
     The symmetry fixes every label of ``md``.  ``eta_exponents`` give the
-    label phases as exact rationals q with eta = exp(2 pi i q); ``s0``
-    connects twining characters to twisted ones; ``t1_exponents`` are the
-    exact exponents (mod 2) whose half is the twisted T eigenvalue, and
-    ``t0_exponents`` the exact T exponents (mod 1) of the twining-character
-    system, which enter the twisted-twisted block.
+    label signs as exact rationals q with eta = exp(2 pi i q), q in {0, 1/2};
+    ``t1_exponents`` are the exact exponents (mod 2) whose half is the
+    twisted T eigenvalue.  The twining matrix ``s0`` is S and the twining T
+    is T, both read from ``md``, whose invariants are already verified.
     """
 
     md: ModularData
     eta_exponents: dict[int, Q]
-    s0: np.ndarray
     t1_exponents: tuple[Q, ...]
-    t0_exponents: tuple[Q, ...]
 
     def __post_init__(self) -> None:
-        n = self.md.dim
-        if self.s0.shape != (n, n):
-            raise PreconditionError("S^(0) must be square over the labels")
-        if np.abs(self.s0 @ self.s0.conj().T - np.eye(n)).max() > 1e-8:
-            raise PreconditionError("S^(0) is not unitary")
-        if len(self.t1_exponents) != n or len(self.t0_exponents) != n:
-            raise PreconditionError("T exponent lists must match the label count")
+        if len(self.t1_exponents) != self.md.dim:
+            raise PreconditionError("twisted T exponents must match the label count")
+
+    @property
+    def s0(self) -> np.ndarray:
+        """The twining matrix, which for an inner symmetry is S itself."""
+        return self.md.smatrix
 
     def eta(self, i: int) -> complex:
         return phase_to_complex(self.eta_exponents[i])
@@ -124,39 +116,23 @@ def inner_orbifold_input(md: ModularData, shift: Sequence) -> OrbifoldInput:
             "shift acts trivially on the weight lattice; the symmetry has order 1"
         )
 
-    dim = md.dim
-    eta_exponents = {i: alg.pairing(s, md.labels[i]) % 1 for i in range(dim)}
+    eta_exponents = {i: alg.pairing(s, lab) % 1 for i, lab in enumerate(md.labels)}
     kss = md.level * alg.pairing(s, s)
-    t = md.t_exponents
-    t1 = tuple(
-        (2 * t[i] + 2 * alg.pairing(s, md.labels[i]) + kss) % 2 for i in range(dim)
-    )
-    t0 = tuple((t[i] / 2) % 1 for i in range(dim))
-    return OrbifoldInput(
-        md=md,
-        eta_exponents=eta_exponents,
-        s0=md.smatrix,
-        t1_exponents=t1,
-        t0_exponents=t0,
-    )
+    t1 = tuple((2 * t + 2 * eta_exponents[i] + kss) % 2 for i, t in enumerate(md.t_exponents))
+    return OrbifoldInput(md=md, eta_exponents=eta_exponents, t1_exponents=t1)
 
 
 def _pmatrix(oin: OrbifoldInput) -> np.ndarray:
     """Twisted-twisted block before the sign dressing.
 
-    The middle factor is the square of eta^{-1} times the T matrix of the
-    twining-character system; the outer factors are the twisted T square
+    The middle factor is T on the twining characters, which for an inner
+    symmetry is T itself: the square of eta^{-1} times the T of the halved
+    exponents, with eta^2 = 1.  The outer factors are the twisted T square
     roots taken on the exact exponents.
     """
     half = np.array([phase_to_complex(x / 2) for x in oin.t1_exponents])
-    mid_exp = [
-        (2 * (t0 - oin.eta_exponents[lab])) % 1
-        for lab, t0 in enumerate(oin.t0_exponents)
-    ]
-    mid = np.array([phase_to_complex(x) for x in mid_exp])
-    return (half[:, None] * half[None, :]) * (
-        oin.s0.T @ (mid[:, None] * oin.s0)
-    )
+    mid = np.array([phase_to_complex(t % 1) for t in oin.md.t_exponents])
+    return np.outer(half, half) * (oin.s0.T @ (mid[:, None] * oin.s0))
 
 
 def dual_current_label(md: ModularData) -> tuple:
@@ -171,8 +147,8 @@ def _orbifold_smatrix(oin: OrbifoldInput, p: np.ndarray) -> np.ndarray:
     With eta the label phases:
 
     * untwisted x untwisted: S / 2 on every sign pair;
-    * untwisted x twisted: eps / (2 eta_i) S^(0), the sign eps of the
-      untwisted row; twisted x untwisted is its transpose;
+    * untwisted x twisted: eps / (2 eta_i) times the twining matrix (S), the
+      sign eps of the untwisted row; twisted x untwisted is its transpose;
     * twisted x twisted: eps eps' p / 2, with p from ``_pmatrix``.
     """
     def doubled(m: np.ndarray) -> np.ndarray:
@@ -253,7 +229,9 @@ def conjecture2_trace(
     the trace must lie within 1e-6 of an integer T, and (rank +- T)/2 must
     be non-negative integers, otherwise a ConjectureViolation is raised.
     ``orientation`` selects which index of the twining matrix is summed, the
-    two choices being transposes of each other.
+    two choices being transposes of each other.  The twining matrix is S,
+    which is exactly symmetric (``_coset_sum`` mirrors its upper triangle),
+    so both orientations give the same sum.
     """
     md = oin.md
     s0 = oin.s0 if orientation >= 0 else oin.s0.T

@@ -74,7 +74,6 @@ PHASE_DENOMINATOR = 10080
 class FixedPointData:
     """The matrix S^J restricted to the J-fixed primaries of one theory."""
 
-    current_index: int
     fixed: tuple[int, ...]
     matrix: np.ndarray
     dim: int
@@ -121,22 +120,22 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
 
 def _fixed_point_data(md: ModularData, j_index: int) -> FixedPointData:
     if j_index == md.vacuum:
-        return FixedPointData(j_index, tuple(range(md.dim)), md.smatrix, md.dim)
+        return FixedPointData(tuple(range(md.dim)), md.smatrix, md.dim)
     label = md.labels[j_index]
     if md.factors is not None:
         (md1, md2), (c1, c2) = md.factors, label
         d1, d2 = fixed_point_smatrix(md1, c1), fixed_point_smatrix(md2, c2)
         fixed = tuple(i1 * md2.dim + i2 for i1 in d1.fixed for i2 in d2.fixed)
-        return FixedPointData(j_index, fixed, np.kron(d1.matrix, d2.matrix), md.dim)
+        return FixedPointData(fixed, np.kron(d1.matrix, d2.matrix), md.dim)
     k = md.level
     if md.algebra == "A1" and label == (k,):
         if k % 2:
-            return FixedPointData(j_index, (), np.zeros((0, 0), dtype=complex), md.dim)
+            return FixedPointData((), np.zeros((0, 0), dtype=complex), md.dim)
         fixed_index = md.index((k // 2,))
         phase = Q(-3 * k, 16) % 1 if k % 4 == 0 else Q(0)
     elif md.algebra == "A2" and label in {(k, 0), (0, k)}:
         if k % 3:
-            return FixedPointData(j_index, (), np.zeros((0, 0), dtype=complex), md.dim)
+            return FixedPointData((), np.zeros((0, 0), dtype=complex), md.dim)
         fixed_index = md.index((k // 3, k // 3))
         phase = Q(0)
     else:
@@ -144,7 +143,7 @@ def _fixed_point_data(md: ModularData, j_index: int) -> FixedPointData:
             f"no fixed-point S matrix available for current {label} of {md.algebra} level {k}"
         )
     xi = phase_to_complex(phase)
-    return FixedPointData(j_index, (fixed_index,), np.array([[xi]]), md.dim)
+    return FixedPointData((fixed_index,), np.array([[xi]]), md.dim)
 
 
 def cocycle(

@@ -903,6 +903,21 @@ class TestSweep:
         assert [row["level"] for row in doc["rows"]] == [1, 2]
         assert all(row["status"] == "ok" for row in doc["rows"])
 
+    def test_failing_rows_exit_invariant(self):
+        # a cap of one coset stops every level; each failure is a row, and
+        # the sweep exits 2 whatever the rows' own error codes
+        argv = ["sweep", "A1", "--levels", "1-3", "--weyl-cap", "1"]
+        text, status = run(config_from_args(argv))
+        assert status == EXIT_INVARIANT
+        rows = text.strip().split("\n")[1:]
+        assert [row.split(",")[:3] for row in rows] == [
+            ["A1", str(level), "cap-exceeded"] for level in (1, 2, 3)
+        ]
+        doc, status = run_json(argv + ["--format", "json"])
+        assert status == EXIT_INVARIANT
+        assert doc["status"] == "error"
+        assert [row["status"] for row in doc["rows"]] == ["cap-exceeded"] * 3
+
 
 class TestCache:
     def test_roundtrip_is_bit_for_bit(self, tmp_path):

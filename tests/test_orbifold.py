@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -13,6 +15,7 @@ from wzwkit.errors import (
     InvariantViolation,
     PreconditionError,
 )
+from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents
 from wzwkit.orbifold import (
     OrbifoldInput,
@@ -43,15 +46,30 @@ def ladder_smatrix(oin, p):
     return so
 
 
-def with_twining_matrix(oin, s0):
-    """The same inner input with its twining matrix replaced by ``s0``."""
-    return OrbifoldInput(
-        md=oin.md,
-        eta_exponents=oin.eta_exponents,
-        s0=s0,
-        t1_exponents=oin.t1_exponents,
-        t0_exponents=oin.t0_exponents,
+def halved_t_pmatrix(oin):
+    """Reference for ``_pmatrix`` through the twining T of the halved
+    exponents: t0 = t/2 mod 1 and the middle factor 2(t0 - eta) mod 1."""
+    half = np.array([phase_to_complex(x / 2) for x in oin.t1_exponents])
+    t0 = [(t / 2) % 1 for t in oin.md.t_exponents]
+    mid = np.array(
+        [phase_to_complex((2 * (x - oin.eta_exponents[i])) % 1) for i, x in enumerate(t0)]
     )
+    return (half[:, None] * half[None, :]) * (oin.s0.T @ (mid[:, None] * oin.s0))
+
+
+@dataclass(frozen=True, eq=False)
+class WithTwiningMatrix(OrbifoldInput):
+    """An inner input whose twining matrix is ``twining`` in place of S."""
+
+    twining: np.ndarray = None
+
+    @classmethod
+    def of(cls, oin, twining):
+        return cls(oin.md, oin.eta_exponents, oin.t1_exponents, twining)
+
+    @property
+    def s0(self):
+        return self.twining
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +109,6 @@ class TestInnerInput:
     def test_twisted_t_exponents_level_two(self, su2_level2):
         oin = inner_orbifold_input(su2_level2, (1,))
         assert oin.t1_exponents == (Q(7, 8), Q(1, 4), Q(15, 8))
-        assert oin.t0_exponents == (Q(31, 32), Q(1, 16), Q(7, 32))
 
     def test_zero_shift_rejected(self, su2_level2):
         with pytest.raises(PreconditionError):
@@ -204,22 +221,17 @@ class TestInputValidation:
         bad = OrbifoldInput(
             md=oin.md,
             eta_exponents=oin.eta_exponents,
-            s0=oin.s0,
             t1_exponents=(oin.t1_exponents[0] + Q(1, 8),) + oin.t1_exponents[1:],
-            t0_exponents=oin.t0_exponents,
         )
         with pytest.raises(InvariantViolation):
             assemble_orbifold(bad)
 
     def test_nonunitary_twining_matrix_rejected(self, su2_level2):
-        oin = inner_orbifold_input(su2_level2, (1,))
-        with pytest.raises(PreconditionError):
-            with_twining_matrix(oin, 2 * oin.s0)
-
-    def test_twining_matrix_must_cover_every_label(self, su2_level2):
-        oin = inner_orbifold_input(su2_level2, (1,))
-        with pytest.raises(PreconditionError, match="square over the labels"):
-            with_twining_matrix(oin, np.eye(2))
+        # the twining matrix is the parent's S, so a non-unitary S reaches
+        # every block of the orbifold S
+        bad = replace(su2_level2, smatrix=2 * su2_level2.smatrix)
+        with pytest.raises(InvariantViolation):
+            assemble_orbifold(inner_orbifold_input(bad, (1,)))
 
     def test_t_exponents_must_cover_every_label(self, su2_level2):
         oin = inner_orbifold_input(su2_level2, (1,))
@@ -227,10 +239,11 @@ class TestInputValidation:
             OrbifoldInput(
                 md=oin.md,
                 eta_exponents=oin.eta_exponents,
-                s0=oin.s0,
                 t1_exponents=oin.t1_exponents[:2],
-                t0_exponents=oin.t0_exponents,
             )
+
+
+INNER_CASES = [("A1", k, (1,)) for k in range(1, 9)] + [("B2", 2, (1, 0))]
 
 
 class TestConjectureTwo:
@@ -251,21 +264,28 @@ class TestConjectureTwo:
         assert res.rank == 1
         assert res.trace.real == pytest.approx(1.0)
 
-    def test_orientations_agree_for_symmetric_twining(self, su2_level2):
-        oin = inner_orbifold_input(su2_level2, (1,))
-        plus = conjecture2_trace(oin, (1, 1, 2), orientation=1)
-        minus = conjecture2_trace(oin, (1, 1, 2), orientation=-1)
-        assert plus.trace == pytest.approx(minus.trace)
-        assert plus.orientation == 1
-        assert minus.orientation == -1
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
+    def test_orientations_agree_for_symmetric_twining(self, algebra, level, shift):
+        md = modular_data(algebra, level)
+        oin = inner_orbifold_input(md, shift)
+        for insertions in itertools.combinations_with_replacement(range(md.dim), 3):
+            plus = conjecture2_trace(oin, insertions, orientation=1)
+            minus = conjecture2_trace(oin, insertions, orientation=-1)
+            assert (plus.trace, plus.rank, plus.dim_plus, plus.dim_minus) == (
+                minus.trace,
+                minus.rank,
+                minus.dim_plus,
+                minus.dim_minus,
+            )
+            assert (plus.orientation, minus.orientation) == (1, -1)
 
     def test_dishonest_twining_data_raises(self, su2_level2):
-        # a rotation mixing the first two labels leaves S^(0) unitary, but the
-        # trace of (1, 1, 2) becomes about -1.81, not an integer
+        # a rotation mixing the first two labels leaves the twining matrix
+        # unitary, but the trace of (1, 1, 2) becomes about -1.81, not an integer
         rot = np.eye(3)
         rot[:2, :2] = [[0.6, 0.8], [-0.8, 0.6]]
         oin = inner_orbifold_input(su2_level2, (1,))
-        bad = with_twining_matrix(oin, su2_level2.smatrix @ rot)
+        bad = WithTwiningMatrix.of(oin, su2_level2.smatrix @ rot)
         with pytest.raises(ConjectureViolation) as err:
             conjecture2_trace(bad, (1, 1, 2))
         assert err.value.report["trace"] == pytest.approx(-1.81, abs=0.005)
@@ -274,15 +294,12 @@ class TestConjectureTwo:
         # The rank of (0, 1, 1) at level 2 is 1, and the identity as twining
         # matrix gives the trace 0.
         oin = inner_orbifold_input(su2_level2, (1,))
-        bad = with_twining_matrix(oin, np.eye(3))
+        bad = WithTwiningMatrix.of(oin, np.eye(3))
         with pytest.raises(ConjectureViolation) as err:
             conjecture2_trace(bad, (0, 1, 1))
         report = err.value.report
         assert (report["rank"], report["trace"], report["eigenvalue"]) == (1, 0, "+")
         assert report["dimension"] == 0.5
-
-
-INNER_CASES = [("A1", k, (1,)) for k in range(1, 9)] + [("B2", 2, (1, 0))]
 
 
 class TestBlockAssembly:
@@ -291,6 +308,12 @@ class TestBlockAssembly:
         oin = inner_orbifold_input(modular_data(algebra, level), shift)
         orb = assemble_orbifold(oin)
         assert np.abs(orb.smatrix - ladder_smatrix(oin, orb.pmatrix)).max() < 1e-14
+
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
+    def test_pmatrix_matches_the_halved_twining_t(self, algebra, level, shift):
+        # eta is a sign, so 2(t/2 - eta) = t mod 1 exactly, as Fractions
+        oin = inner_orbifold_input(modular_data(algebra, level), shift)
+        assert np.array_equal(assemble_orbifold(oin).pmatrix, halved_t_pmatrix(oin))
 
     @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
     def test_extension_by_dual_current_recovers_parent(self, algebra, level, shift):

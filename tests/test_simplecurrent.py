@@ -154,7 +154,7 @@ class TestFixedPointMatrices:
             def candidate(md, j_index, xi=xi):
                 if j_index not in closed:
                     return build(md, j_index)
-                return FixedPointData(j_index, closed[j_index].fixed, np.array([[xi]]), md.dim)
+                return FixedPointData(closed[j_index].fixed, np.array([[xi]]), md.dim)
 
             monkeypatch.setattr(simplecurrent, "_fixed_point_data", candidate)
             md = dataclasses.replace(base)  # a fresh theory starts with no S^J built
