@@ -175,7 +175,10 @@ def symmetry_trace(
 
 @dataclass(eq=False)
 class TraceSpectrum:
-    """Traces of the untwisted tuples and their Fourier transform."""
+    """Traces of the untwisted tuples and their Fourier transform.
+
+    ``dims`` is keyed by the characters' numerators over ``denominator`` = |G|
+    on the sorted untwisted tuples, in lexicographic order."""
 
     insertions: tuple[int, ...]
     genus: int
@@ -183,7 +186,8 @@ class TraceSpectrum:
     admissible: tuple[tuple[int, ...], ...]
     untwisted: tuple[tuple[int, ...], ...]
     traces: dict[tuple[int, ...], complex]
-    dims: dict[tuple, int]
+    dims: dict[tuple[int, ...], int]
+    denominator: int
 
 
 def fourier_eigendims(
@@ -195,11 +199,23 @@ def fourier_eigendims(
     """Eigenspace dimensions of the untwisted tuple action on a block space.
 
     The identity tuple's trace is the exact rank.  For each character chi,
-    X_chi = sum over the other tuples of conj(chi(t)) T(t) must lie within
-    1e-6 of an integer and (rank + X_chi) / |G| must be a non-negative
-    integer; otherwise a ConjectureViolation carrying the report is raised.
-    A rank past float range, or a trace or X_chi that is not finite, raises
-    PrecisionExhausted instead.
+    X_chi = sum over the other tuples of conj(chi(t)) T(t), conj(chi(t)) read
+    from a table of the d = |G| roots exp(-2 pi i j / d) at chi's numerators.
+    Each X_chi must lie within max(1e-6, E) of an integer and (rank + X_chi)
+    / |G| must be a non-negative integer, or a ConjectureViolation carrying
+    the report is raised; but when some X_chi misses by more than 1e-6 and
+    none by more than E, the float sums cannot decide: PrecisionExhausted.
+    E bounds their rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4), the entries of S and S^J taken as correctly
+    rounded.  A term of T(t) is a product of q = |2 - 2g| + 2m entries (a
+    power counted as that many factors): each entry one rounding, each
+    complex product at most three (Higham, Lemma 3.5); T(t) sums n terms and
+    X_chi |G| - 1 products with a table root.  So for every chi, as |chi(t)| = 1,
+
+        E = gamma_{4q + n + |G| + 4} sum_{t != 1} sum_k |w_k| prod_s |R_{s,t}[k]|,
+
+    gamma_j = j u / (1 - j u), u = 2^-53.  A rank past float range, or a
+    trace or X_chi that is not finite, raises PrecisionExhausted.
     """
     insertions = tuple(insertions)
     rank = block_rank(md, genus, insertions)
@@ -211,21 +227,34 @@ def fourier_eigendims(
         return tuple(group.compose(x, y) for x, y in zip(a, b))
 
     ident = (md.vacuum,) * len(insertions)
-    chars = abelian_characters(unt, compose_tuples, ident)
+    nums, d = abelian_characters(unt, compose_tuples, ident)
     order = sorted(unt)
-    keys = [tuple(char[t] for t in order) for char in chars]
-    conjugated = np.exp(-2j * np.pi * np.array(keys, dtype=float))
+    roots, step = np.exp(-2j * np.pi * (np.arange(d) / d)), max(1, 2**16 // d)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
-        others = conjugated @ np.array([traces.get(t, 0j) for t in order])
+        column = np.array([traces.get(t, 0j) for t in order])
+        others = np.concatenate([roots[nums[r:r + step]] @ column for r in range(0, d, step)])
     if not np.isfinite([*traces.values(), *others]).all():
         raise PrecisionExhausted(f"genus-{genus} float trace or Fourier sum is not finite")
+    miss, tol = np.abs(others - others.real.round()), 1e-6
+    if miss.max() > tol:  # E of the docstring
+        gamma = (4 * (abs(2 - 2 * genus) + 2 * len(ident)) + md.dim + d + 4) * 2.0**-53
+        with np.errstate(over="ignore"):
+            weight = np.abs(md.smatrix[0]) ** (2 - 2 * genus - len(ident))
+            full = {j: np.abs(fixed_point_smatrix(md, j).full) for j in set().union(*traces)}
+            size = sum(_slot_sum(weight, (full[j][mu] for mu, j in zip(insertions, t))).real for t in traces)
+            tol = max(tol, gamma / (1 - gamma) * size)
+        if miss.max() <= tol:
+            raise PrecisionExhausted(
+                f"genus-{genus} Fourier sums miss an integer by up to {miss.max():.3g}, "
+                f"within their float error bound {tol:.3g}"
+            )
     traces = {ident: complex(rank), **traces}
-    dims: dict[tuple, int] = {}
-    for char, key, x in zip(chars, keys, others):
-        rounded = round(x.real)
-        dim, rest = divmod(rank + rounded, len(unt))
-        if abs(x - rounded) > 1e-6 or rest or dim < 0:
+    ints, dims = list(range(d)), {}  # one int object per numerator, shared by the keys
+    for row, x, off in zip(nums, others, miss):
+        row, rounded = row.tolist(), round(x.real)
+        dim, rest = divmod(rank + rounded, d)
+        if off > tol or rest or dim < 0:
             raise ConjectureViolation(
                 "eigenspace dimension is not a non-negative integer",
                 report={
@@ -233,17 +262,17 @@ def fourier_eigendims(
                     "genus": genus,
                     "rank": rank,
                     "traces": {str(t): traces[t] for t in unt},
-                    "character": {str(k): str(v) for k, v in char.items()},
-                    "value": complex((rank + x) / len(unt)),
+                    "character": {str(t): str(Q(v, d)) for t, v in zip(order, row)},
+                    "value": complex((rank + x) / d),
                 },
             )
-        dims[key] = dim
+        dims[tuple(map(ints.__getitem__, row))] = dim
     if sum(dims.values()) != rank:
         raise ConjectureViolation(
             "eigenspace dimensions do not sum to the identity trace",
             report={"dims": dims, "identity_trace": traces[ident]},
         )
-    return TraceSpectrum(insertions, genus, rank, tuple(adm), tuple(unt), traces, dims)
+    return TraceSpectrum(insertions, genus, rank, tuple(adm), tuple(unt), traces, dims, d)
 
 
 def fix_compatible(md: ModularData, t: Sequence[int], glue: int) -> bool:
@@ -317,10 +346,7 @@ class TruncatedLaurent:
         c = Q(c)
         if c == 0:
             return cls.monomial(-1)
-        coeffs = {}
-        for i in range(hi + 1):
-            coeffs[i] = Q((-1) ** i, 1) / c ** (i + 1)
-        return cls.make(coeffs, hi)
+        return cls.make({i: Q((-1) ** i) / c ** (i + 1) for i in range(hi + 1)}, hi)
 
     def as_dict(self) -> dict[int, Q]:
         return dict(self.coeffs)
@@ -335,21 +361,16 @@ class TruncatedLaurent:
             out[e] = out.get(e, Q(0)) + c
         return TruncatedLaurent.make(out, _min_hi(self.hi, other.hi))
 
-    def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "TruncatedLaurent":
         return TruncatedLaurent.make({e: c * Q(factor) for e, c in self.coeffs}, self.hi)
 
     def __mul__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not self.coeffs or not other.coeffs:
             return TruncatedLaurent.zero()
-        cutoffs = []
-        if self.hi is not None:
-            cutoffs.append(self.hi + other.low)
-        if other.hi is not None:
-            cutoffs.append(other.hi + self.low)
-        hi = min(cutoffs) if cutoffs else None
+        hi = _min_hi(
+            None if self.hi is None else self.hi + other.low,
+            None if other.hi is None else other.hi + self.low,
+        )
         out: dict[int, Q] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
@@ -382,11 +403,7 @@ class TruncatedLaurent:
 
 
 def _min_hi(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return min((h for h in (a, b) if h is not None), default=None)
 
 
 _SL2_BRACKET = {
@@ -421,10 +438,7 @@ class LoopElement:
         return cls.make({gen: TruncatedLaurent.monomial(exponent)})
 
     def part(self, gen: str) -> TruncatedLaurent:
-        for g, f in self.parts:
-            if g == gen:
-                return f
-        return TruncatedLaurent.zero()
+        return dict(self.parts).get(gen, TruncatedLaurent.zero())
 
 
 def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
@@ -473,10 +487,7 @@ class MultiShift:
                 out = f
                 for w, phi in zip(self.weights, self.shifts):
                     e = -w * root
-                    if e >= 0:
-                        out = out * phi.power(e)
-                    else:
-                        out = out * _invert_shift(phi).power(-e)
+                    out = out * (phi if e >= 0 else _invert_shift(phi)).power(abs(e))
                 parts[gen] = parts.get(gen, TruncatedLaurent.zero()) + out
             else:
                 parts[gen] = parts.get(gen, TruncatedLaurent.zero()) + f

@@ -27,7 +27,7 @@ from .affine import ModularData
 from .errors import InternalConsistencyError, InvariantViolation, PreconditionError
 from .fusion import SimpleCurrentGroup
 from .orbifold import OrbifoldModularData
-from .simplecurrent import OrbitLabel, _orbit_labels, abelian_characters, sj_character_matrix
+from .simplecurrent import OrbitLabel, _character_exponents, _orbit_labels, sj_character_matrix
 
 __all__ = [
     "HatLabel",
@@ -88,10 +88,10 @@ def _label_data(md: ModularData, group: SimpleCurrentGroup):
     """
     boundaries, records = _orbit_labels(md, group)
     hats = tuple(
-        HatLabel(i, tuple(sorted(char.items())))
+        HatLabel(i, char)
         for i in range(md.dim)
         if all(group.charge(j, i) == 0 for j in group.indices)
-        for char in abelian_characters(records[i][0], group.compose, md.vacuum)
+        for char in _character_exponents(records[i][0], group.compose, md.vacuum)
     )
     if len(hats) != len(boundaries):
         raise InternalConsistencyError(

@@ -584,14 +584,15 @@ def _run_trace(config: JobConfig):
         spectrum = fourier_eigendims(
             md, group, config.insertions, genus=config.genus
         )
+        exponents = [str(Q(j, spectrum.denominator)) for j in range(spectrum.denominator)]
         result = {
             "rank": spectrum.rank,
             "admissible": [list(t) for t in spectrum.admissible],
             "untwisted": [list(t) for t in spectrum.untwisted],
             "traces": {str(t): spectrum.traces[t] for t in spectrum.untwisted},
             "dims": {
-                ",".join(str(v) for v in key): dim
-                for key, dim in sorted(spectrum.dims.items())
+                ",".join(map(exponents.__getitem__, key)): dim
+                for key, dim in spectrum.dims.items()
             },
         }
         if config.current_tuple in spectrum.traces:

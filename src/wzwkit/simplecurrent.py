@@ -202,48 +202,52 @@ def snap_phase(z: complex) -> Q:
     return expo
 
 
-def abelian_characters(
-    elements: Iterable[int], compose, identity: int
-) -> list[dict[int, Q]]:
-    """All characters of a finite abelian group, as exact phase exponents.
+def abelian_characters(elements: Iterable, compose, identity) -> tuple[np.ndarray, int]:
+    """All characters of a finite abelian group G, as integer numerators over d = |G|.
 
-    Each character maps every element to the exponent a/b of its value
-    exp(2 pi i a/b).  The characters are built by extension along the sorted
-    elements: each element g outside the span H of the earlier ones has a
-    least n with g^n in H, the span grows to the n cosets H g^i, and each
-    character chi of H extends in exactly the n ways
-    chi(g) = (chi(g^n) + r) / n, r = 0..n-1.  Every map produced is a
-    character, so nothing is searched or tested; the work is O(|G|^2)
-    exponents.  The list is sorted by the exponent tuple over the sorted
-    elements, so the trivial character always comes first.
+    Row r holds chi_r on the sorted elements g_c: chi_r(g_c) = exp(2 pi i num / d).
+    The rows are built by extension along the sorted elements: each element
+    g outside the span H of the earlier ones has a least n with g^n in H,
+    the span grows to the n cosets H g^i, and each character of H extends in
+    exactly the n ways num(g) = (num(g^n) + r d) / n, r = 0..n-1, with
+    num(h) + i num(g) on h g^i.  The division is exact, as characters of
+    subgroups of G take d-th roots of unity; a remainder raises
+    ``InternalConsistencyError``.  Nothing is searched; the work is O(|G|^2)
+    array entries.  The rows are lexsorted, so the trivial one comes first.
     """
     elems = sorted(set(elements))
-    span = {identity}
-    chars: list[dict[int, Q]] = [{identity: Q(0)}]
+    d = len(elems)
+    span, where = [identity], {identity: 0}
+    nums = np.zeros((1, 1), dtype=np.int64)
     for g in elems:
-        if g in span:
+        if g in where:
             continue
         powers, top = [identity], g
-        while top not in span:
+        while top not in where:
             powers.append(top)
             top = compose(top, g)
         n = len(powers)
-        cosets = [(s, i, compose(s, p)) for s in span for i, p in enumerate(powers)]
-        span = {e for _, _, e in cosets}
-        chars = [
-            {e: (chi[s] + i * x) % 1 for s, i, e in cosets}
-            for chi in chars
-            for x in ((chi[top] + r) / n for r in range(n))
-        ]
-    if span != set(elems):
+        steps, rest = np.divmod(nums[:, where[top], None] + d * np.arange(n), n)
+        if rest.any():
+            raise InternalConsistencyError(f"character values are not d-th roots of unity, d = {d}")
+        # row (chi, r), column (h, i): num_chi(h) + i num(g)
+        nums = nums[:, None, :, None] + steps[:, :, None, None] * np.arange(n)
+        nums = np.remainder(nums, d, out=nums).reshape(-1, nums.shape[2] * n)
+        span = [compose(s, p) for s in span for p in powers]
+        where = {e: c for c, e in enumerate(span)}
+    if set(span) != set(elems):
         raise InternalConsistencyError("generator search did not span the group")
-    if len(chars) != len(elems):
-        raise InternalConsistencyError(
-            f"found {len(chars)} characters for a group of order {len(elems)}"
-        )
-    chars = [{e: ch[e] for e in elems} for ch in chars]
-    chars.sort(key=lambda ch: tuple(ch[e] for e in elems))
-    return chars
+    if len(nums) != d:
+        raise InternalConsistencyError(f"found {len(nums)} characters for a group of order {d}")
+    nums = nums[:, [where[e] for e in elems]]
+    return nums[np.lexsort(nums.T[::-1])], d
+
+
+def _character_exponents(elements, compose, identity) -> list[tuple[tuple[int, Q], ...]]:
+    """Each character of ``abelian_characters`` as sorted (element, exponent) pairs."""
+    nums, d = abelian_characters(elements, compose, identity)
+    elems = sorted(set(elements))
+    return [tuple(zip(elems, (Q(v, d) for v in row))) for row in nums.tolist()]
 
 
 def sj_character_matrix(
@@ -409,8 +413,8 @@ def _orbit_labels(
             )
         records.update(dict.fromkeys(orbit, (stab, len(stab) * len(u))))
         labels.extend(
-            OrbitLabel(rep, tuple(sorted(char.items())), orbit)
-            for char in abelian_characters(u, group.compose, md.vacuum)
+            OrbitLabel(rep, char, orbit)
+            for char in _character_exponents(u, group.compose, md.vacuum)
         )
     return tuple(labels), records
 

@@ -38,7 +38,6 @@ from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
 from wzwkit.simplecurrent import (
     _stabilizer_data,
-    abelian_characters,
     cocycle,
     extend_by_group,
     fixed_point_smatrix,
@@ -133,18 +132,51 @@ def oracle_cases():
         yield f"cube-klein-m{m}", md, sub, (f,) * m
 
 
+def fraction_characters(elements, compose, identity):
+    """Reference for ``abelian_characters``: the extension along the sorted
+    elements in ``Fraction`` exponents, one dict per character.
+
+    Each element g outside the span H of the earlier ones has a least n with
+    g^n in H; each character chi of H extends in the n ways
+    chi(g) = (chi(g^n) + r) / n, r = 0..n-1.  Sorted by the exponent tuple
+    over the sorted elements.
+    """
+    elems = sorted(set(elements))
+    span = {identity}
+    chars = [{identity: Q(0)}]
+    for g in elems:
+        if g in span:
+            continue
+        powers, top = [identity], g
+        while top not in span:
+            powers.append(top)
+            top = compose(top, g)
+        n = len(powers)
+        cosets = [(s, i, compose(s, p)) for s in span for i, p in enumerate(powers)]
+        span = {e for _, _, e in cosets}
+        chars = [
+            {e: (chi[s] + i * x) % 1 for s, i, e in cosets}
+            for chi in chars
+            for x in ((chi[top] + r) / n for r in range(n))
+        ]
+    assert span == set(elems) and len(chars) == len(elems)
+    chars = [{e: ch[e] for e in elems} for ch in chars]
+    chars.sort(key=lambda ch: tuple(ch[e] for e in elems))
+    return chars
+
+
 def fourier_loop_dims(md, group, spectrum):
     """Reference for the Fourier sum of ``fourier_eigendims``: one character
-    at a time, one phase per untwisted tuple."""
-    unt = spectrum.untwisted
+    at a time, one phase per untwisted tuple, keyed by the numerators."""
+    unt, d = spectrum.untwisted, spectrum.denominator
 
     def compose(a, b):
         return tuple(group.compose(x, y) for x, y in zip(a, b))
 
     dims = {}
-    for char in abelian_characters(unt, compose, (md.vacuum,) * len(spectrum.insertions)):
-        val = sum(np.conj(phase_to_complex(char[t])) * spectrum.traces[t] for t in unt) / len(unt)
-        dims[tuple(char[t] for t in sorted(unt))] = round(val.real)
+    for char in fraction_characters(unt, compose, (md.vacuum,) * len(spectrum.insertions)):
+        val = sum(np.conj(phase_to_complex(char[t])) * spectrum.traces[t] for t in unt) / d
+        dims[tuple(int(char[t] * d) for t in sorted(unt))] = round(val.real)
     return dims
 
 
@@ -343,6 +375,7 @@ class TestUntwistedOracle:
     def test_eigendims_match_the_per_character_loop(self, md, group, insertions):
         spectrum = fourier_eigendims(md, group, insertions)
         assert spectrum.dims == fourier_loop_dims(md, group, spectrum)
+        assert list(spectrum.dims) == sorted(spectrum.dims)
 
     def test_klein_four_untwisted_set_is_smaller_than_admissible(self):
         md, sub, f = klein_four_cube()
@@ -506,15 +539,50 @@ class TestEigendims:
         assert spec.traces[(0, 0)] == complex(spec.rank)
         assert sum(spec.dims.values()) == spec.rank
 
-    def test_dims_must_divide_exactly(self, monkeypatch):
-        # rank 9 with the other trace moved from -3 to -2: (9 - 2) / 2 is no integer
+    @pytest.mark.parametrize(
+        "insertions,genus,shift,rank,value,character",
+        [
+            # rank 9 with the other trace moved from -3 to -2: (9 - 2) / 2 is no integer
+            ((2, 2), 1, {(4, 4): 1}, 9, 3.5, {"(0, 0)": "0", "(4, 4)": "0"}),
+            # X_chi moves by 2 where chi tells the two moved tuples apart
+            (
+                (2, 2, 2, 2),
+                0,
+                {(0, 0, 4, 4): 1, (0, 4, 0, 4): -1},
+                3,
+                0.25,
+                {
+                    "(0, 0, 0, 0)": "0", "(0, 0, 4, 4)": "0", "(0, 4, 0, 4)": "1/2",
+                    "(0, 4, 4, 0)": "1/2", "(4, 0, 0, 4)": "0", "(4, 0, 4, 0)": "0",
+                    "(4, 4, 0, 0)": "1/2", "(4, 4, 4, 4)": "1/2",
+                },
+            ),
+            # a miss of 1e-3 is far past the float error bound of these sums
+            ((2, 2), 1, {(4, 4): 1e-3}, 9, 3.0005, {"(0, 0)": "0", "(4, 4)": "0"}),
+        ],
+        ids=["all-characters", "one-character", "past-the-float-bound"],
+    )
+    def test_dims_must_divide_exactly(
+        self, monkeypatch, insertions, genus, shift, rank, value, character
+    ):
         md, g = setup_theory(4)
         exact = blocks.symmetry_trace
-        monkeypatch.setattr(blocks, "symmetry_trace", lambda *args: exact(*args) + 1)
+        monkeypatch.setattr(
+            blocks, "symmetry_trace", lambda md, ins, t, gen: exact(md, ins, t, gen) + shift.get(t, 0)
+        )
         with pytest.raises(ConjectureViolation, match="not a non-negative integer") as err:
-            fourier_eigendims(md, g, (2, 2), genus=1)
-        assert err.value.report["rank"] == 9
-        assert err.value.report["value"] == pytest.approx(3.5)
+            fourier_eigendims(md, g, insertions, genus)
+        assert err.value.report["rank"] == rank
+        assert err.value.report["value"] == pytest.approx(value)
+        assert err.value.report["character"] == character
+
+    def test_lost_precision_is_not_a_conjecture_failure(self):
+        # the one other trace is 6^12, off by 7.6e-6 in floats, within the bound
+        md, g = setup_theory(10)
+        assert 1e-6 < abs(symmetry_trace(md, (5, 5), (10, 10), 12) - 6**12) < 1e-5
+        with pytest.raises(PrecisionExhausted, match="within their float error bound") as err:
+            fourier_eigendims(md, g, (5, 5), genus=12)
+        assert float(str(err.value).rsplit(" ", 1)[1]) < 1e-4
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -798,9 +798,8 @@ class TestExactRanks:
                 [(rank + 2176782336) // 2, (rank - 2176782336) // 2]
             )
         else:
-            assert status == EXIT_INVARIANT
-            assert doc["error"]["code"] == "conjecture-failure"
-            assert doc["error"]["report"]["rank"] == rank
+            assert status == EXIT_PRECISION
+            assert doc["error"]["code"] == "precision-exhausted"
 
 
 class TestFailureReports:

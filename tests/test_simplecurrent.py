@@ -11,7 +11,7 @@ import pytest
 
 import wzwkit.simplecurrent as simplecurrent
 from wzwkit.affine import modular_data
-from wzwkit.blocks import fourier_eigendims
+from wzwkit.blocks import fourier_eigendims, untwisted_tuples
 from wzwkit.boundary import classifying_algebra
 from wzwkit.errors import (
     ExtensionRejected,
@@ -36,7 +36,7 @@ from wzwkit.simplecurrent import (
     snap_phase,
 )
 
-from test_blocks import klein_four_cube
+from test_blocks import fraction_characters, klein_four_cube
 
 
 def md_su2(k):
@@ -298,36 +298,84 @@ class TestCocycle:
         assert abs(val - (-1.0)) < 1e-9
 
 
+def cyclic(n):
+    return range(n), lambda x, y: (x + y) % n, 0
+
+
+def tuple_group(algebra, level, label, m):
+    """The untwisted tuple group of m insertions of one label."""
+    md = modular_data(algebra, level)
+    group = simple_currents(md)
+
+    def compose(a, b):
+        return tuple(group.compose(x, y) for x, y in zip(a, b))
+
+    insertions = (md.index(label),) * m
+    return untwisted_tuples(md, group, insertions), compose, (md.vacuum,) * m
+
+
+def klein_four():
+    md, sub, _ = klein_four_cube()
+    return sub.indices, sub.compose, md.vacuum
+
+
+def center(algebra, level):
+    md = modular_data(algebra, level)
+    group = simple_currents(md)
+    return group.indices, group.compose, md.vacuum
+
+
+CHARACTER_GROUPS = (
+    [pytest.param(lambda n=n: cyclic(n), id=f"Z{n}") for n in range(2, 13)]
+    + [pytest.param(klein_four, id="klein-four")]
+    + [
+        pytest.param(lambda m=m: tuple_group("A1", 4, (2,), m), id=f"A1-4-m{m}")
+        for m in range(1, 11)
+    ]
+    + [
+        pytest.param(lambda m=m: tuple_group("A2", 3, (1, 1), m), id=f"A2-3-m{m}")
+        for m in range(1, 6)
+    ]
+    + [pytest.param(lambda: center("A3", 1), id="A3-center")]
+)
+
+
 class TestCharacters:
     def test_z2_characters(self):
         md = md_su2(2)
         g = simple_currents(md)
-        chars = abelian_characters(g.indices, g.compose, 0)
-        assert len(chars) == 2
-        assert all(v == 0 for v in chars[0].values())
-        j = md.index((2,))
-        assert chars[1][j] == Q(1, 2)
+        nums, d = abelian_characters(g.indices, g.compose, 0)
+        assert d == 2
+        assert nums.tolist() == [[0, 0], [0, 1]]
+        assert g.indices == (0, md.index((2,)))
 
     def test_z3_characters(self):
         md = modular_data("A2", 1)
         g = simple_currents(md)
-        chars = abelian_characters(g.indices, g.compose, 0)
-        assert len(chars) == 3
-        exponents = sorted(ch[g.indices[1]] for ch in chars)
-        assert exponents == [Q(0), Q(1, 3), Q(2, 3)]
+        nums, d = abelian_characters(g.indices, g.compose, 0)
+        assert d == 3
+        assert sorted(nums[:, 1].tolist()) == [0, 1, 2]
 
     def test_klein_four_characters(self):
-        md = su2_cube(2)
-        g = simple_currents(md)
-        j022 = md.index((((0,), (2,)), (2,)))
-        j202 = md.index((((2,), (0,)), (2,)))
-        sub = g.subgroup((j022, j202))
-        assert sub.order == 4
-        chars = abelian_characters(sub.indices, sub.compose, 0)
-        assert len(chars) == 4
-        for ch in chars:
-            assert all(v in (Q(0), Q(1, 2)) for v in ch.values())
+        elems, compose, identity = klein_four()
+        nums, d = abelian_characters(elems, compose, identity)
+        assert nums.shape == (4, 4) and d == 4
+        assert set(nums.ravel().tolist()) == {0, 2}
 
+    @pytest.mark.parametrize("build", CHARACTER_GROUPS)
+    def test_numerators_match_the_fraction_extension(self, build):
+        elems, compose, identity = build()
+        nums, d = abelian_characters(elems, compose, identity)
+        assert nums.dtype == np.int64 and d == len(set(elems))
+        order = sorted(set(elems))
+        expected = [[ch[e] * d for e in order] for ch in fraction_characters(elems, compose, identity)]
+        assert nums.tolist() == expected
+
+    def test_a_remainder_is_an_internal_error(self):
+        # {0, 1, 2} under addition mod 4 is no group: 1 has order 4, which
+        # does not divide 3, so its exponents are no numerators over 3
+        with pytest.raises(InternalConsistencyError, match="not d-th roots of unity, d = 3"):
+            abelian_characters(range(3), lambda x, y: (x + y) % 4, 0)
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["radix", "shuffled"])
     @pytest.mark.parametrize(
@@ -380,7 +428,8 @@ class TestCharacters:
                 expected.append(char)
         expected.sort(key=lambda ch: tuple(ch[e] for e in elems))
         assert len(expected) == order
-        assert abelian_characters(elems, compose, label[0]) == expected
+        nums, d = abelian_characters(elems, compose, label[0])
+        assert [{e: Q(v, d) for e, v in zip(elems, row)} for row in nums.tolist()] == expected
 
 
 class TestOrbitData:
