@@ -9,11 +9,11 @@ The sum is symmetric in a and b for any S, since rows a and b enter only
 through their elementwise product, so it runs as one pass over the pairs
 a <= b, one BLAS product per row a, holding O(n^2) at a time; the pairs b < a
 are read from the mirror.  Every pass fills a memoized summary: the worst
-residual, the most negative rounded entry and the fusion permutation of each
-row with one channel per b.  ``verify_fusion`` and ``simple_currents`` read
-only the summary, so checking a theory never stores the n^3 tensor; only
+residual and the most negative rounded entry.  ``verify_fusion`` reads only
+the summary, so checking a theory never stores the n^3 tensor; only
 ``verlinde_tensor`` (the ``fusion`` report and block ranks) keeps the rounded
-rows, as an int64 array.
+rows, as an int64 array.  ``simple_currents`` runs no pass: it takes each
+current's fusion from the current's own S row.
 """
 
 from __future__ import annotations
@@ -45,19 +45,16 @@ class _Summary(NamedTuple):
     value: complex  # the raw sum at ``worst``
     neg: tuple[int, int, int]  # first smallest rounded entry
     lowest: float
-    perms: dict[int, tuple[int, ...]]  # row a -> (c with N_ab^c = 1 for each b)
 
 
 def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
     """One pass over the pairs a <= b: N_a[b - a] = (S_b diag(S_a)) (conj(S) / S_0)^T.
 
     Row a multiplies only the rows b >= a of S; its rounded rows are written
-    into ``tensor[a, a:]`` and, mirrored, ``tensor[a:, a]``, or dropped.  A
-    pair's channel count and first channel are kept at [a, b], so row a is a
-    current row when each of its pairs, those kept at [b, a] by the earlier
-    rows b < a included, has exactly one channel.  The tensor is symmetric in
-    (a, b), so its first largest residual and first smallest entry in C order
-    lie at a <= b, where the scan in (a, b >= a, c) order meets them first.
+    into ``tensor[a, a:]`` and, mirrored, ``tensor[a:, a]``, or dropped.  The
+    tensor is symmetric in (a, b), so its first largest residual and first
+    smallest entry in C order lie at a <= b, where the scan in (a, b >= a, c)
+    order meets them first.
     A non-finite sum counts as residual inf.
 
     A real S runs in float64: one with exactly real entries (every A1
@@ -74,7 +71,6 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
     n = len(s)
     residual, lowest = -1.0, np.inf
     neg = (0, 0, 0)  # kept only if every row holds a NaN, whose residual inf is reported first
-    count, channel = np.zeros((n, n)), np.zeros((n, n), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dual = (s.conj() / s[0]).T
         for a in range(n):
@@ -92,14 +88,7 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
             if rounded.min() < lowest:
                 i = int(np.argmin(rounded))
                 lowest, neg = float(rounded.flat[i]), (a, a + i // n, i % n)
-            count[a, a:] = rounded.sum(axis=1)
-            channel[a, a:] = rounded.argmax(axis=1)
-    one = count == 1  # False on the unfilled triangle below the diagonal
-    perms = {
-        a: tuple(channel[:a, a].tolist() + channel[a, a:].tolist())
-        for a in np.flatnonzero((one | one.T).all(axis=1)).tolist()
-    }
-    return _Summary(residual, worst, value, neg, lowest, perms)
+    return _Summary(residual, worst, value, neg, lowest)
 
 
 def _summary(md: ModularData) -> _Summary:
@@ -157,14 +146,17 @@ def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
 class SimpleCurrentGroup:
     """The group of simple currents of one theory, acting on primary labels.
 
-    ``indices`` lists the currents as label indices (vacuum first); ``perms``
-    holds the fusion permutation of each current.  Monodromy charges are
-    exact rationals mod 1.
+    ``perms`` holds the fusion permutation of each current, keyed by label
+    index in ascending order (vacuum first).  Monodromy charges are exact
+    rationals mod 1.
     """
 
     md: ModularData
-    indices: tuple[int, ...]
     perms: dict[int, tuple[int, ...]]
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.perms)
 
     @property
     def order(self) -> int:
@@ -223,34 +215,41 @@ class SimpleCurrentGroup:
                     raise InternalConsistencyError(f"index {j} is not a simple current")
                 elems.add(j)
                 frontier.extend(self.compose(j, e) for e in list(elems))
-        idx = tuple(sorted(elems))
-        return SimpleCurrentGroup(self.md, idx, {j: self.perms[j] for j in idx})
+        return SimpleCurrentGroup(self.md, {j: self.perms[j] for j in sorted(elems)})
 
 
 def simple_currents(md: ModularData) -> SimpleCurrentGroup:
-    """Detect the full simple-current group, cross-checking two criteria.
+    """The full simple-current group, each current's fusion from its own S row.
 
-    A current is a primary whose vacuum S entry is within 1e-9 of the
-    vacuum's own; independently it must fuse with every primary into exactly
-    one channel.  Disagreement between the two tests is an internal error.
+    The vacuum and each primary whose vacuum S entry is within 1e-9 of the
+    vacuum's own is a current.  Its fusion matrix N_ja^c is the one product
+    (S diag(S_j / S_0)) S^dagger, which must round to integers within 1e-6,
+    else ``IntegralityError`` names the first worst (j, a, c), and then to a
+    permutation matrix.  No whole-ring pass runs: at j = 0 the product is
+    S S^dagger = 1, so an error anywhere in S moves a checked entry.
     """
-    s0 = md.smatrix[0]
-    by_smatrix = {j for j in range(md.dim) if abs(s0[j] - s0[0]) <= 1e-9}
-    verify_fusion(md)
-    perms = _summary(md).perms
-    if by_smatrix != set(perms):
-        raise InternalConsistencyError(
-            "simple-current criteria disagree: "
-            f"S-matrix test gives {sorted(by_smatrix)}, fusion test gives {sorted(perms)}"
-        )
-    if any(sorted(perm) != list(range(md.dim)) for perm in perms.values()):
+    s = md.smatrix
+    dual = s.conj().T
+    residual, perms = -1.0, {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in (j for j in range(md.dim) if not j or abs(s[0, j] - s[0, 0]) <= 1e-9):
+            raw = (s * (s[j] / s[0])) @ dual  # raw[a, c] = N_ja^c
+            rounded = np.round(raw.real)
+            off = np.abs(raw - rounded)
+            off[np.isnan(off)] = np.inf
+            if (top := off.max()) > residual:
+                a, c = divmod(int(np.argmax(off)), md.dim)
+                residual, worst, value = float(top), (j, a, c), complex(raw[a, c])
+            # non-negative integers with unit row and column sums form a permutation matrix
+            unit = (rounded.sum(axis=0) == 1).all() and (rounded.sum(axis=1) == 1).all()
+            perms[j] = tuple(rounded.argmax(axis=1).tolist()) if unit and rounded.min() >= 0 else None
+    if residual > 1e-6:
+        raise IntegralityError("fusion coefficient", value, residual, tuple(md.labels[i] for i in worst))
+    if None in perms.values():
         raise InternalConsistencyError("simple-current fusion is not a permutation")
-    group = SimpleCurrentGroup(md, tuple(perms), dict(perms))
-    for j1 in group.indices:
-        for j2 in group.indices:
-            if group.compose(j1, j2) not in perms:
-                raise InternalConsistencyError("simple currents are not closed under fusion")
-    return group
+    if any(perms[j1][j2] not in perms for j1 in perms for j2 in perms):
+        raise InternalConsistencyError("simple currents are not closed under fusion")
+    return SimpleCurrentGroup(md, perms)
 
 
 def tensor_product(md1: ModularData, md2: ModularData) -> ModularData:

@@ -690,10 +690,10 @@ class TestSingleConstructions:
             (["fusion", "A1", "--level", "4"], [("A1", 4, True)]),
             (
                 ["extend", "A1", "--level", "4", "--group", "center"],
-                [("A1", 4, False), ("A1/ext", 4, False)],
+                [("A1/ext", 4, False)],
             ),
             (["orbifold", "A1", "--level", "4", "--shift", "1"], [("A1/orb", 4, False)]),
-            (["boundary", "A1", "--level", "4", "--group", "center"], [("A1", 4, False)]),
+            (["boundary", "A1", "--level", "4", "--group", "center"], []),
             (
                 "trace A1 --level 4 --conjecture 1 --insertions 2,2 --genus 1".split(),
                 [("A1", 4, True)],

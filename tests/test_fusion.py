@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import wzwkit.fusion
 from wzwkit.affine import modular_data, verify_modular_invariants
-from wzwkit.errors import IntegralityError, InvariantViolation
+from wzwkit.errors import IntegralityError, InternalConsistencyError, InvariantViolation
 from wzwkit.fusion import simple_currents, tensor_product, verify_fusion, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
+from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
 from wzwkit.simplecurrent import extend_by_group, fixed_point_smatrix
 
 
@@ -90,9 +91,11 @@ def oracle_theories():
 def oracle_theory(label, k):
     if label == "A1*A2":
         return tensor_product(modular_data("A1", k), modular_data("A2", k))
-    if label == "A1/ext":
-        parent = modular_data("A1", k)
+    if label.endswith("/ext"):
+        parent = modular_data(label[:-4], k)
         return extend_by_group(parent, simple_currents(parent)).md
+    if label.endswith("/orb"):
+        return assemble_orbifold(inner_orbifold_input(modular_data(label[:-4], k), (1,))).md
     return modular_data(label, k)
 
 
@@ -264,8 +267,8 @@ class TestStreamedSummary:
         md = oracle_theory(label, k)
         s = streamed_operand(md)
         summary = wzwkit.fusion._verlinde(md)
-        _, residual, _, _, *exact = full_tensor_verlinde(md, s)
-        assert (summary.neg, summary.lowest, summary.perms) == tuple(exact)
+        _, residual, _, _, neg, lowest, _ = full_tensor_verlinde(md, s)
+        assert (summary.neg, summary.lowest) == (neg, lowest)
         assert summary.worst[0] <= summary.worst[1]
         bound = summation_bound(s)
         assert abs(summary.residual - residual) <= bound
@@ -315,7 +318,7 @@ class TestStreamedSummary:
         spied = dataclasses.replace(md, smatrix=md.smatrix.view(Spy))
         summary = wzwkit.fusion._verlinde(spied)
         assert products[-md.dim :] == [("float64", "float64")] * md.dim
-        assert tuple(summary) == full_tensor_verlinde(md, md.smatrix.real)[1:]
+        assert tuple(summary) == full_tensor_verlinde(md, md.smatrix.real)[1:-1]
 
     def test_tensor_pass_fills_the_summary(self):
         md = modular_data("A2", 4)
@@ -432,6 +435,61 @@ class TestSimpleCurrents:
         j = [i for i in g.indices if i != 0][0]
         sub = g.subgroup((j,))
         assert sub.order == 3
+
+    @pytest.mark.parametrize(
+        "label,k",
+        [
+            *oracle_theories(),
+            pytest.param("A2/ext", 3, id="A2-3-ext"),
+            pytest.param("A1/orb", 4, id="A1-4-orb"),
+            pytest.param("A1/orb", 30, id="A1-30-orb"),
+        ],
+    )
+    def test_permutations_match_the_full_tensor(self, label, k):
+        md = oracle_theory(label, k)
+        perms = full_tensor_verlinde(md)[-1]
+        g = simple_currents(md)
+        assert g.perms == perms
+        assert g.indices == tuple(sorted(perms))
+
+    def test_runs_no_whole_ring_pass(self, monkeypatch):
+        monkeypatch.setattr(wzwkit.fusion, "_verlinde", None)
+        md = modular_data("A2", 6)
+        assert simple_currents(md).order == 3
+        assert "verlinde_summary" not in md._memo
+
+    @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
+    @pytest.mark.parametrize("shift", [1e-3, 1e-3j])
+    def test_tampered_current_row_raises_at_the_current(self, label, k, shift):
+        md = modular_data(label, k)
+        j = simple_currents(md).indices[-1]
+        tampered = md.smatrix.copy()
+        tampered[j, 2] += shift
+        md = dataclasses.replace(md, smatrix=tampered)
+        with pytest.raises(IntegralityError) as exc:
+            simple_currents(md)
+        assert exc.value.what == "fusion coefficient"
+        assert exc.value.where[0] == md.labels[j]
+        assert exc.value.residual > 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
+    @pytest.mark.parametrize("vacuum", [False, True], ids=["current-row", "vacuum-entry"])
+    def test_non_finite_current_row_raises(self, label, k, vacuum):
+        # a NaN S_00 makes no label pass the S-entry test, yet the vacuum row is checked
+        md = modular_data(label, k)
+        j = simple_currents(md).indices[-1]
+        tampered = md.smatrix.copy()
+        tampered[(0, 0) if vacuum else (j, 1)] = np.nan
+        md = dataclasses.replace(md, smatrix=tampered)
+        with pytest.raises(IntegralityError) as exc:
+            simple_currents(md)
+        assert exc.value.residual == np.inf
+
+    def test_flipped_sign_is_not_a_permutation(self):
+        # the current's row stays integral, but N_{J1}^{J-1} becomes -1
+        with pytest.raises(InternalConsistencyError, match="not a permutation"):
+            simple_currents(flipped(modular_data("A1", 6), 1))
 
 
 class TestTensorProduct:
