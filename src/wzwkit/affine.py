@@ -137,9 +137,14 @@ class ModularData:
             "t_diagonal", lambda md: np.array([phase_to_complex(e) for e in md.t_exponents])
         )
 
+    def invariants(self) -> dict:
+        """The invariants pass, run once per theory; its S @ S (n^2 complex) stays
+        alive with the theory for the orbifold's twining check."""
+        return self._derived("invariants", _invariant_residuals)
+
     def conjugation_permutation(self) -> tuple[int, ...]:
         """Permutation i -> conj(i) read off from S squared in the invariants pass."""
-        return self._derived("invariants", _invariant_residuals)["conjugation"]
+        return self.invariants()["conjugation"]
 
 
 # Largest |W| that the Weyl sum runs over with J empty, that is over W itself.
@@ -291,10 +296,11 @@ def _coset_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int)
 
 
 def _invariant_residuals(md: ModularData) -> dict:
-    """Residual of each defining relation, and the conjugation permutation."""
+    """Residual of each defining relation, the conjugation permutation and S @ S."""
     s = md.smatrix
     eye = np.eye(md.dim)
     s2 = s @ s
+    s2.flags.writeable = False
     perm = np.round(s2.real)
     st = s * md.t_diagonal()[np.newaxis, :]
     return {
@@ -306,6 +312,7 @@ def _invariant_residuals(md: ModularData) -> dict:
         "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
         "st_cubed": float(np.abs(st @ st @ st - s2).max()),
         "conjugation": tuple(np.argmax(np.abs(s2), axis=1).tolist()),
+        "s_squared": s2,
     }
 
 
@@ -316,7 +323,7 @@ def verify_modular_invariants(md: ModularData, tol: float = 1e-9) -> dict[str, f
     residuals are computed once per theory; each call compares them with
     its own ``tol`` and raises on the first relation that fails.
     """
-    table = md._derived("invariants", _invariant_residuals)
+    table = md.invariants()
     residuals: dict[str, float] = {}
 
     def check(name: str) -> None:

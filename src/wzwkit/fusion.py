@@ -9,18 +9,20 @@ The sum is symmetric in a and b for any S, since rows a and b enter only
 through their elementwise product, so it runs as one pass over the pairs
 a <= b, one BLAS product per row a, holding O(n^2) at a time; the pairs b < a
 are read from the mirror.  Every pass fills a memoized summary: the worst
-residual and the most negative rounded entry.  ``verify_fusion`` reads only
-the summary, so checking a theory never stores the n^3 tensor; only
-``verlinde_tensor`` (the ``fusion`` report and block ranks) keeps the rounded
-rows, as an int64 array.  ``simple_currents`` runs no pass: it takes each
+residual and the most negative rounded entry.  Only ``verlinde_tensor`` (the
+``fusion`` report and block ranks) keeps the rounded rows, as int64.
+``verify_fusion`` reads the summary, or for A_r checks the O(2^r n^2) Pieri
+certificate instead.  ``simple_currents`` runs no pass: it takes each
 current's fusion from the current's own S row.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -104,41 +106,102 @@ def _tensor(md: ModularData) -> np.ndarray:
     return tensor
 
 
-def verify_fusion(md: ModularData, tol: float = 1e-6) -> float:
-    """The largest residual |x - round(x)| of the Verlinde sums, once each is
-    checked to round to a non-negative integer.
+def _pieri_rank(md: ModularData) -> int:
+    """r for an untwisted A_r theory whose 2^(r+1) - 2 Pieri gathers, n^2 entries
+    each, are fewer than the n BLAS products of the pass, up to n^3 each; else 0."""
+    match = re.fullmatch(r"A([1-9][0-9]*)", md.algebra)
+    r = int(match[1]) if match and md.factors is None and md.level >= 0 else 0
+    return r if 2 ** (r + 1) - 2 < md.dim else 0
 
-    The sum runs at most once per theory and stores no fusion tensor.  Each
-    call applies its own ``tol`` and raises ``IntegralityError`` at the first
-    worst entry, or at the first negative one.
-    """
-    summary = _summary(md)
+
+def _pieri_targets(md: ModularData, r: int) -> list[np.ndarray]:
+    """N_{omega_i} for i = 1..r: entry [w, a] is the index of the label lambda_a + w,
+    or n if that is no label, for w a weight of the i-th exterior power: a sum
+    of i distinct eps_j, each +1 at Dynkin label j and -1 at j - 1.  Every
+    omega_i is minuscule, so N_{omega_i lambda}^mu is 1 for each integrable
+    mu = lambda + w, else 0, with no affine reflection (Walton, Nucl. Phys.
+    B340 (1990) 777)."""
+    n, index = md.dim, {lab: i for i, lab in enumerate(md.labels)}
+    eps = np.eye(r + 1, r, dtype=int) - np.eye(r + 1, r, k=-1, dtype=int)
+    labels = np.array(md.labels, dtype=int).reshape(n, r)
+    return [
+        np.array([
+            [index.get(tuple(mu), n) for mu in (labels + eps[list(subset)].sum(axis=0)).tolist()]
+            for subset in combinations(range(r + 1), size)
+        ])
+        for size in range(1, r + 1)
+    ]
+
+
+def _pieri_certificate(md: ModularData) -> tuple[float, tuple | None, complex]:
+    """max(|N_omega S - S diag(S_omega / S_0)|, the unitarity residual), with the
+    labels (omega, a) of the first worst entry of the first term in C order,
+    or None where the unitarity is larger; a NaN entry counts as inf."""
+    r, s, n = _pieri_rank(md), md.smatrix, md.dim
+    padded = np.vstack([s, np.zeros((1, n))])  # row n: lambda + w is no label
+    residual = -1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, targets in enumerate(_pieri_targets(md, r)):
+            omega = md.index(tuple(int(j == i) for j in range(r)))
+            raw = sum(padded[t] for t in targets) - s * (s[omega] / s[0])
+            off = np.abs(raw)
+            off[np.isnan(off)] = np.inf
+            if (top := off.max()) > residual:
+                a, k = divmod(int(np.argmax(off)), n)
+                residual, worst, value = float(top), (md.labels[omega], md.labels[a]), complex(raw[a, k])
+        if (unitarity := md.invariants()["unitarity"]) > residual:
+            residual, worst, value = unitarity, None, unitarity
+    return residual, worst, value
+
+
+def _checked(md: ModularData, summary: _Summary, tol: float) -> float:
+    """``summary.residual`` once the pass's sums round to non-negative integers."""
     if summary.residual > tol:
-        raise IntegralityError(
-            "fusion coefficient",
-            summary.value,
-            summary.residual,
-            tuple(md.labels[i] for i in summary.worst),
-        )
+        where = tuple(md.labels[i] for i in summary.worst)
+        raise IntegralityError("fusion coefficient", summary.value, summary.residual, where)
     if summary.lowest < 0:
-        raise IntegralityError(
-            "fusion coefficient (negative)",
-            summary.lowest,
-            -summary.lowest,
-            tuple(md.labels[i] for i in summary.neg),
-        )
+        where = tuple(md.labels[i] for i in summary.neg)
+        raise IntegralityError("fusion coefficient (negative)", summary.lowest, -summary.lowest, where)
     return summary.residual
+
+
+def verify_fusion(md: ModularData, tol: float = 1e-6) -> float:
+    """A residual, at most ``tol``, that certifies each Verlinde sum a non-negative
+    integer, else ``IntegralityError``; computed once per theory, no tensor kept.
+
+    An untwisted A_r theory whose Pieri matrices N_omega (``_pieri_targets``)
+    take fewer gathers than the pass takes row products returns the Pieri
+    certificate, max(max_omega |N_omega S - S diag(S_omega / S_0)|, the
+    unitarity residual), and names (omega, a) or, for the unitarity, nothing.
+    In exact arithmetic a certificate of 0 makes each S_a / S_0 the integer
+    polynomial P_a of the rows S_omega / S_0 that the Pieri recursion gives, so
+    with S unitary each Verlinde matrix S diag(S_a / S_0) S^dagger is
+    P_a(N_omega...), the Kac-Walton fusion matrix: integral and non-negative.
+    2 S obeys the eigen-relation, hence the unitarity term.  In floats the true
+    S measures at most 3.5e-14 on A1 up to level 300 (its unitarity), 5.8e-14 on
+    A2 up to level 40 and 5.4e-14 on A3 up to level 12.
+
+    Any other theory returns the largest |x - round(x)| over the Verlinde sums
+    from the memoized summary of the pass, and names the first worst sum, or
+    the first negative one.
+    """
+    if not _pieri_rank(md):
+        return _checked(md, _summary(md), tol)
+    residual, where, value = md._derived("pieri_certificate", _pieri_certificate)
+    if not residual <= tol:
+        raise IntegralityError("fusion coefficient (Pieri certificate)", value, residual, where)
+    return residual
 
 
 def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     """All fusion multiplicities N[a, b, c] = N_{ab}^c as a read-only integer array.
 
-    The n^3 int64 tensor is built once per theory, by the same row pass as
-    ``verify_fusion``, which it fills on the way; apart from the tensor the
-    pass holds O(n^2).  The tensor is checked as ``verify_fusion(md, tol)``.
+    The n^3 int64 tensor is built once per theory by the row pass, which fills
+    its summary on the way; apart from the tensor the pass holds O(n^2).  Each
+    call checks the summary at its own ``tol``, as ``verify_fusion`` off A_r.
     """
     tensor = md._derived("verlinde", _tensor)
-    verify_fusion(md, tol)
+    _checked(md, _summary(md), tol)
     return tensor
 
 

@@ -196,7 +196,7 @@ def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularD
 
     verify_fusion(omd, tol=max(tol, 1e-6))
 
-    s0sq = oin.s0 @ oin.s0
+    s0sq = md.invariants()["s_squared"]  # S @ S, the twining matrix squared
     perm_res = np.abs(np.abs(s0sq) - np.round(np.abs(s0sq))).max()
     residuals["twining_square_permutation"] = float(perm_res)
     if perm_res > tol:

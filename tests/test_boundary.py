@@ -29,7 +29,12 @@ from wzwkit.errors import (
 )
 from wzwkit.fusion import simple_currents, verlinde_tensor
 from wzwkit.orbifold import assemble_orbifold, dual_current_label, inner_orbifold_input
-from wzwkit.simplecurrent import _orbit_labels, _stabilizer_data, fixed_point_smatrix
+from wzwkit.simplecurrent import (
+    _orbit_labels,
+    _stabilizer_data,
+    extend_by_group,
+    fixed_point_smatrix,
+)
 
 from test_blocks import klein_four_cube
 from test_simplecurrent import SJ_THEORIES, entrywise_sj_sum
@@ -170,6 +175,34 @@ class TestZ2Orbifold:
         _, orb, dual = z2_level4
         dec = automorphism_type_decomposition(classifying_algebra(orb.md, dual))
         assert dec.parts == (("1", (0, 1, 2, 3, 4)), ("sigma", (5, 6, 7, 8, 9)))
+
+
+def boundary_count_cases():
+    """(theory, group, tr Z): the integer-spin groups of the criterion-9 suite,
+    then the full centers of A1 at levels 4-16 and A2 at levels 3-9."""
+    md = modular_data("A1", 3)
+    yield md, simple_currents(md).subgroup(()), 4
+    for level, trace in ((2, 6), (4, 10)):
+        _, orb, dual = orbifold_setup(level)
+        yield orb.md, dual, trace
+    for label, level, trace in [("A1", 4, 4), ("A1", 8, 6), ("A1", 12, 8), ("A1", 16, 10),
+                                ("A2", 3, 6), ("A2", 6, 12), ("A2", 9, 21)]:
+        md = modular_data(label, level)
+        yield md, simple_currents(md), trace
+
+
+class TestBoundaryCount:
+    def test_boundary_labels_count_the_ishibashi_states(self):
+        # completeness: as many boundary labels as Ishibashi states, tr Z
+        # (hep-th/0007174); tr ZC differs, 15 at A2 level 9
+        for md, group, trace in boundary_count_cases():
+            algebra = classifying_algebra(md, group)
+            zmatrix = extend_by_group(md, group).zmatrix
+            counts = (algebra.dim, len(algebra.boundary_labels), int(np.trace(zmatrix)))
+            assert counts == (trace,) * 3, (md.algebra, md.level)
+        md = modular_data("A2", 9)
+        zmatrix, conj = extend_by_group(md, simple_currents(md)).zmatrix, md.conjugation_permutation()
+        assert sum(zmatrix[a][conj[a]] for a in range(md.dim)) == 15
 
 
 class TestGuards:

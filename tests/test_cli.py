@@ -686,7 +686,8 @@ class TestSingleConstructions:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            (["check", "A1", "--level", "4"], [("A1", 4, False)]),
+            (["check", "B2", "--level", "4"], [("B2", 4, False)]),
+            (["check", "A1", "--level", "4"], []),
             (["fusion", "A1", "--level", "4"], [("A1", 4, True)]),
             (
                 ["extend", "A1", "--level", "4", "--group", "center"],
@@ -699,7 +700,7 @@ class TestSingleConstructions:
                 [("A1", 4, True)],
             ),
         ],
-        ids=["check", "fusion", "extend", "orbifold", "boundary", "trace"],
+        ids=["check", "check-pieri", "fusion", "extend", "orbifold", "boundary", "trace"],
     )
     def test_verlinde_sum_runs_once_per_job(self, argv, expected, monkeypatch):
         # (theory, whether the pass stored the tensor), one entry per row loop
@@ -723,17 +724,18 @@ class TestSingleConstructions:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "_load", load)
-        tracemalloc.start()
-        try:
-            _, status = run_json(["check", "A1", "--level", "150"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert status == EXIT_OK
-        (md,) = loaded
-        memoized = md._memo
-        assert "verlinde_summary" in memoized and "verlinde" not in memoized
-        assert peak < md.dim**3 * 8
+        # B2 runs the streamed pass, A1 the Pieri certificate
+        for algebra, level, check in [("B2", 20, "verlinde_summary"), ("A1", 150, "pieri_certificate")]:
+            tracemalloc.start()
+            try:
+                _, status = run_json(["check", algebra, "--level", str(level)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert status == EXIT_OK
+            memoized = loaded[-1]._memo
+            assert check in memoized and "verlinde" not in memoized
+            assert peak < loaded[-1].dim ** 3 * 8
 
     def test_one_svd_per_classifying_algebra(self, monkeypatch):
         svd = np.linalg.svd

@@ -79,6 +79,12 @@ def full_row_entry(s, a, b, c):
     return ((s * s[a]) @ (s.conj() / s[0]).T)[b, c]
 
 
+def verify_streamed(md, tol=1e-6):
+    """``verify_fusion`` as it reads the streamed pass, the route of every theory
+    without a Pieri certificate, whichever route ``md`` takes."""
+    return wzwkit.fusion._checked(md, wzwkit.fusion._summary(md), tol)
+
+
 def oracle_theories():
     yield from (pytest.param("A1", k, id=f"A1-{k}") for k in range(1, 61))
     yield from (pytest.param("A2", k, id=f"A2-{k}") for k in range(1, 11))
@@ -175,11 +181,16 @@ class TestDerivedOncePerSMatrix:
         md = modular_data("A1", 4)
         verlinde_tensor(md)
         residuals = verify_modular_invariants(md)
-        fusion_residual = verify_fusion(md)
+        fusion_residual = verify_streamed(md)
         assert 0 < fusion_residual <= 1e-6
         with pytest.raises(IntegralityError) as exc:
             verlinde_tensor(md, tol=fusion_residual / 2)
         assert exc.value.residual == fusion_residual
+        certificate = verify_fusion(md)
+        assert 0 < certificate <= 1e-6
+        with pytest.raises(IntegralityError) as exc:
+            verify_fusion(md, tol=certificate / 2)
+        assert exc.value.residual == certificate == verify_fusion(md)
         with pytest.raises(InvariantViolation) as exc:
             verify_modular_invariants(md, tol=residuals["unitarity"] / 2)
         assert exc.value.relation == "unitarity"
@@ -230,13 +241,13 @@ class TestDerivedOncePerSMatrix:
         residual = np.abs(raw - np.round(raw.real))
         bound = summation_bound(s)
         assert np.array_equal(verlinde_tensor(md), np.round(raw.real))
-        assert abs(verify_fusion(md) - residual.max()) <= bound
+        assert abs(verify_streamed(md) - residual.max()) <= bound
         with pytest.raises(IntegralityError) as exc:
             verlinde_tensor(md, tol=0.0)
         worst = tuple(md.index(lab) for lab in exc.value.where)
         assert residual.max() - residual[worst] <= bound
         assert abs(exc.value.value - raw[worst]) <= bound
-        assert exc.value.residual == verify_fusion(md)
+        assert exc.value.residual == verify_streamed(md)
 
     def test_peak_memory_is_the_integer_tensor(self):
         md = modular_data("A1", 60)
@@ -334,7 +345,7 @@ class TestStreamedSummary:
         tampered[1, 2] += shift
         md = dataclasses.replace(md, smatrix=tampered)
         _, residual, worst, value, *_ = full_tensor_verlinde(md, streamed_operand(md))
-        for check in (verify_fusion, verlinde_tensor):
+        for check in (verify_streamed, verlinde_tensor):
             with pytest.raises(IntegralityError) as exc:
                 check(md)
             assert exc.value.what == "fusion coefficient"
@@ -352,7 +363,7 @@ class TestStreamedSummary:
         s = streamed_operand(md)
         _, residual, (a, b, c), value, *_ = full_tensor_verlinde(md, s)
         bound = summation_bound(s)
-        for check in (verify_fusion, verlinde_tensor):
+        for check in (verify_streamed, verlinde_tensor):
             with pytest.raises(IntegralityError) as exc:
                 check(md)
             assert exc.value.what == "fusion coefficient"
@@ -371,7 +382,7 @@ class TestStreamedSummary:
         md = dataclasses.replace(md, smatrix=tampered)
         # every sum with ``row`` among a, b, c (or, for row 0, every sum) takes
         # the bad entry, so the first in C order is (0, 0, row)
-        for check in (verify_fusion, verlinde_tensor):
+        for check in (verify_streamed, verlinde_tensor):
             with pytest.raises(IntegralityError) as exc:
                 check(md)
             assert exc.value.what == "fusion coefficient"
@@ -383,12 +394,126 @@ class TestStreamedSummary:
         md = flipped(modular_data(label, k), 1)
         *_, neg, lowest, _ = full_tensor_verlinde(md, streamed_operand(md))
         assert lowest == -1
-        for check in (verify_fusion, verlinde_tensor):
+        for check in (verify_streamed, verlinde_tensor):
             with pytest.raises(IntegralityError) as exc:
                 check(md)
             assert exc.value.what == "fusion coefficient (negative)"
             assert exc.value.where == tuple(md.labels[i] for i in neg)
             assert exc.value.value == lowest
+
+
+def fundamental(md, i):
+    """Label index of the i-th fundamental weight of an A_r theory."""
+    return md.index(tuple(int(j == i - 1) for j in range(len(md.labels[0]))))
+
+
+def pieri_matrix(md, i):
+    """N_{omega_i} of an A_r theory as a dense integer matrix, from the targets
+    that the Pieri certificate gathers."""
+    n = md.dim
+    dense = np.zeros((n, n + 1), dtype=np.int64)
+    for row in wzwkit.fusion._pieri_targets(md, len(md.labels[0]))[i - 1]:
+        dense[np.arange(n), row] += 1  # lambda -> lambda + w is one to one
+    return dense[:, :n]
+
+
+def pieri_theories(a1, a2, a3):
+    for label, levels in (("A1", a1), ("A2", a2), ("A3", a3)):
+        yield from (pytest.param(label, k, id=f"{label}-{k}") for k in levels)
+
+
+CERTIFIED = [("A1", 6), ("A2", 3), ("A3", 4)]
+
+
+class TestPieriCertificate:
+    """``verify_fusion`` on A_r: the eigen-relation of the Pieri matrices plus
+    unitarity, against the streamed pass."""
+
+    @pytest.mark.parametrize("label,k", pieri_theories(range(1, 61), range(1, 11), range(1, 7)))
+    def test_pieri_matrices_are_the_fundamental_fusion_matrices(self, label, k):
+        md = modular_data(label, k)
+        tensor = verlinde_tensor(md)
+        for i in range(1, int(label[1:]) + 1):
+            assert np.array_equal(pieri_matrix(md, i), tensor[fundamental(md, i)])
+
+    # every certified level up to 60, 12 and 12, then every 20th to 300 and 4th to 40
+    @pytest.mark.parametrize(
+        "label,k",
+        pieri_theories(
+            [*range(2, 61), *range(80, 301, 20)], [*range(3, 13), *range(16, 41, 4)], range(3, 13)
+        ),
+    )
+    def test_true_smatrix_is_certified(self, label, k):
+        md = modular_data(label, k)
+        assert wzwkit.fusion._pieri_rank(md) == int(label[1:])
+        assert verify_fusion(md) <= 1e-12
+
+    def test_route_is_chosen_from_the_theory(self, monkeypatch):
+        rank = wzwkit.fusion._pieri_rank
+        # 2^(r+1) - 2 gathers against the n row products of the pass
+        on = [("A1", 2), ("A2", 3), ("A3", 3), ("A4", 3)]
+        off = [("A1", 1), ("A2", 2), ("A3", 2), ("A4", 2), ("A5", 2), ("A6", 1), ("A9", 1)]
+        assert [rank(modular_data(*t)) for t in on] == [1, 2, 3, 4]
+        assert [rank(modular_data(*t)) for t in off] == [0] * len(off)
+        for label, k in [("B3", 3), ("G2", 6), ("A1*A2", 2), ("A1/ext", 16), ("A1/orb", 4)]:
+            assert rank(oracle_theory(label, k)) == 0
+        md = modular_data("A2", 10)
+        monkeypatch.setattr(wzwkit.fusion, "_verlinde", None)  # no pass may run
+        assert verify_fusion(md) <= 1e-12
+        assert "pieri_certificate" in md._memo and "verlinde_summary" not in md._memo
+
+    @pytest.mark.parametrize("label,k", CERTIFIED)
+    @pytest.mark.parametrize("shift", [1e-3, 1e-3j])
+    @pytest.mark.parametrize("entry", [(1, 2), (2, 1), (-1, 1)], ids=["upper", "lower", "last-row"])
+    def test_tampered_smatrix_raises_at_least_the_streamed_residual(self, label, k, shift, entry):
+        md = modular_data(label, k)
+        tampered = md.smatrix.copy()
+        tampered[entry] += shift
+        md = dataclasses.replace(md, smatrix=tampered)
+        oracle = full_tensor_verlinde(md, streamed_operand(md))[1]
+        with pytest.raises(IntegralityError) as exc:
+            verify_fusion(md)
+        assert exc.value.what == "fusion coefficient (Pieri certificate)"
+        assert exc.value.residual >= oracle > 1e-6
+        omega, row = exc.value.where
+        assert md.index(omega) in {fundamental(md, i) for i in range(1, int(label[1:]) + 1)}
+        assert row in md.labels
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label,k", CERTIFIED)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_smatrix_raises_with_residual_inf(self, label, k, bad, row):
+        md = modular_data(label, k)
+        tampered = md.smatrix.copy()
+        tampered[row, 1] = bad
+        md = dataclasses.replace(md, smatrix=tampered)
+        with pytest.raises(IntegralityError) as exc:
+            verify_fusion(md)
+        assert exc.value.residual == np.inf
+        # omega_1 comes first, and row ``row`` of S diag(S_omega / S_0) is non-finite
+        omega, first = exc.value.where
+        assert omega == md.labels[fundamental(md, 1)]
+        assert md.index(first) <= row
+
+    @pytest.mark.parametrize("label,k", CERTIFIED)
+    def test_negative_fusion_raises(self, label, k):
+        md = flipped(modular_data(label, k), 1)
+        assert full_tensor_verlinde(md, streamed_operand(md))[5] == -1
+        with pytest.raises(IntegralityError) as exc:
+            verify_fusion(md)
+        assert exc.value.residual > 1
+
+    @pytest.mark.parametrize("label,k", CERTIFIED)
+    def test_scaled_smatrix_fails_on_unitarity(self, label, k):
+        md = modular_data(label, k)
+        md = dataclasses.replace(md, smatrix=2 * md.smatrix)
+        # 2 S obeys the eigen-relation and passes the streamed pass
+        assert verify_streamed(md) < 1e-12
+        with pytest.raises(IntegralityError) as exc:
+            verify_fusion(md)
+        assert exc.value.where is None
+        assert exc.value.residual == md.invariants()["unitarity"] == pytest.approx(3)
 
 
 class TestSimpleCurrents:

@@ -316,6 +316,20 @@ class TestBlockAssembly:
         assert np.array_equal(assemble_orbifold(oin).pmatrix, halved_t_pmatrix(oin))
 
     @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
+    def test_twining_residuals_read_the_memoized_square(self, algebra, level, shift):
+        # S @ S comes from the parent's invariants pass, with the values the
+        # product formed here would give, bit for bit
+        oin = inner_orbifold_input(modular_data(algebra, level), shift)
+        orb = assemble_orbifold(oin)
+        square = oin.s0 @ oin.s0
+        kept = oin.md.invariants()["s_squared"]
+        assert np.array_equal(kept, square) and not kept.flags.writeable
+        magnitude = np.abs(square)
+        twice = np.abs(orb.pmatrix @ orb.pmatrix)
+        assert orb.residuals["twining_square_permutation"] == np.abs(magnitude - np.round(magnitude)).max()
+        assert orb.residuals["pmatrix_square_match"] == np.abs(twice - magnitude).max()
+
+    @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
     def test_extension_by_dual_current_recovers_parent(self, algebra, level, shift):
         md = modular_data(algebra, level)
         orb = assemble_orbifold(inner_orbifold_input(md, shift))
