@@ -735,11 +735,12 @@ class _Parser(argparse.ArgumentParser):
     A word that starts with '-' and then a digit, '.', 'inf' or 'nan' is a
     value, never an option, so a negative tolerance, shift or insertion
     reaches its validator; argparse's own pattern admits only plain
-    negative integers and decimals, not -1e-8, -inf or -1,0,0.
+    negative integers and decimals, not -1e-8, -inf or -1,0,0.  No option is
+    abbreviated, else ``sweep --level`` would pass as ``--levels``.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
@@ -780,34 +781,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="construction")
 
-    def common(sub, with_level: bool = True):
-        sub.add_argument("algebra", help="algebra label such as A1, B3, or G2")
-        if with_level:
-            sub.add_argument("--level", type=int, default=JobConfig.level)
-        sub.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
-        sub.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
-        sub.add_argument("--cache-dir")
-        sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
+    # the shared arguments, declared once and copied into each subcommand
+    algebra, level, shared = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    algebra.add_argument("algebra", help="algebra label such as A1, B3, or G2")
+    level.add_argument("--level", type=int, default=JobConfig.level)
+    shared.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
+    shared.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
+    shared.add_argument("--cache-dir")
+    shared.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
+    common = [algebra, level, shared]
 
-    common(subparsers.add_parser("modular-data", help="S matrix and weights"))
-    common(subparsers.add_parser("fusion", help="Verlinde coefficients"))
+    subparsers.add_parser("modular-data", help="S matrix and weights", parents=common)
+    subparsers.add_parser("fusion", help="Verlinde coefficients", parents=common)
 
-    extend = subparsers.add_parser("extend", help="simple-current extension")
-    common(extend)
+    extend = subparsers.add_parser("extend", help="simple-current extension", parents=common)
     extend.add_argument("--group", required=True, help="center, trivial, or indices")
 
-    orbifold = subparsers.add_parser("orbifold", help="inner Z2 orbifold")
-    common(orbifold)
+    orbifold = subparsers.add_parser("orbifold", help="inner Z2 orbifold", parents=common)
     orbifold.add_argument(
         "--shift", type=_parse_rationals, required=True, help="comma-separated rationals"
     )
 
-    boundary = subparsers.add_parser("boundary", help="classifying algebra")
-    common(boundary)
+    boundary = subparsers.add_parser("boundary", help="classifying algebra", parents=common)
     boundary.add_argument("--group", required=True, help="center, trivial, or indices")
 
-    trace = subparsers.add_parser("trace", help="conjecture traces")
-    common(trace)
+    trace = subparsers.add_parser("trace", help="conjecture traces", parents=common)
     trace.add_argument("--conjecture", type=int, choices=(1, 2), required=True)
     trace.add_argument(
         "--insertions", type=_parse_ints, required=True, help="comma-separated label indices"
@@ -816,10 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--tuple", dest="current_tuple", type=_parse_ints)
     trace.add_argument("--shift", type=_parse_rationals)
 
-    common(subparsers.add_parser("check", help="full invariant suite"))
+    subparsers.add_parser("check", help="full invariant suite", parents=common)
 
-    sweep = subparsers.add_parser("sweep", help="check across a level range")
-    common(sweep, with_level=False)
+    sweep = subparsers.add_parser("sweep", help="check across a level range", parents=[algebra, shared])
     sweep.add_argument("--levels", type=_parse_levels, required=True, help="range like 1-6")
 
     return parser

@@ -49,6 +49,14 @@ class _Summary(NamedTuple):
     lowest: float
 
 
+def _rounded(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """raw.real rounded, and |raw - rounded|, its temporary formed 64 rows at a time."""
+    rounded, off = np.round(raw.real), np.empty(raw.shape)
+    for r in range(0, len(raw), 64):
+        np.abs(raw[r : r + 64] - rounded[r : r + 64], out=off[r : r + 64])
+    return rounded, off
+
+
 def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
     """One pass over the pairs a <= b: N_a[b - a] = (S_b diag(S_a)) (conj(S) / S_0)^T.
 
@@ -77,10 +85,9 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
         dual = (s.conj() / s[0]).T
         for a in range(n):
             raw = (s[a:] * s[a]) @ dual  # raw[b - a, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
-            rounded = np.round(raw.real)
+            rounded, off = _rounded(raw)
             if tensor is not None:
                 tensor[a, a:] = tensor[a:, a] = rounded
-            off = np.abs(raw - rounded)
             if not (top := off.max()) <= residual:  # larger, or NaN from a non-finite sum
                 if np.isnan(top):
                     off[np.isnan(off)] = np.inf
@@ -297,8 +304,7 @@ def simple_currents(md: ModularData) -> SimpleCurrentGroup:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in (j for j in range(md.dim) if not j or abs(s[0, j] - s[0, 0]) <= 1e-9):
             raw = (s * (s[j] / s[0])) @ dual  # raw[a, c] = N_ja^c
-            rounded = np.round(raw.real)
-            off = np.abs(raw - rounded)
+            rounded, off = _rounded(raw)
             off[np.isnan(off)] = np.inf
             if (top := off.max()) > residual:
                 a, c = divmod(int(np.argmax(off)), md.dim)
@@ -306,6 +312,7 @@ def simple_currents(md: ModularData) -> SimpleCurrentGroup:
             # non-negative integers with unit row and column sums form a permutation matrix
             unit = (rounded.sum(axis=0) == 1).all() and (rounded.sum(axis=1) == 1).all()
             perms[j] = tuple(rounded.argmax(axis=1).tolist()) if unit and rounded.min() >= 0 else None
+            del raw, rounded, off  # before the next current's product
     if residual > 1e-6:
         raise IntegralityError("fusion coefficient", value, residual, tuple(md.labels[i] for i in worst))
     if None in perms.values():

@@ -399,15 +399,14 @@ def center_group(alg: SimpleLieAlgebra) -> CenterGroup:
     In coweight coordinates the coroot lattice is A Z^n, and the quotient is 0
     together with the fundamental coweights e_i of the nodes of mark 1
     (Bourbaki, Lie groups and Lie algebras VI §2 ex. 5).  The order of e_i is
-    the lcm of the denominators of column i of A^-1.  Every such quotient is
-    cyclic or Z2 x Z2, so its invariant factors are (|Z| / e, e) for the
-    largest order e.  Raises InternalConsistencyError unless |Z| = det A and,
-    for every d, as many elements have order dividing d as in Z_{|Z|/e} x Z_e.
+    the lcm of the denominators of column i of A^-1, metric row i over the
+    root length l_i (G = diag(l) A^-T).  Every such quotient is cyclic or
+    Z2 x Z2, so its invariant factors are (|Z| / e, e) for the largest order
+    e.  Raises InternalConsistencyError unless |Z| = det A and, for every d,
+    as many elements have order dividing d as in Z_{|Z|/e} x Z_e.
     """
-    n = alg.rank
-    inv = invert_rational(alg.cartan)
-    nodes = [i for i in range(n) if alg.marks[i] == 1]
-    order_of = {i: lcm(*(inv[r][i].denominator for r in range(n))) for i in nodes}
+    nodes = [i for i, mark in enumerate(alg.marks) if mark == 1]
+    order_of = {i: lcm(*((g / alg.root_lengths[i]).denominator for g in alg.metric[i])) for i in nodes}
     orders = tuple(sorted([1, *order_of.values()]))
     size, top = len(orders), orders[-1]
     factors = tuple(f for f in (size // top, top) if f > 1)
@@ -422,6 +421,6 @@ def center_group(alg: SimpleLieAlgebra) -> CenterGroup:
     used: list[int] = []
     for f in factors:
         used.append(next(i for i in nodes if order_of[i] == f and i not in used))
-    gens = tuple(tuple(int(j == i) for j in range(n)) for i in used)
+    gens = tuple(tuple(int(j == i) for j in range(alg.rank)) for i in used)
     return CenterGroup(factors, gens, orders)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import os
@@ -413,7 +414,68 @@ class TestJobConfigValidation:
         config.validate()
 
 
+# Each subcommand's arguments in order: option strings, dest, default, type,
+# required, choices.
+HELP = (["-h", "--help"], "help", argparse.SUPPRESS, None, False, None)
+ALGEBRA = ([], "algebra", None, None, True, None)
+LEVEL = (["--level"], "level", 0, int, False, None)
+SHARED = [
+    (["--tolerance"], "tolerance", 1e-8, float, False, None),
+    (["--weyl-cap"], "weyl_cap", 200000, int, False, None),
+    (["--cache-dir"], "cache_dir", None, None, False, None),
+    (["--format"], "fmt", None, None, False, ("json", "csv", "pretty")),
+]
+GROUP = (["--group"], "group", None, None, True, None)
+SUBCOMMAND_OPTIONS = {
+    "modular-data": [HELP, ALGEBRA, LEVEL, *SHARED],
+    "fusion": [HELP, ALGEBRA, LEVEL, *SHARED],
+    "extend": [HELP, ALGEBRA, LEVEL, *SHARED, GROUP],
+    "orbifold": [
+        HELP, ALGEBRA, LEVEL, *SHARED, (["--shift"], "shift", None, cli._parse_rationals, True, None)
+    ],
+    "boundary": [HELP, ALGEBRA, LEVEL, *SHARED, GROUP],
+    "trace": [
+        HELP, ALGEBRA, LEVEL, *SHARED,
+        (["--conjecture"], "conjecture", None, int, True, (1, 2)),
+        (["--insertions"], "insertions", None, cli._parse_ints, True, None),
+        (["--genus"], "genus", 0, int, False, None),
+        (["--tuple"], "current_tuple", None, cli._parse_ints, False, None),
+        (["--shift"], "shift", None, cli._parse_rationals, False, None),
+    ],
+    "check": [HELP, ALGEBRA, LEVEL, *SHARED],
+    "sweep": [
+        HELP, ALGEBRA, *SHARED, (["--levels"], "levels", None, cli._parse_levels, True, None)
+    ],
+}
+
+
 class TestArgumentParsing:
+    def test_each_subcommand_declares_its_options_in_order(self):
+        parser = cli.build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(SUBCOMMAND_OPTIONS)
+        for name, expected in SUBCOMMAND_OPTIONS.items():
+            actions = subparsers.choices[name]._actions
+            got = [(a.option_strings, a.dest, a.default, a.type, a.required, a.choices) for a in actions]
+            assert got == expected, name
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "A1", "--levels", "1-3", "--level", "2"], "unrecognized arguments: --level 2"),
+            (["check", "A1", "--lev", "2"], "unrecognized arguments: --lev 2"),
+            (
+                ["trace", "A1", "--level", "4", "--conjecture", "3", "--insertions", "1"],
+                "argument --conjecture: invalid choice: 3 (choose from 1, 2)",
+            ),
+        ],
+        ids=["sweep-level", "abbreviation", "conjecture-choice"],
+    )
+    def test_unknown_or_abbreviated_option_exits_with_parse_code(self, argv, message):
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc["error"] == {"code": "parse-error", "message": message, "type": "PreconditionError"}
+
     def test_trace_flags_round_trip(self):
         config = config_from_args(
             [

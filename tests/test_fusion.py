@@ -577,6 +577,28 @@ class TestSimpleCurrents:
         assert g.perms == perms
         assert g.indices == tuple(sorted(perms))
 
+    @pytest.mark.parametrize("label,k", [("A1", 80), ("A2", 27), ("B3", 4), ("E8", 2)])
+    def test_residual_is_bit_identical_to_the_direct_expression(self, label, k):
+        md = modular_data(label, k)
+        s = md.smatrix
+        for j in simple_currents(md).perms:
+            raw = (s * (s[j] / s[0])) @ s.conj().T
+            rounded, off = wzwkit.fusion._rounded(raw)
+            assert np.array_equal(rounded, np.round(raw.real))
+            assert off.tobytes() == np.abs(raw - np.round(raw.real)).tobytes()
+
+    def test_peak_memory_is_three_smatrices(self):
+        # S^dagger, the scaled S and the product while it is formed; the last
+        # current's arrays are freed before the next product
+        md = modular_data("A2", 30)
+        tracemalloc.start()
+        try:
+            simple_currents(md)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * md.smatrix.nbytes
+
     def test_runs_no_whole_ring_pass(self, monkeypatch):
         monkeypatch.setattr(wzwkit.fusion, "_verlinde", None)
         md = modular_data("A2", 6)
@@ -596,6 +618,19 @@ class TestSimpleCurrents:
         assert exc.value.what == "fusion coefficient"
         assert exc.value.where[0] == md.labels[j]
         assert exc.value.residual > 1e-6
+        # the first worst entry of |raw - round(raw)| over the currents, bit for bit
+        s = md.smatrix
+        offs = {}
+        for i in range(md.dim):
+            if not i or abs(s[0, i] - s[0, 0]) <= 1e-9:
+                raw = (s * (s[i] / s[0])) @ s.conj().T
+                offs[i] = raw, np.abs(raw - np.round(raw.real))
+        i = max(offs, key=lambda i: (offs[i][1].max(), -i))
+        raw, off = offs[i]
+        a, c = divmod(int(np.argmax(off)), md.dim)
+        assert exc.value.residual == off.max()
+        assert exc.value.where == tuple(md.labels[x] for x in (i, a, c))
+        assert exc.value.value == raw[a, c]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("label,k", [("A1", 6), ("A2", 3)])
