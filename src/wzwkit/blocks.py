@@ -1,13 +1,14 @@
 """Chiral block counts, current-symmetry traces on block spaces, and checks.
 
-A block-space rank is exact: (e_0 N_mu1 ... N_mum H^g)_0 over the verified
-integer fusion tensor N and its handle matrix H.  The trace of a current
-tuple is one float slot-product sum with each slot's S row replaced by its
-current's fixed-point row; the identity tuple's trace is the rank.  The
-untwisted tuples (found by O(m |adm|^2) exact integer sums over one table of
-cocycle exponents per insertion label) form a group whose characters are
-built by extension; one product of its conjugated character table with the
-other traces gives integers X_chi and the dimensions (rank + X_chi) / |G|.
+A block-space rank is exact: (e_0 N_mu1 ... N_mum H^g)_0 over the integer fusion
+matrices N_mu of its insertions and the handle matrix H, each one verified
+Verlinde product S diag(w) S^dagger.  The trace of a current tuple is one float
+slot-product sum with each slot's S row replaced by its current's fixed-point
+row; the identity tuple's trace is the rank.  The untwisted tuples (found by
+O(m |adm|^2) exact integer sums over one table of cocycle exponents per
+insertion label) form a group whose characters are built by extension; one
+product of its conjugated character table with the other traces gives
+integers X_chi and the dimensions (rank + X_chi) / |G|.
 
 The module also carries an exact validator for the multi-shift automorphism
 of the affine sl(2) loop algebra, built on truncated Laurent series over the
@@ -26,9 +27,9 @@ import numpy as np
 
 from .affine import ModularData
 from .errors import (
-    ConjectureViolation, PrecisionExhausted, PreconditionError, UnsupportedFolding
+    ConjectureViolation, IntegralityError, PrecisionExhausted, PreconditionError, UnsupportedFolding
 )
-from .fusion import SimpleCurrentGroup, verlinde_tensor
+from .fusion import SimpleCurrentGroup, _fusion_product
 from .simplecurrent import (
     _stabilizer_data, _untwisted_rows, abelian_characters, fixed_point_smatrix
 )
@@ -49,48 +50,47 @@ __all__ = [
 ]
 
 
-def _handle_matrix(tensor: np.ndarray) -> np.ndarray:
-    """H = sum_nu N_nu N_nu^T by one float64 BLAS product per nu: exact, as all
-    terms are non-negative integers, unless an entry reads >= 2**53 after
-    rounding; then H is summed again over Python ints."""
-    h = sum(f @ f.T for f in (row.astype(float) for row in tensor))
-    if h.max() < 2.0**53:
-        return h.astype(np.int64)
-    return sum(f @ f.T for f in (row.astype(object) for row in tensor))
+def _rank_factor(md: ModularData, key: int | None) -> np.ndarray:
+    """N_key, or under None the handle H = sum_nu N_nu N_nu^T, which is
+    S diag(1 / |S_0|^2) S^dagger as sum_nu |S_nu k|^2 = 1, in float64 integers;
+    unless it rounds within 1e-6 to non-negative integers, ``IntegralityError`` names it."""
+    if key is not None and not 0 <= key < md.dim:  # checked once per label read, as memoized
+        raise PreconditionError(f"insertion {key} is not a label index below {md.dim}")
+    s0 = md.smatrix[0]
+    weight = abs(s0) ** -2.0 if key is None else md.smatrix[key] / s0
+    rounded, residual, (a, c), value = _fusion_product(md, weight)
+    what, where = ("handle matrix entry", ()) if key is None else ("fusion coefficient", (md.labels[key],))
+    if not residual <= 1e-6:
+        raise IntegralityError(what, value, residual, (*where, md.labels[a], md.labels[c]))
+    if (low := rounded.min()) < 0:
+        a, c = divmod(int(rounded.argmin()), md.dim)
+        raise IntegralityError(f"{what} (negative)", low, -low, (*where, md.labels[a], md.labels[c]))
+    return rounded
 
 
 def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     """Dimension of the space of chiral blocks at the given genus, exactly.
 
-    It is (e_0 N_mu1 ... N_mum H^g)_0 with N_mu[b, c] = N_{mu b}^c and the
-    handle matrix H: a row vector from the vacuum, O(n^2) per factor.  No
-    factor has a zero row (quantum dimensions are positive), so the vector's
-    sum never falls and bounds every entry and partial sum; float64 is exact
-    while it stays below 2**53 (an entry of H that rounds in its float copy
-    is itself past that bound), and past that, or once the float vector
-    overflows to inf and NaN, the product is redone over Python ints.
+    It is (e_0 N_mu1 ... N_mum H^g)_0, N_mu[b, c] = N_{mu b}^c and H the handle
+    matrix, each formed once per theory: a row vector from the vacuum, O(n^2)
+    per factor.  No factor has a zero row (quantum dimensions are positive),
+    so the vector's sum never falls and bounds every entry and partial sum;
+    float64 is exact while it stays below 2**53, and past that, or once the
+    float vector overflows to inf and NaN, the product is redone over Python ints.
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
-    tensor = verlinde_tensor(md)
     keys = list(insertions) + [None] * genus
-
-    def factor(key: int | None) -> np.ndarray:  # N_mu, or H under None
-        if key is None:
-            return md._derived("handle", lambda md: _handle_matrix(tensor))
-        return tensor[key]
-
-    # float64 copies of only the factors that ranks use, made once per theory
     v = np.zeros(md.dim)
     v[md.vacuum] = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the guard below
-        for key in keys:
-            v = v @ md._derived(("float_factor", key), lambda md: factor(key).astype(float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # caught by the checks
+        factors = [md._derived(("rank_factor", k), lambda md, k=k: _rank_factor(md, k)) for k in keys]
+        for f in factors:
+            v = v @ f
     if not v.sum() < 2.0**53:
-        v = np.zeros(md.dim, object)
-        v[md.vacuum] = 1
-        for key in keys:
-            v = v @ factor(key).astype(object)
+        v = np.eye(1, md.dim, md.vacuum, dtype=object)[0]
+        for f in factors:
+            v = v @ f.astype(np.int64).astype(object)
     return int(v[md.vacuum])
 
 

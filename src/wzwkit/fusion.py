@@ -10,10 +10,10 @@ through their elementwise product, so it runs as one pass over the pairs
 a <= b, one BLAS product per row a, holding O(n^2) at a time; the pairs b < a
 are read from the mirror.  Every pass fills a memoized summary: the worst
 residual and the most negative rounded entry.  Only ``verlinde_tensor`` (the
-``fusion`` report and block ranks) keeps the rounded rows, as int64.
-``verify_fusion`` reads the summary, or for A_r checks the O(2^r n^2) Pieri
-certificate instead.  ``simple_currents`` runs no pass: it takes each
-current's fusion from the current's own S row.
+``fusion`` report) keeps the rounded rows, as int64.  ``verify_fusion`` reads
+the summary, or for A_r checks the O(2^r n^2) Pieri certificate instead.
+``simple_currents`` and block ranks run no pass: each reads one fusion-type
+product S diag(w) S^dagger, O(n^3), per matrix it needs.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ class _Summary(NamedTuple):
 
 
 def _rounded(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """raw.real rounded, and |raw - rounded|, its temporary formed 64 rows at a time."""
+    """raw.real rounded, and |raw - rounded| (NaN as inf), its temporary formed 64 rows at a time."""
     rounded, off = np.round(raw.real), np.empty(raw.shape)
     for r in range(0, len(raw), 64):
         np.abs(raw[r : r + 64] - rounded[r : r + 64], out=off[r : r + 64])
+    off[np.isnan(off)] = np.inf
     return rounded, off
 
 
@@ -88,12 +89,9 @@ def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
             rounded, off = _rounded(raw)
             if tensor is not None:
                 tensor[a, a:] = tensor[a:, a] = rounded
-            if not (top := off.max()) <= residual:  # larger, or NaN from a non-finite sum
-                if np.isnan(top):
-                    off[np.isnan(off)] = np.inf
+            if (top := off.max()) > residual:
                 i = int(np.argmax(off))
-                if off.flat[i] > residual:
-                    residual, worst, value = float(off.flat[i]), (a, a + i // n, i % n), complex(raw.flat[i])
+                residual, worst, value = float(top), (a, a + i // n, i % n), complex(raw.flat[i])
             if rounded.min() < lowest:
                 i = int(np.argmin(rounded))
                 lowest, neg = float(rounded.flat[i]), (a, a + i // n, i % n)
@@ -105,8 +103,7 @@ def _summary(md: ModularData) -> _Summary:
 
 
 def _tensor(md: ModularData) -> np.ndarray:
-    n = md.dim
-    tensor = np.empty((n, n, n), dtype=np.int64)
+    tensor = np.empty((md.dim,) * 3, dtype=np.int64)
     summary = _verlinde(md, tensor)
     md._derived("verlinde_summary", lambda md: summary)
     tensor.flags.writeable = False
@@ -212,6 +209,15 @@ def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     return tensor
 
 
+def _fusion_product(md: ModularData, weight: np.ndarray) -> tuple[np.ndarray, float, tuple, complex]:
+    """S diag(weight) S^dagger rounded, its first largest |x - round(x)| in C order (NaN as
+    inf), and that entry's (a, c) and raw value: one O(n^3) product, in the caller's np.errstate."""
+    raw = (md.smatrix * weight) @ md.smatrix.conj().T
+    rounded, off = _rounded(raw)
+    a, c = divmod(int(np.argmax(off)), md.dim)
+    return rounded, float(off[a, c]), (a, c), complex(raw[a, c])
+
+
 @dataclass(frozen=True, eq=False)
 class SimpleCurrentGroup:
     """The group of simple currents of one theory, acting on primary labels.
@@ -299,20 +305,16 @@ def simple_currents(md: ModularData) -> SimpleCurrentGroup:
     S S^dagger = 1, so an error anywhere in S moves a checked entry.
     """
     s = md.smatrix
-    dual = s.conj().T
     residual, perms = -1.0, {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in (j for j in range(md.dim) if not j or abs(s[0, j] - s[0, 0]) <= 1e-9):
-            raw = (s * (s[j] / s[0])) @ dual  # raw[a, c] = N_ja^c
-            rounded, off = _rounded(raw)
-            off[np.isnan(off)] = np.inf
-            if (top := off.max()) > residual:
-                a, c = divmod(int(np.argmax(off)), md.dim)
-                residual, worst, value = float(top), (j, a, c), complex(raw[a, c])
+            rounded, top, (a, c), raw = _fusion_product(md, s[j] / s[0])  # N_ja^c
+            if top > residual:
+                residual, worst, value = top, (j, a, c), raw
             # non-negative integers with unit row and column sums form a permutation matrix
             unit = (rounded.sum(axis=0) == 1).all() and (rounded.sum(axis=1) == 1).all()
             perms[j] = tuple(rounded.argmax(axis=1).tolist()) if unit and rounded.min() >= 0 else None
-            del raw, rounded, off  # before the next current's product
+            del rounded  # before the next current's product
     if residual > 1e-6:
         raise IntegralityError("fusion coefficient", value, residual, tuple(md.labels[i] for i in worst))
     if None in perms.values():

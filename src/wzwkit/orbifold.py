@@ -234,13 +234,13 @@ def conjecture2_trace(
     so both orientations give the same sum.
     """
     md = oin.md
+    rank = block_rank(md, 0, insertions)  # first, as it checks the insertions
     s0 = oin.s0 if orientation >= 0 else oin.s0.T
     vac_col = s0[:, md.vacuum]
     kept = np.abs(vac_col) >= 1e-14
     vac = vac_col[kept]
     weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
     value = complex(_slot_sum(weight, (s0[kept, mu] for mu in insertions)))
-    rank = block_rank(md, 0, insertions)
     rounded = round(value.real)
     out = []
     for name, sign in (("+", 1), ("-", -1)):

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from wzwkit.blocks import (
 from wzwkit.boundary import classifying_algebra
 from wzwkit.errors import (
     ConjectureViolation,
+    IntegralityError,
     InternalConsistencyError,
     PrecisionExhausted,
     PreconditionError,
@@ -36,6 +39,7 @@ from wzwkit.errors import (
 )
 from wzwkit.exact import phase_to_complex
 from wzwkit.fusion import simple_currents, tensor_product, verlinde_tensor
+from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
 from wzwkit.simplecurrent import (
     _stabilizer_data,
     cocycle,
@@ -210,6 +214,98 @@ def float_rank_sum(md, genus, insertions):
     return complex(value.sum())
 
 
+def tensor_factors(md):
+    """Reference factors for ``block_rank``: the rows of the whole streamed
+    Verlinde tensor N, and H = sum_nu N_nu N_nu^T under None, as int64."""
+    tensor = verlinde_tensor(md)
+    return {**dict(enumerate(tensor)), None: np.einsum("nbd,ncd->bc", tensor, tensor)}
+
+
+def tensor_block_rank(factors, vacuum, genus, insertions):
+    """(e_0 N_mu1 ... N_mum H^g)_0 over ``tensor_factors``, exact at the ranks compared."""
+    v = np.zeros(len(factors) - 1, np.int64)
+    v[vacuum] = 1
+    for key in list(insertions) + [None] * genus:
+        v = v @ factors[key]
+    return int(v[vacuum])
+
+
+def orbifold_a1_4():
+    return assemble_orbifold(inner_orbifold_input(modular_data("A1", 4), (1,))).md
+
+
+# The theories on which ``block_rank`` is compared with the tensor route, built on use.
+ORACLE_THEORIES = {
+    **{f"A1-{k}": (modular_data, "A1", k) for k in range(1, 41)},
+    **{f"A2-{k}": (modular_data, "A2", k) for k in range(1, 10)},
+    **{f"{alg}-{k}": (modular_data, alg, k) for alg, k in [("B3", 4), ("G2", 5), ("C3", 4)]},
+    "A1-2xA1-3": (lambda: tensor_product(modular_data("A1", 2), modular_data("A1", 3)),),
+    "A1-4-orbifold": (orbifold_a1_4,),
+}
+
+
+# H is also compared where the rank sweep would be slow.
+HANDLE_THEORIES = {**ORACLE_THEORIES, "A2-15": (modular_data, "A2", 15)}
+
+
+def oracle_theory(name):
+    build, *args = HANDLE_THEORIES[name]
+    return build(*args)
+
+
+class TestRowRoute:
+    """Ranks from the rows they read against the tensor route."""
+
+    @pytest.mark.parametrize("name", ORACLE_THEORIES)
+    def test_ranks_match_the_tensor_route(self, name):
+        md = oracle_theory(name)
+        conj = md.conjugation_permutation()
+        tuples = [()] + [(a,) for a in range(md.dim)]
+        tuples += [(a, b) for a in range(md.dim) for b in range(a, md.dim)]
+        tuples += [(a, b, conj[b]) for a in range(md.dim) for b in range(md.dim)]
+        factors = tensor_factors(md)
+        for mu in range(md.dim):
+            assert np.array_equal(blocks._rank_factor(md, mu), factors[mu])
+        for genus in range(3):
+            for insertions in tuples:
+                assert block_rank(md, genus, insertions) == tensor_block_rank(factors, md.vacuum, genus, insertions)
+
+    @pytest.mark.parametrize("name", HANDLE_THEORIES)
+    def test_handle_matches_the_tensor_sum(self, name):
+        md = oracle_theory(name)
+        tensor = verlinde_tensor(md)
+        assert np.array_equal(blocks._rank_factor(md, None), np.einsum("nbd,ncd->bc", tensor, tensor))
+
+    @pytest.mark.parametrize("genus,insertions,what", [(0, (1, 1), "fusion coefficient"), (1, (), "handle")])
+    def test_tampered_smatrix_raises(self, genus, insertions, what):
+        md = modular_data("A1", 6)
+        tampered = md.smatrix.copy()
+        tampered[2, 1] += 1e-3
+        md = dataclasses.replace(md, smatrix=tampered)
+        with pytest.raises(IntegralityError, match=what):
+            block_rank(md, genus, insertions)
+
+    def test_negative_fusion_coefficient_raises(self):
+        # D S D with D = diag(1, -1, 1, 1, 1) is symmetric and unitary, and its
+        # Verlinde sums are integers, but N_{1,2}^3 turns -1
+        md = modular_data("A1", 4)
+        signs = np.array([1, -1, 1, 1, 1])
+        md = dataclasses.replace(md, smatrix=signs[:, None] * md.smatrix * signs)
+        with pytest.raises(IntegralityError, match=r"fusion coefficient \(negative\)"):
+            block_rank(md, 0, (1,))
+
+    def test_peak_memory_is_a_few_smatrices(self):
+        # the A2 level 27 tensor alone is 406^3 int64 entries, 535 MB
+        md = modular_data("A2", 27)
+        tracemalloc.start()
+        try:
+            assert block_rank(md, 1, (1, 1, 1)) == 2187
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * md.dim**2
+
+
 class TestBlockRank:
     @pytest.mark.parametrize("algebra,level", SWEEP)
     def test_matches_the_float_sum(self, algebra, level):
@@ -249,15 +345,11 @@ class TestBlockRank:
             with pytest.raises(PreconditionError, match="genus"):
                 block_rank(md, genus, insertions)
 
-    def test_handle_matrix_is_exact_on_both_sides_of_two_to_the_53(self):
-        tensor = verlinde_tensor(modular_data("A2", 3))
-        handle = blocks._handle_matrix(tensor)
-        assert handle.dtype == np.int64
-        assert np.array_equal(handle, np.einsum("nbd,ncd->bc", tensor, tensor))
-        big = np.array([[[2**27, 1], [0, 2**27]], [[1, 0], [2**27, 2**27]]], dtype=np.int64)
-        exact = blocks._handle_matrix(big)
-        assert exact.dtype == object
-        assert exact.tolist() == [[2**54 + 2, 2**28], [2**28, 3 * 2**54]]
+    @pytest.mark.parametrize("insertions", [(-1, -1), (5,), (0, 5, 0)])
+    def test_insertion_outside_the_labels_is_a_precondition(self, insertions):
+        # -1 would read the last label, 5 is past the five labels of A1 level 4
+        with pytest.raises(PreconditionError, match="label index"):
+            block_rank(modular_data("A1", 4), 0, insertions)
 
     def test_genus_zero_triples_are_fusion_coefficients(self):
         md = modular_data("A1", 3)

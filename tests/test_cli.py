@@ -757,12 +757,10 @@ class TestSingleConstructions:
             ),
             (["orbifold", "A1", "--level", "4", "--shift", "1"], [("A1/orb", 4, False)]),
             (["boundary", "A1", "--level", "4", "--group", "center"], []),
-            (
-                "trace A1 --level 4 --conjecture 1 --insertions 2,2 --genus 1".split(),
-                [("A1", 4, True)],
-            ),
+            ("trace A1 --level 4 --conjecture 1 --insertions 2,2 --genus 1".split(), []),
+            ("trace A1 --level 4 --conjecture 2 --shift 1 --insertions 2,2,2".split(), []),
         ],
-        ids=["check", "check-pieri", "fusion", "extend", "orbifold", "boundary", "trace"],
+        ids=["check", "check-pieri", "fusion", "extend", "orbifold", "boundary", "trace", "trace-conjecture-2"],
     )
     def test_verlinde_sum_runs_once_per_job(self, argv, expected, monkeypatch):
         # (theory, whether the pass stored the tensor), one entry per row loop

@@ -264,6 +264,13 @@ class TestConjectureTwo:
         assert res.rank == 1
         assert res.trace.real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("insertions", [(-1, -1, 0), (0, 5, 0)])
+    def test_insertion_outside_the_labels_is_a_precondition(self, su2_level4, insertions):
+        # -1 would read the last label's twining column and fusion row
+        oin = inner_orbifold_input(su2_level4, (1,))
+        with pytest.raises(PreconditionError, match="label index"):
+            conjecture2_trace(oin, insertions)
+
     @pytest.mark.parametrize("algebra,level,shift", INNER_CASES)
     def test_orientations_agree_for_symmetric_twining(self, algebra, level, shift):
         md = modular_data(algebra, level)
