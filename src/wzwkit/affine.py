@@ -138,8 +138,8 @@ class ModularData:
         )
 
     def invariants(self) -> dict:
-        """The invariants pass, run once per theory; its S @ S (n^2 complex) stays
-        alive with the theory for the orbifold's twining check."""
+        """The invariants pass, run once per theory; it keeps residuals and the
+        conjugation permutation, not S @ S."""
         return self._derived("invariants", _invariant_residuals)
 
     def conjugation_permutation(self) -> tuple[int, ...]:
@@ -296,11 +296,10 @@ def _coset_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int)
 
 
 def _invariant_residuals(md: ModularData) -> dict:
-    """Residual of each defining relation, the conjugation permutation and S @ S."""
+    """Residual of each defining relation and the conjugation permutation."""
     s = md.smatrix
     eye = np.eye(md.dim)
     s2 = s @ s
-    s2.flags.writeable = False
     perm = np.round(s2.real)
     st = s * md.t_diagonal()[np.newaxis, :]
     return {
@@ -312,7 +311,6 @@ def _invariant_residuals(md: ModularData) -> dict:
         "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
         "st_cubed": float(np.abs(st @ st @ st - s2).max()),
         "conjugation": tuple(np.argmax(np.abs(s2), axis=1).tolist()),
-        "s_squared": s2,
     }
 
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from .affine import ModularData
 from .errors import (
-    ConjectureViolation, IntegralityError, PrecisionExhausted, PreconditionError, UnsupportedFolding
+    ConjectureViolation, PrecisionExhausted, PreconditionError, UnsupportedFolding
 )
-from .fusion import SimpleCurrentGroup, _fusion_product
+from .fusion import SimpleCurrentGroup, _checked, _fusion_product
 from .simplecurrent import (
     _stabilizer_data, _untwisted_rows, abelian_characters, fixed_point_smatrix
 )
@@ -51,20 +51,13 @@ __all__ = [
 
 
 def _rank_factor(md: ModularData, key: int | None) -> np.ndarray:
-    """N_key, or under None the handle H = sum_nu N_nu N_nu^T, which is
-    S diag(1 / |S_0|^2) S^dagger as sum_nu |S_nu k|^2 = 1, in float64 integers;
-    unless it rounds within 1e-6 to non-negative integers, ``IntegralityError`` names it."""
+    """N_key, or under None the handle matrix H, in float64 integers: one
+    ``_fusion_product``, checked to round within 1e-6 to non-negative integers."""
     if key is not None and not 0 <= key < md.dim:  # checked once per label read, as memoized
         raise PreconditionError(f"insertion {key} is not a label index below {md.dim}")
-    s0 = md.smatrix[0]
-    weight = abs(s0) ** -2.0 if key is None else md.smatrix[key] / s0
-    rounded, residual, (a, c), value = _fusion_product(md, weight)
-    what, where = ("handle matrix entry", ()) if key is None else ("fusion coefficient", (md.labels[key],))
-    if not residual <= 1e-6:
-        raise IntegralityError(what, value, residual, (*where, md.labels[a], md.labels[c]))
-    if (low := rounded.min()) < 0:
-        a, c = divmod(int(rounded.argmin()), md.dim)
-        raise IntegralityError(f"{what} (negative)", low, -low, (*where, md.labels[a], md.labels[c]))
+    rounded, summary = _fusion_product(md, key)
+    what, at = ("handle matrix entry", ()) if key is None else ("fusion coefficient", (md.labels[key],))
+    _checked(md, summary, 1e-6, what, at)
     return rounded
 
 
@@ -105,6 +98,8 @@ def _closed_tuples(group: SimpleCurrentGroup, slots: Sequence[Sequence[int]]):
 
 def gamma_out(group: SimpleCurrentGroup, m: int) -> list[tuple[int, ...]]:
     """Current tuples of length m multiplying to the identity."""
+    if m < 1:
+        raise PreconditionError(f"a current tuple needs at least one insertion, not {m}")
     out = list(_closed_tuples(group, [group.indices] * (m - 1)))
     assert len(out) == group.order ** (m - 1)
     return out
@@ -118,6 +113,8 @@ def admissible_tuples(
     Slots 1..m-1 run over their stabilizers only; the closing current must
     stabilize the last insertion.  The order is that of ``gamma_out``.
     """
+    if not insertions:
+        raise PreconditionError("a current tuple needs at least one insertion")
     *slots, last = (group.stabilizer(mu) for mu in insertions)
     return [t for t in _closed_tuples(group, slots) if t[-1] in last]
 

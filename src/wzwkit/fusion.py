@@ -5,15 +5,16 @@ N_ab^c = sum_k S_ak S_bk conj(S_ck) / S_0k over the unitary S matrix and must
 round to non-negative integers within tolerance; anything else is reported as
 a hard error rather than silently rounded.
 
-The sum is symmetric in a and b for any S, since rows a and b enter only
-through their elementwise product, so it runs as one pass over the pairs
-a <= b, one BLAS product per row a, holding O(n^2) at a time; the pairs b < a
-are read from the mirror.  Every pass fills a memoized summary: the worst
-residual and the most negative rounded entry.  Only ``verlinde_tensor`` (the
-``fusion`` report) keeps the rounded rows, as int64.  ``verify_fusion`` reads
-the summary, or for A_r checks the O(2^r n^2) Pieri certificate instead.
-``simple_currents`` and block ranks run no pass: each reads one fusion-type
-product S diag(w) S^dagger, O(n^3), per matrix it needs.
+Every such sum is formed by ``_fusion_product``: rows of S diag(w) S^dagger,
+w = S_a / S_0 for N_a, on one memoized operand pair (float64 when S is real),
+rounded and summarized; ``_checked`` is the one integrality check of a summary.
+N_ab^c is symmetric in a and b, so the whole ring is one pass over the pairs
+a <= b, rows b >= a of each N_a, holding O(n^2) at a time; the pairs b < a are
+read from the mirror.  Only ``verlinde_tensor`` (the ``fusion`` report) keeps
+the rounded rows, as int64.  ``verify_fusion`` reads the pass's memoized
+summary, or for A_r checks the O(2^r n^2) Pieri certificate instead.
+``simple_currents`` and block ranks run no pass: each reads one whole product,
+O(n^3), per matrix it needs.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ __all__ = [
 
 
 class _Summary(NamedTuple):
-    """What one pass of the Verlinde sum keeps; positions are (a, b, c)."""
+    """What one Verlinde product keeps, positions as label indices of its entries."""
 
-    residual: float  # first largest |x - round(x)| in C order
-    worst: tuple[int, int, int]
+    residual: float  # first largest |x - round(x)| in C order, NaN as inf
+    worst: tuple[int, ...]
     value: complex  # the raw sum at ``worst``
-    neg: tuple[int, int, int]  # first smallest rounded entry
+    neg: tuple[int, ...]  # first smallest rounded entry
     lowest: float
 
 
@@ -58,44 +59,56 @@ def _rounded(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rounded, off
 
 
-def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
-    """One pass over the pairs a <= b: N_a[b - a] = (S_b diag(S_a)) (conj(S) / S_0)^T.
-
-    Row a multiplies only the rows b >= a of S; its rounded rows are written
-    into ``tensor[a, a:]`` and, mirrored, ``tensor[a:, a]``, or dropped.  The
-    tensor is symmetric in (a, b), so its first largest residual and first
-    smallest entry in C order lie at a <= b, where the scan in (a, b >= a, c)
-    order meets them first.
-    A non-finite sum counts as residual inf.
-
-    A real S runs in float64: one with exactly real entries (every A1
-    theory), or a self-conjugate one whose imaginary part is at rounding
-    level (at most n eps), since S symmetric and unitary with S^2 = 1 is
-    real.  A larger imaginary part keeps the complex sum, which reports it.
-    """
+def _operands(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
+    """S and S^dagger, the transpose of a C-contiguous conj(S), both float64
+    when S is real: exactly real (every A1 theory), or self-conjugate with an
+    imaginary part at rounding level (at most n eps), since S symmetric and
+    unitary with S^2 = 1 is real.  A larger imaginary part keeps them complex,
+    and the sums report it."""
     s = md.smatrix
-    if not s.imag.any() or (
-        np.abs(s.imag).max() <= len(s) * np.finfo(float).eps
-        and md.conjugation_permutation() == tuple(range(len(s)))
-    ):
+    noise = np.abs(s.imag).max() <= md.dim * np.finfo(float).eps
+    if not s.imag.any() or noise and md.conjugation_permutation() == tuple(range(md.dim)):
         s = s.real
-    n = len(s)
-    residual, lowest = -1.0, np.inf
-    neg = (0, 0, 0)  # kept only if every row holds a NaN, whose residual inf is reported first
+    return s, np.conjugate(s, order="C").T
+
+
+def _fusion_product(md: ModularData, key: int | None, start: int = 0) -> tuple[np.ndarray, _Summary]:
+    """Rows ``start``.. of S diag(w) S^dagger rounded, and their summary at (b, c).
+
+    w = S_key / S_0 gives N_key[b, c] = N_{key b}^c; key None gives the handle
+    matrix H = sum_nu N_nu N_nu^T, w = 1 / |S_0|^2 as sum_nu |S_nu k|^2 = 1.
+    This is the one place a Verlinde sum is formed, O((n - start) n^2), in
+    the caller's np.errstate.
+    """
+    s, dagger = md._derived("verlinde_operands", _operands)
+    weight = abs(s[0]) ** -2.0 if key is None else s[key] / s[0]
+    raw = (s[start:] * weight) @ dagger
+    rounded, off = _rounded(raw)
+    b, c = divmod(int(off.argmax()), md.dim)
+    low_b, low_c = divmod(int(rounded.argmin()), md.dim)
+    low = float(rounded[low_b, low_c])
+    return rounded, _Summary(float(off[b, c]), (start + b, c), complex(raw[b, c]), (start + low_b, low_c), low)
+
+
+def _verlinde(md: ModularData, tensor: np.ndarray | None = None) -> _Summary:
+    """One pass over the pairs a <= b: rows b >= a of N_a, one ``_fusion_product`` each.
+
+    Row a's rounded rows are written into ``tensor[a, a:]`` and, mirrored,
+    ``tensor[a:, a]``, or dropped.  The tensor is symmetric in (a, b), so its
+    first largest residual and first smallest entry in C order lie at a <= b,
+    where the scan in (a, b >= a, c) order meets them first.  A non-finite
+    sum counts as residual inf, which is reported before any least entry.
+    """
+    rows = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dual = (s.conj() / s[0]).T
-        for a in range(n):
-            raw = (s[a:] * s[a]) @ dual  # raw[b - a, c] = sum_k S_ak S_bk conj(S_ck) / S_0k
-            rounded, off = _rounded(raw)
+        for a in range(md.dim):
+            rounded, summary = _fusion_product(md, a, a)
             if tensor is not None:
                 tensor[a, a:] = tensor[a:, a] = rounded
-            if (top := off.max()) > residual:
-                i = int(np.argmax(off))
-                residual, worst, value = float(top), (a, a + i // n, i % n), complex(raw.flat[i])
-            if rounded.min() < lowest:
-                i = int(np.argmin(rounded))
-                lowest, neg = float(rounded.flat[i]), (a, a + i // n, i % n)
-    return _Summary(residual, worst, value, neg, lowest)
+            rows.append((a, summary))
+    a, top = max(rows, key=lambda row: row[1].residual)  # the first of equals
+    b, low = min(rows, key=lambda row: row[1].lowest)
+    return _Summary(top.residual, (a, *top.worst), top.value, (b, *low.neg), low.lowest)
 
 
 def _summary(md: ModularData) -> _Summary:
@@ -158,14 +171,15 @@ def _pieri_certificate(md: ModularData) -> tuple[float, tuple | None, complex]:
     return residual, worst, value
 
 
-def _checked(md: ModularData, summary: _Summary, tol: float) -> float:
-    """``summary.residual`` once the pass's sums round to non-negative integers."""
-    if summary.residual > tol:
-        where = tuple(md.labels[i] for i in summary.worst)
-        raise IntegralityError("fusion coefficient", summary.value, summary.residual, where)
+def _checked(md: ModularData, summary: _Summary, tol: float, what="fusion coefficient", at=()) -> float:
+    """``summary.residual`` once its sums round to non-negative integers, else
+    ``IntegralityError`` naming the labels ``at`` and those of the entry."""
+    if not summary.residual <= tol:
+        where = (*at, *(md.labels[i] for i in summary.worst))
+        raise IntegralityError(what, summary.value, summary.residual, where)
     if summary.lowest < 0:
-        where = tuple(md.labels[i] for i in summary.neg)
-        raise IntegralityError("fusion coefficient (negative)", summary.lowest, -summary.lowest, where)
+        where = (*at, *(md.labels[i] for i in summary.neg))
+        raise IntegralityError(f"{what} (negative)", summary.lowest, -summary.lowest, where)
     return summary.residual
 
 
@@ -207,15 +221,6 @@ def verlinde_tensor(md: ModularData, tol: float = 1e-6) -> np.ndarray:
     tensor = md._derived("verlinde", _tensor)
     _checked(md, _summary(md), tol)
     return tensor
-
-
-def _fusion_product(md: ModularData, weight: np.ndarray) -> tuple[np.ndarray, float, tuple, complex]:
-    """S diag(weight) S^dagger rounded, its first largest |x - round(x)| in C order (NaN as
-    inf), and that entry's (a, c) and raw value: one O(n^3) product, in the caller's np.errstate."""
-    raw = (md.smatrix * weight) @ md.smatrix.conj().T
-    rounded, off = _rounded(raw)
-    a, c = divmod(int(np.argmax(off)), md.dim)
-    return rounded, float(off[a, c]), (a, c), complex(raw[a, c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,19 +309,19 @@ def simple_currents(md: ModularData) -> SimpleCurrentGroup:
     permutation matrix.  No whole-ring pass runs: at j = 0 the product is
     S S^dagger = 1, so an error anywhere in S moves a checked entry.
     """
-    s = md.smatrix
-    residual, perms = -1.0, {}
+    s, perms, summaries = md.smatrix, {}, []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in (j for j in range(md.dim) if not j or abs(s[0, j] - s[0, 0]) <= 1e-9):
-            rounded, top, (a, c), raw = _fusion_product(md, s[j] / s[0])  # N_ja^c
-            if top > residual:
-                residual, worst, value = top, (j, a, c), raw
+            rounded, summary = _fusion_product(md, j)  # N_ja^c
+            summaries.append((j, summary))
             # non-negative integers with unit row and column sums form a permutation matrix
             unit = (rounded.sum(axis=0) == 1).all() and (rounded.sum(axis=1) == 1).all()
-            perms[j] = tuple(rounded.argmax(axis=1).tolist()) if unit and rounded.min() >= 0 else None
+            perms[j] = tuple(rounded.argmax(axis=1).tolist()) if unit and summary.lowest >= 0 else None
             del rounded  # before the next current's product
-    if residual > 1e-6:
-        raise IntegralityError("fusion coefficient", value, residual, tuple(md.labels[i] for i in worst))
+    j, top = max(summaries, key=lambda current: current[1].residual)  # the first of equals
+    if top.residual > 1e-6:
+        where = tuple(md.labels[i] for i in (j, *top.worst))
+        raise IntegralityError("fusion coefficient", top.value, top.residual, where)
     if None in perms.values():
         raise InternalConsistencyError("simple-current fusion is not a permutation")
     if any(perms[j1][j2] not in perms for j1 in perms for j2 in perms):

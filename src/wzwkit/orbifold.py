@@ -196,16 +196,13 @@ def assemble_orbifold(oin: OrbifoldInput, tol: float = 1e-8) -> OrbifoldModularD
 
     verify_fusion(omd, tol=max(tol, 1e-6))
 
-    s0sq = md.invariants()["s_squared"]  # S @ S, the twining matrix squared
-    perm_res = np.abs(np.abs(s0sq) - np.round(np.abs(s0sq))).max()
-    residuals["twining_square_permutation"] = float(perm_res)
-    if perm_res > tol:
-        raise InvariantViolation("twining_square_permutation", float(perm_res), tol, "")
-    psq = p @ p
-    match_res = np.abs(np.abs(psq) - np.abs(s0sq)).max()
-    residuals["pmatrix_square_match"] = float(match_res)
-    if match_res > tol:
-        raise InvariantViolation("pmatrix_square_match", float(match_res), tol, "")
+    # the twining matrix is S, so its square is the base theory's conjugation
+    residuals["twining_square_permutation"] = md.invariants()["conjugation_permutation"]
+    conjugation = np.eye(md.dim)[list(md.conjugation_permutation())]
+    residuals["pmatrix_square_match"] = float(np.abs(np.abs(p @ p) - conjugation).max())
+    for name in ("twining_square_permutation", "pmatrix_square_match"):
+        if residuals[name] > tol:
+            raise InvariantViolation(name, residuals[name], tol, "")
     return OrbifoldModularData(input=oin, md=omd, pmatrix=p, residuals=residuals)
 
 

@@ -389,6 +389,18 @@ class TestTupleSets:
                 acc = g.compose(acc, j)
             assert acc == 0
 
+    def test_empty_insertions_are_a_precondition(self):
+        md, g = setup_theory(4)
+        calls = [
+            lambda: admissible_tuples(g, ()),
+            lambda: untwisted_tuples(md, g, ()),
+            lambda: fourier_eigendims(md, g, (), 1),
+            lambda: gamma_out(g, 0),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="at least one insertion"):
+                call()
+
     def test_admissible_su2_level2(self):
         md, g = setup_theory(2)
         jj = md.index((2,))

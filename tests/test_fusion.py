@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import wzwkit.fusion
 from wzwkit.affine import modular_data, verify_modular_invariants
+from wzwkit.blocks import block_rank
 from wzwkit.errors import IntegralityError, InternalConsistencyError, InvariantViolation
 from wzwkit.fusion import simple_currents, tensor_product, verify_fusion, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
@@ -28,18 +29,18 @@ def su2_fusion_oracle(k: int, a: int, b: int, c: int) -> int:
 
 
 def full_tensor_verlinde(md, s=None):
-    """The Verlinde sum as one stored n^3 tensor, then its worst residual and
-    its smallest entry over the whole tensor.  ``s`` defaults to the complex S.
+    """The Verlinde sum as one stored n^3 tensor, each N_a formed whole as
+    (S diag(S_a / S_0)) S^dagger, then its worst residual and its smallest
+    entry over the whole tensor.  ``s`` defaults to the complex S.
 
     Returns (tensor, residual, worst, value, neg, lowest, current permutations).
     """
     s = md.smatrix if s is None else s
     n = len(s)
-    dual = (s.conj() / s[0]).T
     tensor = np.empty((n, n, n), dtype=np.int64)
     residual, where, value = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
     for a in range(n):
-        raw = (s * s[a]) @ dual
+        raw = (s * (s[a] / s[0])) @ s.conj().T
         rounded = np.round(raw.real)
         tensor[a] = rounded
         off = np.abs(raw - rounded)
@@ -76,7 +77,7 @@ def summation_bound(s):
 
 def full_row_entry(s, a, b, c):
     """The raw sum N_ab^c as ``full_tensor_verlinde`` forms it, from the full row a."""
-    return ((s * s[a]) @ (s.conj() / s[0]).T)[b, c]
+    return ((s * (s[a] / s[0])) @ s.conj().T)[b, c]
 
 
 def verify_streamed(md, tol=1e-6):
@@ -330,6 +331,37 @@ class TestStreamedSummary:
         summary = wzwkit.fusion._verlinde(spied)
         assert products[-md.dim :] == [("float64", "float64")] * md.dim
         assert tuple(summary) == full_tensor_verlinde(md, md.smatrix.real)[1:-1]
+
+    @pytest.mark.parametrize("label,k,dtype", [("A1", 20, "float64"), ("G2", 6, "float64"), ("A2", 6, "complex128")])
+    def test_currents_and_block_ranks_multiply_in_the_operand_type(self, label, k, dtype):
+        # the pass's operand rule: G2 level 6 runs real like A1, A2 stays complex
+        products = []
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                products.append((self.dtype.name, other.dtype.name))
+                return np.asarray(self) @ np.asarray(other)
+
+        md = modular_data(label, k)
+        spied = dataclasses.replace(md, smatrix=md.smatrix.view(Spy))
+        spied.invariants()
+        products.clear()
+        group = simple_currents(spied)
+        assert group.perms == simple_currents(md).perms
+        # one insertion row and the handle
+        assert block_rank(spied, 1, (1,)) == block_rank(md, 1, (1,))
+        assert products == [(dtype, dtype)] * (group.order + 2)
+
+    @pytest.mark.parametrize("label,k", [("B3", 3), ("G2", 6), ("A1/ext", 16), ("A1/orb", 4)])
+    def test_pass_reads_the_one_product(self, label, k):
+        # the tensor's slices are the whole products, rows b < a from the mirror,
+        # and the streamed residual is the largest over the row products
+        md = oracle_theory(label, k)
+        tensor = verlinde_tensor(md)
+        for a in range(md.dim):
+            assert np.array_equal(tensor[a], wzwkit.fusion._fusion_product(md, a)[0])
+        rows = [wzwkit.fusion._fusion_product(md, a, a)[1].residual for a in range(md.dim)]
+        assert verify_streamed(md, 1.0) == max(rows)
 
     def test_tensor_pass_fills_the_summary(self):
         md = modular_data("A2", 4)
