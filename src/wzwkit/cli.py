@@ -770,60 +770,70 @@ def _parse_levels(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a level range like 2-6, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help, whether it takes --level, and its own arguments.
+_GROUP = ("--group", dict(required=True, help="center, trivial, or indices"))
+_SUBCOMMANDS = {
+    "modular-data": ("S matrix and weights", True, ()),
+    "fusion": ("Verlinde coefficients", True, ()),
+    "extend": ("simple-current extension", True, (_GROUP,)),
+    "orbifold": ("inner Z2 orbifold", True, (
+        ("--shift", dict(type=_parse_rationals, required=True, help="comma-separated rationals")),
+    )),
+    "boundary": ("classifying algebra", True, (_GROUP,)),
+    "trace": ("conjecture traces", True, (
+        ("--conjecture", dict(type=int, choices=(1, 2), required=True)),
+        ("--insertions", dict(type=_parse_ints, required=True, help="comma-separated label indices")),
+        ("--genus", dict(type=int, default=JobConfig.genus)),
+        ("--tuple", dict(dest="current_tuple", type=_parse_ints)),
+        ("--shift", dict(type=_parse_rationals)),
+    )),
+    "check": ("full invariant suite", True, ()),
+    "sweep": ("check across a level range", False, (
+        ("--levels", dict(type=_parse_levels, required=True, help="range like 1-6")),
+    )),
+}
+
+
+def _add_subcommand(subparsers, name: str, summary: str, takes_level: bool, arguments) -> None:
+    """Add one subcommand: the shared arguments, then its own."""
+    sub = subparsers.add_parser(name, help=summary)
+    sub.add_argument("algebra", help="algebra label such as A1, B3, or G2")
+    if takes_level:
+        sub.add_argument("--level", type=int, default=JobConfig.level)
+    sub.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
+    sub.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
+    sub.add_argument("--cache-dir")
+    sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
+    for flag, options in arguments:
+        sub.add_argument(flag, **options)
+
+
+def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with subcommand ``construction``, or all eight if None.
+
+    Help and ``--version`` get all eight; no report shows the usage line that
+    lists them, as ``_Parser.error`` keeps only the message.
+    """
     parser = _Parser(
         prog="wzwkit",
         description="Modular data, fusion, extensions, orbifolds and boundaries "
         "for affine Lie algebra theories.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="construction")
-
-    # the shared arguments, declared once and copied into each subcommand
-    algebra, level, shared = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    algebra.add_argument("algebra", help="algebra label such as A1, B3, or G2")
-    level.add_argument("--level", type=int, default=JobConfig.level)
-    shared.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
-    shared.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
-    shared.add_argument("--cache-dir")
-    shared.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
-    common = [algebra, level, shared]
-
-    subparsers.add_parser("modular-data", help="S matrix and weights", parents=common)
-    subparsers.add_parser("fusion", help="Verlinde coefficients", parents=common)
-
-    extend = subparsers.add_parser("extend", help="simple-current extension", parents=common)
-    extend.add_argument("--group", required=True, help="center, trivial, or indices")
-
-    orbifold = subparsers.add_parser("orbifold", help="inner Z2 orbifold", parents=common)
-    orbifold.add_argument(
-        "--shift", type=_parse_rationals, required=True, help="comma-separated rationals"
-    )
-
-    boundary = subparsers.add_parser("boundary", help="classifying algebra", parents=common)
-    boundary.add_argument("--group", required=True, help="center, trivial, or indices")
-
-    trace = subparsers.add_parser("trace", help="conjecture traces", parents=common)
-    trace.add_argument("--conjecture", type=int, choices=(1, 2), required=True)
-    trace.add_argument(
-        "--insertions", type=_parse_ints, required=True, help="comma-separated label indices"
-    )
-    trace.add_argument("--genus", type=int, default=JobConfig.genus)
-    trace.add_argument("--tuple", dest="current_tuple", type=_parse_ints)
-    trace.add_argument("--shift", type=_parse_rationals)
-
-    subparsers.add_parser("check", help="full invariant suite", parents=common)
-
-    sweep = subparsers.add_parser("sweep", help="check across a level range", parents=[algebra, shared])
-    sweep.add_argument("--levels", type=_parse_levels, required=True, help="range like 1-6")
-
+    for name in _SUBCOMMANDS if construction is None else (construction,):
+        _add_subcommand(subparsers, name, *_SUBCOMMANDS[name])
     return parser
 
 
 def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
-    args = build_parser().parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``), building only its subcommand.
+
+    The full parser is built when ``argv[0]`` names no subcommand.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    construction = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(construction).parse_args(argv)
     if args.construction is None:
         raise PreconditionError("a construction subcommand is required")
     if args.fmt is None:

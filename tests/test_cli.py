@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import wzwkit
 import wzwkit.cli as cli
 import wzwkit.fusion
 from wzwkit.affine import cache_path, load_modular_data, modular_data, save_modular_data
@@ -449,6 +450,19 @@ SUBCOMMAND_OPTIONS = {
 }
 
 
+# A minimal valid command line for each subcommand.
+MINIMAL_JOBS = [
+    ["modular-data", "A1", "--level", "1"],
+    ["fusion", "A1", "--level", "1"],
+    ["extend", "A1", "--level", "4", "--group", "center"],
+    ["orbifold", "A1", "--level", "2", "--shift", "1"],
+    ["boundary", "A1", "--level", "4", "--group", "center"],
+    ["trace", "A1", "--level", "4", "--conjecture", "1", "--insertions", "2,2"],
+    ["check", "A1", "--level", "1"],
+    ["sweep", "A1", "--levels", "1-3"],
+]
+
+
 class TestArgumentParsing:
     def test_each_subcommand_declares_its_options_in_order(self):
         parser = cli.build_parser()
@@ -619,6 +633,76 @@ class TestArgumentParsing:
         doc, status = run_json(["transmogrify", "A1"])
         assert status == EXIT_PARSE
         assert doc["status"] == "error"
+
+    @pytest.mark.parametrize("argv", MINIMAL_JOBS, ids=lambda argv: argv[0])
+    def test_a_job_builds_two_parsers(self, argv, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        config_from_args(argv)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
+    def test_subcommand_help_is_the_full_parsers(self, name, capsys):
+        texts = []
+        for parser in (cli.build_parser(name), cli.build_parser()):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([name, "--help"])
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: wzwkit {name} [-h]")
+
+    def test_version_and_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"wzwkit {wzwkit.__version__}\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out
+        assert all(name in listed for name in SUBCOMMAND_OPTIONS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the CI step "Malformed input exits 3 before any computation"
+            ["orbifold", "A1", "--level", "2", "--shift", "half"],
+            ["check", "A1", "--level", "3", "--tolerance", "nan"],
+            ["check", "A1", "--level", "3", "--tolerance", "inf"],
+            ["sweep", "A0", "--levels", "1-3"],
+            ["modular-data", "A1", "--level", "3", "--cache-dir", "afile"],
+            ["sweep", "A1", "--levels", "1-3", "--level", "2"],
+            ["trace", "A1", "--level", "4", "--conjecture", "3", "--insertions", "1"],
+            # test_unknown_or_abbreviated_option_exits_with_parse_code
+            ["check", "A1", "--lev", "2"],
+            # one corpus job per subcommand
+            ["modular-data", "A1", "--level", "200"],
+            ["fusion", "A2", "--level", "10"],
+            ["extend", "A2", "--level", "12", "--group", "center"],
+            ["orbifold", "A1", "--level", "30", "--shift", "1"],
+            ["boundary", "A1", "--level", "80", "--group", "center"],
+            ["trace", "A1", "--level", "16", "--conjecture", "1", "--insertions", "8,8,8,8,8,8,8", "--genus", "1"],
+            ["trace", "A1", "--level", "20", "--conjecture", "2", "--shift", "1", "--insertions", "2,2,2"],
+            ["check", "D6", "--level", "1"],
+            ["sweep", "A1", "--levels", "1-40"],
+        ],
+    )
+    def test_one_subcommand_parses_as_the_full_parser(self, argv):
+        # compared by repr, which reads nan as nan
+        outcomes = []
+        for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+            try:
+                outcomes.append(repr(parser.parse_args(argv)))
+            except PreconditionError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSingleConstructions:
