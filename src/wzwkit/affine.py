@@ -53,7 +53,7 @@ def integrable_weights(alg: SimpleLieAlgebra, level: int) -> tuple[tuple[int, ..
     The vacuum (all labels zero) always comes first.
     """
     if level < 0:
-        raise ValueError("level must be a non-negative integer")
+        raise PreconditionError("level must be a non-negative integer")
     out = []
     bound = [level // c for c in alg.comarks]
 
@@ -397,14 +397,15 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
 
     Raises PreconditionError, before anything is written, unless
     ``md.algebra`` names a simple algebra: a tensor product, extension or
-    orbifold could not be derived again from its label.
+    orbifold could not be derived again from its label.  It also raises
+    PreconditionError, naming the directory, when the operating system
+    refuses the directory or the write.
     """
     try:
         parse_algebra_label(md.algebra)
     except CartanDataError as exc:
         raise PreconditionError(f"cannot cache theory {md.algebra!r}: {exc}") from None
     path = cache_path(md.algebra, md.level, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
     s_bytes = md.smatrix.astype("<c16", copy=False).tobytes()
     payload = {
         "schema": SCHEMA_VERSION,
@@ -414,11 +415,20 @@ def save_modular_data(md: ModularData, cache_dir: str | Path) -> Path:
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise _unusable(cache_dir, exc) from None
     return path
+
+
+def _unusable(cache_dir: str | Path, exc: OSError) -> PreconditionError:
+    """The error for a cache directory the operating system refuses."""
+    return PreconditionError(f"cache directory {str(cache_dir)!r} is unusable: {exc.strerror or exc}")
 
 
 def _decode_smatrix(text: str, n: int) -> np.ndarray:
@@ -446,13 +456,18 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
     level, or whose S payload is not base64 of exactly 16 n^2 bytes for the
     n integrable weights, counts as unreadable.  S is a read-only view of the
     decoded bytes (one base64 decode, no per-entry work and no copy); it is
-    verified by the caller like a freshly computed one.
+    verified by the caller like a freshly computed one.  A path the operating
+    system refuses (a name too long, say) raises PreconditionError.
     """
     path = cache_path(algebra, level, cache_dir)
-    if not path.exists():
-        return None
     try:
-        payload = json.loads(path.read_text())
+        if not path.exists():
+            return None
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise _unusable(cache_dir, exc) from None
+    try:
+        payload = json.loads(raw)
         if not isinstance(payload, dict):
             raise ValueError("cache entry is not a JSON object")
         if payload.get("schema") != SCHEMA_VERSION:

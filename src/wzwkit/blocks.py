@@ -213,6 +213,9 @@ def fourier_eigendims(
 
     gamma_j = j u / (1 - j u), u = 2^-53.  A rank past float range, or a
     trace or X_chi that is not finite, raises PrecisionExhausted.
+
+    The computed entries of S are not correctly rounded (A1's are up to
+    33.8 u off at level 80), so E is a model bound, not a certificate.
     """
     insertions = tuple(insertions)
     rank = block_rank(md, genus, insertions)

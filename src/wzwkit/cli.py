@@ -8,6 +8,9 @@ more cosets W/W_J than its cap, 5 for constructions the
 library does not support, and 6 when a float computation runs out of
 range or precision.
 
+A row of ``_SUBCOMMANDS`` is a subcommand's one declaration, which the
+parser, ``JobConfig.validate``, the input echo and ``run`` all read.
+
 Reports embed the input echo, the library version, and the residual table
 of every invariant that was checked, and identical configurations produce
 byte-identical output.  Single constructions emit JSON; sweeps emit CSV.
@@ -30,6 +33,7 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Sequence
@@ -97,8 +101,8 @@ class JobConfig:
     """One batch job: a construction plus everything it needs.
 
     Field names are the command-line ``dest`` names and the field defaults
-    are the command-line defaults; ``validate`` enforces that the
-    parameters are complete for the chosen construction.
+    are the command-line defaults; ``validate`` checks the job against its
+    ``_SUBCOMMANDS`` row and the rules that tie several fields together.
     """
 
     construction: str
@@ -117,11 +121,10 @@ class JobConfig:
     fmt: str = "json"
 
     def validate(self) -> None:
-        constructions = (*_HANDLERS, "sweep")
-        if self.construction not in constructions:
+        if self.construction not in _SUBCOMMANDS:
             raise PreconditionError(
                 f"unknown construction {self.construction!r}; "
-                f"expected one of {', '.join(constructions)}"
+                f"expected one of {', '.join(_SUBCOMMANDS)}"
             )
         if not self.algebra:
             raise PreconditionError("an algebra label is required")
@@ -132,7 +135,7 @@ class JobConfig:
             raise PreconditionError(f"tolerances must be finite, got {self.tolerance!r}")
         if self.weyl_cap < 1:
             raise PreconditionError("--weyl-cap must be a positive integer")
-        if self.fmt not in ("json", "csv", "pretty"):
+        if self.fmt not in _FORMATS:
             raise PreconditionError(f"unknown output format {self.fmt!r}")
         if self.fmt == "csv" and self.construction != "sweep":
             raise PreconditionError("csv output is only defined for sweeps")
@@ -146,24 +149,21 @@ class JobConfig:
                     f"cache directory {self.cache_dir!r} is, or lies under, {path!r}, "
                     "which is not a directory"
                 )
+        row = _SUBCOMMANDS[self.construction]
+        if row.takes_level and self.level < 1:
+            raise PreconditionError("--level must be a positive integer")
+        for flag, options in row.arguments:
+            value = getattr(self, _dest(flag, options))
+            if options.get("required") and (value is None or isinstance(value, str) and not value):
+                raise PreconditionError(f"{self.construction} requires {flag}")
+            choices = options.get("choices")
+            if choices and value is not None and value not in choices:
+                raise PreconditionError(f"{flag} must be one of {choices}, got {value!r}")
         if self.construction == "sweep":
-            if self.levels is None:
-                raise PreconditionError("sweep requires --levels, e.g. --levels 1-6")
             lo, hi = self.levels
             if lo < 1 or hi < lo:
                 raise PreconditionError(f"bad level range {lo}-{hi}")
-            return
-        if self.level < 1:
-            raise PreconditionError("--level must be a positive integer")
-        if self.construction in ("extend", "boundary") and not self.group:
-            raise PreconditionError(f"{self.construction} requires --group")
-        if self.construction == "orbifold" and self.shift is None:
-            raise PreconditionError("orbifold requires --shift")
         if self.construction == "trace":
-            if self.conjecture not in (1, 2):
-                raise PreconditionError("trace requires --conjecture 1 or 2")
-            if self.insertions is None:
-                raise PreconditionError("trace requires --insertions")
             if self.genus < 0:
                 raise PreconditionError("--genus must be a non-negative integer")
             if self.conjecture == 1 and self.shift is not None:
@@ -183,7 +183,7 @@ class JobConfig:
                     )
 
     def echo(self) -> dict:
-        """Input echo for the report; omits unset optional fields."""
+        """Input echo: the shared fields, then the row's arguments not at their default."""
         out: dict = {
             "construction": self.construction,
             "algebra": self.algebra,
@@ -191,20 +191,15 @@ class JobConfig:
             "weyl_cap": self.weyl_cap,
             "format": self.fmt,
         }
-        if self.construction == "sweep":
-            out["levels"] = list(self.levels) if self.levels else None
-        else:
+        row = _SUBCOMMANDS.get(self.construction)
+        if row is None or row.takes_level:
             out["level"] = self.level
-        for name in ("group", "genus", "conjecture", "cache_dir"):
-            value = getattr(self, name)
-            if value not in (None, 0):
-                out[name] = value
-        if self.shift is not None:
-            out["shift"] = [str(x) for x in self.shift]
-        if self.insertions is not None:
-            out["insertions"] = list(self.insertions)
-        if self.current_tuple is not None:
-            out["tuple"] = list(self.current_tuple)
+        if self.cache_dir is not None:
+            out["cache_dir"] = self.cache_dir
+        for flag, options in row.arguments if row else ():
+            value, default = getattr(self, _dest(flag, options)), options.get("default")
+            if value is not None and (default is None or value != default):
+                out[flag[2:]] = value
         return out
 
 
@@ -347,14 +342,9 @@ def _render(document: dict, fmt: str) -> str:
     return text + "\n"
 
 
-def _document(config: JobConfig, result: dict, residuals: dict) -> dict:
-    return {
-        "input": config.echo(),
-        "version": __version__,
-        "status": "ok",
-        "result": result,
-        "residuals": residuals,
-    }
+def _document(config: JobConfig, status: str = "ok", **fields) -> dict:
+    """A report: the input echo, the version, the status and ``fields``."""
+    return {"input": config.echo(), "version": __version__, "status": status, **fields}
 
 
 _ERROR_TABLE: tuple[tuple[type, str, int], ...] = (
@@ -396,17 +386,8 @@ def _error_detail(exc: Exception) -> dict:
 
 
 def _error_document(config: JobConfig, exc: Exception, code: str) -> dict:
-    return {
-        "input": config.echo(),
-        "version": __version__,
-        "status": "error",
-        "error": {
-            "code": code,
-            "type": type(exc).__name__,
-            "message": str(exc),
-            **_error_detail(exc),
-        },
-    }
+    error = {"code": code, "type": type(exc).__name__, "message": str(exc), **_error_detail(exc)}
+    return _document(config, "error", error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +628,6 @@ def _run_check(config: JobConfig):
     return result, residuals
 
 
-_HANDLERS = {
-    "modular-data": _run_modular_data,
-    "fusion": _run_fusion,
-    "extend": _run_extend,
-    "orbifold": _run_orbifold,
-    "boundary": _run_boundary,
-    "trace": _run_trace,
-    "check": _run_check,
-}
-
-
 def _run_sweep(config: JobConfig) -> tuple[str, int]:
     """Run the check pipeline over a level range; failures become rows."""
     lo, hi = config.levels
@@ -688,12 +658,7 @@ def _run_sweep(config: JobConfig) -> tuple[str, int]:
             )
         rows.append(row)
     if config.fmt in ("json", "pretty"):
-        document = {
-            "input": config.echo(),
-            "version": __version__,
-            "status": "ok" if worst == EXIT_OK else "error",
-            "rows": rows,
-        }
+        document = _document(config, "ok" if worst == EXIT_OK else "error", rows=rows)
         return _render(document, config.fmt), worst
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -711,10 +676,11 @@ def run(config: JobConfig) -> tuple[str, int]:
     """
     try:
         config.validate()
+        handler = _SUBCOMMANDS[config.construction].handler
         if config.construction == "sweep":
-            return _run_sweep(config)
-        result, residuals = _HANDLERS[config.construction](config)
-        return _render(_document(config, result, residuals), config.fmt), EXIT_OK
+            return handler(config)
+        result, residuals = handler(config)
+        return _render(_document(config, result=result, residuals=residuals), config.fmt), EXIT_OK
     except Exception as exc:
         classified = _classify(exc)
         if classified is None:
@@ -770,41 +736,53 @@ def _parse_levels(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a level range like 2-6, got {text!r}") from None
 
 
-# Each subcommand: its help, whether it takes --level, and its own arguments.
+# A subcommand's one declaration: its help, its handler (which returns
+# (result, residuals); a sweep's returns the report and the exit status),
+# whether it takes --level, and its own arguments as (flag, add_argument
+# options), which validate and echo read too.
+_Subcommand = namedtuple("_Subcommand", "summary handler takes_level arguments", defaults=((),))
+
+
+def _dest(flag: str, options: dict) -> str:
+    """The ``JobConfig`` field an argument sets, as argparse derives it."""
+    return options.get("dest", flag[2:].replace("-", "_"))
+
+
+_FORMATS = ("json", "csv", "pretty")
 _GROUP = ("--group", dict(required=True, help="center, trivial, or indices"))
 _SUBCOMMANDS = {
-    "modular-data": ("S matrix and weights", True, ()),
-    "fusion": ("Verlinde coefficients", True, ()),
-    "extend": ("simple-current extension", True, (_GROUP,)),
-    "orbifold": ("inner Z2 orbifold", True, (
+    "modular-data": _Subcommand("S matrix and weights", _run_modular_data, True),
+    "fusion": _Subcommand("Verlinde coefficients", _run_fusion, True),
+    "extend": _Subcommand("simple-current extension", _run_extend, True, (_GROUP,)),
+    "orbifold": _Subcommand("inner Z2 orbifold", _run_orbifold, True, (
         ("--shift", dict(type=_parse_rationals, required=True, help="comma-separated rationals")),
     )),
-    "boundary": ("classifying algebra", True, (_GROUP,)),
-    "trace": ("conjecture traces", True, (
+    "boundary": _Subcommand("classifying algebra", _run_boundary, True, (_GROUP,)),
+    "trace": _Subcommand("conjecture traces", _run_trace, True, (
         ("--conjecture", dict(type=int, choices=(1, 2), required=True)),
         ("--insertions", dict(type=_parse_ints, required=True, help="comma-separated label indices")),
         ("--genus", dict(type=int, default=JobConfig.genus)),
         ("--tuple", dict(dest="current_tuple", type=_parse_ints)),
         ("--shift", dict(type=_parse_rationals)),
     )),
-    "check": ("full invariant suite", True, ()),
-    "sweep": ("check across a level range", False, (
+    "check": _Subcommand("full invariant suite", _run_check, True),
+    "sweep": _Subcommand("check across a level range", _run_sweep, False, (
         ("--levels", dict(type=_parse_levels, required=True, help="range like 1-6")),
     )),
 }
 
 
-def _add_subcommand(subparsers, name: str, summary: str, takes_level: bool, arguments) -> None:
+def _add_subcommand(subparsers, name: str, row) -> None:
     """Add one subcommand: the shared arguments, then its own."""
-    sub = subparsers.add_parser(name, help=summary)
+    sub = subparsers.add_parser(name, help=row.summary)
     sub.add_argument("algebra", help="algebra label such as A1, B3, or G2")
-    if takes_level:
+    if row.takes_level:
         sub.add_argument("--level", type=int, default=JobConfig.level)
     sub.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
     sub.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
     sub.add_argument("--cache-dir")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
-    for flag, options in arguments:
+    sub.add_argument("--format", dest="fmt", choices=_FORMATS)
+    for flag, options in row.arguments:
         sub.add_argument(flag, **options)
 
 
@@ -822,7 +800,7 @@ def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="construction")
     for name in _SUBCOMMANDS if construction is None else (construction,):
-        _add_subcommand(subparsers, name, *_SUBCOMMANDS[name])
+        _add_subcommand(subparsers, name, _SUBCOMMANDS[name])
     return parser
 
 

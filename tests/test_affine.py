@@ -134,6 +134,19 @@ class TestIntegrableWeights:
     def test_level_zero_is_vacuum_only(self):
         assert integrable_weights(build_algebra("D4"), 0) == ((0, 0, 0, 0),)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: integrable_weights(build_algebra("A1"), -1),
+            lambda: kac_peterson_smatrix(build_algebra("A1"), -1),
+            lambda: modular_data("A1", -1),
+        ],
+        ids=["integrable_weights", "kac_peterson_smatrix", "modular_data"],
+    )
+    def test_negative_level_is_a_precondition_error(self, call):
+        with pytest.raises(PreconditionError, match="level must be a non-negative integer"):
+            call()
+
 
 class TestConformalData:
     @pytest.mark.parametrize(
@@ -350,6 +363,13 @@ class TestCache:
             md = modular_data("A1", 3, cache_dir=tmp_path)
         assert md.dim == 4
 
+    def test_entry_that_is_not_utf8_recomputes_with_warning(self, tmp_path):
+        modular_data("A1", 3, cache_dir=tmp_path)
+        cache_path("A1", 3, tmp_path).write_bytes(b"\x80not json")
+        with pytest.warns(UserWarning, match="unreadable cache .*utf-8"):
+            md = modular_data("A1", 3, cache_dir=tmp_path)
+        assert md.dim == 4
+
     def test_schema_mismatch_invalidates(self, tmp_path):
         modular_data("A1", 1, cache_dir=tmp_path)
         p = cache_path("A1", 1, tmp_path)
@@ -388,7 +408,7 @@ class TestCache:
             raise OSError("disk full")
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(PreconditionError, match="is unusable: disk full"):
             save_modular_data(md, tmp_path)
         monkeypatch.undo()
         assert path.read_bytes() == before

@@ -16,6 +16,7 @@ import wzwkit
 import wzwkit.cli as cli
 import wzwkit.fusion
 from wzwkit.affine import cache_path, load_modular_data, modular_data, save_modular_data
+from wzwkit.blocks import symmetry_trace
 from wzwkit.boundary import classifying_algebra
 from wzwkit.cli import (
     EXIT_CAP,
@@ -187,13 +188,16 @@ class TestReportEncoding:
             ["boundary", "A2", "--level", "6", "--group", "center"],
             ["extend", "A1", "--level", "40", "--group", "center"],
             ["extend", "A2", "--level", "6", "--group", "center"],
+            ["fusion", "A2", "--level", "10"],
+            ["check", "B2", "--level", "3"],
+            ["trace", "A1", "--level", "4", "--conjecture", "1", "--insertions", "2,2", "--genus", "1"],
         ],
         ids=" ".join,
     )
     def test_reports_match_the_per_element_encoder(self, argv, fmt):
         config = config_from_args([*argv, "--format", fmt])
-        result, residuals = cli._HANDLERS[config.construction](config)
-        document = cli._document(config, result, residuals)
+        result, residuals = cli._SUBCOMMANDS[config.construction].handler(config)
+        document = cli._document(config, result=result, residuals=residuals)
         assert_same_text(_render(document, fmt), render_per_element(document, fmt))
 
     @pytest.mark.parametrize("value", [np.bool_(True), object(), [np.bool_(False)]])
@@ -346,6 +350,44 @@ class TestJobConfigValidation:
         assert status == EXIT_PARSE
         assert doc["error"]["code"] == "parse-error"
         assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (JobConfig("check", "", 1), "an algebra label is required"),
+            (JobConfig("check", "A1", 1, weyl_cap=0), "--weyl-cap must be a positive integer"),
+            (JobConfig("check", "A1", 1, fmt="xml"), "unknown output format 'xml'"),
+            (JobConfig("sweep", "A1"), "sweep requires --levels"),
+            (JobConfig("orbifold", "A1", 2), "orbifold requires --shift"),
+            (JobConfig("boundary", "A1", 4, group=""), "boundary requires --group"),
+            (JobConfig("trace", "A1", 4, insertions=(2, 2)), "trace requires --conjecture"),
+            (
+                JobConfig("trace", "A1", 4, conjecture=3, insertions=(2, 2)),
+                "--conjecture must be one of (1, 2), got 3",
+            ),
+            (JobConfig("trace", "A1", 4, conjecture=1), "trace requires --insertions"),
+            (
+                JobConfig("trace", "A1", 4, conjecture=2, insertions=(2, 2, 2)),
+                "trace --conjecture 2 requires --shift",
+            ),
+        ],
+        ids=[
+            "empty-algebra", "weyl-cap-0", "xml", "sweep-no-levels", "orbifold-no-shift", "empty-group",
+            "trace-no-conjecture", "conjecture-3", "trace-no-insertions", "conjecture-2-no-shift",
+        ],
+    )
+    def test_failures_only_the_api_reaches_are_parse_errors(self, config, message, no_theory):
+        text, status = run(config)
+        assert status == EXIT_PARSE
+        assert json.loads(text)["error"] == {
+            "code": "parse-error", "message": message, "type": "PreconditionError"
+        }
+
+    def test_array_fields_run_like_tuples(self):
+        as_tuple = run(JobConfig("trace", "A1", 4, conjecture=1, insertions=(2, 2)))
+        as_array = run(JobConfig("trace", "A1", 4, conjecture=1, insertions=np.array([2, 2])))
+        assert as_array == as_tuple
+        assert as_tuple[1] == EXIT_OK
 
     def test_sweep_needs_an_ordered_range(self):
         config = JobConfig(construction="sweep", algebra="A1", levels=(4, 2))
@@ -772,6 +814,20 @@ class TestSingleConstructions:
         parts = {part["type"]: part["members"] for part in result["automorphism_types"]}
         assert parts == {"1": [0, 2, 3], "sigma": [1]}
 
+    def test_trivial_group_extends_to_the_theory_itself(self):
+        doc, status = run_json(["extend", "A1", "--level", "4", "--group", "trivial"])
+        assert status == EXIT_OK
+        assert doc["result"]["group_order"] == 1
+        assert doc["result"]["dim"] == 5
+        assert doc["result"]["zmatrix"] == np.eye(5, dtype=int).tolist()
+
+    def test_trivial_group_boundary_has_one_label_per_primary(self):
+        doc, status = run_json(["boundary", "A1", "--level", "3", "--group", "trivial"])
+        assert status == EXIT_OK
+        result = doc["result"]
+        assert result["dim"] == len(result["boundary_labels"]) == 4
+        assert "automorphism_types" not in result
+
     def test_trace_conjecture_one(self):
         doc, status = run_json(
             [
@@ -932,6 +988,18 @@ class TestExactRanks:
         assert result["tuple_trace"] == result["traces"][str(current_tuple)]
         assert result["tuple_trace"] == pytest.approx(trace, abs=1e-9)
 
+    def test_tuple_trace_of_a_twisted_tuple_is_its_symmetry_trace(self):
+        doc, status = run_json(
+            ["trace", "A1", "--level", "2", "--conjecture", "1", "--insertions", "1,1,1",
+             "--tuple", "0,2,2"]
+        )
+        assert status == EXIT_OK
+        result = doc["result"]
+        assert [0, 2, 2] in result["admissible"]
+        assert [0, 2, 2] not in result["untwisted"]
+        trace = symmetry_trace(modular_data("A1", 2), (1, 1, 1), (0, 2, 2))
+        assert result["tuple_trace"] == [trace.real, trace.imag]
+
     def test_never_reports_wrong_dims_past_the_trace_precision(self):
         doc, status = run_json(
             ["trace", "A1", "--level", "10", "--conjecture", "1",
@@ -1012,6 +1080,18 @@ class TestFailureReports:
         assert doc["error"]["code"] == "precision-exhausted"
         assert doc["error"]["type"] == "PrecisionExhausted"
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "group,message",
+        [
+            ("x", "--group must be 'center', 'trivial', or comma-separated label indices, got 'x'"),
+            ("1", "label index 1 is not a simple current"),
+        ],
+    )
+    def test_malformed_group_is_a_parse_error(self, group, message):
+        doc, status = run_json(["extend", "A1", "--level", "4", "--group", group])
+        assert status == EXIT_PARSE
+        assert doc["error"] == {"code": "parse-error", "message": message, "type": "PreconditionError"}
 
     def test_rejected_extension_is_reported_not_raised(self):
         doc, status = run_json(["extend", "A1", "--level", "3", "--group", "center"])
@@ -1101,6 +1181,24 @@ class TestCache:
             again = modular_data("A1", 2, cache_dir=tmp_path)
         assert len(coset_walks) == before + 1
         assert np.allclose(again.smatrix, md.smatrix)
+
+    def test_over_long_cache_directory_is_refused_before_s_is_built(self, tmp_path, coset_walks):
+        cache_dir = str(tmp_path / ("x" * 300))
+        doc, status = run_json(["modular-data", "A1", "--level", "2", "--cache-dir", cache_dir])
+        assert status == EXIT_PARSE
+        assert doc["error"]["code"] == "parse-error"
+        assert repr(cache_dir) in doc["error"]["message"]
+        with pytest.raises(PreconditionError, match="is unusable"):
+            modular_data("A1", 2, cache_dir=cache_dir)
+        assert coset_walks == []
+
+    def test_refused_write_is_a_precondition_error(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.touch()
+        with pytest.raises(PreconditionError, match="is unusable"):
+            modular_data("A1", 2, cache_dir=afile / "sub")
+        with pytest.raises(PreconditionError, match="is unusable"):
+            save_modular_data(modular_data("A1", 2), afile)
 
     def test_mismatched_payload_is_rejected(self, tmp_path):
         md = modular_data("A1", 2)
