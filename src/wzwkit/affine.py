@@ -296,20 +296,26 @@ def _coset_sum(alg: SimpleLieAlgebra, kappa: int, shifted: np.ndarray, cap: int)
 
 
 def _invariant_residuals(md: ModularData) -> dict:
-    """Residual of each defining relation and the conjugation permutation."""
+    """Residual of each defining relation and the conjugation permutation,
+    each product freed before the next: at most three n×n arrays beside S."""
     s = md.smatrix
-    eye = np.eye(md.dim)
+    product = s @ s.conj().T
+    product.flat[:: md.dim + 1] -= 1
+    unitarity = float(np.abs(product).max())
+    product = s * md.t_diagonal()[np.newaxis, :]
+    product = product @ product @ product
     s2 = s @ s
+    st_cubed = float(np.abs(np.subtract(product, s2, out=product)).max())
+    del product
     perm = np.round(s2.real)
-    st = s * md.t_diagonal()[np.newaxis, :]
     return {
-        "unitarity": float(np.abs(s @ s.conj().T - eye).max()),
+        "unitarity": unitarity,
         "symmetry": float(np.abs(s - s.T).max()),
         "vacuum_row_imag": float(np.abs(s[0].imag).max()),
         "vacuum_row_min": float(s[0].real.min()),
         "conjugation_permutation": float(np.abs(s2.real - perm).max() + np.abs(s2.imag).max()),
-        "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
-        "st_cubed": float(np.abs(st @ st @ st - s2).max()),
+        "conjugation_involution": bool(np.array_equal(perm @ perm, np.eye(md.dim))),
+        "st_cubed": st_cubed,
         "conjugation": tuple(np.argmax(np.abs(s2), axis=1).tolist()),
     }
 

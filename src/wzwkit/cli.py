@@ -18,10 +18,10 @@ byte-identical output.  Single constructions emit JSON; sweeps emit CSV.
 A report is the text ``json.dumps`` gives the document (sorted keys,
 compact or ``indent=2``), with every float in shortest round-trip repr.
 Numeric arrays, which make up most of a large report, are written at
-array speed: each distinct value is formatted once and the array's text
-is joined from those words and the list separators, then spliced in where
-``json.dumps`` wrote a placeholder.  An S matrix repeats most of its
-values, so this costs far fewer float reprs than it has entries.
+array speed and in bounded memory: each distinct value is formatted once,
+and the array's text is joined from those words and the list separators
+in slices, each written as it is formed; ``run`` returns the same bytes.
+An S matrix repeats most of its values, so few of its floats need a repr.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ EXIT_UNSUPPORTED = 5
 EXIT_PRECISION = 6
 
 CACHE_ENV = "WZWKIT_CACHE_DIR"
+_SLICE_ENTRIES = 1 << 15  # entries per slice of a report's array text, about a megabyte
 
 SWEEP_COLUMNS = (
     "algebra",
@@ -208,7 +209,7 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 
-def _encode(value, arrays: list, depth: int = 0):
+def _encode(value, texts: list, indent: int | None, depth: int = 0):
     """Make a value JSON-ready with a fixed, reproducible convention.
 
     Rationals become exact strings, complex numbers become [re, im]
@@ -216,14 +217,19 @@ def _encode(value, arrays: list, depth: int = 0):
     round-trip repr, which stays within 17 significant digits.
 
     A non-empty numeric array of at least one dimension is not converted
-    here: it is appended to ``arrays`` with its nesting depth (the number
-    of enclosing lists and dicts), and a placeholder string holding its
-    position and a NUL character stands in for it; ``_render`` splices the
-    array's text in.  A complex array is first stacked into a trailing
-    (re, im) axis, so each entry still reads [re, im].  Empty and 0-d
-    arrays cost one ``tolist()``; object arrays (of rationals, say) are
-    walked element by element, like lists.
+    here: its lazy text (``_array_text`` at its nesting depth, the number
+    of enclosing lists and dicts) goes to ``texts``, and a placeholder
+    string holding its position and a NUL character stands in for it; so
+    does a string holding a NUL, with its JSON text, so no string can
+    imitate a placeholder (a key holding a NUL is refused).  A complex
+    array is first read as floats with a trailing (re, im) axis, so each
+    entry still reads [re, im].  Empty and 0-d arrays cost one
+    ``tolist()``; object arrays (of rationals, say) are walked element by
+    element, like lists.
     """
+    if isinstance(value, str) and "\x00" in value:
+        texts.append([json.dumps(value)])
+        return f"\x00{len(texts) - 1}"
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, Q):
@@ -238,20 +244,22 @@ def _encode(value, arrays: list, depth: int = 0):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
         if value.dtype == object:
-            return _encode(value.tolist(), arrays, depth)
+            return _encode(value.tolist(), texts, indent, depth)
         if np.iscomplexobj(value):
-            value = np.stack((value.real, value.imag), -1)
+            value = np.ascontiguousarray(value).view(value.real.dtype).reshape(*value.shape, 2)
         # tolist() leaves a longdouble a numpy scalar, which json refuses.
         numeric = value.dtype.kind in "biuf" and value.dtype.itemsize <= 8
         if not numeric or value.size == 0 or value.ndim == 0:
             return value.tolist()
-        arrays.append((value, depth))
-        return f"\x00{len(arrays) - 1}"
+        texts.append(_array_text(value, indent, depth))
+        return f"\x00{len(texts) - 1}"
     if isinstance(value, dict):
-        return {str(key): _encode(item, arrays, depth + 1) for key, item in value.items()}
+        if any("\x00" in str(key) for key in value):
+            raise PreconditionError("cannot serialize a key holding a NUL character into a report")
+        return {str(key): _encode(item, texts, indent, depth + 1) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_encode(item, arrays, depth + 1) for item in items]
+        return [_encode(item, texts, indent, depth + 1) for item in items]
     raise PreconditionError(f"cannot serialize a {type(value).__name__} into a report")
 
 
@@ -260,17 +268,21 @@ def _words(flat: np.ndarray) -> tuple[list[str], np.ndarray]:
 
     Entries are compared as json would print them after ``tolist()``:
     floats as float64 by bit pattern (so -0.0 and 0.0, or NaNs with
-    different payloads, stay apart), integers and bools by value.
+    different payloads, stay apart), integers and bools by value.  Integers
+    spanning (with 0) fewer values than entries are their own index: no sort.
     """
+    if flat.dtype.kind in "iu":
+        lo, hi = min(int(flat.min()), 0), max(int(flat.max()), -1)
+        if hi - lo < flat.size:
+            return list(map(int.__repr__, [*range(hi + 1), *range(lo, 0)])), flat  # v < 0 reads from the end
     if flat.dtype.kind == "f":
         with np.errstate(invalid="ignore"):  # a signalling NaN, as tolist() allows
-            flat = flat.astype(np.float64)
+            flat = flat.astype(np.float64, copy=False)
         bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
         distinct = bits.view(np.float64)
         words = list(map(float.__repr__, distinct.tolist()))
         for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
-            x = distinct[i]
-            words[i] = "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+            words[i] = json.dumps(distinct[i].item())  # NaN, Infinity or -Infinity
         return words, inverse
     distinct, inverse = np.unique(flat, return_inverse=True)
     if flat.dtype.kind == "b":
@@ -278,13 +290,14 @@ def _words(flat: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(map(int.__repr__, distinct.tolist())), inverse
 
 
-def _array_text(array: np.ndarray, indent: int | None, depth: int) -> str:
-    """The text ``json.dumps`` gives ``array.tolist()`` at nesting ``depth``.
+def _array_text(array: np.ndarray, indent: int | None, depth: int):
+    """The text ``json.dumps`` gives ``array.tolist()`` at nesting ``depth``,
+    in slices of ``_SLICE_ENTRIES`` entries.
 
-    Each distinct entry is formatted once (``_words``).  Before every entry
-    but the first goes the separator for the number j of axis boundaries
-    it crosses, which closes j lists, writes a comma and opens j lists;
-    there are only ``ndim`` such separators.  ``indent`` None is the
+    Each distinct entry is formatted once (``_words``).  Before each entry
+    goes the separator for the number j of axis boundaries its index
+    crosses (all ``ndim`` for the first, which opens the array): it closes
+    j lists, writes a comma and opens j lists.  ``indent`` None is the
     compact ``separators=(",", ":")`` layout, else the pretty one.
     """
     ndim = array.ndim
@@ -299,47 +312,47 @@ def _array_text(array: np.ndarray, indent: int | None, depth: int) -> str:
     def closes(j: int) -> str:
         return "".join(newline(level) + "]" for level in range(inner - 1, inner - 1 - j, -1))
 
-    crossed = np.zeros(array.size, dtype=np.intp)
-    stride = 1
-    for length in array.shape[:0:-1]:
-        stride *= length
-        crossed[::stride] += 1
-    words, inverse = _words(array.reshape(-1))
-    pieces = np.empty(2 * array.size, dtype=object)
-    pieces[0::2] = np.array([closes(j) + "," + opens(j) for j in range(ndim)], dtype=object)[crossed]
-    pieces[1::2] = np.array(words, dtype=object)[inverse]
-    pieces[0] = "[" + opens(ndim - 1)
-    return "".join(pieces.tolist()) + closes(ndim)
+    separators = [closes(j) + "," + opens(j) for j in range(ndim)] + ["[" + opens(ndim - 1)]
+    separators = np.array(separators, dtype=object)
+    strides = np.cumprod(array.shape[::-1]).tolist()
+    words, index = _words(array.reshape(-1))
+    words = np.array(words, dtype=object)
+    for start in range(0, array.size, _SLICE_ENTRIES):
+        stop = min(start + _SLICE_ENTRIES, array.size)
+        crossed = np.zeros(stop - start, dtype=np.intp)
+        for stride in strides:
+            crossed[-start % stride :: stride] += 1
+        pieces = np.empty(2 * (stop - start) + 1, dtype=object)
+        pieces[0:-1:2] = separators[crossed]
+        pieces[1::2] = words[index[start:stop]]
+        pieces[-1] = closes(ndim) if stop == array.size else ""
+        yield "".join(pieces.tolist())
 
 
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
-def _render(document: dict, fmt: str) -> str:
-    """Serialize a report: ``json.dumps`` with sorted keys, arrays spliced in.
+def _render(document: dict, fmt: str):
+    """Serialize a report: an iterator over its text, in pieces.
 
-    ``json.dumps`` writes the document with a placeholder for each numeric
-    array (see ``_encode``); each placeholder is then replaced by
-    ``_array_text``, which gives the bytes ``json.dumps`` would give the
-    array's ``tolist()``.  An array of N entries with D distinct values
-    costs one sort of N keys, D float reprs and one join of 2N shared
-    strings, instead of N Python floats and N reprs; S matrices repeat
-    most of their values (A1 level 300: 181,202 floats, 17,084 distinct).
+    ``json.dumps`` writes the document with sorted keys and a placeholder
+    for each numeric array and NUL-bearing string (see ``_encode``); the
+    pieces are the text between placeholders and the text each stands for.
+    Only array slices are formed lazily, so a document that cannot be
+    rendered raises before any piece exists.  An array of N entries with D
+    distinct values costs at most one sort of N keys, D reprs and joins of
+    shared strings a slice at a time; S matrices repeat most of their
+    values (A1 level 300: 181,202 floats, 17,084 distinct).
     """
-    arrays: list = []
-    payload = _encode(document, arrays)
+    texts: list = []
     indent = 2 if fmt == "pretty" else None
+    payload = _encode(document, texts, indent)
     separators = None if indent else (",", ":")
-    text = json.dumps(payload, sort_keys=True, indent=indent, separators=separators)
-
-    def splice(match: re.Match) -> str:
-        array, depth = arrays[int(match.group(1))]
-        return _array_text(array, indent, depth)
-
-    text, spliced = _PLACEHOLDER.subn(splice, text)
-    if spliced != len(arrays):
-        raise InternalConsistencyError("a report string imitates an array placeholder")
-    return text + "\n"
+    parts = _PLACEHOLDER.split(json.dumps(payload, sort_keys=True, indent=indent, separators=separators))
+    if sorted(map(int, parts[1::2])) != list(range(len(texts))):
+        raise InternalConsistencyError("report placeholders do not match the texts they stand for")
+    parts[-1] += "\n"
+    return (piece for k, part in enumerate(parts) for piece in (texts[int(part)] if k % 2 else [part]))
 
 
 def _document(config: JobConfig, status: str = "ok", **fields) -> dict:
@@ -665,15 +678,10 @@ def _run_sweep(config: JobConfig) -> tuple[str, int]:
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([str(row[col]) for col in SWEEP_COLUMNS])
-    return buffer.getvalue(), worst
+    return [buffer.getvalue()], worst
 
 
-def run(config: JobConfig) -> tuple[str, int]:
-    """Execute one job and return (report text, exit status).
-
-    Failures of checked invariants are reported as structured error
-    documents with a stable code, never as tracebacks.
-    """
+def _report(config: JobConfig):
     try:
         config.validate()
         handler = _SUBCOMMANDS[config.construction].handler
@@ -688,6 +696,17 @@ def run(config: JobConfig) -> tuple[str, int]:
         code, status = classified
         fmt = "json" if config.fmt == "csv" else config.fmt
         return _render(_error_document(config, exc, code), fmt), status
+
+
+def run(config: JobConfig) -> tuple[str, int]:
+    """Execute one job and return (report text, exit status).
+
+    Failures of checked invariants are reported as structured error
+    documents with a stable code, never as tracebacks.  The text is the
+    bytes ``main`` writes for the same job.
+    """
+    pieces, status = _report(config)
+    return "".join(pieces), status
 
 
 # ---------------------------------------------------------------------------
@@ -821,15 +840,15 @@ def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Console entry point; prints one report and returns the exit status."""
+    """Console entry point; writes one report as it is formed, returns the exit status."""
     try:
         config = config_from_args(argv)
     except PreconditionError as exc:
         stub = JobConfig(construction="invalid", algebra="")
-        sys.stdout.write(_render(_error_document(stub, exc, "parse-error"), "json"))
-        return EXIT_PARSE
-    text, status = run(config)
-    sys.stdout.write(text)
+        pieces, status = _render(_error_document(stub, exc, "parse-error"), "json"), EXIT_PARSE
+    else:
+        pieces, status = _report(config)
+    sys.stdout.writelines(pieces)
     return status
 
 

@@ -32,6 +32,25 @@ from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
 from wzwkit.simplecurrent import extend_by_group
 
 
+def invariant_residuals_oracle(md) -> dict:
+    """The invariants pass as one expression per relation, every product kept."""
+    s = md.smatrix
+    eye = np.eye(md.dim)
+    s2 = s @ s
+    perm = np.round(s2.real)
+    st = s * md.t_diagonal()[np.newaxis, :]
+    return {
+        "unitarity": float(np.abs(s @ s.conj().T - eye).max()),
+        "symmetry": float(np.abs(s - s.T).max()),
+        "vacuum_row_imag": float(np.abs(s[0].imag).max()),
+        "vacuum_row_min": float(s[0].real.min()),
+        "conjugation_permutation": float(np.abs(s2.real - perm).max() + np.abs(s2.imag).max()),
+        "conjugation_involution": bool(np.array_equal(perm @ perm, eye)),
+        "st_cubed": float(np.abs(st @ st @ st - s2).max()),
+        "conjugation": tuple(np.argmax(np.abs(s2), axis=1).tolist()),
+    }
+
+
 def su2_smatrix(k: int) -> np.ndarray:
     """Closed-form S matrix of the level-k su(2) theory."""
     n = k + 2
@@ -309,6 +328,22 @@ class TestSmatrix:
         perm = md.conjugation_permutation()
         for i, lab in enumerate(md.labels):
             assert md.labels[perm[i]] == (lab[1], lab[0])
+
+    @pytest.mark.parametrize("theory", ["A1/40", "A2/6", "B2/3", "A1/2 x A1/2"])
+    def test_invariants_pass_equals_the_oracle_bit_for_bit(self, theory):
+        if theory == "A1/2 x A1/2":
+            md = tensor_product(modular_data("A1", 2), modular_data("A1", 2))
+        else:
+            algebra, level = theory.split("/")
+            md = modular_data(algebra, int(level))
+        expected = invariant_residuals_oracle(md)
+        actual = md.invariants()
+        assert list(actual) == list(expected)
+        for name, value in expected.items():
+            assert type(actual[name]) is type(value)
+            if isinstance(value, float):
+                assert math.copysign(1, actual[name]) == math.copysign(1, value), name
+            assert actual[name] == value, name
 
     def test_su2_self_conjugate(self):
         md = modular_data("A1", 5)

@@ -72,6 +72,11 @@ def encode_per_element(value):
     raise PreconditionError(f"cannot serialize a {type(value).__name__} into a report")
 
 
+def render(document, fmt):
+    """The report text of ``document``: its pieces, joined."""
+    return "".join(_render(document, fmt))
+
+
 def render_per_element(document, fmt):
     payload = encode_per_element(document)
     if fmt == "pretty":
@@ -162,19 +167,34 @@ ARRAY_FIXTURES = {
     "deep_in_lists": [[[np.array([[1.5, -0.0], [1.5, 2.0]]), np.array([1, 2])]]],
     "deep_in_dicts": {"a": {"b": {"c": np.array([[True], [False]]), "d": [np.array([1j])]}}},
     "mixed_depths": [np.array([0.1, 0.1]), {"x": [[np.array([[[0.1]], [[0.2]]])]]}, np.array(3)],
+    "complex_transposed": (np.arange(12).reshape(3, 4) * (1 - 0.5j) + np.array([0.1j, -0.0, 1j, 2.5])).T,
+    # integers spanning, with 0, fewer values than entries: read by value
+    "int_lookup_negative": np.array([[-3, 0, 2, -3, 1], [2, -1, -3, 0, 0]]),
+    "int_lookup_all_negative": np.array([-1, -3, -3, -1, -2]),
+    "int8_lookup_full_range": np.tile(np.array([-128, 127, 0, 5], dtype=np.int8), 70),
+    # a wider span: distinct values by np.unique
+    "int_sparse_range": np.array([[10**12, -7, 3], [3, -(10**15), 10**12]]),
+    "uint64_top": np.array([2**64 - 1, 2**64 - 3, 2**64 - 1, 2**64 - 2], dtype=np.uint64),
 }
+
+# Slice sizes that put slice boundaries inside, at and across axis boundaries.
+SLICE_SIZES = [1, 2, 3, 7]
 
 
 class TestReportEncoding:
+    @pytest.mark.parametrize("slice_entries", [cli._SLICE_ENTRIES, *SLICE_SIZES])
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_matches_the_per_element_encoder(self, fmt):
-        assert_same_text(_render(ENCODE_FIXTURE, fmt), render_per_element(ENCODE_FIXTURE, fmt))
+    def test_matches_the_per_element_encoder(self, fmt, slice_entries, monkeypatch):
+        monkeypatch.setattr(cli, "_SLICE_ENTRIES", slice_entries)
+        assert_same_text(render(ENCODE_FIXTURE, fmt), render_per_element(ENCODE_FIXTURE, fmt))
 
+    @pytest.mark.parametrize("slice_entries", [cli._SLICE_ENTRIES, *SLICE_SIZES])
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     @pytest.mark.parametrize("name", sorted(ARRAY_FIXTURES))
-    def test_array_text_matches_the_per_element_encoder(self, name, fmt):
+    def test_array_text_matches_the_per_element_encoder(self, name, fmt, slice_entries, monkeypatch):
+        monkeypatch.setattr(cli, "_SLICE_ENTRIES", slice_entries)
         document = {"x": ARRAY_FIXTURES[name]}
-        assert_same_text(_render(document, fmt), render_per_element(document, fmt))
+        assert_same_text(render(document, fmt), render_per_element(document, fmt))
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     @pytest.mark.parametrize(
@@ -194,18 +214,63 @@ class TestReportEncoding:
         ],
         ids=" ".join,
     )
-    def test_reports_match_the_per_element_encoder(self, argv, fmt):
+    def test_reports_match_the_per_element_encoder(self, argv, fmt, monkeypatch):
         config = config_from_args([*argv, "--format", fmt])
         result, residuals = cli._SUBCOMMANDS[config.construction].handler(config)
         document = cli._document(config, result=result, residuals=residuals)
-        assert_same_text(_render(document, fmt), render_per_element(document, fmt))
+        expected = render_per_element(document, fmt)
+        for slice_entries in [cli._SLICE_ENTRIES, *SLICE_SIZES]:
+            monkeypatch.setattr(cli, "_SLICE_ENTRIES", slice_entries)
+            assert_same_text(render(document, fmt), expected)
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_strings_holding_nul_cannot_imitate_a_placeholder(self, fmt):
+        document = {
+            "a": "\x000",
+            "b": ["\x00", "\x001", "x\x002", np.array([1.5, 2.5]), "\x00\x00"],
+            "c": {"d": "\x0012345", "e": np.array([[7, 7], [7, 8]])},
+        }
+        assert_same_text(render(document, fmt), render_per_element(document, fmt))
+
+    def test_a_key_holding_nul_is_refused(self):
+        with pytest.raises(PreconditionError):
+            _render({"a": {"\x000": 1}}, "json")
+
+    def test_a_group_holding_nul_is_a_parse_error(self):
+        config = JobConfig("extend", "A1", 4, group="\x000")
+        text, status = run(config)
+        assert status == EXIT_PARSE
+        assert '"group":"\\u00000"' in text
+        document = json.loads(text)
+        assert document["error"]["code"] == "parse-error"
+        assert document["input"]["group"] == "\x000"
+        assert_same_text(text, render_per_element(document, "json"))
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_rendering_holds_a_slice_not_the_report(self, fmt):
+        # 4M entries of a small-integer table and 64K distinct floats: the
+        # text is 11 MB compact and 50 MB pretty, each piece at most a slice
+        document = {
+            "table": np.tile(np.arange(8, dtype=np.int64), 1 << 19).reshape(-1, 4),
+            "floats": np.linspace(0.0, 1.0, 1 << 16),
+        }
+        longest = total = 0
+        tracemalloc.start()
+        try:
+            for piece in _render(document, fmt):
+                longest, total = max(longest, len(piece)), total + len(piece)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total > 10 * 2**20
+        assert longest < 2**20 and peak < 16 * 2**20
 
     @pytest.mark.parametrize("value", [np.bool_(True), object(), [np.bool_(False)]])
     def test_unencodable_values_are_refused_alike(self, value):
         with pytest.raises(PreconditionError):
             render_per_element({"x": value}, "json")
         with pytest.raises(PreconditionError):
-            _render({"x": value}, "json")
+            render({"x": value}, "json")
 
     @pytest.mark.parametrize("algebra,level", [("A1", 4), ("A2", 3), ("A1", 40)])
     def test_fusion_table_matches_the_triple_loop(self, algebra, level):
@@ -949,6 +1014,29 @@ class TestSingleConstructions:
         _, status = run_json(["boundary", "A1", "--level", "4", "--group", "center"])
         assert status == EXIT_OK
         assert calls == [(4, 4)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modular-data", "A1", "--level", "4", "--format", "pretty"],
+            ["fusion", "A2", "--level", "3"],
+            ["extend", "A1", "--level", "4", "--group", "center"],
+            ["orbifold", "A1", "--level", "2", "--shift", "1"],
+            ["boundary", "A1", "--level", "4", "--group", "center"],
+            ["trace", "A1", "--level", "4", "--conjecture", "1", "--insertions", "2,2"],
+            ["check", "A2", "--level", "2"],
+            ["sweep", "A1", "--levels", "1-3"],
+            ["check", "A1", "--level", "3", "--tolerance", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_main_writes_the_text_run_returns(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("WZWKIT_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cli, "_SLICE_ENTRIES", 5)
+        status = main(argv)
+        expected, expected_status = run(config_from_args(argv))
+        assert capsys.readouterr().out == expected
+        assert status == expected_status
 
     def test_reports_are_byte_deterministic(self):
         config = JobConfig(construction="check", algebra="A2", level=2)
