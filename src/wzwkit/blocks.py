@@ -50,11 +50,16 @@ __all__ = [
 ]
 
 
+def _check_insertions(md: ModularData, insertions: Iterable[int]) -> None:
+    """Raise ``PreconditionError`` unless every insertion is a label index 0..n-1."""
+    for mu in insertions:
+        if not 0 <= mu < md.dim:
+            raise PreconditionError(f"insertion {mu} is not a label index below {md.dim}")
+
+
 def _rank_factor(md: ModularData, key: int | None) -> np.ndarray:
     """N_key, or under None the handle matrix H, in float64 integers: one
     ``_fusion_product``, checked to round within 1e-6 to non-negative integers."""
-    if key is not None and not 0 <= key < md.dim:  # checked once per label read, as memoized
-        raise PreconditionError(f"insertion {key} is not a label index below {md.dim}")
     rounded, summary = _fusion_product(md, key)
     what, at = ("handle matrix entry", ()) if key is None else ("fusion coefficient", (md.labels[key],))
     _checked(md, summary, 1e-6, what, at)
@@ -73,6 +78,7 @@ def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
+    _check_insertions(md, insertions)
     keys = list(insertions) + [None] * genus
     v = np.zeros(md.dim)
     v[md.vacuum] = 1
@@ -111,10 +117,12 @@ def admissible_tuples(
     """Identity-product tuples whose slots each stabilize their insertion.
 
     Slots 1..m-1 run over their stabilizers only; the closing current must
-    stabilize the last insertion.  The order is that of ``gamma_out``.
+    stabilize the last insertion.  The order is that of ``gamma_out``.  An
+    insertion outside 0..n-1 raises ``PreconditionError``.
     """
     if not insertions:
         raise PreconditionError("a current tuple needs at least one insertion")
+    _check_insertions(group.md, insertions)
     *slots, last = (group.stabilizer(mu) for mu in insertions)
     return [t for t in _closed_tuples(group, slots) if t[-1] in last]
 
@@ -162,8 +170,13 @@ def symmetry_trace(
 
     Each slot contributes the zero-extended fixed-point S matrix of its
     current, weighted by |S_0k|^(2-2g) S_0k^(-m); the all-identity tuple
-    gives the rank, which ``block_rank`` reads exactly instead.
+    gives the rank, which ``block_rank`` reads exactly instead.  A tuple
+    whose length is not the number of insertions, or an insertion outside
+    0..n-1, raises ``PreconditionError``.
     """
+    if len(t) != len(insertions):
+        raise PreconditionError(f"{len(t)} currents for {len(insertions)} insertions")
+    _check_insertions(md, insertions)
     s0 = md.smatrix[0]
     weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
     rows = (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(insertions, t))

@@ -13,15 +13,15 @@ for su(2) at k = 0 mod 4, and 1 for su(3) at k = 0 mod 3.  The fractional-spin s
 (k = 2 mod 4) take the phase 1 by convention; it never enters downstream
 results.  ``extend_by_group`` verifies the extensions built from these phases.
 
-The relative phases F_mu(J, J') extracted from these matrices control which
-characters of the stabilizer survive in extensions, boundary data, and trace
-formulas.  ``_stabilizer_data`` is the one place they are evaluated: each
-value is snapped to an exact root-of-unity exponent, and the untwisted
-subgroup is found by exact integer sums of exponents.  ``_orbit_labels``
-takes it once per current orbit and labels the orbit by the characters of
-its untwisted stabilizer; the zero-charge labels are the extension
-primaries and all of them the boundary labels.  The extended S matrix
-and the classifying algebra's hat matrix are both
+The relative phases F_mu(J, J') of these matrices control which characters
+of the stabilizer survive in extensions, boundary data, and trace formulas.
+``cocycle`` gives each in closed form from conformal weights, as an exact
+exponent; ``_stabilizer_data`` is the one place they are evaluated, and the
+untwisted subgroup is found by exact integer sums of exponents.
+``_orbit_labels`` takes it once per current orbit and labels the orbit by
+the characters of its untwisted stabilizer; the zero-charge labels are the
+extension primaries and all of them the boundary labels.  The extended S
+matrix and the classifying algebra's hat matrix are both
 |G| / sqrt(|S_a||U_a||S_b||U_b|) sum_J psi_a(J) S^J_{ab} psi_b(J)*, built
 whole by ``sj_character_matrix``: one (rows x columns) array step per current,
 O(|G| n^2) for n labels, and one phase per label and current.
@@ -29,7 +29,6 @@ O(|G| n^2) for n labels, and one phase per label and current.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -44,6 +43,7 @@ from .errors import (
     IntegralityError,
     InternalConsistencyError,
     InvariantViolation,
+    PreconditionError,
     UnderdeterminedCocycle,
     UnsupportedFolding,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "FixedPointData",
     "fixed_point_smatrix",
     "cocycle",
-    "snap_phase",
     "abelian_characters",
     "sj_character_matrix",
     "OrbitRecord",
@@ -63,12 +62,6 @@ __all__ = [
     "ExtendedTheory",
     "extend_by_group",
 ]
-
-# A cocycle's ratios agree within PHASE_TOL, and it is snapped within PHASE_TOL
-# to a root of unity of order dividing PHASE_DENOMINATOR.
-PHASE_TOL = 1e-8
-PHASE_DENOMINATOR = 10080
-
 
 @dataclass(frozen=True, eq=False)
 class FixedPointData:
@@ -112,13 +105,15 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
     For the integer-spin currents xi is the only root of unity of order
     lcm(24, 4(k + h^vee)) for which the extension by the current passes the
     checks of ``extend_by_group``.  Any other current raises
-    ``UnsupportedFolding``.
+    ``UnsupportedFolding``, and an index outside 0..n-1 ``PreconditionError``.
     """
     j_index = current if isinstance(current, int) else md.index(tuple(current))
     return md._derived(("fixed_point_smatrix", j_index), lambda md: _fixed_point_data(md, j_index))
 
 
 def _fixed_point_data(md: ModularData, j_index: int) -> FixedPointData:
+    if not 0 <= j_index < md.dim:
+        raise PreconditionError(f"current index {j_index} is not below {md.dim}")
     if j_index == md.vacuum:
         return FixedPointData(tuple(range(md.dim)), md.smatrix, md.dim)
     label = md.labels[j_index]
@@ -152,54 +147,41 @@ def cocycle(
     j: int,
     jprime: int,
     mu: int,
-) -> complex:
-    """The phase F_mu(J, J') relating the J'-shifted rows of S^J.
+) -> Q:
+    """The exponent f in [0, 1) of F_mu(J, J') = exp(2 pi i f), defined for mu
+    fixed by J by S^J[J' lam, mu] = (T_mu / T_{J' mu}) F_mu(J, J') S^J[lam, mu].
 
-    Defined through S^J[J' lam, mu] = (T_mu / T_{J' mu}) F_mu(J, J') S^J[lam, mu],
-    scanned over all rows with a non-vanishing denominator.
+    On S (J the identity) S[J' lam, mu] = exp(2 pi i Q_{J'}(mu)) S[lam, mu]
+    (Schellekens and Yankielowicz, Int. J. Mod. Phys. A5 (1990) 2903) leaves
+    f = Delta_{J'} mod 1; a one-by-one S^J gives 0, as J' fixes J's one fixed
+    point; a Kronecker S^J adds its factors' exponents.  J' the identity
+    gives 0.  An index outside 0..n-1, or a J or J' outside ``group``, raises
+    ``PreconditionError``; a column that J does not fix, ``UnderdeterminedCocycle``.
     """
+    if not 0 <= mu < md.dim:
+        raise PreconditionError(f"label index {mu} is not below {md.dim}")
+    for current in (j, jprime):
+        if current not in group.perms:
+            raise PreconditionError(f"index {current} is not a current of the group")
     if jprime == md.vacuum:
-        return 1.0 + 0.0j
-    data = fixed_point_smatrix(md, j)
-    if mu not in data.fixed_set:
+        return Q(0)
+    if mu not in fixed_point_smatrix(md, j).fixed_set:
         raise UnderdeterminedCocycle(
             f"label index {mu} is not fixed by current index {j}; F is undefined there"
         )
-    pos = {lab: r for r, lab in enumerate(data.fixed)}
-    col = pos[mu]
-    tfac = phase_to_complex(md.delta[group.act(jprime, mu)] - md.delta[mu])
-    ratios = []
-    for lam in data.fixed:
-        moved = group.act(jprime, lam)
-        if moved not in pos:
-            continue
-        den = data.matrix[pos[lam], col]
-        if abs(den) <= 1e-10:
-            continue
-        ratios.append(tfac * data.matrix[pos[moved], col] / den)
-    if not ratios:
-        raise UnderdeterminedCocycle(
-            f"every row of S^J (J index {j}) vanishes in column {mu}; F is underdetermined"
-        )
-    first = ratios[0]
-    for r in ratios[1:]:
-        if abs(r - first) > PHASE_TOL:
-            raise InternalConsistencyError(
-                f"inconsistent cocycle ratios at column {mu}: {first} vs {r}"
-            )
-    return first
+    return _cocycle_exponent(md, j, jprime)
 
 
-def snap_phase(z: complex) -> Q:
-    """Exact exponent a/b with z = exp(2 pi i a/b), or raise if z is not close
-    to such a root of unity."""
-    mag = abs(z)
-    if abs(mag - 1.0) > PHASE_TOL:
-        raise InternalConsistencyError(f"phase {z} is not on the unit circle")
-    expo = Q(cmath.phase(z) / (2 * cmath.pi)).limit_denominator(PHASE_DENOMINATOR) % 1
-    if abs(z - phase_to_complex(expo)) > PHASE_TOL:
-        raise InternalConsistencyError(f"phase {z} is not a root of unity of bounded order")
-    return expo
+def _cocycle_exponent(md: ModularData, j: int, jprime: int) -> Q:
+    """Delta_{J'} mod 1 if J is the identity, else 0, summed over tensor factors
+    (index i of a product is (i // n2, i % n2) for a second factor of n2 labels)."""
+    if j == md.vacuum:
+        return md.delta[jprime] % 1
+    if md.factors is None:
+        return Q(0)
+    md1, md2 = md.factors
+    (j1, j2), (jp1, jp2) = divmod(j, md2.dim), divmod(jprime, md2.dim)
+    return (_cocycle_exponent(md1, j1, jp1) + _cocycle_exponent(md2, j2, jp2)) % 1
 
 
 def abelian_characters(elements: Iterable, compose, identity) -> tuple[np.ndarray, int]:
@@ -318,13 +300,11 @@ def _stabilizer_data(
     """The stabilizer of mu, its cocycle exponents and its untwisted subgroup.
 
     ``exps[a][b]`` is the exact exponent of F_mu(stab[a], stab[b]): one
-    ``cocycle`` call per pair, snapped at the precision of the cocycle's own
-    consistency check.  A value that is not a root of unity raises
-    ``InternalConsistencyError``.  This is the only place the cocycle is
-    evaluated.
+    ``cocycle`` call per pair, in closed form from conformal weights.  This
+    is the only place the cocycle is evaluated.
     """
     stab = group.stabilizer(mu)
-    exps = tuple(tuple(snap_phase(cocycle(md, group, t, tp, mu)) for tp in stab) for t in stab)
+    exps = tuple(tuple(cocycle(md, group, t, tp, mu) for tp in stab) for t in stab)
     rows = np.arange(len(stab)).reshape(-1, 1)
     return stab, exps, tuple(stab[i] for i in _untwisted_rows([exps], rows))
 

@@ -32,7 +32,6 @@ from wzwkit.boundary import classifying_algebra
 from wzwkit.errors import (
     ConjectureViolation,
     IntegralityError,
-    InternalConsistencyError,
     PrecisionExhausted,
     PreconditionError,
     UnsupportedFolding,
@@ -71,22 +70,19 @@ def rank_factorization_check(md, insertions, split, genus=0):
 
 
 def tuple_cocycle(md, group, t, tprime, insertions):
-    """Slotwise product of the relative phases F_mu(t_s, t'_s)."""
-    out = 1.0 + 0.0j
-    for ts, tps, mu in zip(t, tprime, insertions):
-        out *= cocycle(md, group, ts, tps, mu)
-    return out
+    """Exponent of the slotwise product of the relative phases F_mu(t_s, t'_s)."""
+    return sum(cocycle(md, group, ts, tps, mu) for ts, tps, mu in zip(t, tprime, insertions)) % 1
 
 
-def pairwise_untwisted(md, group, rows, insertions, tol=1e-8):
+def pairwise_untwisted(md, group, rows, insertions):
     """Reference: the rows whose cocycle against every row is trivial both
     ways, one cocycle evaluation per slot and ordered pair."""
     return [
         t
         for t in rows
         if all(
-            abs(tuple_cocycle(md, group, t, tp, insertions) - 1) <= tol
-            and abs(tuple_cocycle(md, group, tp, t, insertions) - 1) <= tol
+            tuple_cocycle(md, group, t, tp, insertions) == 0
+            and tuple_cocycle(md, group, tp, t, insertions) == 0
             for tp in rows
         )
     ]
@@ -549,27 +545,6 @@ class TestCocycleCost:
         assert sorted(cocycle_calls) == expected
 
 
-class TestCocycleExactness:
-    """A cocycle value off the roots of unity is an internal error, not a
-    twisted current."""
-
-    @pytest.fixture
-    def off_root(self, monkeypatch):
-        value = complex(np.exp(2j * np.pi * 0.1234567))
-        monkeypatch.setattr(simplecurrent, "cocycle", lambda *args, **kwargs: value)
-
-    def test_untwisted_tuples_raise(self, off_root):
-        md, g = setup_theory(4)
-        with pytest.raises(InternalConsistencyError, match="not a root of unity"):
-            untwisted_tuples(md, g, (2, 2))
-
-    @pytest.mark.parametrize("build", [extend_by_group, classifying_algebra])
-    def test_extension_and_classifying_algebra_raise(self, off_root, build):
-        md, g = setup_theory(4)
-        with pytest.raises(InternalConsistencyError, match="not a root of unity"):
-            build(md, g)
-
-
 class TestTraces:
     def test_identity_tuple_reproduces_rank(self):
         md, g = setup_theory(4)
@@ -601,6 +576,48 @@ class TestTraces:
         jj = md.index((6,))
         assert abs(symmetry_trace(md, (3, 3, 0), (jj, jj, 0)) - 1.0) < 1e-9
         assert abs(symmetry_trace(md, (3, 3, 3, 3), (jj,) * 4) - 4.0) < 1e-9
+
+
+class TestTraceLayerIndices:
+    """A tuple of the wrong length or an index outside the labels is refused
+    (A1 level 4 has the five labels 0..4 and the currents 0 and 4)."""
+
+    @pytest.mark.parametrize("insertions,t", [((2, 2), (4,)), ((2,), (4, 4)), ((2, 2, 2), ())])
+    def test_trace_of_a_tuple_of_the_wrong_length(self, insertions, t):
+        md, _ = setup_theory(4)
+        with pytest.raises(PreconditionError, match=f"{len(t)} currents for {len(insertions)} insertions"):
+            symmetry_trace(md, insertions, t)
+
+    @pytest.mark.parametrize("insertions", [(-3, 2), (2, 5)])
+    def test_trace_of_an_insertion_outside_the_labels(self, insertions):
+        md, _ = setup_theory(4)
+        with pytest.raises(PreconditionError, match="is not a label index below 5"):
+            symmetry_trace(md, insertions, (0, 0))
+
+    @pytest.mark.parametrize("current", [-1, 7])
+    def test_trace_of_a_current_outside_the_labels(self, current):
+        md, _ = setup_theory(4)
+        with pytest.raises(PreconditionError, match=f"current index {current} is not below 5"):
+            symmetry_trace(md, (2, 2), (0, current))
+
+    @pytest.mark.parametrize("insertions", [(2, 9), (-1, 2)])
+    def test_admissible_tuples_of_an_insertion_outside_the_labels(self, insertions):
+        _, g = setup_theory(4)
+        with pytest.raises(PreconditionError, match="is not a label index below 5"):
+            admissible_tuples(g, insertions)
+
+    @pytest.mark.parametrize("insertions", [(2, -3), (9, 2)])
+    def test_untwisted_tuples_of_an_insertion_outside_the_labels(self, insertions):
+        md, g = setup_theory(4)
+        with pytest.raises(PreconditionError, match="is not a label index below 5"):
+            untwisted_tuples(md, g, insertions)
+
+    def test_factorization_check_refuses_through_the_trace(self):
+        md, _ = setup_theory(4)
+        with pytest.raises(PreconditionError, match="insertion 9 is not a label index below 5"):
+            trace_factorization_check(md, (2, 2, 2, 9), 2, (0, 0, 0, 0), 0)
+        with pytest.raises(PreconditionError, match="2 currents for 3 insertions"):
+            trace_factorization_check(md, (2, 2, 2), 1, (0, 0), 0)
 
 
 class TestEigendims:

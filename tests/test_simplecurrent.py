@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -18,6 +19,7 @@ from wzwkit.errors import (
     IntegralityError,
     InternalConsistencyError,
     InvariantViolation,
+    PreconditionError,
     UnderdeterminedCocycle,
     UnsupportedFolding,
 )
@@ -33,7 +35,6 @@ from wzwkit.simplecurrent import (
     fixed_point_smatrix,
     orbit_data,
     sj_character_matrix,
-    snap_phase,
 )
 
 from test_blocks import fraction_characters, klein_four_cube
@@ -263,29 +264,59 @@ class TestFixedPointEntryPoint:
                     fixed_point_smatrix(theory, j)
 
 
+def scan_and_snap(md, group, j, jprime, mu):
+    """Reference for ``cocycle``: the exponent of F_mu(J, J') read off the
+    float rows of S^J.
+
+    Each row lam whose J'-image is J-fixed, with an entry in column mu above
+    1e-10, gives the ratio (T_{J' mu} / T_mu) S^J[J' lam, mu] / S^J[lam, mu];
+    the ratios must agree within 1e-8, and their value is snapped to the
+    nearest exp(2 pi i a/b) with b dividing 10080, which must lie within 1e-8.
+    """
+    if jprime == md.vacuum:
+        return Q(0)
+    data = fixed_point_smatrix(md, j)
+    if mu not in data.fixed_set:
+        raise UnderdeterminedCocycle(f"label index {mu} is not fixed by current index {j}")
+    pos = {lab: r for r, lab in enumerate(data.fixed)}
+    col = pos[mu]
+    tfac = phase_to_complex(md.delta[group.act(jprime, mu)] - md.delta[mu])
+    ratios = [
+        tfac * data.matrix[pos[moved], col] / data.matrix[pos[lam], col]
+        for lam in data.fixed
+        if (moved := group.act(jprime, lam)) in pos and abs(data.matrix[pos[lam], col]) > 1e-10
+    ]
+    assert ratios and all(abs(r - ratios[0]) <= 1e-8 for r in ratios)
+    expo = Q(cmath.phase(ratios[0]) / (2 * math.pi)).limit_denominator(10080) % 1
+    assert abs(ratios[0] - phase_to_complex(expo)) <= 1e-8
+    return expo
+
+
+def cocycle_outcome(evaluate, md, group, j, jprime, mu):
+    """The exponent, or the class of the exception the evaluation raised."""
+    try:
+        return evaluate(md, group, j, jprime, mu)
+    except (UnderdeterminedCocycle, UnsupportedFolding) as exc:
+        return type(exc)
+
+
 class TestCocycle:
     def test_identity_slot_gives_current_spin_phase(self):
         md = md_su2(2)
         g = simple_currents(md)
-        f = cocycle(md, g, md.vacuum, md.index((2,)), 1)
-        assert abs(f - (-1.0)) < 1e-9
+        assert cocycle(md, g, md.vacuum, md.index((2,)), 1) == Q(1, 2)
 
     def test_current_slot_on_own_fixed_point_is_trivial(self):
         md = md_su2(2)
         g = simple_currents(md)
         j = md.index((2,))
-        assert abs(cocycle(md, g, j, j, 1) - 1.0) < 1e-9
+        assert cocycle(md, g, j, j, 1) == 0
 
     def test_off_fixed_point_column_is_undefined(self):
         md = md_su2(2)
         g = simple_currents(md)
         with pytest.raises(UnderdeterminedCocycle):
             cocycle(md, g, md.index((2,)), md.index((2,)), 0)
-
-    def test_snap_phase(self):
-        assert snap_phase(1j) == Q(1, 4)
-        assert snap_phase(-1.0 + 0j) == Q(1, 2)
-        assert snap_phase(complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) == Q(1, 3)
 
     def test_triple_product_cocycle_sign(self):
         md = su2_cube(2)
@@ -294,8 +325,78 @@ class TestCocycle:
         j202 = md.index((((2,), (0,)), (2,)))
         f = md.index((((1,), (1,)), (1,)))
         sub = g.subgroup((j022, j202))
-        val = cocycle(md, sub, j022, j202, f)
-        assert abs(val - (-1.0)) < 1e-9
+        assert cocycle(md, sub, j022, j202, f) == Q(1, 2)
+
+    # (J, J', mu) over group x group x labels: 14,687 triples in the first six
+    # rows, 6,452 of them off J's fixed set; the last two hold currents with
+    # no S^J, which raise UnsupportedFolding on both sides.
+    @pytest.mark.parametrize(
+        "theories,triples,underdetermined,unsupported",
+        [
+            pytest.param(lambda: [md_su2(k) for k in range(1, 41)], 3440, 840, 0, id="A1-1..40"),
+            pytest.param(
+                lambda: [modular_data("A2", k) for k in range(1, 16)], 7335, 3240, 0, id="A2-1..15"
+            ),
+            pytest.param(lambda: [tensor_product(md_su2(2), md_su2(2))], 144, 60, 0, id="A1-2^2"),
+            pytest.param(lambda: [su2_cube(2)], 1728, 1064, 0, id="A1-2^3"),
+            pytest.param(lambda: [tensor_product(md_su2(4), md_su2(2))], 240, 108, 0, id="A1-4*A1-2"),
+            pytest.param(
+                lambda: [tensor_product(modular_data("A2", 3), md_su2(4))], 1800, 1140, 0, id="A2-3*A1-4"
+            ),
+            pytest.param(
+                lambda: [tensor_product(md_su2(2), modular_data("B2", 2))], 288, 36, 108, id="A1-2*B2-2"
+            ),
+            pytest.param(
+                lambda: [
+                    extend_by_group(md_su2(4), simple_currents(md_su2(4))).md,
+                    assemble_orbifold(inner_orbifold_input(md_su2(2), (1,))).md,
+                ],
+                795,
+                0,
+                600,
+                id="extension-and-orbifold",
+            ),
+        ],
+    )
+    def test_closed_form_matches_the_row_scan(self, theories, triples, underdetermined, unsupported):
+        outcomes = []
+        for md in theories():
+            g = simple_currents(md)
+            for j, jprime, mu in itertools.product(g.indices, g.indices, range(md.dim)):
+                got = cocycle_outcome(cocycle, md, g, j, jprime, mu)
+                assert got == cocycle_outcome(scan_and_snap, md, g, j, jprime, mu), (j, jprime, mu)
+                outcomes.append(got)
+        assert len(outcomes) == triples
+        assert outcomes.count(UnderdeterminedCocycle) == underdetermined
+        assert outcomes.count(UnsupportedFolding) == unsupported
+        assert all(isinstance(f, Q) and 0 <= f < 1 for f in outcomes if not isinstance(f, type))
+
+    def test_a_label_outside_the_group_is_refused(self):
+        md = md_su2(4)
+        g = simple_currents(md)
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            cocycle(md, g, 0, 1, 2)
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            cocycle(md, g, 1, 0, 2)
+
+    def test_a_current_outside_a_subgroup_is_refused(self):
+        md, sub, f = klein_four_cube()
+        j = next(j for j in simple_currents(md).indices if j not in sub.perms)
+        with pytest.raises(PreconditionError, match=f"index {j} is not a current"):
+            cocycle(md, sub, md.vacuum, j, f)
+
+    @pytest.mark.parametrize("mu", [5, 7, -1])
+    def test_a_column_outside_the_labels_is_refused(self, mu):
+        md = md_su2(4)
+        g = simple_currents(md)
+        with pytest.raises(PreconditionError, match=f"label index {mu} is not below 5"):
+            cocycle(md, g, 0, 4, mu)
+
+    @pytest.mark.parametrize("j", [-1, 5])
+    def test_fixed_point_smatrix_refuses_an_index_outside_the_labels(self, j):
+        md = md_su2(4)
+        with pytest.raises(PreconditionError, match=f"current index {j} is not below 5"):
+            fixed_point_smatrix(md, j)
 
 
 def cyclic(n):
