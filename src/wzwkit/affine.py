@@ -125,7 +125,10 @@ class ModularData:
         return self._memo[key]
 
     def index(self, label) -> int:
-        return self._derived("index", lambda md: {lab: i for i, lab in enumerate(md.labels)})[label]
+        indices = self._derived("index", lambda md: {lab: i for i, lab in enumerate(md.labels)})
+        if label not in indices:
+            raise PreconditionError(f"{label!r} is not a label of {self.algebra} level {self.level}")
+        return indices[label]
 
     @property
     def t_exponents(self) -> tuple[Q, ...]:

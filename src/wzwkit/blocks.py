@@ -170,10 +170,12 @@ def symmetry_trace(
 
     Each slot contributes the zero-extended fixed-point S matrix of its
     current, weighted by |S_0k|^(2-2g) S_0k^(-m); the all-identity tuple
-    gives the rank, which ``block_rank`` reads exactly instead.  A tuple
-    whose length is not the number of insertions, or an insertion outside
-    0..n-1, raises ``PreconditionError``.
+    gives the rank, which ``block_rank`` reads exactly instead.  A negative
+    genus, a tuple whose length is not the number of insertions, or an
+    insertion outside 0..n-1 raises ``PreconditionError``.
     """
+    if genus < 0:
+        raise PreconditionError(f"genus must be non-negative, not {genus}")
     if len(t) != len(insertions):
         raise PreconditionError(f"{len(t)} currents for {len(insertions)} insertions")
     _check_insertions(md, insertions)

@@ -9,7 +9,7 @@ library does not support, and 6 when a float computation runs out of
 range or precision.
 
 A row of ``_SUBCOMMANDS`` is a subcommand's one declaration, which the
-parser, ``JobConfig.validate``, the input echo and ``run`` all read.
+parsers, ``JobConfig.validate``, the input echo and ``run`` all read.
 
 Reports embed the input echo, the library version, and the residual table
 of every invariant that was checked, and identical configurations produce
@@ -768,6 +768,15 @@ def _dest(flag: str, options: dict) -> str:
 
 
 _FORMATS = ("json", "csv", "pretty")
+# The arguments every subcommand takes before its own (``--level`` if the row takes it).
+_SHARED = (
+    ("algebra", dict(help="algebra label such as A1, B3, or G2")),
+    ("--level", dict(type=int, default=JobConfig.level)),
+    ("--tolerance", dict(type=float, default=JobConfig.tolerance)),
+    ("--weyl-cap", dict(type=int, default=JobConfig.weyl_cap)),
+    ("--cache-dir", {}),
+    ("--format", dict(dest="fmt", choices=_FORMATS)),
+)
 _GROUP = ("--group", dict(required=True, help="center, trivial, or indices"))
 _SUBCOMMANDS = {
     "modular-data": _Subcommand("S matrix and weights", _run_modular_data, True),
@@ -791,25 +800,17 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_subcommand(subparsers, name: str, row) -> None:
-    """Add one subcommand: the shared arguments, then its own."""
-    sub = subparsers.add_parser(name, help=row.summary)
-    sub.add_argument("algebra", help="algebra label such as A1, B3, or G2")
-    if row.takes_level:
-        sub.add_argument("--level", type=int, default=JobConfig.level)
-    sub.add_argument("--tolerance", type=float, default=JobConfig.tolerance)
-    sub.add_argument("--weyl-cap", type=int, default=JobConfig.weyl_cap)
-    sub.add_argument("--cache-dir")
-    sub.add_argument("--format", dest="fmt", choices=_FORMATS)
-    for flag, options in row.arguments:
-        sub.add_argument(flag, **options)
+def _arguments(row) -> list:
+    """A subcommand's (flag, options) in parser order: the shared ones, then its own."""
+    return [arg for arg in _SHARED if row.takes_level or arg[0] != "--level"] + list(row.arguments)
 
 
 def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
     """The top-level parser with subcommand ``construction``, or all eight if None.
 
-    Help and ``--version`` get all eight; no report shows the usage line that
-    lists them, as ``_Parser.error`` keeps only the message.
+    It reads every line ``_read_plain`` declines.  Help and ``--version`` get
+    all eight; no report shows the usage line that lists them, as
+    ``_Parser.error`` keeps only the message.
     """
     parser = _Parser(
         prog="wzwkit",
@@ -819,24 +820,48 @@ def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="construction")
     for name in _SUBCOMMANDS if construction is None else (construction,):
-        _add_subcommand(subparsers, name, _SUBCOMMANDS[name])
+        sub = subparsers.add_parser(name, help=_SUBCOMMANDS[name].summary)
+        for flag, options in _arguments(_SUBCOMMANDS[name]):
+            sub.add_argument(flag, **options)
     return parser
 
 
-def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
-    """Parse ``argv`` (default ``sys.argv[1:]``), building only its subcommand.
+def _read_plain(argv: Sequence[str]) -> dict | None:
+    """What argparse reads from ``SUB ALGEBRA (--flag VALUE)*``, flags not given
+    left to their ``JobConfig`` defaults, if each flag is one of SUB's, spelled
+    out and given once, no value starts with '-', each value converts by its
+    ``type`` into its ``choices`` and every required flag is given; else None."""
+    row = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if row is None or len(argv) % 2 or argv[1].startswith("-"):
+        return None
+    options = dict(_arguments(row)[1:])
+    values = {"construction": argv[0], "algebra": argv[1]}
+    for flag, text in zip(argv[2::2], argv[3::2]):
+        opts = options.pop(flag, None)
+        if opts is None or text.startswith("-"):
+            return None
+        try:
+            values[_dest(flag, opts)] = value = opts.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in opts.get("choices", (value,)):
+            return None
+    return None if any(opts.get("required") for opts in options.values()) else values
 
-    The full parser is built when ``argv[0]`` names no subcommand.
-    """
+
+def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
+    """Parse ``argv`` (default ``sys.argv[1:]``): a plain job line with no parser
+    (``_read_plain``), any other with ``build_parser`` of the subcommand that
+    ``argv[0]`` names, or of all eight if it names none."""
     argv = sys.argv[1:] if argv is None else argv
     construction = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(construction).parse_args(argv)
-    if args.construction is None:
+    values = _read_plain(argv) or vars(build_parser(construction).parse_args(argv))
+    if values["construction"] is None:
         raise PreconditionError("a construction subcommand is required")
-    if args.fmt is None:
-        args.fmt = "csv" if args.construction == "sweep" else "json"
-    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    return JobConfig(**vars(args))
+    if values.get("fmt") is None:
+        values["fmt"] = "csv" if values["construction"] == "sweep" else "json"
+    values["cache_dir"] = values.get("cache_dir") or os.environ.get(CACHE_ENV)
+    return JobConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -216,10 +216,10 @@ def _root_closure(alg_cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[int, 
                 xi = omega[i]
                 if xi == 0:
                     continue
-                alpha2 = tuple(a - xi * int(k == i) for k, a in enumerate(alpha))
+                alpha2 = alpha[:i] + (alpha[i] - xi,) + alpha[i + 1 :]
                 if alpha2 in seen:
                     continue
-                omega2 = tuple(omega[k] - xi * alg_cartan[i][k] for k in range(n))
+                omega2 = tuple(w - xi * a for w, a in zip(omega, alg_cartan[i]))
                 seen[alpha2] = omega2
                 new.append((alpha2, omega2))
         frontier = new

@@ -579,8 +579,9 @@ class TestTraces:
 
 
 class TestTraceLayerIndices:
-    """A tuple of the wrong length or an index outside the labels is refused
-    (A1 level 4 has the five labels 0..4 and the currents 0 and 4)."""
+    """A negative genus, a tuple of the wrong length or an index outside the
+    labels is refused (A1 level 4 has the five labels 0..4 and the currents
+    0 and 4)."""
 
     @pytest.mark.parametrize("insertions,t", [((2, 2), (4,)), ((2,), (4, 4)), ((2, 2, 2), ())])
     def test_trace_of_a_tuple_of_the_wrong_length(self, insertions, t):
@@ -611,6 +612,11 @@ class TestTraceLayerIndices:
         md, g = setup_theory(4)
         with pytest.raises(PreconditionError, match="is not a label index below 5"):
             untwisted_tuples(md, g, insertions)
+
+    def test_trace_at_a_negative_genus(self):
+        md, _ = setup_theory(4)
+        with pytest.raises(PreconditionError, match="genus must be non-negative, not -1"):
+            symmetry_trace(md, (2, 2), (4, 4), genus=-1)
 
     def test_factorization_check_refuses_through_the_trace(self):
         md, _ = setup_theory(4)

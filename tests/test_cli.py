@@ -570,6 +570,22 @@ MINIMAL_JOBS = [
 ]
 
 
+# Lines the plain-line reader leaves to argparse: other spellings, repeated
+# or negative values, help, and every conversion, choice or required failure.
+DECLINED_LINES = [
+    ["check", "A1", "--level=3"],
+    ["check", "--level", "3", "A1"],
+    ["check", "A1", "--level", "3", "--level", "4"],
+    ["check", "A1", "--level", "3", "--tolerance", "-1e-8"],
+    ["orbifold", "A1", "--level", "2", "--shift", "-1"],
+    ["check", "A1", "--level", "2", "-h"],
+    ["check", "A1", "--level", "3", "--tolerance"],
+    ["trace", "A1", "--level", "4", "--conjecture", "3", "--insertions", "1"],
+    ["check", "A1", "--level", "x"],
+    ["extend", "A1", "--level", "4"],
+]
+
+
 class TestArgumentParsing:
     def test_each_subcommand_declares_its_options_in_order(self):
         parser = cli.build_parser()
@@ -742,7 +758,7 @@ class TestArgumentParsing:
         assert doc["status"] == "error"
 
     @pytest.mark.parametrize("argv", MINIMAL_JOBS, ids=lambda argv: argv[0])
-    def test_a_job_builds_two_parsers(self, argv, monkeypatch):
+    def test_a_job_line_builds_no_parser(self, argv, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -752,7 +768,7 @@ class TestArgumentParsing:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         config_from_args(argv)
-        assert len(built) == 2
+        assert len(built) == 0
 
     @pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
     def test_subcommand_help_is_the_full_parsers(self, name, capsys):
@@ -799,17 +815,30 @@ class TestArgumentParsing:
             ["trace", "A1", "--level", "20", "--conjecture", "2", "--shift", "1", "--insertions", "2,2,2"],
             ["check", "D6", "--level", "1"],
             ["sweep", "A1", "--levels", "1-40"],
+            *DECLINED_LINES,
         ],
     )
-    def test_one_subcommand_parses_as_the_full_parser(self, argv):
-        # compared by repr, which reads nan as nan
-        outcomes = []
-        for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+    def test_one_subcommand_parses_as_the_full_parser(self, argv, capsys, monkeypatch):
+        # compared by repr, which reads nan as nan; help is compared by its text
+        def outcome(parse):
             try:
-                outcomes.append(repr(parser.parse_args(argv)))
+                return repr(parse())
             except PreconditionError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+                return str(exc)
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr().out
+
+        parsers = (cli.build_parser(argv[0]), cli.build_parser())
+        assert outcome(lambda: parsers[0].parse_args(argv)) == outcome(lambda: parsers[1].parse_args(argv))
+        read = outcome(lambda: config_from_args(argv))
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+        monkeypatch.setattr(cli, "build_parser", lambda construction=None: build())
+        assert read == outcome(lambda: config_from_args(argv))
+
+    @pytest.mark.parametrize("argv", DECLINED_LINES, ids=" ".join)
+    def test_the_reader_declines_what_only_argparse_reads(self, argv):
+        assert cli._read_plain(argv) is None
 
 
 class TestSingleConstructions:

@@ -10,6 +10,7 @@ import pytest
 
 from wzwkit.errors import CartanDataError, InternalConsistencyError, WeylCapExceeded
 from wzwkit.liealg import (
+    _root_closure,
     build_algebra,
     cartan_matrix,
     center_group,
@@ -44,6 +45,45 @@ def brute_force_roots(alg):
                     nxt.append(a2)
         frontier = nxt
     return seen
+
+
+def reference_root_closure(alg_cartan):
+    """The reflection closure as it was written before tuple slicing: one
+    generator per coordinate for each reflected root and its omega."""
+    n = len(alg_cartan)
+    simples = [(tuple(int(k == i) for k in range(n)), tuple(alg_cartan[i])) for i in range(n)]
+    seen = dict(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for alpha, omega in frontier:
+            for i in range(n):
+                xi = omega[i]
+                if xi == 0:
+                    continue
+                alpha2 = tuple(a - xi * int(k == i) for k, a in enumerate(alpha))
+                if alpha2 in seen:
+                    continue
+                omega2 = tuple(omega[k] - xi * alg_cartan[i][k] for k in range(n))
+                seen[alpha2] = omega2
+                new.append((alpha2, omega2))
+        frontier = new
+    return sorted(seen.items())
+
+
+CLOSURE_ALGEBRAS = [
+    *(("A", r) for r in range(1, 13)),
+    *((s, r) for s in "BC" for r in range(2, 13)),
+    *(("D", r) for r in range(3, 13)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("series,rank", CLOSURE_ALGEBRAS, ids=lambda x: str(x))
+def test_root_closure_matches_the_reference(series, rank):
+    cart = cartan_matrix(series, rank)
+    for matrix in (cart, tuple(zip(*cart))):  # characters reads the transpose
+        assert _root_closure(matrix) == reference_root_closure(matrix)
 
 
 class TestCartanMatrices:

@@ -398,6 +398,11 @@ class TestCocycle:
         with pytest.raises(PreconditionError, match=f"current index {j} is not below 5"):
             fixed_point_smatrix(md, j)
 
+    def test_fixed_point_smatrix_refuses_a_label_outside_the_theory(self):
+        md = md_su2(4)
+        with pytest.raises(PreconditionError, match=r"\(7,\) is not a label of A1 level 4"):
+            fixed_point_smatrix(md, (7,))
+
 
 def cyclic(n):
     return range(n), lambda x, y: (x + y) % n, 0
