@@ -63,6 +63,9 @@ __all__ = [
     "extend_by_group",
 ]
 
+_BLOCK_ENTRIES = 1 << 16  # entries of the tuple cocycle matrix formed at once
+
+
 @dataclass(frozen=True, eq=False)
 class FixedPointData:
     """The matrix S^J restricted to the J-fixed primaries of one theory."""
@@ -315,19 +318,26 @@ def _untwisted_rows(tables: Sequence[Sequence[Sequence[Q]]], rows: np.ndarray) -
     ``rows`` holds one stabilizer position per slot (shape rows x slots) and
     ``tables[s]`` the cocycle exponents of slot s; the cocycle of two rows is
     the slotwise sum of exponents, trivial when it is an integer.  The
-    exponents are taken as int64 numerators over their common denominator d
-    and each row is compared at once with all rows, so the test is exact and
-    memory stays O(slots x rows).
+    exponents are taken as int64 numerators over their common denominator d,
+    reduced mod d, so the test is exact.  Row i is kept when row i and column
+    i of the matrix C[i, r] (row i's cocycle against row r) are 0 mod d.  C
+    is formed a block of rows at a time from each slot's exponents against
+    every row, so memory stays O(slots x |stabilizer| x rows + block x rows).
     """
     d = math.lcm(*(e.denominator for table in tables for line in table for e in line))
-    nums = [np.array([[int(e * d) for e in line] for line in table], np.int64) for table in tables]
-    keep = []
-    for i, row in enumerate(rows):
-        ahead = sum(num[pos, column] for num, pos, column in zip(nums, row, rows.T))
-        behind = sum(num[column, pos] for num, pos, column in zip(nums, row, rows.T))
-        if not (ahead % d).any() and not (behind % d).any():
-            keep.append(i)
-    return keep
+    nums = [np.array([[int(e * d) for e in line] for line in table], np.int64) % d for table in tables]
+    lines = [num[:, column] for num, column in zip(nums, rows.T)]  # lines[s][t, r]: F(t, rows[r, s])
+    block = max(1, _BLOCK_ENTRIES // max(1, len(rows)))
+    trivial_row = np.empty(len(rows), dtype=bool)
+    twisted_column = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), block):
+        c = np.zeros((min(block, len(rows) - start), len(rows)), dtype=np.int64)
+        for line, pos in zip(lines, rows[start : start + block].T):
+            c += line[pos]
+        twisted = c % d != 0
+        trivial_row[start : start + block] = ~twisted.any(axis=1)
+        twisted_column |= twisted.any(axis=0)
+    return np.flatnonzero(trivial_row & ~twisted_column).tolist()
 
 
 def orbit_data(md: ModularData, group: SimpleCurrentGroup) -> list[OrbitRecord]:

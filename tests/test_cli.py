@@ -137,6 +137,11 @@ def nan_with_payload(bits):
     return np.array([bits], dtype=np.uint64).view(np.float64)[0]
 
 
+def complex_from_planes(real, imag):
+    """A complex array with exactly these real and imaginary bit patterns."""
+    return np.stack([np.array(real, dtype=float), np.array(imag, dtype=float)], axis=-1).view(complex)[:, 0]
+
+
 # Arrays rendered from distinct values: each json text must equal the
 # per-element encoder's, whatever the dtype, shape, repetition or depth.
 ARRAY_FIXTURES = {
@@ -172,13 +177,58 @@ ARRAY_FIXTURES = {
     "int_lookup_negative": np.array([[-3, 0, 2, -3, 1], [2, -1, -3, 0, 0]]),
     "int_lookup_all_negative": np.array([-1, -3, -3, -1, -2]),
     "int8_lookup_full_range": np.tile(np.array([-128, 127, 0, 5], dtype=np.int8), 70),
-    # a wider span: distinct values by np.unique
+    # a wider span: distinct values by a sort
     "int_sparse_range": np.array([[10**12, -7, 3], [3, -(10**15), 10**12]]),
     "uint64_top": np.array([2**64 - 1, 2**64 - 3, 2**64 - 1, 2**64 - 2], dtype=np.uint64),
+    # complex arrays are sorted a plane at a time and the planes' words merged
+    "complex_real": np.array([[0.5, -0.0, 1 / 3], [1 / 3, 0.5, -2.0]]).astype(complex),
+    "complex_shared_planes": complex_from_planes(
+        [0.5, -0.0, 0.0, 1 / 3, np.nan, nan_with_payload(0x7FF8000000000001), np.inf, 0.5],
+        [0.0, 0.5, -0.0, np.nan, nan_with_payload(0x7FF8000000000001), 1 / 3, -0.0, np.inf],
+    ),
 }
 
 # Slice sizes that put slice boundaries inside, at and across axis boundaries.
 SLICE_SIZES = [1, 2, 3, 7]
+
+
+def float_words(flat):
+    """The json text of each float of a flat array, one by one."""
+    return [json.dumps(x) for x in flat.tolist()]
+
+
+class TestDistinctWords:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([3, -1, 3, 7, -1, 0]),
+            np.array([True, False, True, True]),
+            np.array([2**64 - 1, 0, 2**63, 0], dtype=np.uint64),
+            np.array([5], dtype=np.int8),
+            np.random.default_rng(0).integers(0, 50, 1000),
+        ],
+        ids=["int", "bool", "uint64", "one", "random"],
+    )
+    def test_distinct_is_unique_with_an_int32_index(self, keys):
+        distinct, index = cli._distinct(keys)
+        expected, inverse = np.unique(keys, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert index.dtype == np.int32 and index.tolist() == inverse.tolist()
+
+    @pytest.mark.parametrize("name", ["complex_real", "complex_shared_planes", "complex_repeats"])
+    def test_one_word_per_distinct_bit_pattern_across_both_planes(self, name):
+        flat = ARRAY_FIXTURES[name].view(float).reshape(-1)
+        words, index = cli._words(flat, 2)
+        assert len(words) == np.unique(flat.view(np.uint64)).size
+        assert index.dtype == np.int32
+        assert [words[i] for i in index.tolist()] == float_words(flat)
+
+    def test_s_of_a3_level_12_has_one_word_per_distinct_float(self):
+        flat = modular_data("A3", 12).smatrix.view(float).reshape(-1)
+        words, index = cli._words(flat, 2)
+        assert len(words) == len(set(words)) == np.unique(flat.view(np.uint64)).size == 27647
+        assert index.dtype == np.int32
+        assert np.array(words, dtype=object)[index].tolist() == float_words(flat)
 
 
 class TestReportEncoding:
@@ -264,6 +314,19 @@ class TestReportEncoding:
             tracemalloc.stop()
         assert total > 10 * 2**20
         assert longest < 2**20 and peak < 16 * 2**20
+
+    @pytest.mark.parametrize("algebra,level,mib", [("A1", 300, 5), ("A3", 12, 9)])
+    def test_rendering_s_holds_a_few_bytes_per_entry(self, algebra, level, mib):
+        # A1/300: 181,202 floats, all imaginary parts +0.0; A3/12: 414,050 floats
+        document = {"smatrix": modular_data(algebra, level).smatrix}
+        tracemalloc.start()
+        try:
+            for _ in _render(document, "json"):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
     @pytest.mark.parametrize("value", [np.bool_(True), object(), [np.bool_(False)]])
     def test_unencodable_values_are_refused_alike(self, value):
@@ -751,6 +814,29 @@ class TestArgumentParsing:
         assert doc == run_json([*argv[:-2], f"{argv[-2]}={argv[-1]}"])[0]
         assert doc["error"]["code"] == "parse-error"
         assert doc["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["check", "A1", "--level", "3", "--level", "4"], "--level"),
+            (["check", "A1", "--level", "3", "--level=4"], "--level"),
+            (["check", "A1", "--level=3", "--level", "3"], "--level"),
+            (["sweep", "A1", "--levels", "1-3", "--levels", "2-4"], "--levels"),
+            (["trace", "A1", "--level", "4", *CONJ1, "--insertions", "2,2", "--genus", "1", "--genus", "1"], "--genus"),
+            (["check", "--format", "json", "A1", "--level", "3", "--format", "pretty"], "--format"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_a_repeated_flag_is_refused(self, argv, flag):
+        # the plain-line reader declines the line; argparse refuses it
+        assert cli._read_plain(argv) is None
+        doc, status = run_json(argv)
+        assert status == EXIT_PARSE
+        assert doc["error"] == {
+            "code": "parse-error",
+            "message": f"argument {flag}: given more than once",
+            "type": "PreconditionError",
+        }
 
     def test_unknown_subcommand_exits_with_parse_code(self):
         doc, status = run_json(["transmogrify", "A1"])
