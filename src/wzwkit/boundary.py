@@ -61,6 +61,9 @@ class ClassifyingAlgebra:
     raised structure constants and ``reflection`` the reflection
     coefficients, both computed with the checks of ``structure_constants``.
     Hat index 0, the vacuum with the trivial character, is the unit.
+    Beside a bool mask, ``nhat`` is the only n^3 array a boundary job holds:
+    it is built, checked and tabulated (``cli._nonzero_table``) one leading
+    hat index at a time.
     """
 
     md: ModularData
@@ -130,14 +133,16 @@ def reflection_coefficients(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """
     if shat.ndim != 2 or shat.shape[0] != shat.shape[1]:
         raise PreconditionError("the hat matrix must be square")
+    if not shat.size or not np.isfinite(shat).all():
+        raise PreconditionError("the hat matrix must be nonempty and finite")
     svals = np.linalg.svd(shat, compute_uv=False)
-    if svals[-1] <= tol * svals[0]:
+    if not svals[-1] > tol * svals[0]:
         raise InvariantViolation(
             "hat_matrix_invertible", float(svals[-1]), tol, "singular hat matrix"
         )
     vac = shat[0]
     small = np.abs(vac).min()
-    if small < tol:
+    if not small >= tol:
         raise InvariantViolation(
             "vacuum_row_nonvanishing", float(small), tol, "degenerate boundary"
         )
@@ -156,6 +161,8 @@ def structure_constants(shat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     rescaled columns, so invertible, and the representation check reads
     L_l R = R diag(chi(l)) for (L_l)_mn = N_lm^n.  So L_l = R diag(chi(l)) R^-1,
     and l -> chi(l) maps the algebra onto C^n with the pointwise product.
+    The tensor is built and checked one hat index l at a time, so it is the
+    only n^3 array formed.
     """
     return _structure_constants(shat, tol)[0]
 
@@ -165,21 +172,24 @@ def _structure_constants(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """Raised structure constants, reflection coefficients and check residuals."""
     refl = reflection_coefficients(shat, tol)
-    lower = np.einsum("la,ma,na->lmn", shat, shat, refl)
-    raised = np.einsum("lmr,rn->lmn", lower, np.linalg.inv(shat @ shat.T))
-
+    inv = np.linalg.inv(shat @ shat.T)
     n = shat.shape[0]
+    raised = np.empty((n, n, n), dtype=np.result_type(shat, refl, inv))
+    for l in range(n):
+        raised[l] = np.einsum("mr,rn->mn", np.einsum("a,ma,na->mn", shat[l], shat, refl), inv)
+
+    # checked after the build: a BLAS product between the einsums keeps its
+    # threads spinning; the array max keeps a NaN that Python's max drops
     unit_res = float(np.abs(raised[0] - np.eye(n)).max())
-    if unit_res > tol:
+    if not unit_res <= tol:
         raise InvariantViolation("classifying_unit", unit_res, tol, "")
-    chi_pairs = (refl[:, None, :] * refl[None, :, :]).reshape(n * n, n)
-    rep_res = float(np.abs(raised.reshape(n * n, n) @ refl - chi_pairs).max())
-    if rep_res > tol:
+    rep_res = float(np.array([np.abs(raised[l] @ refl - refl[l] * refl).max() for l in range(n)]).max())
+    if not rep_res <= tol:
         raise InvariantViolation("classifying_representation", rep_res, tol, "")
     return raised, refl, {
         "unit": unit_res,
         "representation_property": rep_res,
-        "commutativity": float(np.abs(raised - raised.transpose(1, 0, 2)).max()),
+        "commutativity": float(np.array([np.abs(raised[l] - raised[:, l]).max() for l in range(n)]).max()),
     }
 
 
@@ -255,8 +265,8 @@ def automorphism_type_decomposition(
         for kj in keys[i:]:
             prod = np.einsum("l,m,lmn->n", sums[ki], sums[kj], ca.nhat)
             target = sums[ki] if ki == kj else 0.0
-            residual = max(residual, float(np.abs(prod - target).max()))
-    if residual > tol:
+            residual = float(np.maximum(residual, np.abs(prod - target).max()))
+    if not residual <= tol:
         raise InvariantViolation("automorphism_type_ideals", residual, tol, "")
     return TypeDecomposition(parts=parts, residual=residual)
 

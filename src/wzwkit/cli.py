@@ -499,12 +499,22 @@ def _run_modular_data(config: JobConfig):
 
 
 def _nonzero_table(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows [a, b, c, values[a, b, c]] where ``mask`` holds, in C order.
+    """Rows [a, b, c, round(values[a, b, c])] where ``mask`` holds, in C order.
 
     C order is the order of ``itertools.product`` over the three indices.
+    Rows are formed one leading index at a time, so beside the table only
+    one slice's indices and values exist.
     """
-    index = np.nonzero(mask)
-    return np.column_stack((*index, values[index].astype(np.int64)))
+    counts = np.count_nonzero(mask, axis=(1, 2))
+    table = np.empty((int(counts.sum()), 4), dtype=np.int64)
+    stop = 0
+    for a, count in enumerate(counts):
+        rows = table[stop : stop + count]
+        stop += count
+        b, c = np.nonzero(mask[a])
+        rows[:, 0], rows[:, 1], rows[:, 2] = a, b, c
+        rows[:, 3] = np.round(values[a][b, c])
+    return table
 
 
 def _run_fusion(config: JobConfig):
@@ -575,7 +585,7 @@ def _run_boundary(config: JobConfig):
             for b in algebra.boundary_labels
         ],
         "smatrix": algebra.smatrix,
-        "nhat_nonzero": _nonzero_table(np.abs(nhat) > 0.5, np.round(nhat.real)),
+        "nhat_nonzero": _nonzero_table(np.abs(nhat) > 0.5, nhat.real),
         "reflection": algebra.reflection,
     }
     if group.order == 2:

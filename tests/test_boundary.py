@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -218,6 +220,21 @@ class TestGuards:
         with pytest.raises(PreconditionError):
             structure_constants(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "shat",
+        [np.array([[1.0, 1.0], [1.0, np.inf]]), np.array([[1, np.nan], [1, 1]]), np.zeros((0, 0))],
+        ids=["infinite", "nan", "empty"],
+    )
+    def test_empty_or_nonfinite_hat_matrix_rejected(self, shat):
+        with pytest.raises(PreconditionError, match="nonempty and finite"):
+            structure_constants(shat)
+
+    def test_nan_ideal_residual_is_not_dropped(self, trivial_algebra):
+        nhat = trivial_algebra.nhat.copy()
+        nhat[..., -1] = np.nan
+        with pytest.raises(InvariantViolation, match="automorphism_type_ideals"):
+            automorphism_type_decomposition(dataclasses.replace(trivial_algebra, nhat=nhat))
+
     def test_checked_structure_constants_are_associative(self):
         rng = np.random.default_rng(7)
         shat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
@@ -228,11 +245,7 @@ class TestGuards:
 
     def test_representation_residual_matches_the_per_column_loop(self):
         # condition number 1e5 puts the residual far above rounding in the last product
-        rng = np.random.default_rng(7)
-        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        v, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        shat = u @ np.diag(np.geomspace(1, 1e-5, 8)) @ v
-        nhat, refl, residuals = _structure_constants(shat, 1e-6)
+        nhat, refl, residuals = _structure_constants(conditioned_hat_matrix(), 1e-6)
         loop = max(
             np.abs(np.outer(col, col) - np.einsum("lmn,n->lm", nhat, col)).max() for col in refl.T
         )
@@ -255,6 +268,123 @@ class TestGuards:
         b = a.copy()
         b[:, 1] *= -1
         assert match_up_to_column_signs(a, b) == (1, -1)
+
+
+def whole_tensor_structure_constants(shat, tol):
+    """The structure constants as whole-tensor einsums, with every check on
+    the whole tensor: the reference the per-index build must match bit for bit."""
+    refl = reflection_coefficients(shat, tol)
+    lower = np.einsum("la,ma,na->lmn", shat, shat, refl)
+    raised = np.einsum("lmr,rn->lmn", lower, np.linalg.inv(shat @ shat.T))
+
+    n = shat.shape[0]
+    unit_res = float(np.abs(raised[0] - np.eye(n)).max())
+    if unit_res > tol:
+        raise InvariantViolation("classifying_unit", unit_res, tol, "")
+    chi_pairs = (refl[:, None, :] * refl[None, :, :]).reshape(n * n, n)
+    rep_res = float(np.abs(raised.reshape(n * n, n) @ refl - chi_pairs).max())
+    if rep_res > tol:
+        raise InvariantViolation("classifying_representation", rep_res, tol, "")
+    return raised, refl, {
+        "unit": unit_res,
+        "representation_property": rep_res,
+        "commutativity": float(np.abs(raised - raised.transpose(1, 0, 2)).max()),
+    }
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+def assert_matches_the_whole_tensor_build(shat, tol=1e-8):
+    try:
+        expected = whole_tensor_structure_constants(shat, tol)
+    except InvariantViolation as failure:
+        with pytest.raises(InvariantViolation) as raised:
+            _structure_constants(shat, tol)
+        assert raised.value.relation == failure.relation
+        assert bits(raised.value.residual) == bits(failure.residual)
+        return failure.relation
+    nhat, refl, residuals = _structure_constants(shat, tol)
+    assert nhat.dtype == expected[0].dtype and refl.dtype == expected[1].dtype
+    assert np.array_equal(bits(nhat), bits(expected[0]))
+    assert np.array_equal(bits(refl), bits(expected[1]))
+    assert residuals.keys() == expected[2].keys()
+    for key, value in expected[2].items():
+        assert bits(residuals[key]) == bits(value), key
+    return None
+
+
+def conditioned_hat_matrix():
+    """A random complex 8x8 matrix with condition number 1e5."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    v, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    return u @ np.diag(np.geomspace(1, 1e-5, 8)) @ v
+
+
+def center_hat(algebra, level):
+    md = modular_data(algebra, level)
+    return hat_smatrix(md, simple_currents(md))
+
+
+class TestPerIndexStructureConstants:
+    """``_structure_constants`` builds and checks the tensor one hat index at a
+    time; its constants, reflection coefficients, residuals and failures equal
+    the whole-tensor build's bit for bit."""
+
+    # at levels 2 mod 4 the center of A1 has a fractional-spin fixed point
+    # and no hat matrix (TestOrbitLabels)
+    @pytest.mark.parametrize(
+        "algebra,level",
+        [("A1", level) for level in range(4, 81, 4)] + [("A2", level) for level in range(3, 16)],
+    )
+    def test_centers(self, algebra, level):
+        assert assert_matches_the_whole_tensor_build(center_hat(algebra, level)) is None
+
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_z2_orbifolds(self, level):
+        _, orb, dual = orbifold_setup(level)
+        assert assert_matches_the_whole_tensor_build(hat_smatrix(orb.md, dual)) is None
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_random_complex_hat_matrices(self, size):
+        rng = np.random.default_rng(size)
+        shat = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        assert_matches_the_whole_tensor_build(shat)
+        assert_matches_the_whole_tensor_build(shat.real)
+
+    def test_conditioned_hat_matrix(self):
+        assert assert_matches_the_whole_tensor_build(conditioned_hat_matrix(), 1e-6) is None
+
+    def test_tampered_inputs_fail_the_same_check_with_the_same_residual(self):
+        shat = conditioned_hat_matrix()
+        residuals = whole_tensor_structure_constants(shat, 1e-6)[2]
+        assert residuals["unit"] < residuals["representation_property"]
+        singular = center_hat("A1", 8).copy()
+        singular[1] = singular[0]
+        vanishing = center_hat("A1", 8).copy()
+        vanishing[0, 2] = 0.0
+        cases = [
+            (singular, 1e-8, "hat_matrix_invertible"),
+            (vanishing, 1e-8, "vacuum_row_nonvanishing"),
+            (shat, 0.0, "classifying_unit"),
+            (shat, residuals["unit"], "classifying_representation"),
+            (center_hat("A2", 6), 0.0, "classifying_unit"),
+        ]
+        for tampered, tol, relation in cases:
+            assert assert_matches_the_whole_tensor_build(tampered, tol) == relation
+
+    def test_the_tensor_is_the_only_n3_array(self):
+        shat = center_hat("A2", 18)
+        assert shat.shape == (66, 66)
+        tracemalloc.start()
+        try:
+            nhat = _structure_constants(shat, 1e-8)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nhat.nbytes
 
 
 class TestHatMatrixOracle:

@@ -26,6 +26,7 @@ from wzwkit.cli import (
     EXIT_PRECISION,
     EXIT_UNSUPPORTED,
     JobConfig,
+    _nonzero_table,
     _render,
     _run_boundary,
     _run_fusion,
@@ -359,6 +360,50 @@ class TestReportEncoding:
         config = JobConfig("boundary", algebra, level, group="center")
         result, _ = _run_boundary(config)
         assert encode_per_element(result["nhat_nonzero"]) == expected
+
+
+def column_stack_table(mask, values):
+    """The whole-tensor table: every index array and value gathered at once."""
+    return np.column_stack((*np.nonzero(mask), values[mask].astype(np.int64)))
+
+
+def nonzero_table_cases():
+    yield "all-zero", np.zeros((3, 4, 5), dtype=np.int64)
+    edges = np.zeros((4, 3, 3), dtype=np.int64)
+    edges[1, 0, 2], edges[2, 2, 0], edges[2, 1, 1] = 5, -2, 7
+    yield "empty-first-and-last-slices", edges
+    yield "one-entry", np.array([[[3]]])
+    rng = np.random.default_rng(5)
+    for shape in [(1, 4, 2), (5, 5, 5), (7, 3, 6)]:
+        yield f"random-{shape}", rng.integers(-2, 3, size=shape) * rng.integers(0, 2, size=shape)
+    yield "verlinde-A2-10", verlinde_tensor(modular_data("A2", 10))
+
+
+class TestNonzeroTable:
+    @pytest.mark.parametrize("name,tensor", list(nonzero_table_cases()))
+    def test_rows_match_the_column_stack(self, name, tensor):
+        table = _nonzero_table(tensor != 0, tensor)
+        expected = column_stack_table(tensor != 0, tensor)
+        assert table.dtype == np.int64 and table.shape == expected.shape == (len(expected), 4)
+        assert np.array_equal(table, expected)
+
+    def test_float_values_are_rounded_as_the_boundary_table_was(self):
+        md = modular_data("A1", 12)
+        nhat = classifying_algebra(md, simple_currents(md)).nhat
+        mask = np.abs(nhat) > 0.5
+        expected = column_stack_table(mask, np.round(nhat.real))
+        assert np.array_equal(_nonzero_table(mask, nhat.real), expected)
+
+    def test_peak_is_the_table_the_mask_and_one_slice(self):
+        tensor = verlinde_tensor(modular_data("A2", 12))
+        mask = tensor != 0
+        tracemalloc.start()
+        try:
+            table = _nonzero_table(mask, tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + mask.nbytes + tensor[0].nbytes
 
 
 CONJ1 = ["--conjecture", "1"]
