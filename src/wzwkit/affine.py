@@ -465,10 +465,12 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
     level, or whose S payload is not base64 of exactly 16 n^2 bytes for the
     n integrable weights, counts as unreadable.  S is a read-only view of the
     decoded bytes (one base64 decode, no per-entry work and no copy); it is
-    verified by the caller like a freshly computed one.  A path the operating
-    system refuses (a name too long, say) raises PreconditionError.
+    verified by the caller like a freshly computed one.  The entry is the one
+    of the canonical name (``"a1"`` reads what ``"A1"`` wrote).  A path the
+    operating system refuses (a name too long, say) raises PreconditionError.
     """
-    path = cache_path(algebra, level, cache_dir)
+    alg = build_algebra(algebra)
+    path = cache_path(alg.name, level, cache_dir)
     try:
         if not path.exists():
             return None
@@ -485,10 +487,10 @@ def load_modular_data(algebra: str, level: int, cache_dir: str | Path) -> Modula
                 f" expected {SCHEMA_VERSION}"
             )
             return None
-        if payload["algebra"] != algebra or payload["level"] != level:
+        if payload["algebra"] != alg.name or payload["level"] != level:
             raise ValueError("cache file does not match requested theory")
         text = payload["smatrix"]
-        return _theory(build_algebra(algebra), level, lambda lab: _decode_smatrix(text, len(lab)))
+        return _theory(alg, level, lambda lab: _decode_smatrix(text, len(lab)))
     except (ValueError, KeyError, TypeError) as exc:
         _warn_outside(f"ignoring unreadable cache file {path}: {exc}")
         return None

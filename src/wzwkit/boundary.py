@@ -61,9 +61,9 @@ class ClassifyingAlgebra:
     raised structure constants and ``reflection`` the reflection
     coefficients, both computed with the checks of ``structure_constants``.
     Hat index 0, the vacuum with the trivial character, is the unit.
-    Beside a bool mask, ``nhat`` is the only n^3 array a boundary job holds:
-    it is built, checked and tabulated (``cli._nonzero_table``) one leading
-    hat index at a time.
+    ``nhat`` is the only n^3 array a boundary job holds: it is built,
+    checked and tabulated (``cli._nonzero_table``) one leading hat index at
+    a time.
     """
 
     md: ModularData

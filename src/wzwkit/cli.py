@@ -498,22 +498,23 @@ def _run_modular_data(config: JobConfig):
     return result, residuals
 
 
-def _nonzero_table(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows [a, b, c, round(values[a, b, c])] where ``mask`` holds, in C order.
+def _nonzero_table(values: np.ndarray) -> np.ndarray:
+    """Rows [a, b, c, round(values[a, b, c])] where that rounded value is nonzero,
+    in C order, the order of ``itertools.product`` over the three indices.
 
-    C order is the order of ``itertools.product`` over the three indices.
-    Rows are formed one leading index at a time, so beside the table only
-    one slice's indices and values exist.
+    Rounding is half to even, so the rows are the entries with |v| > 0.5 (a
+    tie ±0.5 rounds to 0).  Each leading slice is rounded and tested alone,
+    once to count its rows and once to fill them, so no n^3 mask is formed.
     """
-    counts = np.count_nonzero(mask, axis=(1, 2))
-    table = np.empty((int(counts.sum()), 4), dtype=np.int64)
+    counts = [np.count_nonzero(np.round(v)) for v in values]
+    table = np.empty((sum(counts), 4), dtype=np.int64)
     stop = 0
-    for a, count in enumerate(counts):
+    for a, (v, count) in enumerate(zip(values, counts)):
+        keep = np.round(v) != 0
         rows = table[stop : stop + count]
         stop += count
-        b, c = np.nonzero(mask[a])
-        rows[:, 0], rows[:, 1], rows[:, 2] = a, b, c
-        rows[:, 3] = np.round(values[a][b, c])
+        rows[:, 0], rows[:, 1], rows[:, 2] = a, *np.nonzero(keep)
+        rows[:, 3] = np.round(v[keep])
     return table
 
 
@@ -526,7 +527,7 @@ def _run_fusion(config: JobConfig):
     result = {
         "dim": md.dim,
         "labels": [list(lab) for lab in md.labels],
-        "nonzero": _nonzero_table(tensor != 0, tensor),
+        "nonzero": _nonzero_table(tensor),
         "simple_currents": [list(md.labels[j]) for j in group.indices],
     }
     return result, residuals
@@ -573,7 +574,6 @@ def _run_boundary(config: JobConfig):
     group = _group_from_spec(md, config.group)
     algebra = classifying_algebra(md, group, tol=config.tolerance)
     residuals = dict(algebra.residuals)
-    nhat = algebra.nhat
     result = {
         "dim": algebra.dim,
         "hat_labels": [
@@ -585,7 +585,7 @@ def _run_boundary(config: JobConfig):
             for b in algebra.boundary_labels
         ],
         "smatrix": algebra.smatrix,
-        "nhat_nonzero": _nonzero_table(np.abs(nhat) > 0.5, nhat.real),
+        "nhat_nonzero": _nonzero_table(algebra.nhat.real),
         "reflection": algebra.reflection,
     }
     if group.order == 2:
@@ -872,13 +872,10 @@ def _arguments(row) -> list:
     return [arg for arg in _SHARED if row.takes_level or arg[0] != "--level"] + list(row.arguments)
 
 
-def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with subcommand ``construction``, or all eight if None.
-
-    It reads every line ``_read_plain`` declines.  Help and ``--version`` get
-    all eight; no report shows the usage line that lists them, as
-    ``_Parser.error`` keeps only the message.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with all eight subcommands, for every line that
+    ``_read_plain`` declines; no report shows its usage line, as
+    ``_Parser.error`` keeps only the message."""
     parser = _Parser(
         prog="wzwkit",
         description="Modular data, fusion, extensions, orbifolds and boundaries "
@@ -886,9 +883,9 @@ def build_parser(construction: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="construction")
-    for name in _SUBCOMMANDS if construction is None else (construction,):
-        sub = subparsers.add_parser(name, help=_SUBCOMMANDS[name].summary)
-        for flag, options in _arguments(_SUBCOMMANDS[name]):
+    for name, row in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=row.summary)
+        for flag, options in _arguments(row):
             sub.add_argument(flag, **options)
     return parser
 
@@ -918,11 +915,10 @@ def _read_plain(argv: Sequence[str]) -> dict | None:
 
 def config_from_args(argv: Sequence[str] | None = None) -> JobConfig:
     """Parse ``argv`` (default ``sys.argv[1:]``): a plain job line with no parser
-    (``_read_plain``), any other with ``build_parser`` of the subcommand that
-    ``argv[0]`` names, or of all eight if it names none."""
+    (``_read_plain``), any line the reader declines with argparse, built whole
+    with all eight subcommands by ``build_parser``."""
     argv = sys.argv[1:] if argv is None else argv
-    construction = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    values = _read_plain(argv) or vars(build_parser(construction).parse_args(argv))
+    values = _read_plain(argv) or vars(build_parser().parse_args(argv))
     if values["construction"] is None:
         raise PreconditionError("a construction subcommand is required")
     if values.get("fmt") is None:

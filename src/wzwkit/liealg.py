@@ -69,12 +69,12 @@ _DEGREES = {
 
 
 def parse_algebra_label(label: str) -> tuple[str, int]:
-    """Split a label like ``"A2"`` or ``"E8"`` into (series, rank)."""
+    """Split a label like ``"A2"`` or ``"E8"`` into (series, rank); the rank is ASCII digits."""
     label = label.strip()
-    if len(label) < 2 or label[0].upper() not in _RANK_BOUNDS or not label[1:].isdigit():
+    series, digits = label[:1].upper(), label[1:]
+    if series not in _RANK_BOUNDS or not (digits.isascii() and digits.isdigit()):
         raise CartanDataError(f"cannot parse algebra label {label!r}; expected e.g. 'A2', 'G2'")
-    series = label[0].upper()
-    rank = int(label[1:])
+    rank = int(digits)
     lo, hi = _RANK_BOUNDS[series]
     if rank < lo or (hi is not None and rank > hi):
         raise CartanDataError(f"series {series} does not admit rank {rank}")

@@ -387,6 +387,20 @@ class TestPerIndexStructureConstants:
         assert peak < 1.5 * nhat.nbytes
 
 
+class TestReportedConstants:
+    # the report lists the constants with |Re x| > 0.5; their imaginary parts
+    # are float noise, so these are the entries with |x| > 0.5 listed before
+    @pytest.mark.parametrize(
+        "algebra,level",
+        [("A1", level) for level in range(4, 81, 4)] + [("A2", level) for level in range(3, 19)],
+    )
+    def test_real_parts_list_the_same_entries(self, algebra, level):
+        md = modular_data(algebra, level)
+        nhat = classifying_algebra(md, simple_currents(md)).nhat
+        assert np.abs(nhat.imag).max() < 1e-12
+        assert np.array_equal(np.abs(nhat) > 0.5, np.abs(nhat.real) > 0.5)
+
+
 class TestHatMatrixOracle:
     @staticmethod
     def entrywise_hat(md, group):

@@ -114,7 +114,8 @@ class TestCartanMatrices:
         # 8 diagonal 2s and 7 tree edges contributing -1 twice each
         assert sum(sum(row) for row in m) == 16 - 14
 
-    @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G3", "H2", "A", "2A"])
+    # a superscript or Arabic-Indic digit passes str.isdigit, and int("١") is 1
+    @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G3", "H2", "A", "2A", "A²", "A١"])
     def test_invalid_labels_rejected(self, bad):
         with pytest.raises(CartanDataError):
             parse_algebra_label(bad)
