@@ -21,7 +21,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,38 +58,35 @@ def _check_insertions(md: ModularData, insertions: Iterable[int]) -> None:
 
 
 def _rank_factor(md: ModularData, key: int | None) -> np.ndarray:
-    """N_key, or under None the handle matrix H, in float64 integers: one
+    """N_key, or under None the handle matrix H, as int64: one
     ``_fusion_product``, checked to round within 1e-6 to non-negative integers."""
     rounded, summary = _fusion_product(md, key)
     what, at = ("handle matrix entry", ()) if key is None else ("fusion coefficient", (md.labels[key],))
     _checked(md, summary, 1e-6, what, at)
-    return rounded
+    return rounded.astype(np.int64)
 
 
 def block_rank(md: ModularData, genus: int, insertions: Sequence[int]) -> int:
     """Dimension of the space of chiral blocks at the given genus, exactly.
 
     It is (e_0 N_mu1 ... N_mum H^g)_0, N_mu[b, c] = N_{mu b}^c and H the handle
-    matrix, each formed once per theory: a row vector from the vacuum, O(n^2)
-    per factor.  No factor has a zero row (quantum dimensions are positive),
-    so the vector's sum never falls and bounds every entry and partial sum;
-    float64 is exact while it stays below 2**53, and past that, or once the
-    float vector overflows to inf and NaN, the product is redone over Python ints.
+    matrix, each formed once per theory: a row vector from the vacuum times
+    each factor once, O(n^2) per factor.  All entries are non-negative
+    integers, so v.sum() times a factor's largest row sum bounds every entry
+    and partial sum of v @ factor; the vector is int64 while that bound is
+    below 2**63, and Python ints from the first factor where it is not.
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
     _check_insertions(md, insertions)
     keys = list(insertions) + [None] * genus
-    v = np.zeros(md.dim)
-    v[md.vacuum] = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # caught by the checks
         factors = [md._derived(("rank_factor", k), lambda md, k=k: _rank_factor(md, k)) for k in keys]
-        for f in factors:
-            v = v @ f
-    if not v.sum() < 2.0**53:
-        v = np.eye(1, md.dim, md.vacuum, dtype=object)[0]
-        for f in factors:
-            v = v @ f.astype(np.int64).astype(object)
+    v = np.eye(1, md.dim, md.vacuum, dtype=np.int64)[0]
+    for f in factors:
+        if v.dtype != object and int(v.sum()) * int(f.sum(1).max()) >= 2**63:
+            v = v.astype(object)
+        v = v @ f
     return int(v[md.vacuum])
 
 
@@ -185,6 +182,29 @@ def symmetry_trace(
     return complex(_slot_sum(weight, rows))
 
 
+def _float_tolerance(
+    md: ModularData, what: str, sums: np.ndarray, q: int, d: int, size: Callable[[], float], always: bool = False
+) -> tuple[np.ndarray, float]:
+    """The misses |x - round(Re x)| of float sums x that should be integers,
+    and the tolerance max(1e-6, E) they are judged by, E the bound of
+    ``fourier_eigendims`` for products of q entries and d roots, with
+    ``size()`` the sum of the absolute terms.  E is formed once a miss passes
+    1e-6, or ``always``.  A sum that is not finite, an E of at least 1/2, or
+    a miss past 1e-6 with none past E raises PrecisionExhausted."""
+    if not np.isfinite(sums).all():
+        raise PrecisionExhausted(f"{what} is not finite")
+    miss, tol = np.abs(sums - sums.real.round()), 1e-6
+    if always or miss.max() > tol:
+        gamma = (4 * q + md.dim + d + 4) * 2.0**-53
+        with np.errstate(over="ignore"):
+            tol = max(tol, gamma / (1 - gamma) * size())
+        if tol >= 0.5 or tol >= miss.max() > 1e-6:
+            raise PrecisionExhausted(
+                f"{what} misses an integer by up to {miss.max():.3g}, within its float error bound {tol:.3g}"
+            )
+    return miss, tol
+
+
 @dataclass(eq=False)
 class TraceSpectrum:
     """Traces of the untwisted tuples and their Fourier transform.
@@ -216,7 +236,8 @@ def fourier_eigendims(
     Each X_chi must lie within max(1e-6, E) of an integer and (rank + X_chi)
     / |G| must be a non-negative integer, or a ConjectureViolation carrying
     the report is raised; but when some X_chi misses by more than 1e-6 and
-    none by more than E, the float sums cannot decide: PrecisionExhausted.
+    none by more than E, or E is at least 1/2, the float sums cannot decide:
+    PrecisionExhausted.
     E bounds their rounding (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3-4), the entries of S and S^J taken as correctly
     rounded.  A term of T(t) is a product of q = |2 - 2g| + 2m entries (a
@@ -249,21 +270,14 @@ def fourier_eigendims(
         traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
         column = np.array([traces.get(t, 0j) for t in order])
         others = np.concatenate([roots[nums[r:r + step]] @ column for r in range(0, d, step)])
-    if not np.isfinite([*traces.values(), *others]).all():
-        raise PrecisionExhausted(f"genus-{genus} float trace or Fourier sum is not finite")
-    miss, tol = np.abs(others - others.real.round()), 1e-6
-    if miss.max() > tol:  # E of the docstring
-        gamma = (4 * (abs(2 - 2 * genus) + 2 * len(ident)) + md.dim + d + 4) * 2.0**-53
-        with np.errstate(over="ignore"):
-            weight = np.abs(md.smatrix[0]) ** (2 - 2 * genus - len(ident))
-            full = {j: np.abs(fixed_point_smatrix(md, j).full) for j in set().union(*traces)}
-            size = sum(_slot_sum(weight, (full[j][mu] for mu, j in zip(insertions, t))).real for t in traces)
-            tol = max(tol, gamma / (1 - gamma) * size)
-        if miss.max() <= tol:
-            raise PrecisionExhausted(
-                f"genus-{genus} Fourier sums miss an integer by up to {miss.max():.3g}, "
-                f"within their float error bound {tol:.3g}"
-            )
+
+    def size():
+        weight = np.abs(md.smatrix[0]) ** (2 - 2 * genus - len(ident))
+        full = {j: np.abs(fixed_point_smatrix(md, j).full) for j in set().union(*traces)}
+        return sum(_slot_sum(weight, (full[j][mu] for mu, j in zip(insertions, t))).real for t in traces)
+
+    q = abs(2 - 2 * genus) + 2 * len(ident)
+    miss, tol = _float_tolerance(md, f"genus-{genus} float trace or Fourier sum", others, q, d, size)
     traces = {ident: complex(rank), **traces}
     ints, dims = list(range(d)), {}  # one int object per numerator, shared by the keys
     for row, x, off in zip(nums, others, miss):

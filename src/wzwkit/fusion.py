@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affine import ModularData
-from .errors import IntegralityError, InternalConsistencyError
+from .errors import IntegralityError, InternalConsistencyError, PreconditionError
 
 __all__ = [
     "verlinde_tensor",
@@ -247,11 +247,25 @@ class SimpleCurrentGroup:
     def labels(self) -> tuple:
         return tuple(self.md.labels[j] for j in self.indices)
 
+    def _foreign(self, *indices) -> PreconditionError:
+        """The error naming the first of ``indices`` that is not a current of the group."""
+        j = next(j for j in indices if j not in self.perms)
+        return PreconditionError(f"index {j} is not a current of the group")
+
     def act(self, j: int, i: int) -> int:
+        if j not in self.perms:
+            raise self._foreign(j)
+        if not 0 <= i < self.md.dim:
+            raise PreconditionError(f"label index {i} is not below {self.md.dim}")
         return self.perms[j][i]
 
     def compose(self, j1: int, j2: int) -> int:
-        return self.perms[j1][j2]
+        try:  # one membership test on the hot path, and the lookup checks j1
+            if j2 in self.perms:
+                return self.perms[j1][j2]
+        except KeyError:
+            pass
+        raise self._foreign(j1, j2)
 
     @cached_property
     def _inverses(self) -> dict[int, int]:
@@ -260,6 +274,8 @@ class SimpleCurrentGroup:
 
     def inverse(self, j: int) -> int:
         if (inv := self._inverses.get(j)) is None:
+            if j not in self.perms:
+                raise self._foreign(j)
             raise InternalConsistencyError("simple current has no inverse in the group")
         return inv
 
@@ -293,7 +309,7 @@ class SimpleCurrentGroup:
             j = frontier.pop()
             if j not in elems:
                 if j not in self.perms:
-                    raise InternalConsistencyError(f"index {j} is not a simple current")
+                    raise self._foreign(j)
                 elems.add(j)
                 frontier.extend(self.compose(j, e) for e in list(elems))
         return SimpleCurrentGroup(self.md, {j: self.perms[j] for j in sorted(elems)})

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .affine import ModularData, verify_modular_invariants
-from .blocks import _slot_sum, block_rank
+from .blocks import _float_tolerance, _slot_sum, block_rank
 from .errors import ConjectureViolation, InvariantViolation, PreconditionError
 from .exact import phase_to_complex
 from .fusion import verify_fusion
@@ -223,8 +223,11 @@ def conjecture2_trace(
     """Trace of the order-2 symmetry on a genus-zero block space.
 
     The sum runs over twisted labels with the twining matrix in place of S;
-    the trace must lie within 1e-6 of an integer T, and (rank +- T)/2 must
-    be non-negative integers, otherwise a ConjectureViolation is raised.
+    the trace must lie within max(1e-6, E) of an integer T, and (rank +- T)/2
+    must be non-negative integers, otherwise a ConjectureViolation is raised.
+    E is the float error bound of ``fourier_eigendims`` for this one sum (q =
+    2 + 2m, a single root); a trace that is not finite, an E of at least 1/2,
+    or a miss past 1e-6 but within E raises PrecisionExhausted instead.
     ``orientation`` selects which index of the twining matrix is summed, the
     two choices being transposes of each other.  The twining matrix is S,
     which is exactly symmetric (``_coset_sum`` mirrors its upper triangle),
@@ -236,13 +239,20 @@ def conjecture2_trace(
     vac_col = s0[:, md.vacuum]
     kept = np.abs(vac_col) >= 1e-14
     vac = vac_col[kept]
-    weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
-    value = complex(_slot_sum(weight, (s0[kept, mu] for mu in insertions)))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
+        value = complex(_slot_sum(weight, (s0[kept, mu] for mu in insertions)))
+
+    def size():
+        return _slot_sum(np.abs(weight), (np.abs(s0[kept, mu]) for mu in insertions)).real
+
+    q = 2 + 2 * len(insertions)
+    (miss,), tol = _float_tolerance(md, "conjecture-2 float trace", np.array([value]), q, 1, size, always=True)
     rounded = round(value.real)
     out = []
     for name, sign in (("+", 1), ("-", -1)):
         dim, odd = divmod(rank + sign * rounded, 2)
-        if abs(value - rounded) > 1e-6 or odd or dim < 0:
+        if miss > tol or odd or dim < 0:
             raise ConjectureViolation(
                 "orbifold eigenspace dimension is not a non-negative integer",
                 report={

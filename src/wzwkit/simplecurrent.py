@@ -74,7 +74,7 @@ class FixedPointData:
     matrix: np.ndarray
     dim: int
 
-    @property
+    @cached_property
     def fixed_set(self) -> frozenset:
         return frozenset(self.fixed)
 

@@ -226,6 +226,31 @@ def tensor_block_rank(factors, vacuum, genus, insertions):
     return int(v[vacuum])
 
 
+def float_then_int_rank(md, factors, genus, insertions):
+    """Reference for ``block_rank``: a float64 row-vector product over the
+    factors of ``factors`` (label index or None to int64 matrix), exact while
+    its sum stays below 2**53; past that, or once it overflows, the whole
+    product is redone over Python ints."""
+    keys = list(insertions) + [None] * genus
+    v = np.eye(1, md.dim, md.vacuum)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in keys:
+            v = v @ factors[key].astype(float)
+    if not v.sum() < 2.0**53:
+        v = np.eye(1, md.dim, md.vacuum, dtype=object)[0]
+        for key in keys:
+            v = v @ factors[key].astype(object)
+    return int(v[md.vacuum])
+
+
+def python_int_rank(md, genus, insertions):
+    """Reference for ``block_rank``: the product over Python ints throughout."""
+    v = np.eye(1, md.dim, md.vacuum, dtype=object)[0]
+    for key in list(insertions) + [None] * genus:
+        v = v @ blocks._rank_factor(md, key).astype(object)
+    return int(v[md.vacuum])
+
+
 def orbifold_a1_4():
     return assemble_orbifold(inner_orbifold_input(modular_data("A1", 4), (1,))).md
 
@@ -323,7 +348,7 @@ class TestBlockRank:
 
     @pytest.mark.filterwarnings("error")
     def test_exact_past_float_overflow(self):
-        # At genus 300 the float64 vector overflows to inf, and inf * 0 gives NaN.
+        # A rank past float range (1075 bits): the vector leaves int64 early and stays Python ints.
         md = modular_data("A1", 4)
         tensor = verlinde_tensor(md).astype(object)
         handle = sum(row @ row.T for row in tensor)
@@ -372,6 +397,55 @@ class TestBlockRank:
         for a in range(md.dim):
             for b in range(md.dim):
                 assert block_rank(md, 0, (a, b)) == int(conj[a] == b)
+
+
+class TestIntegerProduct:
+    """The rank is one product over int64 factors, Python ints past int64."""
+
+    @pytest.mark.parametrize(
+        "algebra,level", [("A1", k) for k in range(1, 41)] + [("A2", k) for k in range(1, 13)]
+    )
+    def test_matches_the_float_then_int_product(self, algebra, level):
+        # every insertion alone, then pairs and triples of a spread of labels
+        md = modular_data(algebra, level)
+        n = md.dim
+        spread = sorted({0, 1 % n, 2 % n, n // 3, n // 2, n - 1})
+        tuples = [()] + [(a,) for a in range(n)]
+        tuples += [t for m in (2, 3) for t in itertools.combinations_with_replacement(spread, m)]
+        factors = {key: blocks._rank_factor(md, key) for key in [None, *range(n)]}
+        for genus in range(4):
+            for insertions in tuples:
+                assert block_rank(md, genus, insertions) == float_then_int_rank(md, factors, genus, insertions)
+
+    def test_crossing_int64_midway_matches_python_ints(self):
+        md = modular_data("A1", 10)
+        # the vector starts int64 and turns to Python ints among the handles
+        assert block_rank(md, 6, (5, 5)) < 2**63 < block_rank(md, 12, (5, 5))
+        assert block_rank(md, 12, (5, 5)) == python_int_rank(md, 12, (5, 5)) == 88875941870257607540736
+
+    @pytest.mark.parametrize("algebra,level", [("A1", 4), ("A2", 6), ("G2", 5)])
+    def test_factors_are_int64(self, algebra, level):
+        md = modular_data(algebra, level)
+        for key in (None, 0, md.dim - 1):
+            assert blocks._rank_factor(md, key).dtype == np.int64
+
+    def test_each_factor_is_multiplied_once_in_integers(self):
+        # spy factors record each product: int64 until the bound passes 2**63
+        products = []
+
+        class Spy(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(other.dtype.name)
+                return np.asarray(other) @ np.asarray(self)
+
+        md = dataclasses.replace(modular_data("A1", 10))
+        for key in (5, None):
+            factor = blocks._rank_factor(md, key).view(Spy)
+            md._derived(("rank_factor", key), lambda md, factor=factor: factor)
+        assert block_rank(md, 12, (5, 5)) == 88875941870257607540736
+        assert len(products) == 14
+        switch = products.index("object")
+        assert 2 < switch and products == ["int64"] * switch + ["object"] * (14 - switch)
 
 
 class TestTupleSets:
@@ -707,7 +781,7 @@ class TestEigendims:
         # the one other trace is 6^12, off by 7.6e-6 in floats, within the bound
         md, g = setup_theory(10)
         assert 1e-6 < abs(symmetry_trace(md, (5, 5), (10, 10), 12) - 6**12) < 1e-5
-        with pytest.raises(PrecisionExhausted, match="within their float error bound") as err:
+        with pytest.raises(PrecisionExhausted, match="within its float error bound") as err:
             fourier_eigendims(md, g, (5, 5), genus=12)
         assert float(str(err.value).rsplit(" ", 1)[1]) < 1e-4
 

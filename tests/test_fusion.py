@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import wzwkit.fusion
 from wzwkit.affine import modular_data, verify_modular_invariants
 from wzwkit.blocks import block_rank
-from wzwkit.errors import IntegralityError, InternalConsistencyError, InvariantViolation
+from wzwkit.errors import IntegralityError, InternalConsistencyError, InvariantViolation, PreconditionError
 from wzwkit.fusion import simple_currents, tensor_product, verify_fusion, verlinde_tensor
 from wzwkit.liealg import build_algebra, center_group
 from wzwkit.orbifold import assemble_orbifold, inner_orbifold_input
@@ -682,6 +682,59 @@ class TestSimpleCurrents:
         # the current's row stays integral, but N_{J1}^{J-1} becomes -1
         with pytest.raises(InternalConsistencyError, match="not a permutation"):
             simple_currents(flipped(modular_data("A1", 6), 1))
+
+
+class TestForeignIndices:
+    """An index that is not the group's raises PreconditionError naming it.
+
+    The group of A1 level 4 is {0, 4}: label 1 is no current, and -1 and 9 are
+    no label index of its five."""
+
+    @pytest.fixture
+    def group(self):
+        return simple_currents(modular_data("A1", 4))
+
+    def test_act(self, group):
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            group.act(1, 0)
+        with pytest.raises(PreconditionError, match="label index 5 is not below 5"):
+            group.act(4, 5)
+
+    def test_compose(self, group):
+        for j1, j2 in [(1, 0), (0, 1)]:
+            with pytest.raises(PreconditionError, match="index 1 is not a current"):
+                group.compose(j1, j2)
+
+    def test_charge(self, group):
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            group.charge(1, 0)
+
+    def test_element_order(self, group):
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            group.element_order(1)
+
+    def test_orbit(self, group):
+        # -1 would read the last label, 4, and return its orbit (0, 4)
+        with pytest.raises(PreconditionError, match="label index -1 is not below 5"):
+            group.orbit(-1)
+
+    def test_stabilizer(self, group):
+        with pytest.raises(PreconditionError, match="label index 9 is not below 5"):
+            group.stabilizer(9)
+
+    def test_subgroup(self, group):
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            group.subgroup((1,))
+
+    def test_inverse(self, group):
+        with pytest.raises(PreconditionError, match="index 1 is not a current"):
+            group.inverse(1)
+
+    def test_a_current_without_its_inverse_is_internal(self, group):
+        # perms that are not closed: 4's inverse, 4, is left out
+        broken = dataclasses.replace(group, perms={0: group.perms[0], 1: group.perms[4]})
+        with pytest.raises(InternalConsistencyError, match="no inverse"):
+            broken.inverse(1)
 
 
 class TestTensorProduct:

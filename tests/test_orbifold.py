@@ -13,6 +13,7 @@ from wzwkit.affine import modular_data
 from wzwkit.errors import (
     ConjectureViolation,
     InvariantViolation,
+    PrecisionExhausted,
     PreconditionError,
 )
 from wzwkit.exact import phase_to_complex
@@ -296,6 +297,31 @@ class TestConjectureTwo:
         with pytest.raises(ConjectureViolation) as err:
             conjecture2_trace(bad, (1, 1, 2))
         assert err.value.report["trace"] == pytest.approx(-1.81, abs=0.005)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "m,message",
+        [
+            # 6564120420.000004 against the rank 6564120420, within a bound of 2.7e-4
+            (40, r"by up to 3.81e-06, within its float error bound 0.000273$"),
+            # exact-looking floats whose bound, 226 and 1.8e20, is past 1/2
+            (60, r"by up to 0, within its float error bound 226$"),
+            (120, r"by up to 0, within its float error bound 1.78e\+20$"),
+            (200, r"^conjecture-2 float trace is not finite$"),
+        ],
+    )
+    def test_a_trace_the_floats_cannot_decide_is_precision_exhausted(self, m, message):
+        oin = inner_orbifold_input(modular_data("A1", 40), (1,))
+        with pytest.raises(PrecisionExhausted, match=message):
+            conjecture2_trace(oin, (1,) * m)
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_traces_the_floats_decide_are_kept(self, m):
+        # an inner symmetry acts trivially, so the trace is the rank
+        oin = inner_orbifold_input(modular_data("A1", 40), (1,))
+        res = conjecture2_trace(oin, (1,) * m)
+        assert abs(res.trace - res.rank) <= 1e-6
+        assert (res.dim_plus, res.dim_minus) == (res.rank, 0)
 
     def test_trace_of_the_wrong_parity_raises(self, su2_level2):
         # The rank of (0, 1, 1) at level 2 is 1, and the identity as twining

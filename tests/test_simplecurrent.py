@@ -204,6 +204,12 @@ class TestFixedPointEntryPoint:
         assert fixed_point_smatrix(md, md.vacuum).matrix is md.smatrix
         assert fixed_point_smatrix(md, md.vacuum).full is md.smatrix
 
+    def test_fixed_set_is_built_once(self):
+        md = md_su2(4)
+        for j in (md.vacuum, md.index((4,))):
+            data = fixed_point_smatrix(md, j)
+            assert data.fixed_set is data.fixed_set == frozenset(data.fixed)
+
     def test_new_smatrix_gives_a_fresh_object(self):
         md = md_su2(4)
         old = fixed_point_smatrix(md, (4,))
