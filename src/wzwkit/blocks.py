@@ -21,7 +21,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,11 +153,22 @@ def _tuple_sets(
 
 
 def _slot_sum(weight: np.ndarray, factors: Iterable[np.ndarray]):
-    """sum_k weight[..., k] prod_s factors[s][k]; a weight matrix gives one sum per row."""
+    """sum_k weight[..., k] prod_s factors[s][k] and the sum of its absolute
+    terms, both from one product; a weight matrix gives one of each per row."""
     prod = np.ones(weight.shape[-1], dtype=complex)
     for x in factors:
         prod = prod * x
-    return (weight * prod).sum(-1)
+    terms = weight * prod
+    return terms.sum(-1), np.abs(terms).sum(-1)
+
+
+def _trace(md: ModularData, insertions: Sequence[int], t: Sequence[int], genus: int) -> tuple[complex, float]:
+    """The float trace of one current tuple, inputs unchecked, and the sum of its
+    absolute terms: weights |S_0k|^(2-2g) S_0k^(-m) times the slots' S^J rows."""
+    s0 = md.smatrix[0]
+    weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
+    value, size = _slot_sum(weight, (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(insertions, t)))
+    return complex(value), float(size)
 
 
 def symmetry_trace(
@@ -166,42 +177,38 @@ def symmetry_trace(
     """Trace of one current tuple on the block space, as a float sum.
 
     Each slot contributes the zero-extended fixed-point S matrix of its
-    current, weighted by |S_0k|^(2-2g) S_0k^(-m); the all-identity tuple
-    gives the rank, which ``block_rank`` reads exactly instead.  A negative
-    genus, a tuple whose length is not the number of insertions, or an
-    insertion outside 0..n-1 raises ``PreconditionError``.
+    current, weighted by |S_0k|^(2-2g) S_0k^(-m) (``_trace``); the
+    all-identity tuple gives the rank, which ``block_rank`` reads exactly
+    instead.  A negative genus, a tuple whose length is not the number of
+    insertions, or an insertion outside 0..n-1 raises ``PreconditionError``.
     """
     if genus < 0:
         raise PreconditionError(f"genus must be non-negative, not {genus}")
     if len(t) != len(insertions):
         raise PreconditionError(f"{len(t)} currents for {len(insertions)} insertions")
     _check_insertions(md, insertions)
-    s0 = md.smatrix[0]
-    weight = np.abs(s0) ** (2 - 2 * genus) * s0 ** (-len(insertions))
-    rows = (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(insertions, t))
-    return complex(_slot_sum(weight, rows))
+    return _trace(md, insertions, t, genus)[0]
 
 
 def _float_tolerance(
-    md: ModularData, what: str, sums: np.ndarray, q: int, d: int, size: Callable[[], float], always: bool = False
+    md: ModularData, what: str, sums: np.ndarray, q: int, d: int, size: float
 ) -> tuple[np.ndarray, float]:
     """The misses |x - round(Re x)| of float sums x that should be integers,
     and the tolerance max(1e-6, E) they are judged by, E the bound of
-    ``fourier_eigendims`` for products of q entries and d roots, with
-    ``size()`` the sum of the absolute terms.  E is formed once a miss passes
-    1e-6, or ``always``.  A sum that is not finite, an E of at least 1/2, or
-    a miss past 1e-6 with none past E raises PrecisionExhausted."""
+    ``fourier_eigendims`` for products of q entries and d roots, always formed
+    from ``size``, the sum of the absolute terms.  A sum that is not finite, an
+    E of at least 1/2 (if every sum is an integer too), or a miss past 1e-6
+    with none past E raises PrecisionExhausted."""
     if not np.isfinite(sums).all():
         raise PrecisionExhausted(f"{what} is not finite")
-    miss, tol = np.abs(sums - sums.real.round()), 1e-6
-    if always or miss.max() > tol:
-        gamma = (4 * q + md.dim + d + 4) * 2.0**-53
-        with np.errstate(over="ignore"):
-            tol = max(tol, gamma / (1 - gamma) * size())
-        if tol >= 0.5 or tol >= miss.max() > 1e-6:
-            raise PrecisionExhausted(
-                f"{what} misses an integer by up to {miss.max():.3g}, within its float error bound {tol:.3g}"
-            )
+    miss = np.abs(sums - sums.real.round())
+    gamma = (4 * q + md.dim + d + 4) * 2.0**-53
+    with np.errstate(over="ignore"):
+        tol = max(1e-6, gamma / (1 - gamma) * size)
+    if tol >= 0.5 or tol >= miss.max() > 1e-6:
+        raise PrecisionExhausted(
+            f"{what} misses an integer by up to {miss.max():.3g}, within its float error bound {tol:.3g}"
+        )
     return miss, tol
 
 
@@ -247,7 +254,8 @@ def fourier_eigendims(
 
         E = gamma_{4q + n + |G| + 4} sum_{t != 1} sum_k |w_k| prod_s |R_{s,t}[k]|,
 
-    gamma_j = j u / (1 - j u), u = 2^-53.  A rank past float range, or a
+    gamma_j = j u / (1 - j u), u = 2^-53, formed on every call from each
+    trace's own slot product (``_trace``).  A rank past float range, or a
     trace or X_chi that is not finite, raises PrecisionExhausted.
 
     The computed entries of S are not correctly rounded (A1's are up to
@@ -267,15 +275,11 @@ def fourier_eigendims(
     order = sorted(unt)
     roots, step = np.exp(-2j * np.pi * (np.arange(d) / d)), max(1, 2**16 // d)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-        traces = {t: symmetry_trace(md, insertions, t, genus) for t in unt if t != ident}
+        terms = {t: _trace(md, insertions, t, genus) for t in unt if t != ident}
+        traces = {t: value for t, (value, _) in terms.items()}
         column = np.array([traces.get(t, 0j) for t in order])
         others = np.concatenate([roots[nums[r:r + step]] @ column for r in range(0, d, step)])
-
-    def size():
-        weight = np.abs(md.smatrix[0]) ** (2 - 2 * genus - len(ident))
-        full = {j: np.abs(fixed_point_smatrix(md, j).full) for j in set().union(*traces)}
-        return sum(_slot_sum(weight, (full[j][mu] for mu, j in zip(insertions, t))).real for t in traces)
-
+    size = sum(s for _, s in terms.values())
     q = abs(2 - 2 * genus) + 2 * len(ident)
     miss, tol = _float_tolerance(md, f"genus-{genus} float trace or Fourier sum", others, q, d, size)
     traces = {ident: complex(rank), **traces}
@@ -334,7 +338,7 @@ def trace_factorization_check(
     def factor(slots, currents, channel):
         weight = channel * s0 ** (1 - len(slots))  # the glued channel is one more slot
         rows = (fixed_point_smatrix(md, ts).full[mu] for mu, ts in zip(slots, currents))
-        return _slot_sum(weight, rows)
+        return _slot_sum(weight, rows)[0]
 
     left = factor(insertions[:split], t[:split], glue_full)
     right = factor(insertions[split:], t[split:], glue_full.conj())

@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import os
 import re
 import sys
@@ -97,13 +98,42 @@ SWEEP_COLUMNS = (
 )
 
 
+def _number(kind):
+    """A test passed by an instance of the ``numbers`` class ``kind`` that is not a bool."""
+    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _entries(test, length=None):
+    """A test passed by a tuple, list or 1-d array (of ``length`` entries, if
+    given) whose every entry passes ``test``."""
+    return lambda value: (
+        (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1)
+        and length in (None, len(value))
+        and all(map(test, value))
+    )
+
+
+# The type each ``JobConfig`` field must hold: (fields, test, what the test asks
+# for).  A field whose default is None may also be None.
+_FIELD_TYPES = (
+    (("algebra", "group", "cache_dir", "fmt"), lambda value: isinstance(value, str), "a string"),
+    (("level", "genus", "weyl_cap", "conjecture"), _number(numbers.Integral), "an integer"),
+    (("tolerance",), _number(numbers.Real), "a real number"),
+    (("insertions", "current_tuple"), _entries(_number(numbers.Integral)), "a sequence of integers"),
+    (("levels",), _entries(_number(numbers.Integral), 2), "a pair of integers"),
+    (("shift",), _entries(_number(numbers.Rational)), "a sequence of rationals"),
+)
+
+
 @dataclass
 class JobConfig:
     """One batch job: a construction plus everything it needs.
 
     Field names are the command-line ``dest`` names and the field defaults
-    are the command-line defaults; ``validate`` checks the job against its
-    ``_SUBCOMMANDS`` row and the rules that tie several fields together.
+    are the command-line defaults; ``validate`` checks each field's type
+    (``_FIELD_TYPES``: integers are never bools, numpy integers and arrays
+    pass), then the job against its ``_SUBCOMMANDS`` row and the rules that
+    tie several fields together.
     """
 
     construction: str
@@ -127,6 +157,11 @@ class JobConfig:
                 f"unknown construction {self.construction!r}; "
                 f"expected one of {', '.join(_SUBCOMMANDS)}"
             )
+        for fields, test, kind in _FIELD_TYPES:
+            for name in fields:
+                value = getattr(self, name)
+                if not (value is None and getattr(JobConfig, name) is None or test(value)):
+                    raise PreconditionError(f"{name} must be {kind}, got {value!r}")
         if not self.algebra:
             raise PreconditionError("an algebra label is required")
         parse_algebra_label(self.algebra)

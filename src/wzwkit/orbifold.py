@@ -241,13 +241,9 @@ def conjecture2_trace(
     vac = vac_col[kept]
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         weight = np.abs(vac) ** 2 * vac ** (-len(insertions))
-        value = complex(_slot_sum(weight, (s0[kept, mu] for mu in insertions)))
-
-    def size():
-        return _slot_sum(np.abs(weight), (np.abs(s0[kept, mu]) for mu in insertions)).real
-
-    q = 2 + 2 * len(insertions)
-    (miss,), tol = _float_tolerance(md, "conjecture-2 float trace", np.array([value]), q, 1, size, always=True)
+        value, size = _slot_sum(weight, (s0[kept, mu] for mu in insertions))
+    value, q = complex(value), 2 + 2 * len(insertions)
+    (miss,), tol = _float_tolerance(md, "conjecture-2 float trace", np.array([value]), q, 1, size)
     rounded = round(value.real)
     out = []
     for name, sign in (("+", 1), ("-", -1)):

@@ -10,8 +10,12 @@ most one by one.  Its single entry is the phase of the orbit-Lie-algebra
 S^J of Fuchs, Schellekens and Schweigert ("A matrix S for all simple
 current extensions", hep-th/9601078), in closed form: exp(-3 pi i k / 8)
 for su(2) at k = 0 mod 4, and 1 for su(3) at k = 0 mod 3.  The fractional-spin su(2) currents
-(k = 2 mod 4) take the phase 1 by convention; it never enters downstream
-results.  ``extend_by_group`` verifies the extensions built from these phases.
+(k = 2 mod 4) take the phase 1 by convention.  A single theory's results
+read only its even powers: no extension is by such a current, and a trace
+holds it in an even number of slots.  Tensor products that extend by
+an integer-spin product of such currents read it, and fail: A1_2 x A1_2 by
+(J, J) violates st_cubed (ROADMAP item 2).  ``extend_by_group`` verifies the
+extensions built from these phases.
 
 The relative phases F_mu(J, J') of these matrices control which characters
 of the stabilizer survive in extensions, boundary data, and trace formulas.
@@ -101,8 +105,12 @@ def fixed_point_smatrix(md: ModularData, current) -> FixedPointData:
     the orbit-Lie-algebra S^J (hep-th/9601078):
 
     * su(2) at level k = 0 mod 4: xi = exp(-3 pi i k / 8);
-    * su(2) at level k = 2 mod 4: xi = 1.  The current has spin k/4, so no
-      extension constrains xi and nothing downstream depends on it;
+    * su(2) at level k = 2 mod 4: xi = 1, a convention.  The current has
+      spin k/4, so no extension of the theory is by it, and traces read
+      only even powers of xi; but tensor products that extend by an
+      integer-spin product of such currents read xi itself and fail
+      (A1_2 x A1_2 and A1_2 x A1_6 by (J, J) violate st_cubed; ROADMAP
+      item 2);
     * su(3) at level k = 0 mod 3: xi = 1.
 
     For the integer-spin currents xi is the only root of unity of order

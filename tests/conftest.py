@@ -9,6 +9,7 @@ import pytest
 
 import wzwkit.affine as affine
 import wzwkit.blocks as blocks
+import wzwkit.orbifold as orbifold
 import wzwkit.simplecurrent as simplecurrent
 
 
@@ -24,6 +25,20 @@ def coset_walks(monkeypatch):
 
     monkeypatch.setattr(affine, "weyl_cosets", counted)
     return calls
+
+
+@pytest.fixture
+def tolerance_sizes(monkeypatch):
+    """List of the ``size`` of every ``_float_tolerance`` call, conjecture 1 or 2."""
+    sizes, judge = [], blocks._float_tolerance
+
+    def spy(md, what, sums, q, d, size):
+        sizes.append(size)
+        return judge(md, what, sums, q, d, size)
+
+    for module in (blocks, orbifold):
+        monkeypatch.setattr(module, "_float_tolerance", spy)
+    return sizes
 
 
 def per_row_untwisted_rows(tables, rows):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import contextlib
 import dataclasses
 import itertools
 import tracemalloc
@@ -51,6 +52,20 @@ from wzwkit.simplecurrent import (
 def setup_theory(k):
     md = modular_data("A1", k)
     return md, simple_currents(md)
+
+
+def absolute_factor_size(md, insertions, genus, traces):
+    """The sum of the absolute terms of the traces of ``traces``, formed on its
+    own: |S_0k|^(2-2g-m) times the slots' rows of |S^J|, summed over k and t."""
+    weight = np.abs(md.smatrix[0]) ** (2 - 2 * genus - len(insertions))
+    full = {j: np.abs(fixed_point_smatrix(md, j).full) for j in set().union(*traces)}
+    total = 0.0
+    for t in traces:
+        prod = weight
+        for mu, j in zip(insertions, t):
+            prod = prod * full[j][mu]
+        total += prod.sum()
+    return total
 
 
 def rank_factorization_check(md, insertions, split, genus=0):
@@ -767,10 +782,13 @@ class TestEigendims:
         self, monkeypatch, insertions, genus, shift, rank, value, character
     ):
         md, g = setup_theory(4)
-        exact = blocks.symmetry_trace
-        monkeypatch.setattr(
-            blocks, "symmetry_trace", lambda md, ins, t, gen: exact(md, ins, t, gen) + shift.get(t, 0)
-        )
+        exact = blocks._trace
+
+        def moved(md, ins, t, gen):
+            value, size = exact(md, ins, t, gen)
+            return value + shift.get(t, 0), size
+
+        monkeypatch.setattr(blocks, "_trace", moved)
         with pytest.raises(ConjectureViolation, match="not a non-negative integer") as err:
             fourier_eigendims(md, g, insertions, genus)
         assert err.value.report["rank"] == rank
@@ -799,6 +817,34 @@ class TestEigendims:
         with pytest.raises(PrecisionExhausted) as err:
             fourier_eigendims(md, g, insertions, genus)
         assert str(err.value) == message
+
+    def test_an_integral_sum_is_undecided_when_its_bound_passes_one_half(self):
+        # every sum lands on an integer, but terms of total size 1e16 bound
+        # their float error by about 30
+        md, _ = setup_theory(4)
+        sums = np.array([3 + 0j, -1 + 0j])
+        with pytest.raises(PrecisionExhausted, match=r"by up to 0, within its float error bound 30$"):
+            blocks._float_tolerance(md, "sum", sums, 4, 2, 1e16)
+        miss, tol = blocks._float_tolerance(md, "sum", sums, 4, 2, 1.0)
+        assert (miss.tolist(), tol) == ([0.0, 0.0], 1e-6)
+
+    @pytest.mark.parametrize(
+        "algebra,level,insertions,genus",
+        [("A1", 4, (2, 2), genus) for genus in range(21)]
+        + [("A1", 10, (5, 5), genus) for genus in range(13)]
+        + [("A1", 16, (8,) * 7, 1), ("A2", 9, (30,) * 4, 1)],
+    )
+    def test_bound_size_is_the_absolute_factor_sum(
+        self, tolerance_sizes, algebra, level, insertions, genus
+    ):
+        md = modular_data(algebra, level)
+        g = simple_currents(md)
+        with contextlib.suppress(PrecisionExhausted):  # A1/10 at genus 12
+            fourier_eigendims(md, g, insertions, genus)
+        ident = (md.vacuum,) * len(insertions)
+        traces = [t for t in untwisted_tuples(md, g, insertions) if t != ident]
+        size = absolute_factor_size(md, insertions, genus, traces)
+        assert tolerance_sizes == [pytest.approx(size, rel=1e-12, abs=0)]
 
     def test_su3_level3_fixed_point_tuple(self):
         md = modular_data("A2", 3)

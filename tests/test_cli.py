@@ -563,10 +563,37 @@ class TestJobConfigValidation:
                 JobConfig("trace", "A1", 4, conjecture=2, insertions=(2, 2, 2)),
                 "trace --conjecture 2 requires --shift",
             ),
+            # fields of the wrong type, which the command line never delivers
+            (JobConfig("check", "A1", 3.5), "level must be an integer, got 3.5"),
+            (JobConfig("check", 5, 3), "algebra must be a string, got 5"),
+            (
+                JobConfig("trace", "A1", 4, conjecture=1, insertions=(2, 2), genus=1.5),
+                "genus must be an integer, got 1.5",
+            ),
+            (
+                JobConfig("trace", "A1", 4, conjecture=1, insertions=(2.0, 2), genus=1),
+                "insertions must be a sequence of integers, got (2.0, 2)",
+            ),
+            (JobConfig("sweep", "A1", levels=(1.5, 3)), "levels must be a pair of integers, got (1.5, 3)"),
+            (JobConfig("sweep", "A1", levels=(1, 2, 3)), "levels must be a pair of integers, got (1, 2, 3)"),
+            (JobConfig("check", "A1", 3, tolerance="1e-8"), "tolerance must be a real number, got '1e-8'"),
+            (JobConfig("extend", "A1", 4, group=4), "group must be a string, got 4"),
+            (
+                JobConfig("orbifold", "A1", 2, shift=("abc",)),
+                "shift must be a sequence of rationals, got ('abc',)",
+            ),
+            (JobConfig("check", "A1", True), "level must be an integer, got True"),
+            (JobConfig("check", "A1", 3, weyl_cap=2.5), "weyl_cap must be an integer, got 2.5"),
+            (
+                JobConfig("trace", "A1", 4, conjecture=1, insertions=(2, 2), current_tuple=(4.0, 4)),
+                "current_tuple must be a sequence of integers, got (4.0, 4)",
+            ),
         ],
         ids=[
             "empty-algebra", "weyl-cap-0", "xml", "sweep-no-levels", "orbifold-no-shift", "empty-group",
             "trace-no-conjecture", "conjecture-3", "trace-no-insertions", "conjecture-2-no-shift",
+            "float-level", "int-algebra", "float-genus", "float-insertion", "float-levels", "three-levels",
+            "str-tolerance", "int-group", "str-shift", "bool-level", "float-weyl-cap", "float-tuple",
         ],
     )
     def test_failures_only_the_api_reaches_are_parse_errors(self, config, message, no_theory):

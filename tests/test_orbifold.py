@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
@@ -322,6 +323,18 @@ class TestConjectureTwo:
         res = conjecture2_trace(oin, (1,) * m)
         assert abs(res.trace - res.rank) <= 1e-6
         assert (res.dim_plus, res.dim_minus) == (res.rank, 0)
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_bound_size_is_the_absolute_factor_sum(self, tolerance_sizes, m):
+        oin = inner_orbifold_input(modular_data("A1", 40), (1,))
+        with contextlib.suppress(PrecisionExhausted):  # at m = 40
+            conjecture2_trace(oin, (1,) * m)
+        kept = np.abs(oin.s0[:, oin.md.vacuum]) >= 1e-14
+        vac = oin.s0[kept, oin.md.vacuum]
+        prod = np.abs(np.abs(vac) ** 2 * vac ** -m)
+        for _ in range(m):
+            prod = prod * np.abs(oin.s0[kept, 1])
+        assert tolerance_sizes == [pytest.approx(prod.sum(), rel=1e-12, abs=0)]
 
     def test_trace_of_the_wrong_parity_raises(self, su2_level2):
         # The rank of (0, 1, 1) at level 2 is 1, and the identity as twining

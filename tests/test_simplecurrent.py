@@ -184,6 +184,17 @@ class TestFixedPointMatrices:
         assert data.fixed == (md.index((((1,), (1,)), (1,))),)
         assert abs(data.matrix[0, 0] - 1.0) < 1e-9
 
+    @pytest.mark.xfail(
+        raises=InvariantViolation,
+        strict=True,
+        reason="the k = 2 mod 4 phase 1 is a convention that tensor products read (ROADMAP item 2)",
+    )
+    def test_product_of_fractional_spin_factors_extends(self):
+        # (J, J) on A1_2 x A1_2 has spin 1 and one fixed point; st_cubed misses by 0.707
+        one = md_su2(2)
+        md = tensor_product(one, one)
+        extend_by_group(md, simple_currents(md).subgroup((md.index(((2,), (2,))),)))
+
     def test_full_zero_extension(self):
         md = md_su2(4)
         data = fixed_point_smatrix(md, (4,))
